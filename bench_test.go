@@ -194,6 +194,46 @@ func BenchmarkQuiescentReceiveAck(b *testing.B) {
 	}
 }
 
+// tickSink keeps the benchmarked Tick's Step alive.
+var tickSink urb.Step
+
+// BenchmarkQuiescentTickIdle measures one Task-1 pass of an Algorithm 2
+// process that has nothing to decide: history messages were broadcast,
+// delivered and retired before the timer starts, the detector views never
+// change, and inflight undelivered messages (if any) are retransmitted
+// every tick. The retirement index (DESIGN.md §10) makes the cost
+// O(|MSG_i|): the history=100 and history=10000 lines must read the same.
+func BenchmarkQuiescentTickIdle(b *testing.B) {
+	for _, c := range []struct{ history, inflight int }{{100, 0}, {10000, 0}, {10000, 8}} {
+		name := fmt.Sprintf("history=%d", c.history)
+		if c.inflight > 0 {
+			name += fmt.Sprintf("/inflight=%d", c.inflight)
+		}
+		b.Run(name, func(b *testing.B) {
+			label := ident.Tag{Hi: 1, Lo: 1}
+			view := fd.Normalize(fd.View{{Label: label, Number: 1}})
+			p := urb.NewQuiescent(fd.Static{Theta: view, Star: view},
+				ident.NewSource(xrand.New(11)), urb.Config{})
+			for k := 0; k < c.history; k++ {
+				id, _ := p.Broadcast([]byte(fmt.Sprintf("h%d", k)))
+				p.Receive(wire.NewLabeledAck(id, ident.Tag{Hi: 2, Lo: 1}, []ident.Tag{label}))
+				p.Tick()
+			}
+			for k := 0; k < c.inflight; k++ {
+				p.Broadcast([]byte(fmt.Sprintf("f%d", k)))
+			}
+			if st := p.Stats(); st.Retired != c.history || st.MsgSet != c.inflight {
+				b.Fatalf("setup: retired %d/%d, |MSG_i| = %d/%d", st.Retired, c.history, st.MsgSet, c.inflight)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tickSink = p.Tick()
+			}
+		})
+	}
+}
+
 func BenchmarkOracleViewExact(b *testing.B) {
 	correct := make([]bool, 16)
 	for i := range correct {

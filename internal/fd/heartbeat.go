@@ -1,7 +1,7 @@
 package fd
 
 import (
-	"sort"
+	"slices"
 
 	"anonurb/internal/ident"
 )
@@ -46,10 +46,11 @@ type Heartbeat struct {
 	label   ident.Tag
 	timeout int64
 	clock   func() int64
-	// lastHeard[label] = last time the label was heard; the own label is
-	// implicitly always fresh.
-	lastHeard map[ident.Tag]int64
-	order     []ident.Tag
+	// heard lists every label ever heard with the time it was last
+	// heard, kept sorted by label at insertion, so building a view is one
+	// pass with no sort and no map lookup. The own label is implicitly
+	// always fresh.
+	heard []HeardLabel
 }
 
 // NewHeartbeat builds a heartbeat detector with the given permanent
@@ -58,12 +59,7 @@ func NewHeartbeat(label ident.Tag, timeout int64, clock func() int64) *Heartbeat
 	if timeout <= 0 {
 		panic("fd: heartbeat timeout must be positive")
 	}
-	return &Heartbeat{
-		label:     label,
-		timeout:   timeout,
-		clock:     clock,
-		lastHeard: make(map[ident.Tag]int64),
-	}
+	return &Heartbeat{label: label, timeout: timeout, clock: clock}
 }
 
 // Label returns the detector's own label (to be broadcast in ALIVE
@@ -89,62 +85,60 @@ type HeardLabel struct {
 	At    int64
 }
 
-// Heard returns every label ever heard, in first-heard order, with its
+// Heard returns every label ever heard, sorted by label, with its
 // last-heard time.
 func (h *Heartbeat) Heard() []HeardLabel {
-	out := make([]HeardLabel, 0, len(h.order))
-	for _, l := range h.order {
-		out = append(out, HeardLabel{Label: l, At: h.lastHeard[l]})
-	}
-	return out
+	return slices.Clone(h.heard)
 }
 
-// RestoreHeard replaces the heard map wholesale with the given entries
-// (in first-heard order). Crash-recovery hosts use it to reload a
-// snapshot; entries whose times predate the restarted clock's epoch
-// simply read as expired, the conservative outcome.
+// RestoreHeard replaces the heard list wholesale with the given entries
+// (in any order; a repeated label keeps its last time). Crash-recovery
+// hosts use it to reload a snapshot; entries whose times predate the
+// restarted clock's epoch simply read as expired, the conservative
+// outcome.
 func (h *Heartbeat) RestoreHeard(entries []HeardLabel) {
-	h.lastHeard = make(map[ident.Tag]int64, len(entries))
-	h.order = h.order[:0]
+	h.heard = h.heard[:0]
 	for _, e := range entries {
-		if _, known := h.lastHeard[e.Label]; !known {
-			h.order = append(h.order, e.Label)
-		}
-		h.lastHeard[e.Label] = e.At
+		h.hearAt(e.Label, e.At)
 	}
 }
 
 // Hear records an ALIVE(label) reception.
-func (h *Heartbeat) Hear(label ident.Tag) {
-	if _, known := h.lastHeard[label]; !known {
-		h.order = append(h.order, label)
+func (h *Heartbeat) Hear(label ident.Tag) { h.hearAt(label, h.clock()) }
+
+// hearAt records label as heard at time at, inserting a new label at its
+// sorted position.
+func (h *Heartbeat) hearAt(label ident.Tag, at int64) {
+	i, known := slices.BinarySearchFunc(h.heard, label,
+		func(e HeardLabel, l ident.Tag) int { return e.Label.Compare(l) })
+	if !known {
+		h.heard = slices.Insert(h.heard, i, HeardLabel{Label: label})
 	}
-	h.lastHeard[label] = h.clock()
+	h.heard[i].At = at
 }
 
-// trusted returns the currently trusted labels (own label included),
-// sorted for determinism.
-func (h *Heartbeat) trusted() []ident.Tag {
-	now := h.clock()
-	out := []ident.Tag{h.label}
-	for _, l := range h.order {
-		if l == h.label {
-			continue
-		}
-		if now-h.lastHeard[l] <= h.timeout {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// view builds the (label, number) view from the trusted set.
+// view builds the (label, number) view from the currently trusted
+// labels: every label heard within the timeout plus, always, the own
+// label. heard is sorted, so merging the own label in at its position
+// yields a normalized view in one pass.
 func (h *Heartbeat) view() View {
-	ts := h.trusted()
-	v := make(View, len(ts))
-	for i, l := range ts {
-		v[i] = Pair{Label: l, Number: len(ts)}
+	now := h.clock()
+	v := make(View, 0, len(h.heard)+1)
+	own := false
+	for _, e := range h.heard {
+		if !own && !e.Label.Less(h.label) {
+			v = append(v, Pair{Label: h.label})
+			own = true
+		}
+		if e.Label != h.label && now-e.At <= h.timeout {
+			v = append(v, Pair{Label: e.Label})
+		}
+	}
+	if !own {
+		v = append(v, Pair{Label: h.label})
+	}
+	for i := range v {
+		v[i].Number = len(v)
 	}
 	return v
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anonurb/internal/ident"
+	"anonurb/internal/xrand"
 )
 
 func TestHeartbeatTrustsOwnLabel(t *testing.T) {
@@ -122,4 +123,59 @@ func TestHeartbeatPanicsOnBadTimeout(t *testing.T) {
 		}
 	}()
 	NewHeartbeat(lbl(1), 0, func() int64 { return 0 })
+}
+
+// TestHeartbeatViewNormalizedUnderAnyHearOrder: labels heard in any
+// order, restored in any order, with the own label heard, unheard or
+// changed by Relabel, always yield the view a sort over the trusted set
+// would — sorted by label, own label included once, every number the
+// view's size — and Heard reports the labels sorted.
+func TestHeartbeatViewNormalizedUnderAnyHearOrder(t *testing.T) {
+	rng := xrand.New(21)
+	for round := 0; round < 200; round++ {
+		now := int64(100)
+		h := NewHeartbeat(lbl(uint64(1+rng.Intn(12))), 10, func() int64 { return now })
+		times := make(map[ident.Tag]int64)
+		for i, hears := 0, rng.Intn(20); i < hears; i++ {
+			l := lbl(uint64(1 + rng.Intn(12)))
+			now = int64(80 + rng.Intn(21))
+			h.Hear(l)
+			times[l] = now
+		}
+		if rng.Bool(0.5) {
+			// Round-trip the heard list through a shuffled restore.
+			entries := h.Heard()
+			for i := len(entries) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				entries[i], entries[j] = entries[j], entries[i]
+			}
+			h.RestoreHeard(entries)
+		}
+		if rng.Bool(0.5) {
+			h.Relabel(lbl(uint64(1 + rng.Intn(12))))
+		}
+		now = 100
+		heard := h.Heard()
+		if len(heard) != len(times) {
+			t.Fatalf("round %d: Heard has %d labels, want %d", round, len(heard), len(times))
+		}
+		for i, e := range heard {
+			if e.At != times[e.Label] || (i > 0 && !heard[i-1].Label.Less(e.Label)) {
+				t.Fatalf("round %d: Heard not sorted or wrong time: %+v", round, heard)
+			}
+		}
+		want := View{{Label: h.Label()}}
+		for l, at := range times {
+			if l != h.Label() && now-at <= 10 {
+				want = append(want, Pair{Label: l})
+			}
+		}
+		want = Normalize(want)
+		for i := range want {
+			want[i].Number = len(want)
+		}
+		if got := h.ATheta(); !got.Equal(want) {
+			t.Fatalf("round %d: view %v, want %v", round, got, want)
+		}
+	}
 }

@@ -94,6 +94,12 @@ type Oracle struct {
 	// reveal[f] reports whether faulty process f is in the audience of
 	// correct labels (the T4 ablation).
 	reveal []bool
+	// exact is the post-GST view at a correct process and faultySelf[i]
+	// the view at faulty process i (nil for correct i). Both are fixed
+	// for the run, so they are built once; ATheta/APStar hand out clones
+	// (a returned view is the caller's to keep or overwrite).
+	exact      View
+	faultySelf []View
 }
 
 // NewOracle builds an oracle for a run in which process i crashes iff
@@ -130,6 +136,26 @@ func NewOracle(cfg OracleConfig, correct []bool) *Oracle {
 			}
 		}
 	}
+	o.exact = make(View, 0, o.nCor)
+	for i, c := range o.correct {
+		if c {
+			o.exact = append(o.exact, Pair{Label: o.labels[i], Number: o.nCor})
+		}
+	}
+	o.exact = Normalize(o.exact)
+	o.faultySelf = make([]View, cfg.N)
+	for i, c := range o.correct {
+		if !c {
+			// Own label with the minimum accurate number (2: any 2-subset
+			// of {owner} ∪ Correct contains a correct process), plus —
+			// under the reveal ablation — the correct pairs.
+			v := View{{Label: o.labels[i], Number: 2}}
+			if o.reveal[i] {
+				v = append(v, o.exact...)
+			}
+			o.faultySelf[i] = Normalize(v)
+		}
+	}
 	return o
 }
 
@@ -152,32 +178,6 @@ func (o *Oracle) CorrectLabels() []ident.Tag {
 	return out
 }
 
-// exactView is the post-GST view at a correct process.
-func (o *Oracle) exactView() View {
-	v := make(View, 0, o.nCor)
-	for i, c := range o.correct {
-		if c {
-			v = append(v, Pair{Label: o.labels[i], Number: o.nCor})
-		}
-	}
-	return Normalize(v)
-}
-
-// faultySelfView is the view at a faulty process: its own label with the
-// minimum accurate number (2: any 2-subset of {owner} ∪ Correct contains a
-// correct process), plus — under the reveal ablation — the correct pairs.
-func (o *Oracle) faultySelfView(i int) View {
-	v := View{{Label: o.labels[i], Number: 2}}
-	if o.reveal[i] {
-		for j, c := range o.correct {
-			if c {
-				v = append(v, Pair{Label: o.labels[j], Number: o.nCor})
-			}
-		}
-	}
-	return Normalize(v)
-}
-
 // noiseFor derives the deterministic pre-GST noise stream for (proc,
 // epoch, which) where which distinguishes AΘ from AP*.
 func (o *Oracle) noiseFor(proc int, now int64, which uint64) *xrand.Source {
@@ -188,10 +188,10 @@ func (o *Oracle) noiseFor(proc int, now int64, which uint64) *xrand.Source {
 // ATheta returns process i's AΘ view at virtual time now.
 func (o *Oracle) ATheta(i int, now int64) View {
 	if !o.correct[i] {
-		return o.faultySelfView(i)
+		return o.faultySelf[i].Clone()
 	}
 	if o.cfg.Noise == NoiseExact || now >= o.cfg.GST {
-		return o.exactView()
+		return o.exact.Clone()
 	}
 	rng := o.noiseFor(i, now, 1)
 	v := make(View, 0, o.cfg.N)
@@ -223,10 +223,10 @@ func (o *Oracle) ATheta(i int, now int64) View {
 // APStar returns process i's AP* view at virtual time now.
 func (o *Oracle) APStar(i int, now int64) View {
 	if !o.correct[i] {
-		return o.faultySelfView(i)
+		return o.faultySelf[i].Clone()
 	}
 	if o.cfg.Noise == NoiseExact || now >= o.cfg.GST {
-		return o.exactView()
+		return o.exact.Clone()
 	}
 	rng := o.noiseFor(i, now, 2)
 	// Perpetual containment (invariant 3): every correct pair is always

@@ -238,3 +238,23 @@ func TestNoiseModeString(t *testing.T) {
 		t.Fatal("unknown mode string empty")
 	}
 }
+
+// TestOracleViewsAreCallerOwned: the exact and faulty-self views are
+// built once, but every call hands out its own slice — scribbling on one
+// result must not show in the next.
+func TestOracleViewsAreCallerOwned(t *testing.T) {
+	o, _ := mkOracle(t, OracleConfig{N: 4, Noise: NoiseExact, RevealToFaulty: 1, Seed: 5},
+		[]bool{true, false, true, true})
+	for proc := 0; proc < 4; proc++ {
+		for _, view := range []func(int, int64) View{o.ATheta, o.APStar} {
+			first := view(proc, 0)
+			want := first.Clone()
+			for i := range first {
+				first[i] = Pair{}
+			}
+			if got := view(proc, 0); !got.Equal(want) {
+				t.Fatalf("proc %d: view changed after the caller overwrote an earlier result: %v, want %v", proc, got, want)
+			}
+		}
+	}
+}

@@ -101,7 +101,7 @@ func TestQuiescentRetirementIndexReactsToViewShift(t *testing.T) {
 			if p.RetiredCount() != 0 {
 				t.Fatal("retired with an empty AP* view")
 			}
-			// AP* reveals: the view key changes, the clean message must be
+			// AP* reveals: the view changes, the clean message must be
 			// re-evaluated and retire.
 			star = fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
 			p.Tick()

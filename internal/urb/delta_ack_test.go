@@ -372,14 +372,16 @@ func TestQuiescentPurgeDesyncsDeltaStream(t *testing.T) {
 
 // --- the equivalence property test (randomized schedules) ----------------
 
-// eqCluster is a tiny lossless in-order broadcast fabric for one group of
+// eqCluster is a tiny in-order broadcast fabric for one group of
 // Quiescent processes: every broadcast is appended to every process's
-// FIFO queue (self included), exactly once.
+// FIFO queue (self included), exactly once — unless drop, when set,
+// says to lose that copy.
 type eqCluster struct {
 	procs  []*Quiescent
 	queues [][]wire.Message
 	theta  fd.View // shared mutable AΘ view (oracle-style)
 	star   fd.View // shared mutable AP* view (nil = retirement disabled)
+	drop   func() bool
 }
 
 func newEqCluster(n int, seed uint64, cfg Config, theta fd.View) *eqCluster {
@@ -397,6 +399,9 @@ func newEqCluster(n int, seed uint64, cfg Config, theta fd.View) *eqCluster {
 func (c *eqCluster) absorb(s Step) {
 	for _, m := range s.Broadcasts {
 		for i := range c.queues {
+			if c.drop != nil && c.drop() {
+				continue
+			}
 			c.queues[i] = append(c.queues[i], m)
 		}
 	}

@@ -718,9 +718,15 @@ func (p *Quiescent) Restore(data []byte) error {
 	sets := setIntern{}
 	acks := make(map[wire.MsgID]*ackState, cnt)
 	ackOrder := make([]wire.MsgID, 0, cnt)
+	dirtyQ := new(dirtyQueue)
 	for i := 0; i < cnt; i++ {
 		id := r.msgID()
-		st := newAckState()
+		if _, dup := acks[id]; dup {
+			// Two ackOrder slots for one message would orphan a queued
+			// state (the index's position ↔ state mapping is one-to-one).
+			return fmt.Errorf("%w: duplicate message in snapshot", ErrSnapshotMismatch)
+		}
+		st := newAckState(dirtyQ, i)
 		st.compacted = p.cfg.CompactDelivered && p.delivered[id]
 		ackers := r.count(16 + 8 + 1 + 4)
 		for j := 0; j < ackers; j++ {
@@ -763,7 +769,7 @@ func (p *Quiescent) Restore(data []byte) error {
 		// Everything is dirty after a restore: the first Tick must run a
 		// full purge + retirement pass against whatever views the new
 		// incarnation's detector reports.
-		st.dirty = true
+		st.markDirty()
 		acks[id] = st
 		ackOrder = append(ackOrder, id)
 	}
@@ -792,7 +798,8 @@ func (p *Quiescent) Restore(data []byte) error {
 	p.acks = acks
 	p.ackOrder = ackOrder
 	p.ackSend = ackSend
-	p.lastViewKey = ""
+	p.dirtyQ = dirtyQ
+	p.viewsKnown = false
 	if snapDigest(data[:len(data)-8], p.Fingerprint()) != digest {
 		return ErrSnapshotCorrupt
 	}
@@ -827,11 +834,11 @@ func (p *Quiescent) ApplyWAL(rec DurableEvent) error {
 		// The replayed delivery makes the message retirement-eligible
 		// (and compactable) exactly as a live delivery would.
 		if st, ok := p.acks[rec.ID]; ok {
-			st.dirty = true
+			st.markDirty()
 			p.compactState(st)
 		}
 	}
-	p.lastViewKey = ""
+	p.viewsKnown = false
 	return err
 }
 

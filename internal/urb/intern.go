@@ -18,9 +18,8 @@ import (
 // sharing is invisible to the algorithm: claims, guards and fingerprints
 // read the exact same label values either way.
 
-// appendTagBytes appends a tag's canonical 16 big-endian bytes — the
-// one serialization shared by every in-process key (setKey, viewKey,
-// beatSetKey).
+// appendTagBytes appends a tag's canonical 16 big-endian bytes, the
+// serialization setKey is built from.
 func appendTagBytes(b []byte, t ident.Tag) []byte {
 	return append(b,
 		byte(t.Hi>>56), byte(t.Hi>>48), byte(t.Hi>>40), byte(t.Hi>>32),

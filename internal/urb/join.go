@@ -61,7 +61,7 @@ func (p *Quiescent) Adopt() {
 	// Everything must be re-evaluated against the joiner's own detector
 	// on the first Tick (Restore already forces this; Adopt keeps the
 	// guarantee independent of Restore's internals).
-	p.lastViewKey = ""
+	p.viewsKnown = false
 }
 
 // Adopt implements Joiner. The detector label is where join and recover

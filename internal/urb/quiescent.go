@@ -1,6 +1,9 @@
 package urb
 
 import (
+	"cmp"
+	"slices"
+
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
 	"anonurb/internal/obs"
@@ -77,19 +80,35 @@ type Quiescent struct {
 	// resync is the D9 per-tick ACKREQ budget (Config.PaceResyncs);
 	// pacing state, excluded from snapshots and fingerprints.
 	resync resyncBudget
-	// lastViewKey caches the canonical key of the detector views Tick
-	// last evaluated every message against; together with the per-state
-	// dirty flags it forms the retirement index: a Tick under unchanged
-	// views re-purges and re-evaluates only messages whose ACK state
-	// changed since the last pass — for every other message both
-	// operations are provably no-ops. "" (the initial and post-restore
-	// value) forces a full pass. Deliberately excluded from snapshots
-	// and fingerprints: like the rate limiters it is derived pacing
-	// state, and the exclusion is sound because skipped work is always a
-	// no-op (fingerprint-equal states behave identically whether they
-	// skip or re-evaluate).
-	lastViewKey string
+	// lastTheta/lastStar are private copies of the detector views the
+	// last Tick evaluated every message against; viewsKnown is false
+	// until a Tick has recorded them and after every restore path, which
+	// forces the next Tick into a full pass. Together with the dirty
+	// queue they form the retirement index (DESIGN.md §10): a Tick under
+	// unchanged views purges, guard-checks and clears only the queued
+	// states — for every other message all three are provably no-ops.
+	// Deliberately excluded from snapshots and fingerprints: like the
+	// rate limiters this is derived pacing state, and the exclusion is
+	// sound because skipped work is always a no-op (fingerprint-equal
+	// states behave identically whether they skip or re-evaluate).
+	lastTheta, lastStar fd.View
+	viewsKnown          bool
+	// dirtyQ holds every ackState whose dirty bit is set, exactly once,
+	// in the order the bits flipped. It is a pointer because the states
+	// carry it too (ackState.q): marking a state dirty and queueing it
+	// are one operation.
+	dirtyQ *dirtyQueue
+	// visited counts the ackStates Tick has purged so far, over all
+	// passes: the cost of the index as a count (an idle Tick adds 0
+	// whatever the history length).
+	visited uint64
+	// tickIDs is Tick's scratch for the Task-1 snapshot of MSG_i.
+	tickIDs []wire.MsgID
 }
+
+// dirtyQueue is the retirement index's work list: the ackStates changed
+// since the last Tick.
+type dirtyQueue []*ackState
 
 // ackSendState is one message's entry in the acker-side delta ledger.
 type ackSendState struct {
@@ -142,36 +161,54 @@ type ackState struct {
 	claims map[ident.Tag]int
 	// reqTick rate-limits resync requests: reqTick[acker]-1 is the tick
 	// of the last request for that acker's stream (at most one per
-	// (message, acker) per tick). An entry only constrains its own tick,
-	// so the per-tick purge clears the whole map — nothing accumulates
-	// across ticks (in particular not for ackers that crashed before
-	// ever answering), and re-requesting next tick is exactly the
-	// intended repair cadence. The snapshot that repairs a stream clears
-	// its entry within the tick too.
+	// (message, acker) per tick). An entry only constrains its own tick.
+	// Recording one queues the state (markDirty), so the next Tick's
+	// purge drops the whole map — nothing accumulates across ticks (in
+	// particular not for ackers that crashed before ever answering), and
+	// re-requesting next tick is exactly the intended repair cadence.
+	// The snapshot that repairs a stream clears its entry within the
+	// tick too.
 	reqTick map[ident.Tag]uint64
-	// dirty marks that the claim counters or acker membership changed
-	// since Tick last evaluated this message (it is set by every
-	// bump/drop, acker addition and label-set mutation, and by the
-	// message's own delivery). Tick clears it after the purge +
-	// retirement pass; while it stays clear under unchanged detector
-	// views, both operations are no-ops and are skipped.
+	// q is the owning process's dirty queue and pos this message's index
+	// in its ackOrder (int32 keeps the struct inside its 64-byte size
+	// class; one per message ever seen).
+	q   *dirtyQueue
+	pos int32
+	// dirty marks that Tick has work to do on this message: the claim
+	// counters or acker membership changed since Tick last evaluated it
+	// (every bump/drop, acker addition and label-set mutation), it was
+	// delivered, a resync request was recorded, or it was just restored.
+	// dirty ⇔ the state is in q exactly once (markDirty is the only
+	// place the bit is set). Tick clears it after the purge + guard
+	// pass; while it stays clear under unchanged detector views, both
+	// are no-ops and the message is not visited at all.
 	dirty bool
 	// compacted marks that this message's views run on interned shared
 	// sets (delivered under Config.CompactDelivered).
 	compacted bool
 }
 
-func newAckState() *ackState {
+func newAckState(q *dirtyQueue, pos int) *ackState {
 	return &ackState{
 		byAcker: make(map[ident.Tag]*ackerView),
 		claims:  make(map[ident.Tag]int),
+		q:       q,
+		pos:     int32(pos),
+	}
+}
+
+// markDirty queues the state for the next Tick (idempotent).
+func (a *ackState) markDirty() {
+	if !a.dirty {
+		a.dirty = true
+		*a.q = append(*a.q, a)
 	}
 }
 
 // bump increments a label's claim count.
 func (a *ackState) bump(label ident.Tag) {
 	a.claims[label]++
-	a.dirty = true
+	a.markDirty()
 }
 
 // drop decrements a label's claim count, deleting the entry at zero —
@@ -179,7 +216,7 @@ func (a *ackState) bump(label ident.Tag) {
 // map key per dead label forever (the same monotonic growth the D4
 // acker drop exists to stop).
 func (a *ackState) drop(label ident.Tag) {
-	a.dirty = true
+	a.markDirty()
 	switch c := a.claims[label]; {
 	case c > 1:
 		a.claims[label] = c - 1
@@ -239,7 +276,7 @@ func (a *ackState) replace(in *setIntern, acker ident.Tag, labels []ident.Tag, e
 		v := &ackerView{labels: s, epoch: epoch, synced: synced}
 		a.byAcker[acker] = v
 		a.ackerOrder = append(a.ackerOrder, acker)
-		a.dirty = true // membership changed even if the set is empty
+		a.markDirty() // membership changed even if the set is empty
 		a.internView(in, v)
 		return true
 	}
@@ -474,6 +511,7 @@ func NewQuiescent(det fd.Detector, tags *ident.Source, cfg Config) *Quiescent {
 		det:     det,
 		acks:    make(map[wire.MsgID]*ackState),
 		ackSend: make(map[wire.MsgID]*ackSendState),
+		dirtyQ:  new(dirtyQueue),
 	}
 }
 
@@ -671,6 +709,9 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 					st.reqTick = make(map[ident.Tag]uint64)
 				}
 				st.reqTick[m.AckTag] = p.ticks + 1
+				// Queued so the next Tick drops the entry even if nothing
+				// else about this message ever changes again.
+				st.markDirty()
 				p.send(&out, wire.NewAckResync(id, m.AckTag))
 			}
 		}
@@ -720,7 +761,7 @@ func (p *Quiescent) receiveAckResync(m wire.Message) Step {
 func (p *Quiescent) ackStateFor(id wire.MsgID) *ackState {
 	st, ok := p.acks[id]
 	if !ok {
-		st = newAckState()
+		st = newAckState(p.dirtyQ, len(p.ackOrder))
 		// Straggler ACKs for an already-delivered (possibly retired)
 		// message open their state directly in compacted form.
 		if p.cfg.CompactDelivered && p.delivered[id] {
@@ -748,7 +789,7 @@ func (p *Quiescent) checkDeliver(out *Step, id wire.MsgID) {
 			p.deliverOnce(out, id)
 			// Delivery makes the message retirement-eligible: the next
 			// Tick must evaluate it even under unchanged views.
-			st.dirty = true
+			st.markDirty()
 			p.compactState(st)
 			return
 		}
@@ -830,27 +871,14 @@ func (p *Quiescent) retireReady(id wire.MsgID, star fd.View) bool {
 	return true
 }
 
-// viewKey renders the detector views' canonical identity: every label
-// and number of both views, each view length-prefixed so the encoding
-// is injective (a separator byte alone would let a label containing it
-// shift the theta/star boundary). Tick caches it to detect view
-// changes between passes (the retirement index).
-func viewKey(theta, star fd.View) string {
-	b := make([]byte, 0, 24*(len(theta)+len(star))+8)
-	render := func(v fd.View) {
-		n := uint32(len(v))
-		b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		for _, pr := range v {
-			b = appendTagBytes(b, pr.Label)
-			m := uint64(pr.Number)
-			b = append(b,
-				byte(m>>56), byte(m>>48), byte(m>>40), byte(m>>32),
-				byte(m>>24), byte(m>>16), byte(m>>8), byte(m))
-		}
+// liveLabels is the label set the D4 purge keeps: everything in either
+// current view.
+func liveLabels(theta, star fd.View) *ident.Set {
+	live := theta.Labels()
+	for _, pr := range star {
+		live.Add(pr.Label)
 	}
-	render(theta)
-	render(star)
-	return string(b)
+	return live
 }
 
 // Tick is one pass of Task 1 (lines 52-61): retransmit every message
@@ -859,57 +887,56 @@ func viewKey(theta, star fd.View) string {
 // frozen ACKs from crashed ackers cannot block retirement forever.
 //
 // The retirement index (DESIGN.md §10) bounds the pass: the D4 purge and
-// the retirement guard are deterministic functions of a message's ACK
-// state and the detector views, so when the views match the previous
-// pass and a message's ACK state has not changed since (dirty unset),
-// re-running them provably reproduces the previous outcome — a no-op
-// purge and a false guard (had it been true, the message would already
-// be retired). Tick therefore skips both for clean messages; MSG
-// retransmission itself is never skipped, it is the protocol.
+// the two guards are deterministic functions of a message's ACK state
+// and the detector views, so when the views match the previous pass and
+// a message's ACK state has not changed since (dirty unset), re-running
+// them provably reproduces the previous outcome — a no-op purge and a
+// false guard (had it been true, the message would already be delivered
+// or retired). Under unchanged views Tick therefore visits only the
+// dirty queue, in ackOrder position order — the order the full pass
+// walks, so the intern table and the deliveries inside the Step come out
+// the same either way — and costs O(queued·log queued + |MSG_i|). The
+// full pass over the whole history runs only when a view changed or
+// after a restore. MSG retransmission itself is never skipped, it is the
+// protocol.
 func (p *Quiescent) Tick() Step {
 	var out Step
 	p.ticks++
 	star := p.det.APStar()
 	theta := p.det.ATheta()
-	key := viewKey(theta, star)
-	full := key != p.lastViewKey
-	p.lastViewKey = key
+	full := !p.viewsKnown || !theta.Equal(p.lastTheta) || !star.Equal(p.lastStar)
 	if full {
-		live := theta.Labels()
-		for _, pr := range star {
-			live.Add(pr.Label)
-		}
+		p.lastTheta = append(p.lastTheta[:0], theta...)
+		p.lastStar = append(p.lastStar[:0], star...)
+		p.viewsKnown = true
+		live := liveLabels(theta, star)
 		for _, id := range p.ackOrder {
 			p.acks[id].purge(&p.sets, live.Has)
 		}
-	} else {
-		var live *ident.Set // built lazily: dirty messages are rare
-		for _, id := range p.ackOrder {
-			st := p.acks[id]
-			if !st.dirty {
-				continue
-			}
-			if live == nil {
-				live = theta.Labels()
-				for _, pr := range star {
-					live.Add(pr.Label)
-				}
-			}
-			st.purge(&p.sets, live.Has)
-		}
-	}
-	if p.cfg.CheckOnTick {
-		for _, id := range p.ackOrder {
-			if st := p.acks[id]; full || st.dirty {
+		if p.cfg.CheckOnTick {
+			for _, id := range p.ackOrder {
 				p.checkDeliver(&out, id)
 			}
 		}
+		p.visited += uint64(len(p.ackOrder))
+	} else if q := *p.dirtyQ; len(q) > 0 {
+		slices.SortFunc(q, func(a, b *ackState) int { return cmp.Compare(a.pos, b.pos) })
+		live := liveLabels(theta, star)
+		for _, st := range q {
+			st.purge(&p.sets, live.Has)
+		}
+		if p.cfg.CheckOnTick {
+			for _, st := range q {
+				p.checkDeliver(&out, p.ackOrder[st.pos])
+			}
+		}
+		p.visited += uint64(len(q))
 	}
-	for _, id := range p.msgs.snapshotIDs() {
+	p.tickIDs = p.msgs.appendIDs(p.tickIDs[:0])
+	for _, id := range p.tickIDs {
 		ready := false
 		if p.delivered[id] {
-			st := p.acks[id]
-			if full || (st != nil && st.dirty) {
+			if st := p.acks[id]; full || (st != nil && st.dirty) {
 				ready = p.retireReady(id, star)
 			}
 		}
@@ -933,9 +960,13 @@ func (p *Quiescent) Tick() Step {
 			}
 		}
 	}
-	for _, id := range p.ackOrder {
-		p.acks[id].dirty = false
+	// Every state this pass dirtied or found dirty is in the queue
+	// (dirty ⇔ queued), so draining it clears every flag — after a full
+	// pass too.
+	for _, st := range *p.dirtyQ {
+		st.dirty = false
 	}
+	*p.dirtyQ = (*p.dirtyQ)[:0]
 	return out
 }
 

@@ -1,0 +1,384 @@
+package urb
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"anonurb/internal/fd"
+	"anonurb/internal/ident"
+	"anonurb/internal/wire"
+	"anonurb/internal/xrand"
+)
+
+// Tests for the retirement index (DESIGN.md §10): the dirty queue that
+// lets a Tick under unchanged views visit only the messages whose ACK
+// state changed.
+
+// checkDirtyIndex verifies the index's structural invariant on p: every
+// tracked state sits at its recorded ackOrder position and points at
+// the process's queue, a state is dirty iff it is queued exactly once,
+// and the queue holds nothing else. afterTick additionally requires the
+// queue to be empty (a Tick drains it).
+func checkDirtyIndex(t testing.TB, p *Quiescent, afterTick bool) {
+	t.Helper()
+	queued := make(map[*ackState]int, len(*p.dirtyQ))
+	for _, st := range *p.dirtyQ {
+		queued[st]++
+	}
+	if len(p.acks) != len(p.ackOrder) {
+		t.Fatalf("index: %d states for %d ackOrder slots", len(p.acks), len(p.ackOrder))
+	}
+	for i, id := range p.ackOrder {
+		st := p.acks[id]
+		if st == nil {
+			t.Fatalf("index: ackOrder[%d] has no state", i)
+		}
+		if st.q != p.dirtyQ || int(st.pos) != i {
+			t.Fatalf("index: state at ackOrder[%d] records pos %d (own queue: %v)", i, st.pos, st.q == p.dirtyQ)
+		}
+		if n := queued[st]; (st.dirty && n != 1) || (!st.dirty && n != 0) {
+			t.Fatalf("index: ackOrder[%d] dirty=%v but queued %d times", i, st.dirty, n)
+		}
+		delete(queued, st)
+	}
+	if len(queued) != 0 {
+		t.Fatalf("index: %d queued states are not tracked", len(queued))
+	}
+	if afterTick && len(*p.dirtyQ) != 0 {
+		t.Fatalf("index: %d states still queued after Tick", len(*p.dirtyQ))
+	}
+}
+
+// TestQuiescentDirtyQueueEquivalence runs one randomized schedule — 20%
+// loss, AΘ flapping between two views, AP* revealed late, a
+// crash-recovery — through two identically seeded clusters. The
+// reference cluster forgets its views before every Tick, so each of its
+// Ticks is the full pass over the whole history; the other runs the
+// index. Every Step of every input must be identical, and after every
+// Tick the ticking process's fingerprint and snapshot bytes.
+func TestQuiescentDirtyQueueEquivalence(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{CheckOnTick: true},
+		{DeltaAcks: true, PaceResyncs: true},
+		{DeltaAcks: true, CheckOnTick: true, RetireBeforeSend: true},
+		{DeltaAcks: true, CheckOnTick: true, CompactDelivered: true, EagerFirstSend: true},
+		{CompactDelivered: true, RetireBeforeSend: true},
+	} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg, seed := cfg, seed
+			t.Run(fmt.Sprintf("%+v/seed=%d", cfg, seed), func(t *testing.T) {
+				rng := xrand.New(seed * 0x9e3779b9)
+				n := 3 + rng.Intn(3)
+				msgs := 6 + rng.Intn(6)
+				viewA := fd.Normalize(fd.View{{Label: lbl(1), Number: n}, {Label: lbl(2), Number: n}})
+				viewB := fd.Normalize(fd.View{{Label: lbl(1), Number: n}, {Label: lbl(3), Number: n}})
+
+				ref := newEqCluster(n, seed, cfg, viewA.Clone())
+				idx := newEqCluster(n, seed, cfg, viewA.Clone())
+				// Equal Steps consume the two loss streams in lockstep.
+				refLoss, idxLoss := xrand.New(seed+77), xrand.New(seed+77)
+				ref.drop = func() bool { return refLoss.Bool(0.2) }
+				idx.drop = func() bool { return idxLoss.Bool(0.2) }
+
+				wireSent := 0
+				same := func(what string, rs, is Step) {
+					t.Helper()
+					if !reflect.DeepEqual(rs, is) {
+						t.Fatalf("%s diverged:\nfull pass: %+v\nindexed:   %+v", what, rs, is)
+					}
+					wireSent += len(is.Broadcasts)
+					ref.absorb(rs)
+					idx.absorb(is)
+				}
+				// Fingerprints are canonical (sorted); snapshot bytes also
+				// expose the intern table's set instances, which depend on
+				// the order the purge visits states in.
+				sameState := func(i int) {
+					t.Helper()
+					if rf, xf := ref.procs[i].Fingerprint(), idx.procs[i].Fingerprint(); rf != xf {
+						t.Fatalf("p%d fingerprints differ:\nfull pass: %s\nindexed:   %s", i, rf, xf)
+					}
+					if !bytes.Equal(ref.procs[i].Snapshot(), idx.procs[i].Snapshot()) {
+						t.Fatalf("p%d snapshots differ under equal fingerprints", i)
+					}
+				}
+				tick := func(i int) {
+					t.Helper()
+					ref.procs[i].viewsKnown = false
+					rs, is := ref.procs[i].Tick(), idx.procs[i].Tick()
+					checkDirtyIndex(t, idx.procs[i], true)
+					same(fmt.Sprintf("p%d Tick", i), rs, is)
+					sameState(i)
+				}
+				receive := func(i int) {
+					t.Helper()
+					if len(idx.queues[i]) == 0 {
+						return
+					}
+					m := idx.queues[i][0]
+					if !reflect.DeepEqual(ref.queues[i][0], m) {
+						t.Fatalf("p%d inboxes diverged: %+v vs %+v", i, ref.queues[i][0], m)
+					}
+					ref.queues[i], idx.queues[i] = ref.queues[i][1:], idx.queues[i][1:]
+					rs, is := ref.procs[i].Receive(m), idx.procs[i].Receive(m)
+					checkDirtyIndex(t, idx.procs[i], false)
+					same(fmt.Sprintf("p%d Receive(%v)", i, m.Kind), rs, is)
+				}
+				broadcast := func(i, k int) {
+					t.Helper()
+					body := []byte(fmt.Sprintf("m%d", k))
+					_, rs := ref.procs[i].Broadcast(body)
+					_, is := idx.procs[i].Broadcast(body)
+					same("Broadcast", rs, is)
+				}
+				setViews := func(theta, star fd.View) {
+					ref.theta, idx.theta = theta.Clone(), theta.Clone()
+					ref.star, idx.star = star.Clone(), star.Clone()
+				}
+
+				steps := 600 + rng.Intn(300)
+				crashAt := steps/3 + rng.Intn(steps/3)
+				crashProc := rng.Intn(n)
+				revealAt := 2 * steps / 3
+				theta, star := viewA, fd.View(nil)
+				sent := 0
+				for step := 0; step < steps; step++ {
+					if step == revealAt {
+						star = viewB
+						setViews(theta, star)
+					}
+					if step == crashAt {
+						ref.recoverProc(t, crashProc, seed, cfg)
+						idx.recoverProc(t, crashProc, seed, cfg)
+						checkDirtyIndex(t, idx.procs[crashProc], false)
+					}
+					switch op := rng.Intn(20); {
+					case op < 12:
+						receive(rng.Intn(n))
+					case op < 17:
+						tick(rng.Intn(n))
+					case op < 19:
+						if sent < msgs {
+							broadcast(rng.Intn(n), sent)
+							sent++
+						}
+					default:
+						// AΘ flaps: each shift strands the other view's
+						// private label, which the D4 purge then removes.
+						if theta.Equal(viewA) {
+							theta = viewB
+						} else {
+							theta = viewA
+						}
+						setViews(theta, star)
+					}
+				}
+				for ; sent < msgs; sent++ {
+					broadcast(0, sent)
+				}
+				// Endgame on reliable links under the final views: the
+				// schedule stays in lockstep until both clusters fall silent.
+				ref.drop, idx.drop = nil, nil
+				setViews(viewB, viewB)
+				for round := 0; ; round++ {
+					if round == 400 {
+						t.Fatal("clusters did not quiesce within the drain budget")
+					}
+					for i := 0; i < n; i++ {
+						for len(idx.queues[i]) > 0 {
+							receive(i)
+						}
+					}
+					before := wireSent
+					for i := 0; i < n; i++ {
+						tick(i)
+					}
+					if wireSent == before {
+						break
+					}
+				}
+				for i := 0; i < n; i++ {
+					sameState(i)
+					if got := idx.procs[i].RetiredCount(); got == 0 {
+						t.Fatalf("p%d retired nothing: the schedule never reached the retirement guard", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestQuiescentDirtyQueueVisitsInAckOrder: states queue in the order
+// they changed, but Tick must visit them in ackOrder position order — the
+// order the full pass walks — or the deliveries inside one Step (and with
+// them every delivery digest) would depend on ACK arrival order. The
+// view flaps away and back between two Ticks, so the second Tick runs
+// the indexed pass yet finds two messages its CheckOnTick can deliver.
+func TestQuiescentDirtyQueueVisitsInAckOrder(t *testing.T) {
+	for _, fullPass := range []bool{false, true} {
+		low := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
+		high := fd.Normalize(fd.View{{Label: lbl(1), Number: 5}})
+		theta := low
+		det := &fd.Func{
+			ThetaFn: func() fd.View { return theta },
+			StarFn:  func() fd.View { return nil },
+		}
+		p := NewQuiescent(det, ident.NewSource(xrand.New(9)), Config{CheckOnTick: true})
+		m1 := wire.MsgID{Tag: ident.Tag{Hi: 1, Lo: 9}, Body: "m1"}
+		m2 := wire.MsgID{Tag: ident.Tag{Hi: 2, Lo: 9}, Body: "m2"}
+		p.Receive(wire.NewLabeledAck(m1, lbl(100), []ident.Tag{lbl(1)}))
+		p.Receive(wire.NewLabeledAck(m2, lbl(100), []ident.Tag{lbl(1)}))
+		p.Tick() // records the low view; both states clean
+		theta = high
+		p.Receive(wire.NewLabeledAck(m2, lbl(101), []ident.Tag{lbl(1)}))
+		p.Receive(wire.NewLabeledAck(m1, lbl(101), []ident.Tag{lbl(1)}))
+		if q := *p.dirtyQ; len(q) != 2 || q[0] != p.acks[m2] || q[1] != p.acks[m1] {
+			t.Fatal("setup: want the queue in arrival order [m2, m1]")
+		}
+		theta = low
+		if fullPass {
+			p.viewsKnown = false
+		}
+		s := p.Tick()
+		if len(s.Deliveries) != 2 || s.Deliveries[0].ID != m1 || s.Deliveries[1].ID != m2 {
+			t.Fatalf("fullPass=%v: Tick delivered %+v, want m1 then m2", fullPass, s.Deliveries)
+		}
+	}
+}
+
+// retireOne drives one message through its whole life on a lone process
+// whose views need a single acker: broadcast, ACK, Tick (send + retire).
+func retireOne(t testing.TB, p *Quiescent, k int) {
+	t.Helper()
+	id, _ := p.Broadcast([]byte(fmt.Sprintf("m%d", k)))
+	p.Receive(wire.NewLabeledAck(id, lbl(100), []ident.Tag{lbl(1)}))
+	p.Tick()
+	if p.KnowsMsg(id) {
+		t.Fatalf("round %d: message not retired", k)
+	}
+}
+
+// TestQuiescentIdleTickVisitsNothing is history independence as a count:
+// after 5,000 messages have been broadcast, delivered and retired, an
+// idle Tick visits no ackState at all, and the whole run visited each
+// message a bounded number of times.
+func TestQuiescentIdleTickVisitsNothing(t *testing.T) {
+	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 1}})
+	p := NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(5)), Config{})
+	const rounds = 5000
+	for k := 0; k < rounds; k++ {
+		retireOne(t, p, k)
+	}
+	if p.RetiredCount() != rounds || p.msgs.len() != 0 {
+		t.Fatalf("setup: retired %d/%d, |MSG|=%d", p.RetiredCount(), rounds, p.msgs.len())
+	}
+	if p.visited > 2*rounds {
+		t.Fatalf("%d rounds visited %d states: Tick still walks the history", rounds, p.visited)
+	}
+	before := p.visited
+	for i := 0; i < 3; i++ {
+		if s := p.Tick(); len(s.Broadcasts)+len(s.Deliveries) != 0 {
+			t.Fatalf("idle Tick produced %+v", s)
+		}
+	}
+	if got := p.visited - before; got != 0 {
+		t.Fatalf("idle Ticks visited %d ackStates over a history of %d, want 0", got, rounds)
+	}
+	checkDirtyIndex(t, p, true)
+}
+
+// tickSink keeps the measured Tick's result alive.
+var tickSink Step
+
+// TestQuiescentIdleTickAllocatesNothing: a quiescent process — history
+// behind it, MSG_i empty, views unchanged — pays no allocation per Tick.
+func TestQuiescentIdleTickAllocatesNothing(t *testing.T) {
+	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 1}})
+	p := NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(6)), Config{CheckOnTick: true})
+	for k := 0; k < 50; k++ {
+		retireOne(t, p, k)
+	}
+	if got := testing.AllocsPerRun(100, func() { tickSink = p.Tick() }); got != 0 {
+		t.Fatalf("idle Tick allocates %.0f times, want 0", got)
+	}
+}
+
+// TestQuiescentReqTickDroppedNextTick is the regression test for the
+// resync limiter outliving its tick: an ACKREQ for an acker that never
+// answers, recorded on an otherwise clean, delivered message, must be
+// gone one Tick later (and so from every later snapshot).
+func TestQuiescentReqTickDroppedNextTick(t *testing.T) {
+	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
+	p := NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(7)), Config{})
+	id := wire.MsgID{Tag: ident.Tag{Hi: 9, Lo: 9}, Body: "m"}
+	p.Receive(wire.NewMsg(id))
+	p.Receive(wire.NewAckSnapshot(id, lbl(100), 1, []ident.Tag{lbl(1)}))
+	p.Receive(wire.NewAckSnapshot(id, lbl(101), 1, []ident.Tag{lbl(1)}))
+	p.Tick()
+	p.Tick()
+	st := p.acks[id]
+	if !p.HasDelivered(id) || st.dirty {
+		t.Fatalf("setup: delivered=%v dirty=%v, want a clean delivered message", p.HasDelivered(id), st.dirty)
+	}
+	// An empty delta from an acker never seen: a gap, so a resync request.
+	s := p.Receive(wire.NewAckDelta(id, lbl(200), 5, nil, nil))
+	if len(s.Broadcasts) != 1 || s.Broadcasts[0].Kind != wire.KindAckReq {
+		t.Fatalf("setup: want one ACKREQ, got %+v", s.Broadcasts)
+	}
+	if len(st.reqTick) != 1 {
+		t.Fatalf("setup: reqTick = %v, want the one request recorded", st.reqTick)
+	}
+	checkDirtyIndex(t, p, false)
+	p.Tick() // the acker crashed: nobody answers
+	if st.reqTick != nil {
+		t.Fatalf("reqTick outlived its tick: %v", st.reqTick)
+	}
+	checkDirtyIndex(t, p, true)
+}
+
+// TestMsgSetRemoveKeepsInsertionOrder: tombstoned removal and in-place
+// compaction never reorder the survivors or lose track of an entry.
+func TestMsgSetRemoveKeepsInsertionOrder(t *testing.T) {
+	rng := xrand.New(8)
+	s := newMsgSet()
+	var want []wire.MsgID
+	next := 0
+	for step := 0; step < 4000; step++ {
+		if len(want) == 0 || rng.Intn(5) < 2 {
+			id := wire.MsgID{Tag: ident.Tag{Hi: uint64(next) + 1, Lo: 1}, Body: "b"}
+			next++
+			if !s.add(id) {
+				t.Fatalf("add %v refused", id)
+			}
+			want = append(want, id)
+		} else {
+			// Mostly oldest-first, as retirement goes; sometimes anywhere.
+			i := 0
+			if rng.Intn(4) == 0 {
+				i = rng.Intn(len(want))
+			}
+			if !s.remove(want[i]) || s.has(want[i]) || s.remove(want[i]) {
+				t.Fatalf("remove %v misbehaved", want[i])
+			}
+			want = append(want[:i], want[i+1:]...)
+		}
+		if s.len() != len(want) {
+			t.Fatalf("step %d: len %d, want %d", step, s.len(), len(want))
+		}
+		if s.dead*2 > len(s.order) {
+			t.Fatalf("step %d: %d tombstones in %d slots survived a removal", step, s.dead, len(s.order))
+		}
+	}
+	got := s.snapshotIDs()
+	if len(got) != len(want) {
+		t.Fatalf("snapshot has %d ids, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] || !s.has(want[i]) {
+			t.Fatalf("order diverged at %d: got %v want %v", i, got[i], want[i])
+		}
+	}
+}

@@ -167,7 +167,11 @@ func vetRestoredQuiescent(t *testing.T, p, scratch *Quiescent) {
 	if err := scratch.Restore(snap); err != nil {
 		t.Fatalf("accepted state does not round-trip: %v", err)
 	}
+	// Whatever state got in, the retirement index over it is well-formed:
+	// everything queued once after Restore, nothing queued after a Tick.
+	checkDirtyIndex(t, p, false)
 	driveNoRedelivery(t, p, p.delivered)
+	checkDirtyIndex(t, p, true)
 }
 
 func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
@@ -179,7 +183,9 @@ func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
 	if err := scratch.Restore(snap); err != nil {
 		t.Fatalf("accepted host state does not round-trip: %v", err)
 	}
+	checkDirtyIndex(t, h.inner, false)
 	driveNoRedelivery(t, h, h.inner.delivered)
+	checkDirtyIndex(t, h.inner, true)
 }
 
 // driveNoRedelivery converts p to joiner state and drives it: replaying

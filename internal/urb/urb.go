@@ -245,9 +245,11 @@ func (b *resyncBudget) take(limit int, tick uint64) bool {
 	return true
 }
 
-// msgEntry tracks one known application message in insertion order.
+// msgEntry is one slot of the MSG_i order: a known application message,
+// or the tombstone a removal leaves behind until the next compaction.
 type msgEntry struct {
-	id wire.MsgID
+	id   wire.MsgID
+	dead bool
 }
 
 // msgSet is the paper's MSG_i: an insertion-ordered set of message
@@ -256,6 +258,8 @@ type msgEntry struct {
 type msgSet struct {
 	order []msgEntry
 	index map[wire.MsgID]int
+	// dead counts the tombstones in order.
+	dead int
 }
 
 func newMsgSet() *msgSet {
@@ -276,30 +280,50 @@ func (s *msgSet) add(id wire.MsgID) bool {
 	return true
 }
 
+// remove deletes id in O(1) amortised: the slot becomes a tombstone, and
+// once tombstones outnumber the live entries the order is compacted in
+// place — O(live) work paid for by at least as many removals. Iteration
+// order is the insertion order of the survivors either way.
 func (s *msgSet) remove(id wire.MsgID) bool {
 	i, ok := s.index[id]
 	if !ok {
 		return false
 	}
-	copy(s.order[i:], s.order[i+1:])
-	s.order = s.order[:len(s.order)-1]
+	s.order[i] = msgEntry{dead: true}
 	delete(s.index, id)
-	for j := i; j < len(s.order); j++ {
-		s.index[s.order[j].id] = j
+	s.dead++
+	if s.dead*2 > len(s.order) {
+		live := s.order[:0]
+		for _, e := range s.order {
+			if !e.dead {
+				s.index[e.id] = len(live)
+				live = append(live, e)
+			}
+		}
+		clear(s.order[len(live):]) // release the moved entries' bodies
+		s.order = live
+		s.dead = 0
 	}
 	return true
 }
 
-func (s *msgSet) len() int { return len(s.order) }
+func (s *msgSet) len() int { return len(s.order) - s.dead }
 
-// snapshotIDs returns the identities in insertion order; Task 1 iterates
-// over a snapshot so that removals during the pass are well-defined.
-func (s *msgSet) snapshotIDs() []wire.MsgID {
-	ids := make([]wire.MsgID, len(s.order))
-	for i, e := range s.order {
-		ids[i] = e.id
+// appendIDs appends the identities in insertion order to dst; Task 1
+// iterates over such a snapshot so that removals during the pass are
+// well-defined.
+func (s *msgSet) appendIDs(dst []wire.MsgID) []wire.MsgID {
+	for _, e := range s.order {
+		if !e.dead {
+			dst = append(dst, e.id)
+		}
 	}
-	return ids
+	return dst
+}
+
+// snapshotIDs returns the identities in insertion order as a fresh slice.
+func (s *msgSet) snapshotIDs() []wire.MsgID {
+	return s.appendIDs(make([]wire.MsgID, 0, s.len()))
 }
 
 // deliveredSet is the paper's URB_DELIVERED_i.
