@@ -194,6 +194,80 @@ func BenchmarkQuiescentReceiveAck(b *testing.B) {
 	}
 }
 
+// recvSink keeps the benchmarked Receive's Step alive.
+var recvSink urb.Step
+
+// dupWorkingSet is how many messages the duplicate-reception benchmarks
+// cycle through: the table and the payloads then exceed L1, as they do in
+// a node that re-receives its whole working set every tick.
+const dupWorkingSet = 200
+
+// dupID is the k-th message of the duplicate-reception working set.
+func dupID(k int) wire.MsgID {
+	return wire.MsgID{Tag: ident.Tag{Hi: uint64(k) + 1, Lo: 9}, Body: fmt.Sprintf("payload-%04d-%048d", k, k)}
+}
+
+// BenchmarkMajorityReceiveDuplicate measures the steady state of
+// Algorithm 1 on fair lossy channels: every message of a 200-message
+// working set is already known, acknowledged and delivered, and Receive
+// sees yet another copy — round-robin over the set. /msg re-ACKs (its two
+// allocations are the reply); /ack changes nothing and allocates nothing.
+func BenchmarkMajorityReceiveDuplicate(b *testing.B) {
+	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
+	msgs := make([]wire.Message, dupWorkingSet)
+	acks := make([]wire.Message, dupWorkingSet)
+	for k := range msgs {
+		id := dupID(k)
+		msgs[k] = wire.NewMsg(id)
+		acks[k] = wire.NewAck(id, ident.Tag{Hi: 100, Lo: 1})
+		p.Receive(msgs[k])
+		for a := uint64(100); a < 103; a++ {
+			p.Receive(wire.NewAck(id, ident.Tag{Hi: a, Lo: 1}))
+		}
+	}
+	if st := p.Stats(); st.Delivered != dupWorkingSet {
+		b.Fatalf("setup: delivered %d/%d", st.Delivered, dupWorkingSet)
+	}
+	for _, c := range []struct {
+		name string
+		in   []wire.Message
+	}{{"msg", msgs}, {"ack", acks}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recvSink = p.Receive(c.in[i%dupWorkingSet])
+			}
+		})
+	}
+}
+
+// BenchmarkQuiescentReceiveDuplicateAck is the Algorithm 2 counterpart:
+// the unchanged re-ACK (an empty ACKΔ at the acker's current epoch) for a
+// delivered message, which the delivered-message fast path answers from
+// the record alone.
+func BenchmarkQuiescentReceiveDuplicateAck(b *testing.B) {
+	label := ident.Tag{Hi: 1, Lo: 1}
+	view := fd.Normalize(fd.View{{Label: label, Number: 2}})
+	p := urb.NewQuiescent(fd.Static{Theta: view}, ident.NewSource(xrand.New(7)), urb.Config{DeltaAcks: true})
+	acks := make([]wire.Message, dupWorkingSet)
+	for k := range acks {
+		id := dupID(k)
+		for a := uint64(100); a < 102; a++ {
+			p.Receive(wire.NewAckSnapshot(id, ident.Tag{Hi: a, Lo: 1}, 1, []ident.Tag{label}))
+		}
+		acks[k] = wire.NewAckDelta(id, ident.Tag{Hi: 100, Lo: 1}, 1, nil, nil)
+	}
+	if st := p.Stats(); st.Delivered != dupWorkingSet {
+		b.Fatalf("setup: delivered %d/%d", st.Delivered, dupWorkingSet)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recvSink = p.Receive(acks[i%dupWorkingSet])
+	}
+}
+
 // tickSink keeps the benchmarked Tick's Step alive.
 var tickSink urb.Step
 

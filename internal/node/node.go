@@ -748,6 +748,11 @@ func (n *Node) loop(ctx context.Context) {
 	tick := time.NewTimer(phase)
 	defer tick.Stop()
 
+	// step collects the merged outputs of one inbound frame. Its three
+	// slices live as long as the loop: a batch frame merges a hundred
+	// per-message Steps, and re-growing a fresh []wire.Message by doubling
+	// for every frame was a measurable share of a busy node's CPU.
+	var step urb.Step
 	var sentAtLastTick uint64
 	quiet := false
 	lastCheckpoint := time.Now()
@@ -767,7 +772,6 @@ func (n *Node) loop(ctx context.Context) {
 			// of MSGs) can leave as one batch in turn. A corrupt tail
 			// drops the remainder only — fair lossy channels may lose
 			// anything, including half a batch.
-			var step urb.Step
 			decoded := false
 			rest := frame
 			for len(rest) > 0 {
@@ -802,6 +806,15 @@ func (n *Node) loop(ctx context.Context) {
 				n.badFrames.Add(1)
 			}
 			n.absorb(step)
+			// absorb retains nothing, so the slices can be reused — after
+			// clearing what this frame used, lest the backing arrays pin
+			// bodies and label slices until the next frame as large.
+			clear(step.Broadcasts)
+			clear(step.Deliveries)
+			clear(step.Durable)
+			step.Broadcasts = step.Broadcasts[:0]
+			step.Deliveries = step.Deliveries[:0]
+			step.Durable = step.Durable[:0]
 		case <-tick.C:
 			n.absorb(n.proc.Tick())
 			tick.Reset(n.opt.tickEvery)
@@ -835,7 +848,10 @@ func (n *Node) loop(ctx context.Context) {
 }
 
 // absorb executes one Step: deliveries to the application, broadcasts to
-// the transport. Runs on the node goroutine only.
+// the transport. Runs on the node goroutine only. It retains nothing of
+// s: messages, deliveries and events reach the store, the observer, the
+// subscriber and the encode cache by value, so the caller may reuse the
+// Step's slices as soon as absorb returns.
 //
 // Broadcasts are coalesced into batch frames up to the transport's
 // frame budget (batching mode), or sent one frame per message
@@ -858,11 +874,19 @@ func (n *Node) absorb(s urb.Step) {
 			n.walAppend(urb.DeliverEvent(d))
 		}
 	}
-	for _, d := range s.Deliveries {
-		del := Delivery{ID: d.ID, Fast: d.Fast, At: time.Now()}
+	// One clock reading and one lock round-trip per Step that delivers,
+	// not per delivery: the deliveries of a Step happen together.
+	var now time.Time
+	if len(s.Deliveries) > 0 {
+		now = time.Now()
 		n.flowMu.Lock()
-		n.flowDeliveries[wire.FlowOf(d.ID.Tag)]++
+		for _, d := range s.Deliveries {
+			n.flowDeliveries[wire.FlowOf(d.ID.Tag)]++
+		}
 		n.flowMu.Unlock()
+	}
+	for _, d := range s.Deliveries {
+		del := Delivery{ID: d.ID, Fast: d.Fast, At: now}
 		if n.opt.observer != nil {
 			n.opt.observer.OnDeliver(del)
 		}

@@ -357,6 +357,9 @@ func TestNodeURBDeliversEverywhereUnbatched(t *testing.T) {
 		}
 	}
 	for i, nd := range nodes {
+		// The two counters are read one after the other: stop the node
+		// first, or a send between the reads makes them disagree.
+		nd.Stop()
 		sentFrames, _, _ := nd.FrameStats()
 		sentMsgs, _ := nd.MessageStats()
 		if sentFrames != sentMsgs {

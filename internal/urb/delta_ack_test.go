@@ -470,20 +470,20 @@ func (c *eqCluster) drain(t *testing.T, name string) {
 // (bodies are unique per broadcast, and tags differ between clusters).
 func claimsByBody(p *Quiescent) map[string]map[ident.Tag]int {
 	out := make(map[string]map[ident.Tag]int)
-	for id, st := range p.acks {
-		m := make(map[ident.Tag]int, len(st.claims))
-		for l, c := range st.claims {
+	for _, rec := range p.ackOrder {
+		m := make(map[ident.Tag]int, len(rec.st.claims))
+		for l, c := range rec.st.claims {
 			m[l] = c
 		}
-		out[id.Body] = m
+		out[rec.id.Body] = m
 	}
 	return out
 }
 
 func deliveredBodies(p *Quiescent) map[string]bool {
-	out := make(map[string]bool, len(p.delivered))
-	for id := range p.delivered {
-		out[id.Body] = true
+	out := make(map[string]bool)
+	for _, rec := range p.sortedRecs((*msgRec).isDelivered) {
+		out[rec.id.Body] = true
 	}
 	return out
 }

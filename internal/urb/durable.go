@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
@@ -202,10 +204,10 @@ func (w *stateWriter) tags(ts []ident.Tag) {
 		w.tag(t)
 	}
 }
-func (w *stateWriter) ids(ids []wire.MsgID) {
-	w.u32(uint32(len(ids)))
-	for _, id := range ids {
-		w.msgID(id)
+func (w *stateWriter) ids(recs []*msgRec) {
+	w.u32(uint32(len(recs)))
+	for _, rec := range recs {
+		w.msgID(rec.id)
 	}
 }
 
@@ -329,25 +331,31 @@ func (r *stateReader) done() error {
 	return nil
 }
 
-// sortIDs orders message identities canonically (tag, then body).
-func sortIDs(ids []wire.MsgID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if c := ids[i].Tag.Compare(ids[j].Tag); c != 0 {
-			return c < 0
+// sortedRecs returns the records keep selects — one of the paper's sets,
+// read off the table — in the canonical order of their identities (tag,
+// then body): what the codec writes wherever the old layout had the
+// sorted keys of a map.
+func (c *common) sortedRecs(keep func(*msgRec) bool) []*msgRec {
+	var out []*msgRec
+	for _, rec := range c.recs {
+		if keep(rec) {
+			out = append(out, rec)
 		}
-		return ids[i].Body < ids[j].Body
+	}
+	slices.SortFunc(out, func(a, b *msgRec) int {
+		if c := a.id.Tag.Compare(b.id.Tag); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id.Body, b.id.Body)
 	})
+	return out
 }
 
-// sortedKeys returns a map's MsgID keys in canonical order.
-func sortedKeys[V any](m map[wire.MsgID]V) []wire.MsgID {
-	ids := make([]wire.MsgID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	return ids
-}
+// The paper's sets, as predicates over a record.
+func (r *msgRec) isSaw() bool       { return r.saw }
+func (r *msgRec) isDelivered() bool { return r.delivered }
+func (r *msgRec) isPinned() bool    { return r.pinned }
+func (r *msgRec) hasLedger() bool   { return r.send != nil }
 
 // snapDigest hashes a snapshot's payload bytes together with the state
 // fingerprint the payload decodes to, producing the 64-bit digest
@@ -409,27 +417,18 @@ func (c *common) encodeCommon(w *stateWriter) {
 	w.u8(cfgFlags(c.cfg))
 	w.u64(c.tags.Draws())
 	w.u64(c.wireSent)
-	w.ids(c.msgs.snapshotIDs()) // insertion order: Task-1 iteration order is state
-	saw := make([]wire.MsgID, 0, len(c.sawMsg))
-	for id := range c.sawMsg {
-		saw = append(saw, id)
-	}
-	sortIDs(saw)
-	w.ids(saw)
-	del := make([]wire.MsgID, 0, len(c.delivered))
-	for id := range c.delivered {
-		del = append(del, id)
-	}
-	sortIDs(del)
-	w.ids(del)
-	w.u32(uint32(len(c.mine)))
-	for _, id := range sortedKeys(c.mine) {
-		w.msgID(id)
-		w.tag(c.mine[id])
+	w.ids(c.msgs.appendLive(nil)) // insertion order: Task-1 iteration order is state
+	w.ids(c.sortedRecs((*msgRec).isSaw))
+	w.ids(c.sortedRecs((*msgRec).isDelivered))
+	mine := c.sortedRecs((*msgRec).isPinned)
+	w.u32(uint32(len(mine)))
+	for _, rec := range mine {
+		w.msgID(rec.id)
+		w.tag(rec.ack)
 	}
 }
 
-// decodeCommon rebuilds the shared state into a fresh common. The tag
+// decodeCommon rebuilds the shared state into a fresh table. The tag
 // source is fast-forwarded to the recorded stream position.
 func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	flags := r.u8()
@@ -447,20 +446,35 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	if r.err != nil {
 		return
 	}
-	mine := make(myAcks, n)
+	// The lists are sets: a repeated identity lands on its one record (a
+	// repeated pin keeps the last tag_ack, as a map assignment would).
+	fresh := common{recs: make(map[wire.MsgID]*msgRec, len(saw))}
+	for _, id := range msgs {
+		fresh.msgs.add(fresh.recordID(id))
+	}
+	for _, id := range saw {
+		fresh.recordID(id).saw = true
+	}
+	for _, id := range del {
+		fresh.recordID(id).delivered = true
+	}
+	pinned := 0
 	for i := 0; i < n; i++ {
-		id := r.msgID()
-		mine[id] = r.tag()
+		rec := fresh.recordID(r.msgID())
+		if !rec.pinned {
+			pinned++
+		}
+		rec.ack, rec.pinned = r.tag(), true
 	}
 	if r.err != nil {
 		return
 	}
 	// Plausibility bound before fast-forwarding the stream: every draw is
-	// either a tag_ack pin (mine, which never shrinks) or a local
-	// broadcast (whose id stays in sawMsg forever), plus at most one
+	// either a tag_ack pin (MY_ACK_i, which never shrinks) or a local
+	// broadcast (whose record keeps its saw flag forever), plus at most one
 	// detector label for a wrapping host. A corrupted draw counter beyond
 	// that would otherwise spin SkipTo for billions of throwaway draws.
-	if draws > uint64(len(mine))+uint64(len(saw))+1 {
+	if draws > uint64(pinned)+uint64(len(saw))+1 {
 		r.fail(fmt.Errorf("%w: draw counter %d exceeds state plausibility bound", ErrSnapshotMismatch, draws))
 		return
 	}
@@ -469,63 +483,47 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 		return
 	}
 	c.wireSent = wireSent
-	c.msgs = newMsgSet()
-	for _, id := range msgs {
-		c.msgs.add(id)
-	}
-	c.sawMsg = make(map[wire.MsgID]bool, len(saw))
-	for _, id := range saw {
-		c.sawMsg[id] = true
-	}
-	c.delivered = make(deliveredSet, len(del))
-	for _, id := range del {
-		c.delivered[id] = true
-	}
-	c.mine = mine
+	c.recs, c.msgs = fresh.recs, fresh.msgs
 }
 
 // applyCommonWAL realises the kind-independent part of WAL replay and
-// reports whether the message should (re-)enter MSG_i. guardDelivered is
-// Algorithm 2's rule: a delivered message stays out of MSG_i (it may have
-// been retired after the checkpoint, and re-reception respects the same
-// guard); Algorithm 1 never removes, so it always re-inserts.
-func (c *common) applyCommonWAL(rec DurableEvent, guardDelivered bool) error {
-	switch rec.Kind {
-	case WALDeliver:
-		c.delivered[rec.ID] = true
-		c.sawMsg[rec.ID] = true
-		if !guardDelivered {
-			c.msgs.add(rec.ID)
-		}
+// returns the record it replayed into. guardDelivered is Algorithm 2's
+// rule: a delivered message stays out of MSG_i (it may have been retired
+// after the checkpoint, and re-reception respects the same guard);
+// Algorithm 1 never removes, so it always re-inserts.
+func (c *common) applyCommonWAL(ev DurableEvent, guardDelivered bool) (*msgRec, error) {
+	switch ev.Kind {
+	case WALDeliver, WALBroadcast:
 	case WALPin:
-		if rec.Ack.Zero() {
-			return fmt.Errorf("%w: pin with zero tag_ack", ErrWALRecord)
-		}
-		c.mine[rec.ID] = rec.Ack
-		c.sawMsg[rec.ID] = true
-		if !guardDelivered || !c.delivered[rec.ID] {
-			c.msgs.add(rec.ID)
-		}
-	case WALBroadcast:
-		c.sawMsg[rec.ID] = true
-		if !guardDelivered || !c.delivered[rec.ID] {
-			c.msgs.add(rec.ID)
+		if ev.Ack.Zero() {
+			return nil, fmt.Errorf("%w: pin with zero tag_ack", ErrWALRecord)
 		}
 	default:
-		return fmt.Errorf("%w: unknown kind %d", ErrWALRecord, rec.Kind)
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrWALRecord, ev.Kind)
 	}
-	if rec.Draws > c.tags.Draws() {
+	rec := c.recordID(ev.ID)
+	rec.saw = true
+	if ev.Kind == WALDeliver {
+		rec.delivered = true
+	}
+	if ev.Kind == WALPin {
+		rec.ack, rec.pinned = ev.Ack, true
+	}
+	if !guardDelivered || !rec.delivered {
+		c.msgs.add(rec)
+	}
+	if ev.Draws > c.tags.Draws() {
 		// Replay cannot rewind (records arrive in append order), so this
 		// can only fast-forward past tags the predecessor already drew —
 		// and each logged event drew exactly one, so a larger jump is a
 		// corrupt record, not a gap to honour.
-		if rec.Draws > c.tags.Draws()+1 {
-			return fmt.Errorf("%w: draw counter %d jumps past stream position %d",
-				ErrWALRecord, rec.Draws, c.tags.Draws())
+		if ev.Draws > c.tags.Draws()+1 {
+			return nil, fmt.Errorf("%w: draw counter %d jumps past stream position %d",
+				ErrWALRecord, ev.Draws, c.tags.Draws())
 		}
-		_ = c.tags.SkipTo(rec.Draws)
+		_ = c.tags.SkipTo(ev.Draws)
 	}
-	return nil
+	return rec, nil
 }
 
 // --- Majority -------------------------------------------------------------
@@ -539,9 +537,9 @@ func (p *Majority) Snapshot() []byte {
 	w.u32(uint32(p.threshold))
 	p.encodeCommon(&w)
 	w.u32(uint32(len(p.ackOrder)))
-	for _, id := range p.ackOrder {
-		w.msgID(id)
-		w.tags(p.acks[id].Slice())
+	for _, rec := range p.ackOrder {
+		w.msgID(rec.id)
+		w.tags(rec.acks.Slice())
 	}
 	w.u64(snapDigest(w.b, p.Fingerprint()))
 	return w.b
@@ -567,16 +565,21 @@ func (p *Majority) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	p.acks = make(map[wire.MsgID]*ident.Set, cnt)
-	p.ackOrder = p.ackOrder[:0]
+	p.ackOrder = make([]*msgRec, 0, cnt)
 	for i := 0; i < cnt; i++ {
 		id := r.msgID()
 		labels := r.tagList()
 		if r.err != nil {
 			return r.err
 		}
-		p.acks[id] = ident.NewSet(labels...)
-		p.ackOrder = append(p.ackOrder, id)
+		rec := p.recordID(id)
+		if rec.acks != nil {
+			// Two ALL_ACK entries for one message would list its one
+			// record twice in ackOrder.
+			return fmt.Errorf("%w: duplicate message in snapshot", ErrSnapshotMismatch)
+		}
+		rec.acks = ident.NewSet(labels...)
+		p.ackOrder = append(p.ackOrder, rec)
 	}
 	digest := r.u64()
 	if err := r.done(); err != nil {
@@ -589,10 +592,11 @@ func (p *Majority) Restore(data []byte) error {
 }
 
 // ApplyWAL implements Durable.
-func (p *Majority) ApplyWAL(rec DurableEvent) error {
+func (p *Majority) ApplyWAL(ev DurableEvent) error {
 	// MSG_i never shrinks in Algorithm 1, so every record re-inserts: the
 	// recovered process resumes retransmitting everything it knew.
-	return p.applyCommonWAL(rec, false)
+	_, err := p.applyCommonWAL(ev, false)
+	return err
 }
 
 // Rejoin implements Durable. Algorithm 1's wire messages carry no
@@ -636,25 +640,25 @@ func (p *Quiescent) Snapshot() []byte {
 		synced bool
 		ref    uint32
 	}
-	views := make(map[wire.MsgID][]viewRef, len(p.ackOrder))
-	for _, id := range p.ackOrder {
-		st := p.acks[id]
+	views := make([][]viewRef, len(p.ackOrder))
+	for i, rec := range p.ackOrder {
+		st := rec.st
 		vs := make([]viewRef, 0, len(st.ackerOrder))
 		for _, acker := range st.ackerOrder {
 			v := st.byAcker[acker]
 			vs = append(vs, viewRef{acker: acker, epoch: v.epoch, synced: v.synced, ref: refOf(v.labels)})
 		}
-		views[id] = vs
+		views[i] = vs
 	}
 	w.u32(uint32(len(tableSets)))
 	for _, s := range tableSets {
 		w.tags(s.Slice())
 	}
 	w.u32(uint32(len(p.ackOrder)))
-	for _, id := range p.ackOrder {
-		w.msgID(id)
-		st := p.acks[id]
-		vs := views[id]
+	for i, rec := range p.ackOrder {
+		w.msgID(rec.id)
+		st := rec.st
+		vs := views[i]
 		w.u32(uint32(len(vs)))
 		for _, v := range vs {
 			w.tag(v.acker)
@@ -673,10 +677,11 @@ func (p *Quiescent) Snapshot() []byte {
 			w.u64(st.reqTick[acker])
 		}
 	}
-	w.u32(uint32(len(p.ackSend)))
-	for _, id := range sortedKeys(p.ackSend) {
-		st := p.ackSend[id]
-		w.msgID(id)
+	ledger := p.sortedRecs((*msgRec).hasLedger)
+	w.u32(uint32(len(ledger)))
+	for _, rec := range ledger {
+		st := rec.send
+		w.msgID(rec.id)
 		w.u64(st.epoch)
 		w.u64(st.reAckTick)
 		w.u64(st.snapTick)
@@ -716,18 +721,17 @@ func (p *Quiescent) Restore(data []byte) error {
 		return r.err
 	}
 	sets := setIntern{}
-	acks := make(map[wire.MsgID]*ackState, cnt)
-	ackOrder := make([]wire.MsgID, 0, cnt)
+	ackOrder := make([]*msgRec, 0, cnt)
 	dirtyQ := new(dirtyQueue)
 	for i := 0; i < cnt; i++ {
-		id := r.msgID()
-		if _, dup := acks[id]; dup {
+		rec := p.recordID(r.msgID())
+		if rec.st != nil {
 			// Two ackOrder slots for one message would orphan a queued
 			// state (the index's position ↔ state mapping is one-to-one).
 			return fmt.Errorf("%w: duplicate message in snapshot", ErrSnapshotMismatch)
 		}
 		st := newAckState(dirtyQ, i)
-		st.compacted = p.cfg.CompactDelivered && p.delivered[id]
+		st.compacted = p.cfg.CompactDelivered && rec.delivered
 		ackers := r.count(16 + 8 + 1 + 4)
 		for j := 0; j < ackers; j++ {
 			acker := r.tag()
@@ -770,14 +774,13 @@ func (p *Quiescent) Restore(data []byte) error {
 		// full purge + retirement pass against whatever views the new
 		// incarnation's detector reports.
 		st.markDirty()
-		acks[id] = st
-		ackOrder = append(ackOrder, id)
+		rec.st = st
+		ackOrder = append(ackOrder, rec)
 	}
 	sendCnt := r.count(20 + 8*3 + 4)
 	if r.err != nil {
 		return r.err
 	}
-	ackSend := make(map[wire.MsgID]*ackSendState, sendCnt)
 	for i := 0; i < sendCnt; i++ {
 		id := r.msgID()
 		st := &ackSendState{epoch: r.u64(), reAckTick: r.u64(), snapTick: r.u64()}
@@ -785,7 +788,7 @@ func (p *Quiescent) Restore(data []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		ackSend[id] = st
+		p.recordID(id).send = st // a repeated entry keeps the last, as a map would
 	}
 	digest := r.u64()
 	if err := r.done(); err != nil {
@@ -795,9 +798,7 @@ func (p *Quiescent) Restore(data []byte) error {
 	p.ticks = ticks
 	p.epochFloor = epochFloor
 	p.sets = sets
-	p.acks = acks
 	p.ackOrder = ackOrder
-	p.ackSend = ackSend
 	p.dirtyQ = dirtyQ
 	p.viewsKnown = false
 	if snapDigest(data[:len(data)-8], p.Fingerprint()) != digest {
@@ -813,30 +814,31 @@ func (p *Quiescent) Restore(data []byte) error {
 // (or gap-detect and resync) regardless of where the lost window ended.
 func (p *Quiescent) Rejoin() {
 	inc := p.epochFloor >> 32
-	for _, st := range p.ackSend {
-		if e := st.epoch >> 32; e > inc {
+	for _, rec := range p.recs {
+		if rec.send == nil {
+			continue
+		}
+		if e := rec.send.epoch >> 32; e > inc {
 			inc = e
 		}
+		rec.send = nil
 	}
 	p.epochFloor = (inc + 1) << 32
-	p.ackSend = make(map[wire.MsgID]*ackSendState)
 }
 
 // ApplyWAL implements Durable.
-func (p *Quiescent) ApplyWAL(rec DurableEvent) error {
+func (p *Quiescent) ApplyWAL(ev DurableEvent) error {
 	// A delivered message re-enters MSG_i on replay (the ACK evidence
 	// since the checkpoint is lost, so the recovered process retransmits
 	// until the retirement guard passes again — safe, and required for
 	// uniform agreement); a pin or broadcast for an already-delivered
 	// message respects the same guard live reception applies.
-	err := p.applyCommonWAL(rec, rec.Kind != WALDeliver)
-	if err == nil && rec.Kind == WALDeliver {
+	rec, err := p.applyCommonWAL(ev, ev.Kind != WALDeliver)
+	if err == nil && ev.Kind == WALDeliver && rec.st != nil {
 		// The replayed delivery makes the message retirement-eligible
 		// (and compactable) exactly as a live delivery would.
-		if st, ok := p.acks[rec.ID]; ok {
-			st.markDirty()
-			p.compactState(st)
-		}
+		rec.st.markDirty()
+		p.compactState(rec.st)
 	}
 	p.viewsKnown = false
 	return err

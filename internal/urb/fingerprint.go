@@ -30,10 +30,13 @@ type fpWriter struct {
 
 func (w *fpWriter) section(name string) { fmt.Fprintf(&w.b, "|%s:", name) }
 
-func (w *fpWriter) sortedIDs(ids []wire.MsgID) {
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = id.Tag.String() + "~" + id.Body
+// fpKey is a message identity's canonical text form.
+func fpKey(id wire.MsgID) string { return id.Tag.String() + "~" + id.Body }
+
+func (w *fpWriter) sortedIDs(recs []*msgRec) {
+	keys := make([]string, len(recs))
+	for i, rec := range recs {
+		keys[i] = fpKey(rec.id)
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
@@ -53,26 +56,19 @@ func (c *common) commonFingerprint(w *fpWriter) {
 	w.section("draws")
 	fmt.Fprintf(&w.b, "%d", c.tags.Draws())
 	w.section("msgs")
-	w.sortedIDs(c.msgs.snapshotIDs())
+	w.sortedIDs(c.msgs.appendLive(nil))
 	w.section("mine")
-	keys := make([]string, 0, len(c.mine))
-	for id, ack := range c.mine {
-		keys = append(keys, id.Tag.String()+"~"+id.Body+"="+ack.String())
+	mine := c.sortedRecs((*msgRec).isPinned)
+	keys := make([]string, len(mine))
+	for i, rec := range mine {
+		keys[i] = fpKey(rec.id) + "=" + rec.ack.String()
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
 	w.section("delivered")
-	ids := make([]wire.MsgID, 0, len(c.delivered))
-	for id := range c.delivered {
-		ids = append(ids, id)
-	}
-	w.sortedIDs(ids)
+	w.sortedIDs(c.sortedRecs((*msgRec).isDelivered))
 	w.section("saw")
-	ids = ids[:0]
-	for id := range c.sawMsg {
-		ids = append(ids, id)
-	}
-	w.sortedIDs(ids)
+	w.sortedIDs(c.sortedRecs((*msgRec).isSaw))
 }
 
 // Fingerprint implements Fingerprinter.
@@ -83,11 +79,11 @@ func (p *Majority) Fingerprint() string {
 	fmt.Fprintf(&w.b, "%d/%d", p.n, p.threshold)
 	p.commonFingerprint(&w)
 	w.section("acks")
-	keys := make([]string, 0, len(p.acks))
-	for id, set := range p.acks {
+	keys := make([]string, 0, len(p.ackOrder))
+	for _, rec := range p.ackOrder {
 		var inner fpWriter
-		inner.sortedTags(set.Slice())
-		keys = append(keys, id.Tag.String()+"~"+id.Body+"={"+inner.b.String()+"}")
+		inner.sortedTags(rec.acks.Slice())
+		keys = append(keys, fpKey(rec.id)+"={"+inner.b.String()+"}")
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
@@ -102,8 +98,9 @@ func (p *Quiescent) Fingerprint() string {
 	w.section("retired")
 	fmt.Fprintf(&w.b, "%d", p.retired)
 	w.section("acks")
-	keys := make([]string, 0, len(p.acks))
-	for id, st := range p.acks {
+	keys := make([]string, 0, len(p.ackOrder))
+	for _, rec := range p.ackOrder {
+		st := rec.st
 		ackers := make([]string, 0, len(st.ackerOrder))
 		for _, acker := range st.ackerOrder {
 			v := st.byAcker[acker]
@@ -112,7 +109,7 @@ func (p *Quiescent) Fingerprint() string {
 			ackers = append(ackers, fmt.Sprintf("%s@%d/%t->{%s}", acker, v.epoch, v.synced, inner.b.String()))
 		}
 		sort.Strings(ackers)
-		keys = append(keys, id.Tag.String()+"~"+id.Body+"=["+strings.Join(ackers, ";")+"]")
+		keys = append(keys, fpKey(rec.id)+"=["+strings.Join(ackers, ";")+"]")
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
@@ -124,10 +121,11 @@ func (p *Quiescent) Fingerprint() string {
 	// answering are always on, so even a full-set-mode process can hold
 	// a populated ledger or pending request limiters — and two states
 	// differing only in a still-owed resync must not merge.
-	deltaState := p.cfg.DeltaAcks || len(p.ackSend) > 0 || p.epochFloor > 0
+	ledger := p.sortedRecs((*msgRec).hasLedger)
+	deltaState := p.cfg.DeltaAcks || len(ledger) > 0 || p.epochFloor > 0
 	if !deltaState {
-		for _, st := range p.acks {
-			if len(st.reqTick) > 0 {
+		for _, rec := range p.ackOrder {
+			if len(rec.st.reqTick) > 0 {
 				deltaState = true
 				break
 			}
@@ -140,19 +138,20 @@ func (p *Quiescent) Fingerprint() string {
 		fmt.Fprintf(&w.b, "%d", p.epochFloor)
 		w.section("ledger")
 		keys = keys[:0]
-		for id, st := range p.ackSend {
+		for _, rec := range ledger {
+			st := rec.send
 			var inner fpWriter
 			inner.sortedTags(st.sent.Slice())
-			keys = append(keys, fmt.Sprintf("%s~%s@%d/%d/%d={%s}",
-				id.Tag, id.Body, st.epoch, st.reAckTick, st.snapTick, inner.b.String()))
+			keys = append(keys, fmt.Sprintf("%s@%d/%d/%d={%s}",
+				fpKey(rec.id), st.epoch, st.reAckTick, st.snapTick, inner.b.String()))
 		}
 		sort.Strings(keys)
 		w.b.WriteString(strings.Join(keys, ","))
 		w.section("reqs")
 		keys = keys[:0]
-		for id, st := range p.acks {
-			for acker, tick := range st.reqTick {
-				keys = append(keys, fmt.Sprintf("%s~%s/%s=%d", id.Tag, id.Body, acker, tick))
+		for _, rec := range p.ackOrder {
+			for acker, tick := range rec.st.reqTick {
+				keys = append(keys, fmt.Sprintf("%s/%s=%d", fpKey(rec.id), acker, tick))
 			}
 		}
 		sort.Strings(keys)

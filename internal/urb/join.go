@@ -1,5 +1,7 @@
 package urb
 
+import "anonurb/internal/ident"
+
 // This file is the state discipline of the join protocol (DESIGN.md
 // §13): what a joining process keeps, drops and rebases after restoring
 // a donor peer's snapshot.
@@ -42,18 +44,25 @@ var (
 	_ Joiner = (*HeartbeatHost)(nil)
 )
 
+// dropPins forgets every pinned tag_ack (the donor's MY_ACK_i).
+func (c *common) dropPins() {
+	for _, rec := range c.recs {
+		rec.ack, rec.pinned = ident.Tag{}, false
+	}
+}
+
 // Adopt implements Joiner. Algorithm 1's ACKs carry no sequencing, so
 // dropping the donor's pins is the whole discipline: the joiner re-acks
 // everything still circulating under its own fresh tags, and receivers
 // count it as the new process it is.
 func (p *Majority) Adopt() {
-	p.mine = make(myAcks)
+	p.dropPins()
 }
 
 // Adopt implements Joiner: keep the donor's delivered set and received
 // ACK evidence, drop its acker identity, rebase the delta-ACK streams.
 func (p *Quiescent) Adopt() {
-	p.mine = make(myAcks)
+	p.dropPins()
 	// Rejoin drops the donor's send ledger and lifts the epoch floor
 	// above anything the donor's incarnation has sent — the joiner's
 	// first ACK per message opens a fresh stream under a fresh tag_ack.

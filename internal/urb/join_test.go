@@ -24,7 +24,7 @@ func TestQuiescentAdoptFreshAcker(t *testing.T) {
 	if len(s.Deliveries) != 1 {
 		t.Fatalf("donor did not deliver: %v", s.Deliveries)
 	}
-	donorPin, ok := donor.mine[id]
+	donorPin, ok := pinOf(&donor.common, id)
 	if !ok {
 		t.Fatal("donor did not pin a tag_ack")
 	}
@@ -33,7 +33,7 @@ func TestQuiescentAdoptFreshAcker(t *testing.T) {
 	if err := joiner.Restore(donor.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if joiner.mine[id] != donorPin {
+	if pin, _ := pinOf(&joiner.common, id); pin != donorPin {
 		t.Fatal("restore did not reproduce the donor's pin")
 	}
 	joiner.Adopt()
@@ -47,10 +47,10 @@ func TestQuiescentAdoptFreshAcker(t *testing.T) {
 			joiner.Claims(id, lbl(1)), joiner.Ackers(id))
 	}
 	// Dropped: the donor's acker identity and send ledger.
-	if len(joiner.mine) != 0 {
-		t.Fatalf("adopt kept %d donor pins", len(joiner.mine))
+	if n := len(joiner.sortedRecs((*msgRec).isPinned)); n != 0 {
+		t.Fatalf("adopt kept %d donor pins", n)
 	}
-	if len(joiner.ackSend) != 0 {
+	if len(joiner.sortedRecs((*msgRec).hasLedger)) != 0 {
 		t.Fatal("adopt kept the donor's delta-ACK ledger")
 	}
 	if want := uint64(1) << 32; joiner.epochFloor != want {
@@ -62,7 +62,7 @@ func TestQuiescentAdoptFreshAcker(t *testing.T) {
 	if len(s.Deliveries) != 0 {
 		t.Fatal("joiner re-delivered an adopted delivery")
 	}
-	pin, ok := joiner.mine[id]
+	pin, ok := pinOf(&joiner.common, id)
 	if !ok {
 		t.Fatal("joiner did not pin a fresh tag_ack")
 	}
@@ -94,18 +94,18 @@ func TestMajorityAdoptFreshAcker(t *testing.T) {
 	donor := NewMajority(3, ident.NewSource(xrand.New(1)), Config{})
 	id := wire.MsgID{Tag: ident.Tag{Hi: 9, Lo: 9}, Body: "m"}
 	donor.Receive(wire.NewMsg(id))
-	donorPin := donor.mine[id]
+	donorPin, _ := pinOf(&donor.common, id)
 
 	joiner := NewMajority(3, ident.NewSource(xrand.New(2)), Config{})
 	if err := joiner.Restore(donor.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	joiner.Adopt()
-	if len(joiner.mine) != 0 {
+	if len(joiner.sortedRecs((*msgRec).isPinned)) != 0 {
 		t.Fatal("adopt kept donor pins")
 	}
 	s := joiner.Receive(wire.NewMsg(id))
-	if pin := joiner.mine[id]; pin.Zero() || pin == donorPin {
+	if pin, _ := pinOf(&joiner.common, id); pin.Zero() || pin == donorPin {
 		t.Fatalf("fresh pin not drawn: %v (donor %v)", pin, donorPin)
 	}
 	if len(s.Broadcasts) == 0 {

@@ -28,11 +28,9 @@ type Majority struct {
 	common
 	n         int
 	threshold int
-	// acks is the paper's ALL_ACK_i: for every message, the set of
-	// distinct tag_acks received. ackOrder remembers first-seen order so
-	// iteration is deterministic.
-	acks     map[wire.MsgID]*ident.Set
-	ackOrder []wire.MsgID
+	// ackOrder lists the records holding an ALL_ACK_i entry (msgRec.acks)
+	// in first-seen order, so iteration is deterministic.
+	ackOrder []*msgRec
 }
 
 var _ Process = (*Majority)(nil)
@@ -64,39 +62,20 @@ func NewMajorityThreshold(n, threshold int, tags *ident.Source, cfg Config) *Maj
 		common:    newCommon(cfg, tags),
 		n:         n,
 		threshold: threshold,
-		acks:      make(map[wire.MsgID]*ident.Set),
 	}
 }
 
-// Broadcast implements URB_broadcast(m) (lines 4-6): draw a fresh tag,
-// insert (m, tag) into MSG_i. Transmission happens in Task 1 (or
-// immediately under the EagerFirstSend ablation).
-func (p *Majority) Broadcast(body []byte) (wire.MsgID, Step) {
-	var out Step
-	id := wire.NewMsgID(p.tags.Next(), body)
-	p.msgs.add(id)
-	p.sawMsg[id] = true
-	if p.tr != nil {
-		p.tr.Broadcast(id)
-	}
-	out.Durable = append(out.Durable,
-		DurableEvent{Kind: WALBroadcast, ID: id, Draws: p.tags.Draws()})
-	if p.cfg.EagerFirstSend {
-		p.send(&out, wire.NewMsg(id))
-	}
-	return id, out
-}
-
-// Receive dispatches on the message kind (lines 7-27).
+// Receive resolves the message's record, then dispatches on the kind
+// (lines 7-27).
 //
 //urb:hotpath
 func (p *Majority) Receive(m wire.Message) Step {
 	//urbvet:partial Algorithm 1 speaks MSG/ACK only; delta and beat kinds are other layers' traffic
 	switch m.Kind {
 	case wire.KindMsg:
-		return p.receiveMsg(m)
+		return p.receiveMsg(p.record(m.Tag, m.Body))
 	case wire.KindAck:
-		return p.receiveAck(m)
+		return p.receiveAck(p.record(m.Tag, m.Body), m.AckTag)
 	default:
 		// Unknown kinds (e.g. failure detector heartbeats multiplexed on
 		// the same mesh) are not for us; ignore.
@@ -105,88 +84,85 @@ func (p *Majority) Receive(m wire.Message) Step {
 }
 
 // receiveMsg handles (MSG, m, tag) (lines 7-17).
-func (p *Majority) receiveMsg(m wire.Message) Step {
+func (p *Majority) receiveMsg(rec *msgRec) Step {
 	var out Step
-	id := m.ID()
 	// RECV traces the first MSG copy only: retransmissions are the fair
 	// lossy channel's business, not the message lifecycle's.
-	if p.tr != nil && !p.sawMsg[id] {
-		p.tr.Recv(id, wire.KindMsg)
+	if p.tr != nil && !rec.saw {
+		p.tr.Recv(rec.id, wire.KindMsg)
 	}
-	p.sawMsg[id] = true
-	if p.msgs.add(id) && p.cfg.EagerFirstSend {
+	rec.saw = true
+	if p.msgs.add(rec) && p.cfg.EagerFirstSend {
 		// First time we learn of m from the network: start retransmitting
 		// (Task 1 covers it; eager mode also forwards at once).
-		p.send(&out, wire.NewMsg(id))
+		p.send(&out, wire.NewMsg(rec.id))
 	}
-	ack, known := p.mine[id]
-	if !known {
+	if !rec.pinned {
 		// First reception: draw the unique tag_ack for (m, tag) and pin
 		// it (lines 14-15). It must never change afterwards; uniform
 		// integrity counts distinct ackers by distinct tag_acks — which
 		// is also why the pin is a durable event: a recovered process
 		// acking under a fresh tag_ack would count as a phantom second
 		// acker.
-		ack = p.tags.Next()
-		p.mine[id] = ack
+		rec.ack, rec.pinned = p.tags.Next(), true
 		out.Durable = append(out.Durable,
-			DurableEvent{Kind: WALPin, ID: id, Ack: ack, Draws: p.tags.Draws()})
+			DurableEvent{Kind: WALPin, ID: rec.id, Ack: rec.ack, Draws: p.tags.Draws()})
 	}
 	// Acknowledge every reception (lines 11-12 / 16): retransmissions of
 	// the ACK are what overcome ACK loss on fair lossy channels.
-	p.send(&out, wire.NewAck(id, ack))
+	p.send(&out, wire.NewAck(rec.id, rec.ack))
 	return out
 }
 
 // receiveAck handles (ACK, m, tag, tag_ack) (lines 18-27).
-func (p *Majority) receiveAck(m wire.Message) Step {
+func (p *Majority) receiveAck(rec *msgRec, ackTag ident.Tag) Step {
 	var out Step
-	id := m.ID()
-	set, ok := p.acks[id]
-	if !ok {
-		set = ident.NewSet()
-		p.acks[id] = set
-		p.ackOrder = append(p.ackOrder, id)
+	if rec.acks == nil {
+		rec.acks = ident.NewSet()
+		p.ackOrder = append(p.ackOrder, rec)
 	}
-	before := set.Len()
-	set.Add(m.AckTag) // idempotent (lines 19-21)
+	before := rec.acks.Len()
+	rec.acks.Add(ackTag) // idempotent (lines 19-21)
 	// ACK receptions are traced solely through their ACK_PROGRESS
 	// evidence step, and only when the tag_ack is new: fair lossy
 	// channels are overcome by retransmission, so per-frame ACK volume
 	// is unbounded and duplicates carry no lifecycle information — a
 	// per-frame emit here is what would break the 5% tracing budget
 	// (`urbbench -obs`). MSG receptions keep their per-first-copy RECV.
-	if p.tr != nil && set.Len() != before {
-		p.tr.AckProgress(id, ident.Tag{}, set.Len(), p.threshold)
+	if p.tr != nil && rec.acks.Len() != before {
+		p.tr.AckProgress(rec.id, ident.Tag{}, rec.acks.Len(), p.threshold)
 	}
-	p.checkDeliver(&out, id)
+	p.checkDeliver(&out, rec)
 	return out
 }
 
 // checkDeliver applies the guard of lines 22-26: a majority of distinct
 // tag_acks — strictly more than n/2 (or the configured threshold for the
 // impossibility reenactment).
-func (p *Majority) checkDeliver(out *Step, id wire.MsgID) {
-	set, ok := p.acks[id]
-	if !ok {
-		return
-	}
-	if set.Len() >= p.threshold {
-		p.deliverOnce(out, id)
+func (p *Majority) checkDeliver(out *Step, rec *msgRec) {
+	if rec.acks != nil && rec.acks.Len() >= p.threshold {
+		p.deliverOnce(out, rec)
 	}
 }
 
 // Tick is one pass of Task 1 (lines 28-32): retransmit every message in
 // MSG_i. The set never shrinks, which is why Algorithm 1 is not
-// quiescent.
+// quiescent — and why the pass can walk MSG_i in place: nothing is
+// removed under it. The Step's Broadcasts slice, sized up front, is the
+// pass's only allocation besides the body copy inside each wire.NewMsg.
 func (p *Majority) Tick() Step {
 	var out Step
-	for _, id := range p.msgs.snapshotIDs() {
-		p.send(&out, wire.NewMsg(id))
+	if n := p.msgs.len(); n > 0 {
+		out.Broadcasts = make([]wire.Message, 0, n)
+	}
+	for _, rec := range p.msgs.order {
+		if rec != nil {
+			p.send(&out, wire.NewMsg(rec.id))
+		}
 	}
 	if p.cfg.CheckOnTick {
-		for _, id := range p.ackOrder {
-			p.checkDeliver(&out, id)
+		for _, rec := range p.ackOrder {
+			p.checkDeliver(&out, rec)
 		}
 	}
 	return out
@@ -194,47 +170,35 @@ func (p *Majority) Tick() Step {
 
 // Stats implements Process.
 func (p *Majority) Stats() Stats {
-	entries := 0
-	for _, s := range p.acks {
-		entries += s.Len()
+	st := p.commonStats()
+	for _, rec := range p.ackOrder {
+		st.AckEntries += rec.acks.Len()
 	}
-	return Stats{
-		MsgSet:     p.msgs.len(),
-		MyAcks:     len(p.mine),
-		AckEntries: entries,
-		Delivered:  len(p.delivered),
-		WireSent:   p.wireSent,
-	}
+	return st
 }
 
 // AckCount reports how many distinct tag_acks have been seen for id
 // (test hook).
 func (p *Majority) AckCount(id wire.MsgID) int {
-	if s, ok := p.acks[id]; ok {
-		return s.Len()
+	if rec := p.recs[id]; rec != nil && rec.acks != nil {
+		return rec.acks.Len()
 	}
 	return 0
 }
-
-// HasDelivered reports whether id has been URB-delivered locally.
-func (p *Majority) HasDelivered(id wire.MsgID) bool { return p.delivered[id] }
-
-// KnowsMsg reports whether id is in MSG_i (test hook).
-func (p *Majority) KnowsMsg(id wire.MsgID) bool { return p.msgs.has(id) }
 
 // Explain is the stall explainer (DESIGN.md §14): it reads the live
 // delivery evidence for id and reports exactly what the majority guard
 // is still missing. Call it on the goroutine hosting the process.
 func (p *Majority) Explain(id wire.MsgID) obs.Explanation {
-	ex := obs.Explanation{
-		ID:        id,
-		Algo:      "majority",
-		Delivered: p.delivered[id],
-		Need:      p.threshold,
+	ex := obs.Explanation{ID: id, Algo: "majority", Need: p.threshold}
+	rec := p.recs[id]
+	if rec == nil {
+		return ex
 	}
-	if s, ok := p.acks[id]; ok {
-		ex.Ackers = s.Len()
+	ex.Delivered = rec.delivered
+	if rec.acks != nil {
+		ex.Ackers = rec.acks.Len()
 	}
-	ex.Known = ex.Ackers > 0 || p.msgs.has(id) || p.sawMsg[id]
+	ex.Known = ex.Ackers > 0 || rec.slot >= 0 || rec.saw
 	return ex
 }

@@ -54,18 +54,13 @@ import (
 type Quiescent struct {
 	common
 	det fd.Detector
-	// per-message ACK bookkeeping, insertion-ordered for determinism.
-	acks     map[wire.MsgID]*ackState
-	ackOrder []wire.MsgID
+	// ackOrder lists the records holding ACK bookkeeping (msgRec.st) in
+	// first-seen order, for determinism.
+	ackOrder []*msgRec
 	retired  int
 	// ticks counts Task-1 passes; the delta-ACK path's per-tick rate
 	// limiters compare against it.
 	ticks uint64
-	// ackSend is the delta-ACK sender ledger: for every message this
-	// process has acknowledged, the label set and epoch of its last
-	// labeled ACK (nil entries never exist; the map is only populated in
-	// DeltaAcks mode).
-	ackSend map[wire.MsgID]*ackSendState
 	// epochFloor is the delta-stream incarnation base (DESIGN.md §9):
 	// every ledger entry opened after a crash-recovery Rejoin starts at
 	// epochFloor+1, which dominates every epoch the process's previous
@@ -102,15 +97,18 @@ type Quiescent struct {
 	// passes: the cost of the index as a count (an idle Tick adds 0
 	// whatever the history length).
 	visited uint64
-	// tickIDs is Tick's scratch for the Task-1 snapshot of MSG_i.
-	tickIDs []wire.MsgID
+	// tickRecs is Tick's scratch for the Task-1 copy of MSG_i.
+	tickRecs []*msgRec
 }
 
 // dirtyQueue is the retirement index's work list: the ackStates changed
 // since the last Tick.
 type dirtyQueue []*ackState
 
-// ackSendState is one message's entry in the acker-side delta ledger.
+// ackSendState is one message's entry in the acker-side delta ledger
+// (msgRec.send): the label set and epoch of this process's last labeled
+// ACK for the message. Entries only appear once a delta ACK is sent — in
+// DeltaAcks mode, or in answer to a resync request.
 type ackSendState struct {
 	// epoch numbers this acker's label-set versions for the message,
 	// starting at 1 with the first labeled ACK.
@@ -507,100 +505,82 @@ var _ Process = (*Quiescent)(nil)
 // failure detector handle (AΘ and AP* views).
 func NewQuiescent(det fd.Detector, tags *ident.Source, cfg Config) *Quiescent {
 	return &Quiescent{
-		common:  newCommon(cfg, tags),
-		det:     det,
-		acks:    make(map[wire.MsgID]*ackState),
-		ackSend: make(map[wire.MsgID]*ackSendState),
-		dirtyQ:  new(dirtyQueue),
+		common: newCommon(cfg, tags),
+		det:    det,
+		dirtyQ: new(dirtyQueue),
 	}
 }
 
-// Broadcast implements URB_broadcast(m) (lines 4-6).
-func (p *Quiescent) Broadcast(body []byte) (wire.MsgID, Step) {
-	var out Step
-	id := wire.NewMsgID(p.tags.Next(), body)
-	p.msgs.add(id)
-	p.sawMsg[id] = true
-	if p.tr != nil {
-		p.tr.Broadcast(id)
-	}
-	out.Durable = append(out.Durable,
-		DurableEvent{Kind: WALBroadcast, ID: id, Draws: p.tags.Draws()})
-	if p.cfg.EagerFirstSend {
-		p.send(&out, wire.NewMsg(id))
-	}
-	return id, out
-}
-
-// Receive dispatches on kind (lines 7-51).
+// Receive resolves the message's record, then dispatches on kind (lines
+// 7-51).
 //
 //urb:hotpath
 func (p *Quiescent) Receive(m wire.Message) Step {
 	//urbvet:partial beat-family kinds are host traffic, consumed by HeartbeatHost before the algorithm
 	switch m.Kind {
 	case wire.KindMsg:
-		return p.receiveMsg(m)
+		return p.receiveMsg(p.record(m.Tag, m.Body))
 	case wire.KindAck:
-		return p.receiveAck(m)
+		return p.receiveAck(p.record(m.Tag, m.Body), m)
 	case wire.KindAckDelta:
-		return p.receiveAckDelta(m)
+		return p.receiveAckDelta(p.record(m.Tag, m.Body), m)
 	case wire.KindAckReq:
-		return p.receiveAckResync(m)
+		// A request about a message this process never heard of cannot be
+		// for one of its streams: no record is made for it.
+		if rec := p.lookup(m.Tag, m.Body); rec != nil {
+			return p.receiveAckResync(rec, m.AckTag)
+		}
+		return Step{}
 	default:
 		return Step{}
 	}
 }
 
 // receiveMsg handles (MSG, m, tag) (lines 7-21).
-func (p *Quiescent) receiveMsg(m wire.Message) Step {
+func (p *Quiescent) receiveMsg(rec *msgRec) Step {
 	var out Step
-	id := m.ID()
 	// RECV traces the first MSG copy only (same policy as Majority):
 	// retransmissions carry no lifecycle information.
-	if p.tr != nil && !p.sawMsg[id] {
-		p.tr.Recv(id, wire.KindMsg)
+	if p.tr != nil && !rec.saw {
+		p.tr.Recv(rec.id, wire.KindMsg)
 	}
-	p.sawMsg[id] = true
+	rec.saw = true
 	// Lines 8-12: (re-)insert into MSG_i only if not yet delivered; this
 	// is what keeps a retired message retired when late MSG copies
 	// straggle in.
-	if !p.msgs.has(id) && !p.delivered[id] {
-		p.msgs.add(id)
-		if p.cfg.EagerFirstSend {
-			p.send(&out, wire.NewMsg(id))
-		}
+	if !rec.delivered && p.msgs.add(rec) && p.cfg.EagerFirstSend {
+		p.send(&out, wire.NewMsg(rec.id))
 	}
-	ack, known := p.mine[id]
-	if !known {
-		ack = p.tags.Next() // line 17: pinned forever after
-		p.mine[id] = ack
+	if !rec.pinned {
+		rec.ack, rec.pinned = p.tags.Next(), true // line 17: pinned forever after
 		// Durable: the pin must survive a crash so the recovered process
 		// re-acks under the same anonymous identity (DESIGN.md §9).
 		out.Durable = append(out.Durable,
-			DurableEvent{Kind: WALPin, ID: id, Ack: ack, Draws: p.tags.Draws()})
+			DurableEvent{Kind: WALPin, ID: rec.id, Ack: rec.ack, Draws: p.tags.Draws()})
 	}
 	// Lines 13-20: every (re-)ACK carries the *current* AΘ label view, so
 	// receivers can refresh their per-acker label sets. In delta mode the
 	// view travels incrementally instead (D5).
 	labels := p.det.ATheta().Labels()
 	if !p.cfg.DeltaAcks {
-		p.send(&out, wire.NewLabeledAck(id, ack, labels.Slice()))
+		p.send(&out, wire.NewLabeledAck(rec.id, rec.ack, labels.Slice()))
 		return out
 	}
-	p.sendDeltaAck(&out, id, ack, labels)
+	p.sendDeltaAck(&out, rec, labels)
 	return out
 }
 
 // sendDeltaAck emits the D5 incremental form of the line 13-20 ACK:
 // a snapshot the first time, a (+adds, −dels) delta when the AΘ label
-// view changed since the last ACK for id, and an empty re-ACK — at most
+// view changed since the last ACK for rec, and an empty re-ACK — at most
 // one per tick — when it did not. The caller passes ownership of labels
 // (a fresh set from View.Labels).
-func (p *Quiescent) sendDeltaAck(out *Step, id wire.MsgID, ack ident.Tag, labels *ident.Set) {
-	st, known := p.ackSend[id]
-	if !known {
+func (p *Quiescent) sendDeltaAck(out *Step, rec *msgRec, labels *ident.Set) {
+	id, ack := rec.id, rec.ack
+	st := rec.send
+	if st == nil {
 		st = &ackSendState{epoch: p.epochFloor + 1, sent: labels, snapTick: p.ticks + 1, reAckTick: p.ticks + 1}
-		p.ackSend[id] = st
+		rec.send = st
 		p.send(out, wire.NewAckSnapshot(id, ack, st.epoch, labels.Slice()))
 		return
 	}
@@ -638,15 +618,14 @@ func (p *Quiescent) sendDeltaAck(out *Step, id wire.MsgID, ack ident.Tag, labels
 // (lines 22-51). The set replaces the acker's view wholesale; it carries
 // no epoch, so the view is left unsynced and a subsequent delta from the
 // same acker resynchronises via snapshot first.
-func (p *Quiescent) receiveAck(m wire.Message) Step {
+func (p *Quiescent) receiveAck(rec *msgRec, m wire.Message) Step {
 	var out Step
-	id := m.ID()
 	if p.tr != nil {
-		p.tr.Recv(id, wire.KindAck)
+		p.tr.Recv(rec.id, wire.KindAck)
 	}
-	st := p.ackStateFor(id)
+	st := p.ackStateFor(rec)
 	st.replace(&p.sets, m.AckTag, m.Labels, 0, false) // lines 27-45 (D1)
-	p.checkDeliver(&out, id)                          // lines 46-51
+	p.checkDeliver(&out, rec)                         // lines 46-51
 	return out
 }
 
@@ -655,11 +634,10 @@ func (p *Quiescent) receiveAck(m wire.Message) Step {
 // epoch gap, an unknown or unsynced acker — leaves the claims untouched
 // and asks the acker for a snapshot (rate-limited per (message, acker)
 // per tick).
-func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
+func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
 	var out Step
-	id := m.ID()
 	if p.tr != nil {
-		p.tr.Recv(id, wire.KindAckDelta)
+		p.tr.Recv(rec.id, wire.KindAckDelta)
 	}
 	// Delivered-message fast path: the steady state of a quiescent
 	// cluster is delivered messages absorbing unchanged re-ACKs (empty
@@ -667,14 +645,12 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 	// retirement. For those nothing below can change — the delta is
 	// stale-or-duplicate for the view and the delivery guard is already
 	// satisfied — so return before touching the claim machinery.
-	if p.delivered[id] && m.Flags == 0 && len(m.Labels) == 0 && len(m.DelLabels) == 0 {
-		if st, ok := p.acks[id]; ok {
-			if v := st.byAcker[m.AckTag]; v != nil && v.synced && m.Epoch <= v.epoch {
-				return out
-			}
+	if rec.delivered && rec.st != nil && m.Flags == 0 && len(m.Labels) == 0 && len(m.DelLabels) == 0 {
+		if v := rec.st.byAcker[m.AckTag]; v != nil && v.synced && m.Epoch <= v.epoch {
+			return out
 		}
 	}
-	st := p.ackStateFor(id)
+	st := p.ackStateFor(rec)
 	v := st.byAcker[m.AckTag]
 	if m.Flags&wire.AckFlagSnapshot != 0 {
 		// A snapshot is authoritative for its epoch: apply unless we
@@ -712,7 +688,7 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 				// Queued so the next Tick drops the entry even if nothing
 				// else about this message ever changes again.
 				st.markDirty()
-				p.send(&out, wire.NewAckResync(id, m.AckTag))
+				p.send(&out, wire.NewAckResync(rec.id, m.AckTag))
 			}
 		}
 	}
@@ -721,7 +697,7 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 	// or empty re-ACK can still enable a delivery the view's numbers
 	// dropping has unblocked — exactly as the full-set path re-checks on
 	// every re-ACK.
-	p.checkDeliver(&out, id)
+	p.checkDeliver(&out, rec)
 	return out
 }
 
@@ -730,63 +706,54 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 // (refreshing it against the live AΘ view first), at most once per
 // message per tick — every send is a broadcast, so one snapshot serves
 // all requesters.
-func (p *Quiescent) receiveAckResync(m wire.Message) Step {
+func (p *Quiescent) receiveAckResync(rec *msgRec, ackTag ident.Tag) Step {
 	var out Step
-	id := m.ID()
-	ack, known := p.mine[id]
-	if !known || ack != m.AckTag {
+	if !rec.pinned || rec.ack != ackTag {
 		return out // someone else's stream (or a message we never ACKed)
 	}
-	st, known := p.ackSend[id]
-	if known && st.snapTick == p.ticks+1 {
+	st := rec.send
+	if st != nil && st.snapTick == p.ticks+1 {
 		return out
 	}
-	if !known {
-		// Our ACK for id predates delta mode (or was sent by the full-set
-		// path): open the ledger now with a fresh snapshot.
+	if st == nil {
+		// Our ACK for the message predates delta mode (or was sent by the
+		// full-set path): open the ledger now with a fresh snapshot.
 		st = &ackSendState{epoch: p.epochFloor + 1, sent: p.det.ATheta().Labels()}
-		p.ackSend[id] = st
+		rec.send = st
 	} else if labels := p.det.ATheta().Labels(); !labels.Equal(st.sent) {
 		st.epoch++
 		st.sent = labels
 	}
 	st.snapTick = p.ticks + 1
 	st.reAckTick = p.ticks + 1 // the snapshot doubles as this tick's re-ACK
-	p.send(&out, wire.NewAckSnapshot(id, ack, st.epoch, st.sent.Slice()))
+	p.send(&out, wire.NewAckSnapshot(rec.id, rec.ack, st.epoch, st.sent.Slice()))
 	return out
 }
 
-// ackStateFor returns (creating on demand) the per-message ACK
-// bookkeeping (lines 23-26).
-func (p *Quiescent) ackStateFor(id wire.MsgID) *ackState {
-	st, ok := p.acks[id]
-	if !ok {
-		st = newAckState(p.dirtyQ, len(p.ackOrder))
+// ackStateFor returns (creating on demand) the message's ACK bookkeeping
+// (lines 23-26).
+func (p *Quiescent) ackStateFor(rec *msgRec) *ackState {
+	if rec.st == nil {
+		rec.st = newAckState(p.dirtyQ, len(p.ackOrder))
 		// Straggler ACKs for an already-delivered (possibly retired)
 		// message open their state directly in compacted form.
-		if p.cfg.CompactDelivered && p.delivered[id] {
-			st.compacted = true
-		}
-		p.acks[id] = st
-		p.ackOrder = append(p.ackOrder, id)
+		rec.st.compacted = p.cfg.CompactDelivered && rec.delivered
+		p.ackOrder = append(p.ackOrder, rec)
 	}
-	return st
+	return rec.st
 }
 
 // checkDeliver applies the delivery guard: ∃ (label, number) ∈ AΘ with
 // claims[label] >= number (deviation D2: >= instead of =; see DESIGN.md).
-func (p *Quiescent) checkDeliver(out *Step, id wire.MsgID) {
-	if p.delivered[id] {
-		return
-	}
-	st, ok := p.acks[id]
-	if !ok {
+func (p *Quiescent) checkDeliver(out *Step, rec *msgRec) {
+	st := rec.st
+	if rec.delivered || st == nil {
 		return
 	}
 	theta := p.det.ATheta()
 	for _, pair := range theta {
 		if st.claims[pair.Label] >= pair.Number {
-			p.deliverOnce(out, id)
+			p.deliverOnce(out, rec)
 			// Delivery makes the message retirement-eligible: the next
 			// Tick must evaluate it even under unchanged views.
 			st.markDirty()
@@ -806,7 +773,7 @@ func (p *Quiescent) checkDeliver(out *Step, id wire.MsgID) {
 				best, bestHave = pair, have
 			}
 		}
-		p.tr.AckProgress(id, best.Label, bestHave, best.Number)
+		p.tr.AckProgress(rec.id, best.Label, bestHave, best.Number)
 	}
 }
 
@@ -843,12 +810,9 @@ func (p *Quiescent) compactState(st *ackState) {
 
 // retireReady evaluates the retirement guard (paper line 55, deviation
 // D3) for one delivered message against the current AP* view.
-func (p *Quiescent) retireReady(id wire.MsgID, star fd.View) bool {
-	if !p.delivered[id] {
-		return false // line 56
-	}
-	st, ok := p.acks[id]
-	if !ok {
+func (p *Quiescent) retireReady(rec *msgRec, star fd.View) bool {
+	st := rec.st
+	if !rec.delivered || st == nil { // line 56
 		return false
 	}
 	if len(star) == 0 {
@@ -910,12 +874,12 @@ func (p *Quiescent) Tick() Step {
 		p.lastStar = append(p.lastStar[:0], star...)
 		p.viewsKnown = true
 		live := liveLabels(theta, star)
-		for _, id := range p.ackOrder {
-			p.acks[id].purge(&p.sets, live.Has)
+		for _, rec := range p.ackOrder {
+			rec.st.purge(&p.sets, live.Has)
 		}
 		if p.cfg.CheckOnTick {
-			for _, id := range p.ackOrder {
-				p.checkDeliver(&out, id)
+			for _, rec := range p.ackOrder {
+				p.checkDeliver(&out, rec)
 			}
 		}
 		p.visited += uint64(len(p.ackOrder))
@@ -932,32 +896,22 @@ func (p *Quiescent) Tick() Step {
 		}
 		p.visited += uint64(len(q))
 	}
-	p.tickIDs = p.msgs.appendIDs(p.tickIDs[:0])
-	for _, id := range p.tickIDs {
+	p.tickRecs = p.msgs.appendLive(p.tickRecs[:0])
+	for _, rec := range p.tickRecs {
 		ready := false
-		if p.delivered[id] {
-			if st := p.acks[id]; full || (st != nil && st.dirty) {
-				ready = p.retireReady(id, star)
-			}
+		if rec.delivered && (full || (rec.st != nil && rec.st.dirty)) {
+			ready = p.retireReady(rec, star)
 		}
 		// The guard's outcome cannot change between the two retirement
 		// sites of one pass (line 54 sends mutate nothing it reads), so
 		// one evaluation serves both.
 		if ready && p.cfg.RetireBeforeSend {
-			p.msgs.remove(id)
-			p.retired++
-			if p.tr != nil {
-				p.tr.Retire(id)
-			}
+			p.retire(rec)
 			continue
 		}
-		p.send(&out, wire.NewMsg(id)) // line 54
-		if ready {                    // lines 55-58
-			p.msgs.remove(id)
-			p.retired++
-			if p.tr != nil {
-				p.tr.Retire(id)
-			}
+		p.send(&out, wire.NewMsg(rec.id)) // line 54
+		if ready {                        // lines 55-58
+			p.retire(rec)
 		}
 	}
 	// Every state this pass dirtied or found dirty is in the queue
@@ -970,37 +924,48 @@ func (p *Quiescent) Tick() Step {
 	return out
 }
 
+// retire deletes rec from MSG_i (line 57); its record stays.
+func (p *Quiescent) retire(rec *msgRec) {
+	p.msgs.remove(rec)
+	p.retired++
+	if p.tr != nil {
+		p.tr.Retire(rec.id)
+	}
+}
+
 // Stats implements Process.
 func (p *Quiescent) Stats() Stats {
-	entries, logical, exclusive, compacted := 0, 0, 0, 0
-	for _, st := range p.acks {
-		entries += st.ackers()
+	out := p.commonStats()
+	exclusive := 0
+	for _, rec := range p.ackOrder {
+		st := rec.st
+		out.AckEntries += st.ackers()
 		if st.compacted {
-			compacted++
+			out.CompactedMsgs++
 		}
 		for _, v := range st.byAcker {
-			logical += v.labels.Len()
+			out.AckLabels += v.labels.Len()
 			if v.entry == nil {
 				exclusive += v.labels.Len()
 			}
 		}
 	}
-	return Stats{
-		MsgSet:          p.msgs.len(),
-		MyAcks:          len(p.mine),
-		AckEntries:      entries,
-		Delivered:       len(p.delivered),
-		Retired:         p.retired,
-		WireSent:        p.wireSent,
-		AckLabels:       logical,
-		AckLabelStorage: exclusive + p.sets.storage(),
-		CompactedMsgs:   compacted,
+	out.Retired = p.retired
+	out.AckLabelStorage = exclusive + p.sets.storage()
+	return out
+}
+
+// ackState returns id's ACK bookkeeping, nil if there is none.
+func (p *Quiescent) ackState(id wire.MsgID) *ackState {
+	if rec := p.recs[id]; rec != nil {
+		return rec.st
 	}
+	return nil
 }
 
 // Claims reports the current claim count for (id, label) — test hook.
 func (p *Quiescent) Claims(id wire.MsgID, label ident.Tag) int {
-	if st, ok := p.acks[id]; ok {
+	if st := p.ackState(id); st != nil {
 		return st.claims[label]
 	}
 	return 0
@@ -1008,17 +973,11 @@ func (p *Quiescent) Claims(id wire.MsgID, label ident.Tag) int {
 
 // Ackers reports how many distinct tag_acks have been seen for id.
 func (p *Quiescent) Ackers(id wire.MsgID) int {
-	if st, ok := p.acks[id]; ok {
+	if st := p.ackState(id); st != nil {
 		return st.ackers()
 	}
 	return 0
 }
-
-// HasDelivered reports whether id has been URB-delivered locally.
-func (p *Quiescent) HasDelivered(id wire.MsgID) bool { return p.delivered[id] }
-
-// KnowsMsg reports whether id is currently in MSG_i (false once retired).
-func (p *Quiescent) KnowsMsg(id wire.MsgID) bool { return p.msgs.has(id) }
 
 // RetiredCount reports how many messages have been retired.
 func (p *Quiescent) RetiredCount() int { return p.retired }
@@ -1030,17 +989,17 @@ func (p *Quiescent) RetiredCount() int { return p.retired }
 // streams — exactly the evidence still missing. Call it on the
 // goroutine hosting the process.
 func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
-	ex := obs.Explanation{
-		ID:        id,
-		Algo:      "quiescent",
-		Delivered: p.delivered[id],
+	ex := obs.Explanation{ID: id, Algo: "quiescent"}
+	var st *ackState
+	if rec := p.recs[id]; rec != nil {
+		st = rec.st
+		ex.Delivered = rec.delivered
+		ex.Known = st != nil || rec.slot >= 0 || rec.saw || rec.delivered
+		// Retired: delivered and no longer retransmitted. A fast-delivered
+		// message whose MSG copy never arrived is also absent from MSG_i, so
+		// require the copy to have been seen before calling it retired.
+		ex.Retired = rec.delivered && rec.slot < 0 && rec.saw
 	}
-	st := p.acks[id]
-	ex.Known = st != nil || p.msgs.has(id) || p.sawMsg[id] || p.delivered[id]
-	// Retired: delivered and no longer retransmitted. A fast-delivered
-	// message whose MSG copy never arrived is also absent from MSG_i, so
-	// require the copy to have been seen before calling it retired.
-	ex.Retired = ex.Delivered && !p.msgs.has(id) && p.sawMsg[id]
 	for _, pair := range p.det.ATheta() {
 		have := 0
 		if st != nil {

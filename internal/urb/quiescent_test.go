@@ -473,7 +473,7 @@ func TestQuiescentClaimsMapDoesNotLeakDeadLabels(t *testing.T) {
 		p.Receive(wire.NewLabeledAck(id, lbl(100+i), []ident.Tag{lbl(1), lbl(200 + i)}))
 	}
 	p.Tick() // purge: every stale label dies; ackers keep {lbl(1)}
-	st := p.acks[id]
+	st := p.ackState(id)
 	if len(st.claims) != 1 {
 		t.Fatalf("claims map holds %d keys after purge, want 1 (dead labels leaked)", len(st.claims))
 	}

@@ -1,0 +1,218 @@
+package urb
+
+// Tests for the message table (DESIGN.md §10, "Message records"): its
+// structural invariant, the allocation budget of duplicate receptions,
+// and the Restore gates that protect the one-record-per-message rule.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"anonurb/internal/fd"
+	"anonurb/internal/ident"
+	"anonurb/internal/wire"
+	"anonurb/internal/xrand"
+)
+
+// checkRecords verifies the table's structural invariant: every entry of
+// an order slice points at the table's record for its identity; a record
+// has a MSG_i slot iff it is listed exactly once in msgSet.order, at that
+// slot; it has ACK state (hasAcks) iff it is listed exactly once in
+// ackOrder.
+func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) error {
+	inMsgs := make(map[*msgRec]int, len(c.msgs.order))
+	dead := 0
+	for i, rec := range c.msgs.order {
+		switch {
+		case rec == nil:
+			dead++
+			continue
+		case c.recs[rec.id] != rec:
+			return fmt.Errorf("msgs.order[%d] (%v) is not the table's record", i, rec.id)
+		case int(rec.slot) != i:
+			return fmt.Errorf("msgs.order[%d] (%v) records slot %d", i, rec.id, rec.slot)
+		}
+		inMsgs[rec]++
+	}
+	if dead != c.msgs.dead {
+		return fmt.Errorf("msgs counts %d tombstones, order holds %d", c.msgs.dead, dead)
+	}
+	inAcks := make(map[*msgRec]int, len(ackOrder))
+	for i, rec := range ackOrder {
+		if rec == nil || c.recs[rec.id] != rec {
+			return fmt.Errorf("ackOrder[%d] is not a table record", i)
+		}
+		inAcks[rec]++
+	}
+	count := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for id, rec := range c.recs {
+		if rec.id != id {
+			return fmt.Errorf("record %v filed under %v", rec.id, id)
+		}
+		if got, want := inMsgs[rec], count(rec.slot >= 0); got != want {
+			return fmt.Errorf("%v: slot %d but listed %d times in msgs.order", id, rec.slot, got)
+		}
+		if got, want := inAcks[rec], count(hasAcks(rec)); got != want {
+			return fmt.Errorf("%v: ACK state %v but listed %d times in ackOrder", id, want == 1, got)
+		}
+	}
+	return nil
+}
+
+// checkProcRecords applies checkRecords to any of the three stacks.
+func checkProcRecords(t testing.TB, p Process) {
+	t.Helper()
+	var err error
+	switch p := p.(type) {
+	case *Majority:
+		err = p.checkRecords(p.ackOrder, func(r *msgRec) bool { return r.acks != nil })
+	case *Quiescent:
+		err = p.checkRecords(p.ackOrder, func(r *msgRec) bool { return r.st != nil })
+	case *HeartbeatHost:
+		checkProcRecords(t, p.inner)
+	default:
+		t.Fatalf("checkProcRecords: unknown process type %T", p)
+	}
+	if err != nil {
+		t.Fatalf("records: %v", err)
+	}
+}
+
+// pinOf reads id's MY_ACK_i entry.
+func pinOf(c *common, id wire.MsgID) (ident.Tag, bool) {
+	if rec := c.recs[id]; rec != nil && rec.pinned {
+		return rec.ack, true
+	}
+	return ident.Tag{}, false
+}
+
+// deliveredMajority builds an Algorithm 1 process (n=3) holding k
+// messages with 16-byte bodies, each received, acknowledged by two
+// ackers and delivered. It returns one MSG and one duplicate ACK per
+// message.
+func deliveredMajority(t testing.TB, k int) (*Majority, []wire.Message, []wire.Message) {
+	t.Helper()
+	p := NewMajority(3, ident.NewSource(xrand.New(5)), Config{})
+	msgs := make([]wire.Message, k)
+	acks := make([]wire.Message, k)
+	for i := range msgs {
+		id := wire.MsgID{Tag: ident.Tag{Hi: uint64(i) + 1, Lo: 7}, Body: fmt.Sprintf("payload-%08d", i)}
+		msgs[i] = wire.NewMsg(id)
+		acks[i] = wire.NewAck(id, lbl(100))
+		p.Receive(msgs[i])
+		p.Receive(acks[i])
+		p.Receive(wire.NewAck(id, lbl(101)))
+	}
+	if st := p.Stats(); st.Delivered != k || st.MsgSet != k {
+		t.Fatalf("setup: delivered %d, |MSG_i| %d, want %d", st.Delivered, st.MsgSet, k)
+	}
+	return p, msgs, acks
+}
+
+// recvSink keeps the measured Steps alive.
+var recvSink Step
+
+// TestReceiveDuplicateAllocs pins the cost of the steady state on fair
+// lossy channels: a duplicate ACK for a delivered message resolves its
+// record and allocates nothing (no string for the lookup key, no Step
+// slice); a duplicate MSG allocates exactly its reply — the Step's
+// Broadcasts slice and the ACK's body copy.
+func TestReceiveDuplicateAllocs(t *testing.T) {
+	p, msgs, acks := deliveredMajority(t, 200)
+	i := 0
+	if got := testing.AllocsPerRun(400, func() { recvSink = p.Receive(acks[i%len(acks)]); i++ }); got != 0 {
+		t.Errorf("Majority: duplicate ACK allocates %v, want 0", got)
+	}
+	if got := testing.AllocsPerRun(400, func() { recvSink = p.Receive(msgs[i%len(msgs)]); i++ }); got != 2 {
+		t.Errorf("Majority: duplicate MSG allocates %v, want 2 (Step.Broadcasts + the ACK's body)", got)
+	}
+
+	// Algorithm 2: the unchanged re-ACK (an empty ACKΔ at the acker's
+	// epoch) for a delivered message.
+	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
+	q := NewQuiescent(fd.Static{Theta: view}, ident.NewSource(xrand.New(6)), Config{DeltaAcks: true})
+	reacks := make([]wire.Message, 200)
+	for k := range reacks {
+		id := wire.MsgID{Tag: ident.Tag{Hi: uint64(k) + 1, Lo: 7}, Body: fmt.Sprintf("payload-%08d", k)}
+		q.Receive(wire.NewAckSnapshot(id, lbl(100), 1, []ident.Tag{lbl(1)}))
+		q.Receive(wire.NewAckSnapshot(id, lbl(101), 1, []ident.Tag{lbl(1)}))
+		reacks[k] = wire.NewAckDelta(id, lbl(100), 1, nil, nil)
+	}
+	if st := q.Stats(); st.Delivered != len(reacks) {
+		t.Fatalf("setup: delivered %d, want %d", st.Delivered, len(reacks))
+	}
+	if got := testing.AllocsPerRun(400, func() { recvSink = q.Receive(reacks[i%len(reacks)]); i++ }); got != 0 {
+		t.Errorf("Quiescent: duplicate ACKΔ allocates %v, want 0", got)
+	}
+}
+
+// TestMajorityTickAllocs: Task 1 walks MSG_i in place. Over 200 messages
+// the pass allocates the returned Step.Broadcasts once — and nothing else
+// of its own: the only other allocations are the body copies inside
+// wire.NewMsg, one per message with a non-empty body.
+func TestMajorityTickAllocs(t *testing.T) {
+	for _, body := range []string{"", "sixteen byte body"} {
+		p := NewMajority(3, ident.NewSource(xrand.New(5)), Config{})
+		for i := 0; i < 200; i++ {
+			p.Receive(wire.NewMsg(wire.MsgID{Tag: ident.Tag{Hi: uint64(i) + 1, Lo: 7}, Body: body}))
+		}
+		want := 1.0
+		if body != "" {
+			want += 200
+		}
+		if got := testing.AllocsPerRun(50, func() { recvSink = p.Tick() }); got != want {
+			t.Errorf("body %q: Tick over 200 messages allocates %v, want %v", body, got, want)
+		}
+		if n := len(recvSink.Broadcasts); n != 200 {
+			t.Errorf("body %q: Tick re-sent %d messages, want 200", body, n)
+		}
+	}
+}
+
+// TestMajorityRestoreRejectsDuplicateMessage: a snapshot naming one
+// message twice in ALL_ACK would list its one record twice in ackOrder
+// (CheckOnTick and the next Snapshot would visit it twice). Restore
+// rejects it, as Quiescent.Restore does.
+func TestMajorityRestoreRejectsDuplicateMessage(t *testing.T) {
+	p := NewMajority(3, ident.NewSource(xrand.New(5)), Config{})
+	id := wire.MsgID{Tag: ident.Tag{Hi: 9, Lo: 9}, Body: "m"}
+	p.Receive(wire.NewMsg(id))
+	p.Receive(wire.NewAck(id, lbl(100)))
+	snap := p.Snapshot()
+
+	// The ALL_ACK section closes the payload: count, then the entries.
+	var entry stateWriter
+	entry.msgID(id)
+	entry.tags([]ident.Tag{lbl(100)})
+	payload := snap[:len(snap)-8]
+	if !bytes.HasSuffix(payload, entry.b) {
+		t.Fatal("setup: snapshot does not end in the ALL_ACK entry")
+	}
+	var w stateWriter
+	w.b = append(w.b, payload[:len(payload)-len(entry.b)-4]...)
+	w.u32(2)
+	w.b = append(w.b, entry.b...)
+	w.b = append(w.b, entry.b...)
+	w.u64(0)
+	// The doubled entry decodes to the same logical state, so the
+	// original fingerprint makes the digest valid: only the semantic gate
+	// stands between this snapshot and a running process.
+	doubled := restamp(w.b, p.Fingerprint())
+
+	fresh := NewMajority(3, ident.NewSource(xrand.New(5)), Config{})
+	if err := fresh.Restore(doubled); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("Restore of a doubled ALL_ACK entry: %v, want ErrSnapshotMismatch", err)
+	}
+	fresh = NewMajority(3, ident.NewSource(xrand.New(5)), Config{})
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatalf("Restore of the original snapshot: %v", err)
+	}
+	checkProcRecords(t, fresh)
+}

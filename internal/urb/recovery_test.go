@@ -243,12 +243,12 @@ func (c *recCluster) drain(t *testing.T, name string) {
 // body (shared oracle labels are comparable across clusters).
 func claimsByLabel(p *Quiescent) map[string]map[ident.Tag]int {
 	out := make(map[string]map[ident.Tag]int)
-	for id, st := range p.acks {
-		m := make(map[ident.Tag]int, len(st.claims))
-		for l, cnt := range st.claims {
+	for _, rec := range p.ackOrder {
+		m := make(map[ident.Tag]int, len(rec.st.claims))
+		for l, cnt := range rec.st.claims {
 			m[l] = cnt
 		}
-		out[id.Body] = m
+		out[rec.id.Body] = m
 	}
 	return out
 }

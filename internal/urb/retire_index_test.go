@@ -27,11 +27,8 @@ func checkDirtyIndex(t testing.TB, p *Quiescent, afterTick bool) {
 	for _, st := range *p.dirtyQ {
 		queued[st]++
 	}
-	if len(p.acks) != len(p.ackOrder) {
-		t.Fatalf("index: %d states for %d ackOrder slots", len(p.acks), len(p.ackOrder))
-	}
-	for i, id := range p.ackOrder {
-		st := p.acks[id]
+	for i, rec := range p.ackOrder {
+		st := rec.st
 		if st == nil {
 			t.Fatalf("index: ackOrder[%d] has no state", i)
 		}
@@ -235,7 +232,7 @@ func TestQuiescentDirtyQueueVisitsInAckOrder(t *testing.T) {
 		theta = high
 		p.Receive(wire.NewLabeledAck(m2, lbl(101), []ident.Tag{lbl(1)}))
 		p.Receive(wire.NewLabeledAck(m1, lbl(101), []ident.Tag{lbl(1)}))
-		if q := *p.dirtyQ; len(q) != 2 || q[0] != p.acks[m2] || q[1] != p.acks[m1] {
+		if q := *p.dirtyQ; len(q) != 2 || q[0] != p.ackState(m2) || q[1] != p.ackState(m1) {
 			t.Fatal("setup: want the queue in arrival order [m2, m1]")
 		}
 		theta = low
@@ -319,7 +316,7 @@ func TestQuiescentReqTickDroppedNextTick(t *testing.T) {
 	p.Receive(wire.NewAckSnapshot(id, lbl(101), 1, []ident.Tag{lbl(1)}))
 	p.Tick()
 	p.Tick()
-	st := p.acks[id]
+	st := p.ackState(id)
 	if !p.HasDelivered(id) || st.dirty {
 		t.Fatalf("setup: delivered=%v dirty=%v, want a clean delivered message", p.HasDelivered(id), st.dirty)
 	}
@@ -343,25 +340,25 @@ func TestQuiescentReqTickDroppedNextTick(t *testing.T) {
 // compaction never reorder the survivors or lose track of an entry.
 func TestMsgSetRemoveKeepsInsertionOrder(t *testing.T) {
 	rng := xrand.New(8)
-	s := newMsgSet()
-	var want []wire.MsgID
+	var s msgSet
+	var want []*msgRec
 	next := 0
 	for step := 0; step < 4000; step++ {
 		if len(want) == 0 || rng.Intn(5) < 2 {
-			id := wire.MsgID{Tag: ident.Tag{Hi: uint64(next) + 1, Lo: 1}, Body: "b"}
+			rec := &msgRec{id: wire.MsgID{Tag: ident.Tag{Hi: uint64(next) + 1, Lo: 1}, Body: "b"}, slot: -1}
 			next++
-			if !s.add(id) {
-				t.Fatalf("add %v refused", id)
+			if !s.add(rec) || s.add(rec) {
+				t.Fatalf("add %v misbehaved", rec.id)
 			}
-			want = append(want, id)
+			want = append(want, rec)
 		} else {
 			// Mostly oldest-first, as retirement goes; sometimes anywhere.
 			i := 0
 			if rng.Intn(4) == 0 {
 				i = rng.Intn(len(want))
 			}
-			if !s.remove(want[i]) || s.has(want[i]) || s.remove(want[i]) {
-				t.Fatalf("remove %v misbehaved", want[i])
+			if !s.remove(want[i]) || want[i].slot >= 0 || s.remove(want[i]) {
+				t.Fatalf("remove %v misbehaved", want[i].id)
 			}
 			want = append(want[:i], want[i+1:]...)
 		}
@@ -372,13 +369,13 @@ func TestMsgSetRemoveKeepsInsertionOrder(t *testing.T) {
 			t.Fatalf("step %d: %d tombstones in %d slots survived a removal", step, s.dead, len(s.order))
 		}
 	}
-	got := s.snapshotIDs()
+	got := s.appendLive(nil)
 	if len(got) != len(want) {
-		t.Fatalf("snapshot has %d ids, want %d", len(got), len(want))
+		t.Fatalf("MSG_i has %d members, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] || !s.has(want[i]) {
-			t.Fatalf("order diverged at %d: got %v want %v", i, got[i], want[i])
+		if got[i] != want[i] || s.order[want[i].slot] != want[i] {
+			t.Fatalf("order diverged at %d: got %v want %v", i, got[i].id, want[i].id)
 		}
 	}
 }

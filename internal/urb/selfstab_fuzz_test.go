@@ -170,8 +170,10 @@ func vetRestoredQuiescent(t *testing.T, p, scratch *Quiescent) {
 	// Whatever state got in, the retirement index over it is well-formed:
 	// everything queued once after Restore, nothing queued after a Tick.
 	checkDirtyIndex(t, p, false)
-	driveNoRedelivery(t, p, p.delivered)
+	checkProcRecords(t, p)
+	driveNoRedelivery(t, p, p.sortedRecs((*msgRec).isDelivered))
 	checkDirtyIndex(t, p, true)
+	checkProcRecords(t, p)
 }
 
 func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
@@ -184,19 +186,21 @@ func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
 		t.Fatalf("accepted host state does not round-trip: %v", err)
 	}
 	checkDirtyIndex(t, h.inner, false)
-	driveNoRedelivery(t, h, h.inner.delivered)
+	checkProcRecords(t, h)
+	driveNoRedelivery(t, h, h.inner.sortedRecs((*msgRec).isDelivered))
 	checkDirtyIndex(t, h.inner, true)
+	checkProcRecords(t, h)
 }
 
 // driveNoRedelivery converts p to joiner state and drives it: replaying
 // MSG copies of claimed-delivered history and running retransmission
 // rounds must never deliver an adopted id (uniform integrity from
 // arbitrary state), and anything else delivered must arrive only once.
-func driveNoRedelivery(t *testing.T, p Process, delivered deliveredSet) {
+func driveNoRedelivery(t *testing.T, p Process, delivered []*msgRec) {
 	t.Helper()
 	adopted := make(map[wire.MsgID]bool, len(delivered))
-	for id := range delivered {
-		adopted[id] = true
+	for _, rec := range delivered {
+		adopted[rec.id] = true
 	}
 	p.(Joiner).Adopt()
 	seen := make(map[wire.MsgID]bool)
@@ -211,12 +215,12 @@ func driveNoRedelivery(t *testing.T, p Process, delivered deliveredSet) {
 			seen[d.ID] = true
 		}
 	}
-	probes := sortedKeys(delivered)
+	probes := delivered // canonical order
 	if len(probes) > 32 {
 		probes = probes[:32]
 	}
-	for _, id := range probes {
-		check(p.Receive(wire.NewMsg(id)))
+	for _, rec := range probes {
+		check(p.Receive(wire.NewMsg(rec.id)))
 	}
 	for i := 0; i < 3; i++ {
 		check(p.Tick())

@@ -245,62 +245,76 @@ func (b *resyncBudget) take(limit int, tick uint64) bool {
 	return true
 }
 
-// msgEntry is one slot of the MSG_i order: a known application message,
-// or the tombstone a removal leaves behind until the next compaction.
-type msgEntry struct {
-	id   wire.MsgID
-	dead bool
+// msgRec is everything a process knows about one application message
+// (DESIGN.md §10, "Message records"): the single entry of the table the
+// paper's MSG_i, MY_ACK_i, URB_DELIVERED_i and ALL_ACK_i are views of.
+// Receive resolves it once per wire message and every handler works on
+// the pointer, so a duplicate reception — the steady state on fair lossy
+// channels — hashes and compares the payload exactly once.
+type msgRec struct {
+	id wire.MsgID
+	// ack is the paper's MY_ACK_i entry: the unique tag_ack this process
+	// generated for the message, meaningful while pinned is set. Once
+	// pinned it never changes (uniform integrity depends on this).
+	ack ident.Tag
+	// acks is Algorithm 1's ALL_ACK_i entry: the distinct tag_acks
+	// received. nil until the first ACK arrives.
+	acks *ident.Set
+	// st is Algorithm 2's ALL_ACK / all_labels / label_counter bundle,
+	// nil until the first ACK arrives; send its entry in the acker-side
+	// delta ledger, nil until the first delta ACK goes out.
+	st   *ackState
+	send *ackSendState
+	// slot is the message's index in msgSet.order, -1 while it is not in
+	// MSG_i (never inserted, or retired).
+	slot int32
+	// saw records that a MSG copy has been received (or the message was
+	// broadcast locally); a delivery without it is a "fast delivery".
+	saw bool
+	// delivered is membership in the paper's URB_DELIVERED_i.
+	delivered bool
+	pinned    bool
 }
 
-// msgSet is the paper's MSG_i: an insertion-ordered set of message
-// identities, iterated by Task 1. Insertion order (rather than map order)
-// keeps runs deterministic.
+// msgSet is the paper's MSG_i: the records currently retransmitted by
+// Task 1, in insertion order. Insertion order (rather than map order)
+// keeps runs deterministic. A removal leaves a nil tombstone behind until
+// the next compaction; each member's slot field is its index here.
 type msgSet struct {
-	order []msgEntry
-	index map[wire.MsgID]int
+	order []*msgRec
 	// dead counts the tombstones in order.
 	dead int
 }
 
-func newMsgSet() *msgSet {
-	return &msgSet{index: make(map[wire.MsgID]int)}
-}
-
-func (s *msgSet) has(id wire.MsgID) bool {
-	_, ok := s.index[id]
-	return ok
-}
-
-func (s *msgSet) add(id wire.MsgID) bool {
-	if s.has(id) {
+func (s *msgSet) add(rec *msgRec) bool {
+	if rec.slot >= 0 {
 		return false
 	}
-	s.index[id] = len(s.order)
-	s.order = append(s.order, msgEntry{id: id})
+	rec.slot = int32(len(s.order))
+	s.order = append(s.order, rec)
 	return true
 }
 
-// remove deletes id in O(1) amortised: the slot becomes a tombstone, and
+// remove deletes rec in O(1) amortised: the slot becomes a tombstone, and
 // once tombstones outnumber the live entries the order is compacted in
 // place — O(live) work paid for by at least as many removals. Iteration
 // order is the insertion order of the survivors either way.
-func (s *msgSet) remove(id wire.MsgID) bool {
-	i, ok := s.index[id]
-	if !ok {
+func (s *msgSet) remove(rec *msgRec) bool {
+	if rec.slot < 0 {
 		return false
 	}
-	s.order[i] = msgEntry{dead: true}
-	delete(s.index, id)
+	s.order[rec.slot] = nil
+	rec.slot = -1
 	s.dead++
 	if s.dead*2 > len(s.order) {
 		live := s.order[:0]
-		for _, e := range s.order {
-			if !e.dead {
-				s.index[e.id] = len(live)
-				live = append(live, e)
+		for _, r := range s.order {
+			if r != nil {
+				r.slot = int32(len(live))
+				live = append(live, r)
 			}
 		}
-		clear(s.order[len(live):]) // release the moved entries' bodies
+		clear(s.order[len(live):])
 		s.order = live
 		s.dead = 0
 	}
@@ -309,41 +323,27 @@ func (s *msgSet) remove(id wire.MsgID) bool {
 
 func (s *msgSet) len() int { return len(s.order) - s.dead }
 
-// appendIDs appends the identities in insertion order to dst; Task 1
-// iterates over such a snapshot so that removals during the pass are
+// appendLive appends the members in insertion order to dst; Algorithm 2's
+// Task 1 iterates over such a copy so that removals during the pass are
 // well-defined.
-func (s *msgSet) appendIDs(dst []wire.MsgID) []wire.MsgID {
-	for _, e := range s.order {
-		if !e.dead {
-			dst = append(dst, e.id)
+func (s *msgSet) appendLive(dst []*msgRec) []*msgRec {
+	for _, r := range s.order {
+		if r != nil {
+			dst = append(dst, r)
 		}
 	}
 	return dst
 }
 
-// snapshotIDs returns the identities in insertion order as a fresh slice.
-func (s *msgSet) snapshotIDs() []wire.MsgID {
-	return s.appendIDs(make([]wire.MsgID, 0, s.len()))
-}
-
-// deliveredSet is the paper's URB_DELIVERED_i.
-type deliveredSet map[wire.MsgID]bool
-
-// myAcks is the paper's MY_ACK_i: the unique tag_ack this process
-// generated for each message it has acknowledged. Once generated it never
-// changes (uniform integrity depends on this).
-type myAcks map[wire.MsgID]ident.Tag
-
 // common holds the state shared by both algorithms.
 type common struct {
-	cfg       Config
-	tags      *ident.Source
-	msgs      *msgSet
-	delivered deliveredSet
-	mine      myAcks
-	// sawMsg records messages for which a MSG copy has been received (or
-	// locally broadcast); a delivery without this is a "fast delivery".
-	sawMsg   map[wire.MsgID]bool
+	cfg  Config
+	tags *ident.Source
+	// recs is the message table: one record per (m, tag) the process has
+	// ever heard of. Records are never removed — retirement only takes a
+	// message out of MSG_i.
+	recs     map[wire.MsgID]*msgRec
+	msgs     msgSet
 	wireSent uint64
 	// tr is the lifecycle tracer (DESIGN.md §14). nil — the zero value —
 	// is OFF: every emit site guards on the pointer, so an untraced run
@@ -355,14 +355,64 @@ type common struct {
 }
 
 func newCommon(cfg Config, tags *ident.Source) common {
-	return common{
-		cfg:       cfg,
-		tags:      tags,
-		msgs:      newMsgSet(),
-		delivered: make(deliveredSet),
-		mine:      make(myAcks),
-		sawMsg:    make(map[wire.MsgID]bool),
+	return common{cfg: cfg, tags: tags, recs: make(map[wire.MsgID]*msgRec)}
+}
+
+// lookup returns the record of (body, tag), nil if the process has never
+// heard of the message. The key literal sits directly in the index
+// expression so that the compiler elides the []byte→string conversion:
+// a hit allocates nothing.
+func (c *common) lookup(tag ident.Tag, body []byte) *msgRec {
+	return c.recs[wire.MsgID{Tag: tag, Body: string(body)}]
+}
+
+// record returns the record of a wire message's (m, tag), creating it on
+// first contact.
+func (c *common) record(tag ident.Tag, body []byte) *msgRec {
+	if rec := c.lookup(tag, body); rec != nil {
+		return rec
 	}
+	return c.firstContact(tag, body)
+}
+
+// firstContact is record's miss path, kept out of line: the allocations
+// of a first contact (the identity's body string, the record) then belong
+// to a function of their own instead of being inlined, through record,
+// into Receive — whose per-duplicate path internal/analysis pins as
+// letting nothing escape.
+//
+//go:noinline
+func (c *common) firstContact(tag ident.Tag, body []byte) *msgRec {
+	return c.recordID(wire.NewMsgID(tag, body))
+}
+
+// recordID is record for an identity already in MsgID form.
+func (c *common) recordID(id wire.MsgID) *msgRec {
+	rec := c.recs[id]
+	if rec == nil {
+		rec = &msgRec{id: id, slot: -1}
+		c.recs[id] = rec
+	}
+	return rec
+}
+
+// Broadcast implements URB_broadcast(m) (lines 4-6 of both listings):
+// draw a fresh tag and insert (m, tag) into MSG_i. Transmission happens
+// in Task 1 (or immediately under the EagerFirstSend ablation).
+func (c *common) Broadcast(body []byte) (wire.MsgID, Step) {
+	var out Step
+	rec := c.recordID(wire.NewMsgID(c.tags.Next(), body))
+	c.msgs.add(rec)
+	rec.saw = true
+	if c.tr != nil {
+		c.tr.Broadcast(rec.id)
+	}
+	out.Durable = append(out.Durable,
+		DurableEvent{Kind: WALBroadcast, ID: rec.id, Draws: c.tags.Draws()})
+	if c.cfg.EagerFirstSend {
+		c.send(&out, wire.NewMsg(rec.id))
+	}
+	return rec.id, out
 }
 
 // SetTracer installs (or, with nil, removes) the lifecycle tracer. Part
@@ -378,16 +428,44 @@ func (c *common) send(out *Step, m wire.Message) {
 	out.Broadcasts = append(out.Broadcasts, m)
 }
 
-// deliverOnce appends a delivery if id has not been delivered yet.
-func (c *common) deliverOnce(out *Step, id wire.MsgID) bool {
-	if c.delivered[id] {
+// deliverOnce appends a delivery if rec has not been delivered yet.
+func (c *common) deliverOnce(out *Step, rec *msgRec) bool {
+	if rec.delivered {
 		return false
 	}
-	c.delivered[id] = true
-	fast := !c.sawMsg[id]
+	rec.delivered = true
+	fast := !rec.saw
 	if c.tr != nil {
-		c.tr.Deliver(id, fast)
+		c.tr.Deliver(rec.id, fast)
 	}
-	out.Deliveries = append(out.Deliveries, Delivery{ID: id, Fast: fast})
+	out.Deliveries = append(out.Deliveries, Delivery{ID: rec.id, Fast: fast})
 	return true
+}
+
+// commonStats fills in the sizes the shared state determines, in one pass
+// over the table.
+func (c *common) commonStats() Stats {
+	st := Stats{MsgSet: c.msgs.len(), WireSent: c.wireSent}
+	for _, rec := range c.recs {
+		if rec.pinned {
+			st.MyAcks++
+		}
+		if rec.delivered {
+			st.Delivered++
+		}
+	}
+	return st
+}
+
+// HasDelivered reports whether id has been URB-delivered locally.
+func (c *common) HasDelivered(id wire.MsgID) bool {
+	rec := c.recs[id]
+	return rec != nil && rec.delivered
+}
+
+// KnowsMsg reports whether id is currently in MSG_i — for Algorithm 2,
+// false again once retired (test hook).
+func (c *common) KnowsMsg(id wire.MsgID) bool {
+	rec := c.recs[id]
+	return rec != nil && rec.slot >= 0
 }
