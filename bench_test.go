@@ -11,13 +11,16 @@ package anonurb
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
 	"anonurb/internal/harness"
 	"anonurb/internal/ident"
 	"anonurb/internal/sim"
+	"anonurb/internal/transport"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 	"anonurb/internal/xrand"
@@ -265,6 +268,102 @@ func BenchmarkQuiescentReceiveDuplicateAck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recvSink = p.Receive(acks[i%dupWorkingSet])
+	}
+}
+
+// BenchmarkQuiescentReceiveMsgSteady is the acker side of Algorithm 2's
+// steady state: yet another MSG copy of a known message, round-robin over
+// the working set, under an AΘ view that does not change. Each copy is
+// answered with the unchanged re-ACK — two allocations, the reply — and
+// the view is compared with the ledger in place (DESIGN.md §10, "Label
+// tables"); a Tick outside the timer after each round re-arms the
+// per-tick re-ACK limit.
+func BenchmarkQuiescentReceiveMsgSteady(b *testing.B) {
+	view := make(fd.View, 5)
+	for i := range view {
+		view[i] = fd.Pair{Label: ident.Tag{Hi: uint64(i) + 1, Lo: 1}, Number: 4}
+	}
+	p := urb.NewQuiescent(fd.Static{Theta: fd.Normalize(view)}, ident.NewSource(xrand.New(7)), urb.Config{DeltaAcks: true})
+	msgs := make([]wire.Message, dupWorkingSet)
+	for k := range msgs {
+		msgs[k] = wire.NewMsg(dupID(k))
+		p.Receive(msgs[k])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%dupWorkingSet == 0 {
+			b.StopTimer()
+			tickSink = p.Tick()
+			b.StartTimer()
+		}
+		recvSink = p.Receive(msgs[i%dupWorkingSet])
+	}
+	if len(recvSink.Broadcasts) != 1 {
+		b.Fatalf("a duplicate MSG was answered with %d broadcasts, want the re-ACK", len(recvSink.Broadcasts))
+	}
+}
+
+// hasSink keeps the benchmarked lookups alive.
+var hasSink int
+
+// BenchmarkSetHas measures label-set membership on both sides of the
+// table's index threshold: n=5 scans its keys, n=100 goes through the
+// hash index.
+func BenchmarkSetHas(b *testing.B) {
+	for _, n := range []int{5, 100} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			tags := make([]ident.Tag, 2*n) // members, then as many strangers
+			src := ident.NewSource(xrand.New(11))
+			for i := range tags {
+				tags[i] = src.Next()
+			}
+			s := ident.NewSet(tags[:n]...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.Has(tags[i%len(tags)]) {
+					hasSink++
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMeshBroadcastDelayed measures one Send on a mesh whose every
+// copy is delayed: n link verdicts and n entries on the mesh's delay
+// line, drained by its one goroutine — no allocation per copy. (One
+// time.AfterFunc per copy and a copy of the endpoint table per send
+// allocated 16 times per Send at n=5 and 22 at n=7.)
+func BenchmarkMeshBroadcastDelayed(b *testing.B) {
+	for _, n := range []int{5, 7} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := transport.NewMesh(transport.MeshConfig{
+				N: n, Link: channel.Reliable{D: channel.UniformDelay{Min: 1, Max: 3}},
+				Unit: 100 * time.Microsecond, Seed: 3,
+			})
+			defer m.Close()
+			var received atomic.Int64
+			for i := 0; i < n; i++ {
+				go func(in <-chan []byte) {
+					for range in {
+						received.Add(1)
+					}
+				}(m.Endpoint(i).Receive())
+			}
+			sender := m.Endpoint(0)
+			frame := make([]byte, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sender.Send(frame)
+			}
+			b.StopTimer()
+			// Receivers that cannot keep up with a sender in a tight loop
+			// shed copies at their inboxes, which is theirs to do; the
+			// count only keeps the deliveries from being elided.
+			hasSink += int(received.Load())
+		})
 	}
 }
 

@@ -29,7 +29,7 @@ package fd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"anonurb/internal/ident"
@@ -59,7 +59,7 @@ type Detector interface {
 // largest number, the conservative choice for both guards that use
 // numbers). It returns v for chaining.
 func Normalize(v View) View {
-	sort.Slice(v, func(i, j int) bool { return v[i].Label.Less(v[j].Label) })
+	slices.SortFunc(v, func(a, b Pair) int { return a.Label.Compare(b.Label) })
 	out := v[:0]
 	for _, p := range v {
 		if len(out) > 0 && out[len(out)-1].Label == p.Label {
@@ -75,11 +75,14 @@ func Normalize(v View) View {
 
 // Labels returns the label set of v.
 func (v View) Labels() *ident.Set {
-	s := ident.NewSet()
+	// The labels are gathered first (on the stack for ordinary view
+	// sizes) so that the set's storage is sized once.
+	var buf [16]ident.Tag
+	tags := buf[:0]
 	for _, p := range v {
-		s.Add(p.Label)
+		tags = append(tags, p.Label)
 	}
-	return s
+	return ident.NewSet(tags...)
 }
 
 // Lookup returns the number associated with label, if present.

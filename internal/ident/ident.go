@@ -162,16 +162,17 @@ func (r *Registry) Owner(t Tag) (string, bool) {
 // Set is a small insertion-ordered set of tags. Iteration order is the
 // order of first insertion, which keeps simulator runs deterministic
 // (Go map iteration order would not). It is the building block for the
-// label sets carried in Algorithm 2's ACK messages.
+// label sets carried in Algorithm 2's ACK messages: a Table with no
+// values.
 type Set struct {
-	order []Tag
-	index map[Tag]int
+	t Table[struct{}]
 }
 
 // NewSet returns an empty Set, optionally seeded with tags (duplicates
 // ignored).
 func NewSet(tags ...Tag) *Set {
-	s := &Set{index: make(map[Tag]int, len(tags))}
+	s := &Set{}
+	s.t.Grow(len(tags))
 	for _, t := range tags {
 		s.Add(t)
 	}
@@ -180,72 +181,36 @@ func NewSet(tags ...Tag) *Set {
 
 // Add inserts t; it reports whether t was newly added.
 func (s *Set) Add(t Tag) bool {
-	if _, ok := s.index[t]; ok {
-		return false
-	}
-	s.index[t] = len(s.order)
-	s.order = append(s.order, t)
-	return true
+	_, added := s.t.Insert(t, struct{}{})
+	return added
 }
 
 // Remove deletes t; it reports whether t was present. Removal compacts the
 // insertion order (preserving relative order of the survivors).
-func (s *Set) Remove(t Tag) bool {
-	i, ok := s.index[t]
-	if !ok {
-		return false
-	}
-	copy(s.order[i:], s.order[i+1:])
-	s.order = s.order[:len(s.order)-1]
-	delete(s.index, t)
-	for j := i; j < len(s.order); j++ {
-		s.index[s.order[j]] = j
-	}
-	return true
-}
+func (s *Set) Remove(t Tag) bool { return s.t.Remove(t) }
 
 // Has reports membership.
-func (s *Set) Has(t Tag) bool {
-	_, ok := s.index[t]
-	return ok
-}
+func (s *Set) Has(t Tag) bool { return s.t.Find(t) >= 0 }
 
 // Len returns the number of members.
-func (s *Set) Len() int { return len(s.order) }
+func (s *Set) Len() int { return s.t.Len() }
 
 // Slice returns the members in insertion order. The caller must not
 // mutate the returned slice.
-func (s *Set) Slice() []Tag { return s.order }
+func (s *Set) Slice() []Tag { return s.t.Keys() }
 
 // Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	c := &Set{
-		order: append([]Tag(nil), s.order...),
-		index: make(map[Tag]int, len(s.index)),
-	}
-	for k, v := range s.index {
-		c.index[k] = v
-	}
-	return c
-}
+func (s *Set) Clone() *Set { return &Set{t: s.t.Clone()} }
 
 // Equal reports whether s and o contain exactly the same members
 // (insertion order is ignored).
 func (s *Set) Equal(o *Set) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for _, t := range s.order {
-		if !o.Has(t) {
-			return false
-		}
-	}
-	return true
+	return s.Len() == o.Len() && s.SubsetOf(o)
 }
 
 // SubsetOf reports whether every member of s is in o.
 func (s *Set) SubsetOf(o *Set) bool {
-	for _, t := range s.order {
+	for _, t := range s.Slice() {
 		if !o.Has(t) {
 			return false
 		}

@@ -54,6 +54,9 @@ type Chaos struct {
 	// by judgeMu.
 	net *channel.Network
 
+	// line holds the frames the model delayed.
+	line delayLine
+
 	closed  atomic.Bool
 	drops   atomic.Uint64
 	sends   atomic.Uint64
@@ -95,13 +98,14 @@ func NewChaos(inner Transport, cfg ChaosConfig) *Chaos {
 // Send implements Transport: judge the frame, then drop it, forward it
 // at once, or forward it after the model's delay.
 //
-//urbvet:wallclock the judge clocks frames in real units and realises delays with timers; the model itself stays seeded
+//urbvet:wallclock the judge clocks frames in real units and stamps a delayed frame's due time; the model itself stays seeded
 func (c *Chaos) Send(frame []byte) {
 	if c.closed.Load() {
 		return
 	}
 	c.sends.Add(1)
-	now := int64(time.Since(c.start) / c.cfg.Unit)
+	sent := time.Now()
+	now := int64(sent.Sub(c.start) / c.cfg.Unit)
 	c.judgeMu.Lock()
 	v := c.net.Send(now, c.cfg.Src, c.cfg.Dst, len(frame))
 	c.judgeMu.Unlock()
@@ -114,12 +118,11 @@ func (c *Chaos) Send(frame []byte) {
 		return
 	}
 	c.delayed.Add(1)
-	time.AfterFunc(time.Duration(v.Delay)*c.cfg.Unit, func() {
-		if !c.closed.Load() {
-			c.inner.Send(frame)
-		}
-	})
+	c.line.add(sent.Add(time.Duration(v.Delay)*c.cfg.Unit), c, frame)
 }
+
+// deliver forwards a frame whose delay has passed (delaySink).
+func (c *Chaos) deliver(frame []byte) { c.inner.Send(frame) }
 
 // Receive implements Transport: inbound frames pass through untouched.
 func (c *Chaos) Receive() <-chan []byte { return c.inner.Receive() }
@@ -131,11 +134,14 @@ func (c *Chaos) Inner() Transport { return c.inner }
 // so the wrapped transport's budget applies.
 func (c *Chaos) FrameBudget() int { return c.inner.FrameBudget() }
 
-// Close implements Transport: closes the wrapped transport.
+// Close implements Transport: discards the frames still delayed — once
+// Close returns nothing more is forwarded — and closes the wrapped
+// transport.
 func (c *Chaos) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	c.line.close()
 	return c.inner.Close()
 }
 
@@ -147,9 +153,10 @@ func (c *Chaos) Stats() (sends, drops uint64) {
 // ChaosStats is the full counter snapshot of one Chaos wrapper.
 type ChaosStats struct {
 	// Sends is how many frames the model judged; Drops how many it
-	// swallowed; Delayed how many it deferred on a timer before
+	// swallowed; Delayed how many it deferred on the delay line before
 	// forwarding. Sends − Drops is what actually reached the inner
-	// transport (or still will, for in-flight timers).
+	// transport (or still will, for frames on the line; Close discards
+	// those).
 	Sends, Drops, Delayed uint64
 }
 

@@ -9,6 +9,7 @@ package transport_test
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -150,38 +151,82 @@ func TestConformanceBroadcastReachesAll(t *testing.T) {
 }
 
 // TestConformanceCloseSemantics: Close is idempotent, closes the
-// Receive channel, and turns Send into a no-op.
+// Receive channel, and turns Send into a no-op — on an idle transport,
+// and on one with frames in flight in both directions, where whatever
+// sits on a delay line (the mesh's towards the closed endpoint, the
+// closed Chaos wrapper's own) at that moment is dropped, not delivered
+// late. That nothing at all is handed over once Close has returned is
+// pinned where it can be observed, on the line itself and on a counting
+// inner transport (TestDelayLineClose, TestChaosCloseForwardsNothingAfter).
 func TestConformanceCloseSemantics(t *testing.T) {
+	cases := []struct {
+		name string
+		// busy keeps every endpoint sending while trs[0] closes.
+		busy bool
+	}{
+		{name: "idle"},
+		{name: "frames in flight", busy: true},
+	}
 	for _, fx := range fixtures() {
-		fx := fx
-		t.Run(fx.name, func(t *testing.T) {
-			t.Parallel()
-			trs, cleanup := fx.make(t, 2)
-			defer cleanup()
+		for _, tc := range cases {
+			fx, tc := fx, tc
+			t.Run(fx.name+"/"+tc.name, func(t *testing.T) {
+				t.Parallel()
+				trs, cleanup := fx.make(t, 2)
+				defer cleanup()
 
-			frame, _ := testFrame(1)
-			if err := trs[0].Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			if err := trs[0].Close(); err != nil {
-				t.Fatalf("second close: %v", err)
-			}
-			trs[0].Send(frame) // must not panic
-
-			// The receive channel must close (buffered frames may drain
-			// first).
-			deadline := time.After(5 * time.Second)
-			for {
-				select {
-				case _, ok := <-trs[0].Receive():
-					if !ok {
-						return
+				frame, _ := testFrame(1)
+				if tc.busy {
+					stop := make(chan struct{})
+					var wg sync.WaitGroup
+					defer func() { close(stop); wg.Wait() }()
+					for _, tr := range trs {
+						tr := tr
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for {
+								select {
+								case <-stop:
+									return
+								default:
+									tr.Send(frame) // must not panic, before or after the close
+									time.Sleep(50 * time.Microsecond)
+								}
+							}
+						}()
 					}
-				case <-deadline:
-					t.Fatal("receive channel did not close")
+					// Let traffic (and delayed copies) build up, then drain
+					// the peer so that a full inbox is not what stops it.
+					time.Sleep(5 * time.Millisecond)
+					go func() {
+						for range trs[1].Receive() {
+						}
+					}()
 				}
-			}
-		})
+				if err := trs[0].Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				if err := trs[0].Close(); err != nil {
+					t.Fatalf("second close: %v", err)
+				}
+				trs[0].Send(frame) // must not panic
+
+				// The receive channel must close (buffered frames may drain
+				// first).
+				deadline := time.After(5 * time.Second)
+				for {
+					select {
+					case _, ok := <-trs[0].Receive():
+						if !ok {
+							return
+						}
+					case <-deadline:
+						t.Fatal("receive channel did not close")
+					}
+				}
+			})
+		}
 	}
 }
 

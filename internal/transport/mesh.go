@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,8 +36,8 @@ type MeshConfig struct {
 }
 
 // Mesh is the in-process transport: N endpoints joined by an n×n mesh of
-// fair lossy links (channel.Network), link delays realised with real
-// timers. It is the Transport the live cluster runtime runs on, and the
+// fair lossy links (channel.Network), link delays realised in real time
+// by one delay line. It is the Transport the live cluster runtime runs on, and the
 // live counterpart of the deterministic simulator's network.
 type Mesh struct {
 	cfg   MeshConfig
@@ -48,9 +49,12 @@ type Mesh struct {
 	net *channel.Network
 
 	epMu sync.RWMutex
-	// eps holds the per-node endpoints; guarded by epMu, whose write
-	// side protects slot replacement by Reopen.
+	// eps holds the per-node endpoints; guarded by epMu. The slice is
+	// never written in place: Reopen and Grow install a new one, so a
+	// reader may keep using the one it loaded after unlocking.
 	eps []*meshEndpoint
+	// line holds the copies whose link delay has not passed yet.
+	line delayLine
 	// shedOverflows accumulates the overflow counts of endpoints replaced
 	// by Reopen, so the mesh-wide total survives node restarts.
 	shedOverflows atomic.Uint64
@@ -72,7 +76,7 @@ type meshEndpoint struct {
 
 	mu sync.Mutex
 	// closed flags the inbox shut; guarded by mu, which serialises the
-	// close against in-flight timer offers.
+	// close against the delay line's offers.
 	closed    bool
 	inbox     chan []byte
 	overflows atomic.Uint64
@@ -153,7 +157,9 @@ func (m *Mesh) Reopen(i int) Transport {
 		index: i,
 		inbox: make(chan []byte, m.cfg.InboxDepth),
 	}
-	m.eps[i] = ep
+	eps := slices.Clone(m.eps)
+	eps[i] = ep
+	m.eps = eps
 	return ep
 }
 
@@ -177,7 +183,7 @@ func (m *Mesh) Grow() Transport {
 		index: n - 1,
 		inbox: make(chan []byte, m.cfg.InboxDepth),
 	}
-	m.eps = append(m.eps, ep)
+	m.eps = append(slices.Clone(m.eps), ep)
 	return ep
 }
 
@@ -244,11 +250,13 @@ func (m *Mesh) Overflows() uint64 {
 	return n
 }
 
-// Close closes every endpoint. Idempotent.
+// Close closes every endpoint and discards the copies still in flight.
+// Idempotent.
 func (m *Mesh) Close() error {
 	if !m.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	m.line.close()
 	m.epMu.RLock()
 	defer m.epMu.RUnlock()
 	for _, ep := range m.eps {
@@ -267,19 +275,19 @@ func (m *Mesh) String() string {
 // slice is shared across destinations, which is safe because receivers
 // treat frames as read-only (the node layer decodes by copy).
 //
-//urbvet:wallclock timers realise the loss model's link delays in real time
+//urbvet:wallclock clocks the send in link-delay units and stamps each delayed copy's due time
 func (m *Mesh) broadcast(src int, frame []byte) {
 	if m.closed.Load() {
 		return
 	}
-	now := m.ElapsedUnits()
+	sent := time.Now()
+	now := int64(sent.Sub(m.start) / m.cfg.Unit)
 	m.lastSend.Store(now)
-	// Snapshot the endpoint set: endpoints added by a concurrent Grow
-	// miss this frame, which is legal — the links are lossy, and a
-	// joiner catches up through the join protocol, not the backlog.
+	// Load the endpoint set: endpoints added by a concurrent Grow miss
+	// this frame, which is legal — the links are lossy, and a joiner
+	// catches up through the join protocol, not the backlog.
 	m.epMu.RLock()
-	eps := make([]*meshEndpoint, len(m.eps))
-	copy(eps, m.eps)
+	eps := m.eps
 	m.epMu.RUnlock()
 	for dst, target := range eps {
 		if m.frameAware {
@@ -306,8 +314,7 @@ func (m *Mesh) broadcast(src int, frame []byte) {
 					target.deliver(payload)
 					continue
 				}
-				body := payload
-				time.AfterFunc(delay, func() { target.deliver(body) })
+				m.line.add(sent.Add(delay), target, payload)
 			}
 			continue
 		}
@@ -324,7 +331,7 @@ func (m *Mesh) broadcast(src int, frame []byte) {
 			target.deliver(frame)
 			continue
 		}
-		time.AfterFunc(delay, func() { target.deliver(frame) })
+		m.line.add(sent.Add(delay), target, frame)
 	}
 }
 

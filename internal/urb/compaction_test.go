@@ -60,7 +60,7 @@ func TestQuiescentCompactionCopyOnWrite(t *testing.T) {
 	if p.Claims(id, lbl(2)) != 1 {
 		t.Fatalf("claims[l2] = %d, want 1", p.Claims(id, lbl(2)))
 	}
-	if got := p.ackState(id).byAcker[lbl(101)].labels.Len(); got != 1 {
+	if got := p.ackState(id).ackers.Ptr(lbl(101)).labels.Len(); got != 1 {
 		t.Fatalf("shared set mutated through the other acker: len=%d", got)
 	}
 	// And dropping it again re-merges the two views onto one set.
@@ -120,7 +120,7 @@ func TestQuiescentRetirementIndexReactsToViewShift(t *testing.T) {
 // were entirely purged (a dead acker) is dropped from the bookkeeping,
 // and a message DELIVERED ONLY AFTER that purge must still pass the
 // retirement guard — the dead acker must neither linger in the
-// byAcker/ackerOrder scan nor block the "no acker claims a foreign
+// acker table scan nor block the "no acker claims a foreign
 // label" clause. Guards the compaction refactor against reintroducing
 // the dead-acker retention bug the D4 drop fixed.
 func TestQuiescentDeliveredAfterPurgeStillRetires(t *testing.T) {

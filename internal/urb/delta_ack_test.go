@@ -471,11 +471,7 @@ func (c *eqCluster) drain(t *testing.T, name string) {
 func claimsByBody(p *Quiescent) map[string]map[ident.Tag]int {
 	out := make(map[string]map[ident.Tag]int)
 	for _, rec := range p.ackOrder {
-		m := make(map[ident.Tag]int, len(rec.st.claims))
-		for l, c := range rec.st.claims {
-			m[l] = c
-		}
-		out[rec.id.Body] = m
+		out[rec.id.Body] = rec.st.claimMap()
 	}
 	return out
 }

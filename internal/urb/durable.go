@@ -3,7 +3,6 @@ package urb
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -363,11 +362,24 @@ func (r *msgRec) hasLedger() bool   { return r.send != nil }
 // not attackers). Covering the raw bytes catches flips in fields the
 // behaviour-oriented fingerprint deliberately omits (e.g. the wire-sent
 // counter); covering the fingerprint catches encoder/decoder divergence.
+//
+// The hash is written out rather than taken from hash/fnv: its digest has
+// no WriteString, so feeding it the fingerprint — the larger of the two
+// inputs — means copying the whole string first, whether through
+// []byte(fp) or io.WriteString.
 func snapDigest(payload []byte, fp string) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	h.Write([]byte(fp))
-	return h.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range payload {
+		h = (h ^ uint64(b)) * prime64
+	}
+	for i := 0; i < len(fp); i++ {
+		h = (h ^ uint64(fp[i])) * prime64
+	}
+	return h
 }
 
 // cfgFlags packs the Config knobs for the restore-time compatibility
@@ -621,16 +633,17 @@ func (p *Quiescent) Snapshot() []byte {
 	w.u64(p.ticks)
 	w.u64(p.epochFloor)
 	// First pass: assign set-table indices in deterministic first-use
-	// order over the (ackOrder, ackerOrder) walk.
+	// order over the (ackOrder, acker table) walk.
 	tableIdx := make(map[string]uint32)
 	var tableSets []*ident.Set
 	refOf := func(s *ident.Set) uint32 {
-		k := setKey(s)
-		if i, ok := tableIdx[k]; ok {
+		var kb [16 * setKeyStack]byte
+		k := appendSetKey(kb[:0], s)
+		if i, ok := tableIdx[string(k)]; ok {
 			return i
 		}
 		i := uint32(len(tableSets))
-		tableIdx[k] = i
+		tableIdx[string(k)] = i
 		tableSets = append(tableSets, s)
 		return i
 	}
@@ -643,9 +656,9 @@ func (p *Quiescent) Snapshot() []byte {
 	views := make([][]viewRef, len(p.ackOrder))
 	for i, rec := range p.ackOrder {
 		st := rec.st
-		vs := make([]viewRef, 0, len(st.ackerOrder))
-		for _, acker := range st.ackerOrder {
-			v := st.byAcker[acker]
+		vs := make([]viewRef, 0, st.ackers.Len())
+		for j, acker := range st.ackers.Keys() {
+			v := st.ackers.At(j)
 			vs = append(vs, viewRef{acker: acker, epoch: v.epoch, synced: v.synced, ref: refOf(v.labels)})
 		}
 		views[i] = vs
@@ -670,7 +683,7 @@ func (p *Quiescent) Snapshot() []byte {
 		for acker := range st.reqTick {
 			reqs = append(reqs, acker)
 		}
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i].Less(reqs[j]) })
+		slices.SortFunc(reqs, ident.Tag.Compare)
 		w.u32(uint32(len(reqs)))
 		for _, acker := range reqs {
 			w.tag(acker)
@@ -730,9 +743,9 @@ func (p *Quiescent) Restore(data []byte) error {
 			// state (the index's position ↔ state mapping is one-to-one).
 			return fmt.Errorf("%w: duplicate message in snapshot", ErrSnapshotMismatch)
 		}
-		st := newAckState(dirtyQ, i)
-		st.compacted = p.cfg.CompactDelivered && rec.delivered
 		ackers := r.count(16 + 8 + 1 + 4)
+		st := newAckState(dirtyQ, i, ackers)
+		st.compacted = p.cfg.CompactDelivered && rec.delivered
 		for j := 0; j < ackers; j++ {
 			acker := r.tag()
 			epoch := r.u64()
@@ -744,15 +757,13 @@ func (p *Quiescent) Restore(data []byte) error {
 			if int(ref) >= len(table) {
 				return fmt.Errorf("%w: acker set ref %d beyond table of %d", ErrSnapshotMismatch, ref, len(table))
 			}
-			if _, dup := st.byAcker[acker]; dup {
+			v, added := st.ackers.Insert(acker, ackerView{labels: ident.NewSet(table[ref]...), epoch: epoch, synced: synced})
+			if !added {
 				return fmt.Errorf("%w: duplicate acker in snapshot", ErrSnapshotMismatch)
 			}
-			v := &ackerView{labels: ident.NewSet(table[ref]...), epoch: epoch, synced: synced}
 			for _, l := range v.labels.Slice() {
 				st.bump(l)
 			}
-			st.byAcker[acker] = v
-			st.ackerOrder = append(st.ackerOrder, acker)
 			st.internView(&sets, v)
 		}
 		reqs := r.count(16 + 8)
@@ -781,10 +792,16 @@ func (p *Quiescent) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
+	// Ledger entries written under one AΘ view carry the same label list:
+	// they share one set here as they do live (sent sets are immutable).
+	var sent *ident.Set
 	for i := 0; i < sendCnt; i++ {
 		id := r.msgID()
 		st := &ackSendState{epoch: r.u64(), reAckTick: r.u64(), snapTick: r.u64()}
-		st.sent = ident.NewSet(r.tagList()...)
+		if tags := r.tagList(); sent == nil || !slices.Equal(tags, sent.Slice()) {
+			sent = ident.NewSet(tags...)
+		}
+		st.sent = sent
 		if r.err != nil {
 			return r.err
 		}

@@ -101,9 +101,9 @@ func (p *Quiescent) Fingerprint() string {
 	keys := make([]string, 0, len(p.ackOrder))
 	for _, rec := range p.ackOrder {
 		st := rec.st
-		ackers := make([]string, 0, len(st.ackerOrder))
-		for _, acker := range st.ackerOrder {
-			v := st.byAcker[acker]
+		ackers := make([]string, 0, st.ackers.Len())
+		for i, acker := range st.ackers.Keys() {
+			v := st.ackers.At(i)
 			var inner fpWriter
 			inner.sortedTags(v.labels.Slice())
 			ackers = append(ackers, fmt.Sprintf("%s@%d/%t->{%s}", acker, v.epoch, v.synced, inner.b.String()))

@@ -334,7 +334,7 @@ func (h *HeartbeatHost) Explain(id wire.MsgID) obs.Explanation { return h.inner.
 
 // beatSetKey renders a label list's order-insensitive identity.
 func beatSetKey(labels []ident.Tag) string {
-	return setKey(ident.NewSet(labels...))
+	return string(appendSetKey(nil, ident.NewSet(labels...)))
 }
 
 // tagIn reports membership in a small slice (beat announcements hold a

@@ -1,7 +1,7 @@
 package urb
 
 import (
-	"sort"
+	"slices"
 
 	"anonurb/internal/ident"
 )
@@ -19,7 +19,7 @@ import (
 // read the exact same label values either way.
 
 // appendTagBytes appends a tag's canonical 16 big-endian bytes, the
-// serialization setKey is built from.
+// serialization appendSetKey builds on.
 func appendTagBytes(b []byte, t ident.Tag) []byte {
 	return append(b,
 		byte(t.Hi>>56), byte(t.Hi>>48), byte(t.Hi>>40), byte(t.Hi>>32),
@@ -28,19 +28,24 @@ func appendTagBytes(b []byte, t ident.Tag) []byte {
 		byte(t.Lo>>24), byte(t.Lo>>16), byte(t.Lo>>8), byte(t.Lo))
 }
 
-// setKey renders a label set's canonical identity: the sorted labels'
-// raw bytes. Insertion order is not part of a view's meaning (every
-// consumer is membership- or sorted-order-based), so order-insensitive
-// keying is what lets two ackers that learned the same view in
-// different orders share one set.
-func setKey(s *ident.Set) string {
-	tags := append([]ident.Tag(nil), s.Slice()...)
-	sort.Slice(tags, func(i, j int) bool { return tags[i].Less(tags[j]) })
-	b := make([]byte, 0, 16*len(tags))
+// setKeyStack is the set size up to which a canonical key is built
+// without allocating: the sort scratch and the key bytes both fit on the
+// stack. Larger sets spill to the heap and are otherwise treated alike.
+const setKeyStack = 16
+
+// appendSetKey appends a label set's canonical identity to b: the sorted
+// labels' raw bytes. Insertion order is not part of a view's meaning
+// (every consumer is membership- or sorted-order-based), so
+// order-insensitive keying is what lets two ackers that learned the same
+// view in different orders share one set.
+func appendSetKey(b []byte, s *ident.Set) []byte {
+	var scratch [setKeyStack]ident.Tag
+	tags := append(scratch[:0], s.Slice()...)
+	slices.SortFunc(tags, ident.Tag.Compare)
 	for _, t := range tags {
 		b = appendTagBytes(b, t)
 	}
-	return string(b)
+	return b
 }
 
 // setEntry is one interned set plus its reference count.
@@ -63,13 +68,17 @@ func (t *setIntern) intern(s *ident.Set) *setEntry {
 	if t.m == nil {
 		t.m = make(map[string]*setEntry)
 	}
-	k := setKey(s)
-	if e, ok := t.m[k]; ok {
+	// The key is built on the stack and becomes a string only for a new
+	// entry: a hit — every delivery but the first under a stable view —
+	// allocates nothing.
+	var kb [16 * setKeyStack]byte
+	k := appendSetKey(kb[:0], s)
+	if e, ok := t.m[string(k)]; ok {
 		e.refs++
 		return e
 	}
-	e := &setEntry{key: k, labels: s, refs: 1}
-	t.m[k] = e
+	e := &setEntry{key: string(k), labels: s, refs: 1}
+	t.m[e.key] = e
 	return e
 }
 

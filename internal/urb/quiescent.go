@@ -99,6 +99,14 @@ type Quiescent struct {
 	visited uint64
 	// tickRecs is Tick's scratch for the Task-1 copy of MSG_i.
 	tickRecs []*msgRec
+	// thetaSet/starSet are the last materialised label sets of the AΘ and
+	// AP* views (labelsOf), reused for as long as the view lists exactly
+	// their members. thetaSet is also what every ledger entry's sent
+	// points at while the view holds still — one set per node rather than
+	// one per message — which is sound because a sent set is only ever
+	// replaced, never mutated (DESIGN.md §10, "Label tables"). Caches of
+	// the detector's output: not part of snapshots or fingerprints.
+	thetaSet, starSet *ident.Set
 }
 
 // dirtyQueue is the retirement index's work list: the ackStates changed
@@ -114,7 +122,8 @@ type ackSendState struct {
 	// starting at 1 with the first labeled ACK.
 	epoch uint64
 	// sent is the label set as of epoch — what every in-sync receiver
-	// holds for this (message, acker).
+	// holds for this (message, acker). Immutable: entries opened or
+	// refreshed under the same AΘ view share one set (Quiescent.thetaSet).
 	sent *ident.Set
 	// reAckTick-1 is the tick at which the last unchanged re-ACK was
 	// sent (0 = never), the D5 rate limiter: at most one unchanged
@@ -128,6 +137,8 @@ type ackSendState struct {
 
 // ackerView is one acker's entry in the receiver-side bookkeeping: the
 // label set from its latest applied ACK plus the delta-stream position.
+// Views are stored by value in ackState.ackers; a *ackerView points into
+// that table and dies with the next insertion or removal.
 type ackerView struct {
 	labels *ident.Set
 	// entry is the intern-table entry labels is shared through, nil for
@@ -149,14 +160,13 @@ type ackerView struct {
 // ackState is the paper's ALL_ACK / all_labels / label_counter bundle for
 // one message.
 type ackState struct {
-	// byAcker maps tag_ack → that acker's latest applied view
-	// (the paper's all_labels[(m,tag), tag_ack]).
-	byAcker map[ident.Tag]*ackerView
-	// ackerOrder is the first-seen order of tag_acks.
-	ackerOrder []ident.Tag
-	// claims maps label → number of ackers currently claiming it
-	// (the paper's label_counter[(m,tag), label]).
-	claims map[ident.Tag]int
+	// ackers maps tag_ack → that acker's latest applied view (the paper's
+	// all_labels[(m,tag), tag_ack]), in first-seen order of tag_acks.
+	ackers ident.Table[ackerView]
+	// claims maps label → number of ackers currently claiming it (the
+	// paper's label_counter[(m,tag), label]). Counts are positive: a
+	// label nobody claims has no entry.
+	claims ident.Table[int]
 	// reqTick rate-limits resync requests: reqTick[acker]-1 is the tick
 	// of the last request for that acker's stream (at most one per
 	// (message, acker) per tick). An entry only constrains its own tick.
@@ -168,8 +178,7 @@ type ackState struct {
 	// tick too.
 	reqTick map[ident.Tag]uint64
 	// q is the owning process's dirty queue and pos this message's index
-	// in its ackOrder (int32 keeps the struct inside its 64-byte size
-	// class; one per message ever seen).
+	// in its ackOrder.
 	q   *dirtyQueue
 	pos int32
 	// dirty marks that Tick has work to do on this message: the claim
@@ -186,13 +195,14 @@ type ackState struct {
 	compacted bool
 }
 
-func newAckState(q *dirtyQueue, pos int) *ackState {
-	return &ackState{
-		byAcker: make(map[ident.Tag]*ackerView),
-		claims:  make(map[ident.Tag]int),
-		q:       q,
-		pos:     int32(pos),
-	}
+// newAckState makes room for the expected number of ackers up front —
+// in a stable cluster every acker claims the same labels, so the claim
+// table gets as many slots — and the tables then never regrow.
+func newAckState(q *dirtyQueue, pos, ackers int) *ackState {
+	a := &ackState{q: q, pos: int32(pos)}
+	a.ackers.Grow(ackers)
+	a.claims.Grow(ackers)
+	return a
 }
 
 // markDirty queues the state for the next Tick (idempotent).
@@ -205,21 +215,24 @@ func (a *ackState) markDirty() {
 
 // bump increments a label's claim count.
 func (a *ackState) bump(label ident.Tag) {
-	a.claims[label]++
+	if c, added := a.claims.Insert(label, 1); !added {
+		*c++
+	}
 	a.markDirty()
 }
 
 // drop decrements a label's claim count, deleting the entry at zero —
 // a missing key reads as 0 everywhere, and keeping it would leak one
-// map key per dead label forever (the same monotonic growth the D4
+// entry per dead label forever (the same monotonic growth the D4
 // acker drop exists to stop).
 func (a *ackState) drop(label ident.Tag) {
 	a.markDirty()
-	switch c := a.claims[label]; {
-	case c > 1:
-		a.claims[label] = c - 1
-	case c == 1:
-		delete(a.claims, label)
+	if i := a.claims.Find(label); i >= 0 {
+		if c := a.claims.At(i); *c > 1 {
+			*c--
+		} else {
+			a.claims.RemoveAt(i)
+		}
 	}
 }
 
@@ -263,38 +276,34 @@ func (a *ackState) dropView(in *setIntern, v *ackerView) {
 // record the delta-stream position the set corresponds to (0/false for
 // legacy full-set ACKs). Returns true if the acker is new.
 func (a *ackState) replace(in *setIntern, acker ident.Tag, labels []ident.Tag, epoch uint64, synced bool) bool {
-	cur, known := a.byAcker[acker]
-	if !known {
-		s := ident.NewSet()
-		for _, l := range labels {
-			if s.Add(l) {
-				a.bump(l)
-			}
+	cur := a.ackers.Ptr(acker)
+	if cur == nil {
+		s := ident.NewSet(labels...)
+		for _, l := range s.Slice() {
+			a.bump(l)
 		}
-		v := &ackerView{labels: s, epoch: epoch, synced: synced}
-		a.byAcker[acker] = v
-		a.ackerOrder = append(a.ackerOrder, acker)
+		v, _ := a.ackers.Insert(acker, ackerView{labels: s, epoch: epoch, synced: synced})
 		a.markDirty() // membership changed even if the set is empty
 		a.internView(in, v)
 		return true
 	}
-	next := ident.NewSet(labels...)
 	// Unchanged-set fast path: a steady-state re-ACK replaces the set
 	// with an equal one, so the diff accounting below would walk both
-	// sets to change nothing. Only the stream position moves.
-	if next.Len() == cur.labels.Len() {
-		same := true
-		for _, l := range next.Slice() {
-			if !cur.labels.Has(l) {
-				same = false
-				break
-			}
-		}
-		if same {
-			cur.epoch = epoch
-			cur.synced = synced
-			return false
-		}
+	// sets to change nothing. Only the stream position moves. An acker
+	// under a stable view repeats its labels in the order the stored set
+	// was built from, so that case is recognised on the incoming slice,
+	// before any set is built; a reordered or repeating list takes the
+	// set comparison below.
+	var next *ident.Set
+	same := slices.Equal(labels, cur.labels.Slice())
+	if !same {
+		next = ident.NewSet(labels...)
+		same = next.Equal(cur.labels)
+	}
+	if same {
+		cur.epoch = epoch
+		cur.synced = synced
+		return false
 	}
 	// Count up the additions.
 	for _, l := range next.Slice() {
@@ -372,7 +381,7 @@ func (a *ackState) applyDelta(in *setIntern, v *ackerView, epoch uint64, adds, d
 // Ackers whose label set the purge empties are dropped entirely: an
 // empty set contributes nothing to any claim count, passes every
 // subset check, and would never be refreshed (its owner is crashed) —
-// keeping the entry would only grow byAcker/ackerOrder monotonically
+// keeping the entry would only grow the acker table monotonically
 // and tax every retireReady scan with dead ackers forever. If the
 // acker was wrongly suspected and re-ACKs later, the algorithm
 // re-admits it as a fresh acker with identical claim accounting.
@@ -401,79 +410,78 @@ func (a *ackState) purge(in *setIntern, keep func(ident.Tag) bool) {
 	// that never got admitted (e.g. crashed before their snapshot).
 	a.reqTick = nil
 	var memo map[*setEntry]purgedEntry
-	kept := a.ackerOrder[:0]
-	for _, acker := range a.ackerOrder {
-		v := a.byAcker[acker]
-		if v.entry != nil {
-			// Shared set: compute (or reuse) the entry's purge outcome.
-			pe, ok := memo[v.entry]
-			if !ok {
+	for i := 0; i < a.ackers.Len(); {
+		if a.purgeView(in, a.ackers.At(i), keep, &memo) {
+			i++
+		} else {
+			a.ackers.RemoveAt(i)
+		}
+	}
+	for _, pe := range memo {
+		in.release(pe.to) // release(nil) is a no-op
+	}
+}
+
+// purgeView applies the purge to one acker's view; it reports whether the
+// acker survives (false: the caller drops its entry).
+func (a *ackState) purgeView(in *setIntern, v *ackerView, keep func(ident.Tag) bool, memo *map[*setEntry]purgedEntry) bool {
+	if v.entry != nil {
+		// Shared set: compute (or reuse) the entry's purge outcome.
+		pe, ok := (*memo)[v.entry]
+		if !ok {
+			for _, l := range v.entry.labels.Slice() {
+				if !keep(l) {
+					pe.removed = append(pe.removed, l)
+				}
+			}
+			if n := len(pe.removed); n > 0 && n < v.entry.labels.Len() {
+				next := ident.NewSet()
 				for _, l := range v.entry.labels.Slice() {
-					if !keep(l) {
-						pe.removed = append(pe.removed, l)
+					if keep(l) {
+						next.Add(l)
 					}
 				}
-				if n := len(pe.removed); n > 0 && n < v.entry.labels.Len() {
-					next := ident.NewSet()
-					for _, l := range v.entry.labels.Slice() {
-						if keep(l) {
-							next.Add(l)
-						}
-					}
-					pe.to = in.intern(next)
-					// The intern above took the memo's own reference; it is
-					// released when the pass ends (each surviving view takes
-					// its own below), keeping the entry alive meanwhile.
-				}
-				if memo == nil {
-					memo = make(map[*setEntry]purgedEntry)
-				}
-				memo[v.entry] = pe
+				pe.to = in.intern(next)
+				// The intern above took the memo's own reference; it is
+				// released when the pass ends (each surviving view takes
+				// its own below), keeping the entry alive meanwhile.
 			}
-			if len(pe.removed) == 0 {
-				if v.entry.labels.Len() == 0 {
-					// Empty-set ackers are dropped (nothing claims, never
-					// refreshed), shared or not.
-					in.release(v.entry)
-					v.entry = nil
-					delete(a.byAcker, acker)
-					continue
-				}
-				kept = append(kept, acker)
-				continue
+			if *memo == nil {
+				*memo = make(map[*setEntry]purgedEntry)
 			}
-			for _, l := range pe.removed {
-				a.drop(l)
-			}
-			in.release(v.entry)
-			if pe.to == nil { // the whole set was stale: drop the acker
-				v.entry = nil
-				delete(a.byAcker, acker)
-				continue
-			}
-			pe.to.refs++
-			v.entry = pe.to
-			v.labels = pe.to.labels
-			v.synced = false
-			kept = append(kept, acker)
-			continue
+			(*memo)[v.entry] = pe
 		}
-		// Exclusive set: scan before touching (steady state is no-op).
-		stale := false
-		for _, l := range v.labels.Slice() {
-			if !keep(l) {
-				stale = true
-				break
+		if len(pe.removed) == 0 {
+			if v.entry.labels.Len() == 0 {
+				// Empty-set ackers are dropped (nothing claims, never
+				// refreshed), shared or not.
+				in.release(v.entry)
+				return false
 			}
+			return true
 		}
-		if !stale {
-			if v.labels.Len() == 0 {
-				delete(a.byAcker, acker)
-				continue
-			}
-			kept = append(kept, acker)
-			continue
+		for _, l := range pe.removed {
+			a.drop(l)
 		}
+		in.release(v.entry)
+		if pe.to == nil { // the whole set was stale: drop the acker
+			return false
+		}
+		pe.to.refs++
+		v.entry = pe.to
+		v.labels = pe.to.labels
+		v.synced = false
+		return true
+	}
+	// Exclusive set: scan before touching (steady state is no-op).
+	stale := false
+	for _, l := range v.labels.Slice() {
+		if !keep(l) {
+			stale = true
+			break
+		}
+	}
+	if stale {
 		for _, l := range append([]ident.Tag(nil), v.labels.Slice()...) {
 			if !keep(l) {
 				v.labels.Remove(l)
@@ -481,21 +489,15 @@ func (a *ackState) purge(in *setIntern, keep func(ident.Tag) bool) {
 				v.synced = false
 			}
 		}
-		if v.labels.Len() == 0 {
-			delete(a.byAcker, acker)
-			continue
-		}
+	}
+	if v.labels.Len() == 0 {
+		return false
+	}
+	if stale {
 		a.internView(in, v)
-		kept = append(kept, acker)
 	}
-	a.ackerOrder = kept
-	for _, pe := range memo {
-		in.release(pe.to) // release(nil) is a no-op
-	}
+	return true
 }
-
-// ackers returns the number of distinct tag_acks seen.
-func (a *ackState) ackers() int { return len(a.ackerOrder) }
 
 var _ Process = (*Quiescent)(nil)
 
@@ -561,30 +563,75 @@ func (p *Quiescent) receiveMsg(rec *msgRec) Step {
 	// Lines 13-20: every (re-)ACK carries the *current* AΘ label view, so
 	// receivers can refresh their per-acker label sets. In delta mode the
 	// view travels incrementally instead (D5).
-	labels := p.det.ATheta().Labels()
+	theta := p.det.ATheta()
 	if !p.cfg.DeltaAcks {
-		p.send(&out, wire.NewLabeledAck(rec.id, rec.ack, labels.Slice()))
+		p.send(&out, wire.NewLabeledAck(rec.id, rec.ack, labelsOf(&p.thetaSet, theta).Slice()))
 		return out
 	}
-	p.sendDeltaAck(&out, rec, labels)
+	p.sendDeltaAck(&out, rec, theta)
 	return out
+}
+
+// labelsOf returns v's label set through a one-entry cache: the set
+// materialised last time is reused while v lists exactly its members, in
+// its order — comparing a handful of tags in place instead of building a
+// set to compare. The result is shared and must not be mutated. A view
+// that repeats a label (a user fd.Func need not normalise) never matches
+// the de-duplicated set and is materialised every time.
+func labelsOf(cache **ident.Set, v fd.View) *ident.Set {
+	if s := *cache; s != nil && viewLists(v, s) {
+		return s
+	}
+	*cache = v.Labels()
+	return *cache
+}
+
+// viewLists reports whether v's labels are, in order, exactly s's
+// members.
+func viewLists(v fd.View, s *ident.Set) bool {
+	tags := s.Slice()
+	if len(v) != len(tags) {
+		return false
+	}
+	for i := range v {
+		if v[i].Label != tags[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// changedLabels compares the AΘ view with a ledger entry's sent set,
+// reading the view in place: nil while the view still has exactly sent's
+// members (the steady state, decided without building anything), the
+// view's label set once it differs.
+func (p *Quiescent) changedLabels(theta fd.View, sent *ident.Set) *ident.Set {
+	if viewLists(theta, sent) {
+		return nil
+	}
+	// Not the same list; it can still be the same set (a reordered or
+	// repeating view), which only the materialised form can tell.
+	if labels := labelsOf(&p.thetaSet, theta); !labels.Equal(sent) {
+		return labels
+	}
+	return nil
 }
 
 // sendDeltaAck emits the D5 incremental form of the line 13-20 ACK:
 // a snapshot the first time, a (+adds, −dels) delta when the AΘ label
 // view changed since the last ACK for rec, and an empty re-ACK — at most
-// one per tick — when it did not. The caller passes ownership of labels
-// (a fresh set from View.Labels).
-func (p *Quiescent) sendDeltaAck(out *Step, rec *msgRec, labels *ident.Set) {
+// one per tick — when it did not.
+func (p *Quiescent) sendDeltaAck(out *Step, rec *msgRec, theta fd.View) {
 	id, ack := rec.id, rec.ack
 	st := rec.send
 	if st == nil {
+		labels := labelsOf(&p.thetaSet, theta)
 		st = &ackSendState{epoch: p.epochFloor + 1, sent: labels, snapTick: p.ticks + 1, reAckTick: p.ticks + 1}
 		rec.send = st
 		p.send(out, wire.NewAckSnapshot(id, ack, st.epoch, labels.Slice()))
 		return
 	}
-	if !labels.Equal(st.sent) {
+	if labels := p.changedLabels(theta, st.sent); labels != nil {
 		var adds, dels []ident.Tag
 		for _, l := range labels.Slice() {
 			if !st.sent.Has(l) {
@@ -646,12 +693,12 @@ func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
 	// stale-or-duplicate for the view and the delivery guard is already
 	// satisfied — so return before touching the claim machinery.
 	if rec.delivered && rec.st != nil && m.Flags == 0 && len(m.Labels) == 0 && len(m.DelLabels) == 0 {
-		if v := rec.st.byAcker[m.AckTag]; v != nil && v.synced && m.Epoch <= v.epoch {
+		if v := rec.st.ackers.Ptr(m.AckTag); v != nil && v.synced && m.Epoch <= v.epoch {
 			return out
 		}
 	}
 	st := p.ackStateFor(rec)
-	v := st.byAcker[m.AckTag]
+	v := st.ackers.Ptr(m.AckTag)
 	if m.Flags&wire.AckFlagSnapshot != 0 {
 		// A snapshot is authoritative for its epoch: apply unless we
 		// provably hold that epoch or a later one.
@@ -718,9 +765,9 @@ func (p *Quiescent) receiveAckResync(rec *msgRec, ackTag ident.Tag) Step {
 	if st == nil {
 		// Our ACK for the message predates delta mode (or was sent by the
 		// full-set path): open the ledger now with a fresh snapshot.
-		st = &ackSendState{epoch: p.epochFloor + 1, sent: p.det.ATheta().Labels()}
+		st = &ackSendState{epoch: p.epochFloor + 1, sent: labelsOf(&p.thetaSet, p.det.ATheta())}
 		rec.send = st
-	} else if labels := p.det.ATheta().Labels(); !labels.Equal(st.sent) {
+	} else if labels := p.changedLabels(p.det.ATheta(), st.sent); labels != nil {
 		st.epoch++
 		st.sent = labels
 	}
@@ -734,7 +781,9 @@ func (p *Quiescent) receiveAckResync(rec *msgRec, ackTag ident.Tag) Step {
 // (lines 23-26).
 func (p *Quiescent) ackStateFor(rec *msgRec) *ackState {
 	if rec.st == nil {
-		rec.st = newAckState(p.dirtyQ, len(p.ackOrder))
+		// Sized from the AΘ view as Tick last read it: its labels are the
+		// processes whose ACKs are about to arrive.
+		rec.st = newAckState(p.dirtyQ, len(p.ackOrder), len(p.lastTheta))
 		// Straggler ACKs for an already-delivered (possibly retired)
 		// message open their state directly in compacted form.
 		rec.st.compacted = p.cfg.CompactDelivered && rec.delivered
@@ -752,7 +801,7 @@ func (p *Quiescent) checkDeliver(out *Step, rec *msgRec) {
 	}
 	theta := p.det.ATheta()
 	for _, pair := range theta {
-		if st.claims[pair.Label] >= pair.Number {
+		if st.claims.Value(pair.Label) >= pair.Number {
 			p.deliverOnce(out, rec)
 			// Delivery makes the message retirement-eligible: the next
 			// Tick must evaluate it even under unchanged views.
@@ -766,9 +815,9 @@ func (p *Quiescent) checkDeliver(out *Step, rec *msgRec) {
 		// passing (smallest claim deficit) — the accumulation curve the
 		// timeline and the stall explainer read.
 		best := theta[0]
-		bestHave := st.claims[best.Label]
+		bestHave := st.claims.Value(best.Label)
 		for _, pair := range theta[1:] {
-			have := st.claims[pair.Label]
+			have := st.claims.Value(pair.Label)
 			if pair.Number-have < best.Number-bestHave {
 				best, bestHave = pair, have
 			}
@@ -791,8 +840,8 @@ func (p *Quiescent) compactState(st *ackState) {
 	}
 	st.compacted = true
 	var last *setEntry
-	for _, acker := range st.ackerOrder {
-		v := st.byAcker[acker]
+	for i := 0; i < st.ackers.Len(); i++ {
+		v := st.ackers.At(i)
 		if v.entry != nil {
 			last = v.entry
 			continue
@@ -809,8 +858,9 @@ func (p *Quiescent) compactState(st *ackState) {
 }
 
 // retireReady evaluates the retirement guard (paper line 55, deviation
-// D3) for one delivered message against the current AP* view.
-func (p *Quiescent) retireReady(rec *msgRec, star fd.View) bool {
+// D3) for one delivered message against the current AP* view;
+// starLabels is that view's label set.
+func (p *Quiescent) retireReady(rec *msgRec, star fd.View, starLabels *ident.Set) bool {
 	st := rec.st
 	if !rec.delivered || st == nil { // line 56
 		return false
@@ -820,29 +870,18 @@ func (p *Quiescent) retireReady(rec *msgRec, star fd.View) bool {
 	}
 	// Every pair covered: claims[label] >= number.
 	for _, pair := range star {
-		if st.claims[pair.Label] < pair.Number {
+		if st.claims.Value(pair.Label) < pair.Number {
 			return false
 		}
 	}
 	// No acker still claims a label outside the AP* view (the paper's
 	// all_labels = {label | (label,-) ∈ a_p*} clause).
-	starLabels := star.Labels()
-	for _, acker := range st.ackerOrder {
-		if !st.byAcker[acker].labels.SubsetOf(starLabels) {
+	for i := 0; i < st.ackers.Len(); i++ {
+		if !st.ackers.At(i).labels.SubsetOf(starLabels) {
 			return false
 		}
 	}
 	return true
-}
-
-// liveLabels is the label set the D4 purge keeps: everything in either
-// current view.
-func liveLabels(theta, star fd.View) *ident.Set {
-	live := theta.Labels()
-	for _, pr := range star {
-		live.Add(pr.Label)
-	}
-	return live
 }
 
 // Tick is one pass of Task 1 (lines 52-61): retransmit every message
@@ -869,13 +908,15 @@ func (p *Quiescent) Tick() Step {
 	star := p.det.APStar()
 	theta := p.det.ATheta()
 	full := !p.viewsKnown || !theta.Equal(p.lastTheta) || !star.Equal(p.lastStar)
+	// The D4 purge keeps every label in either current view.
+	thetaLabels, starLabels := labelsOf(&p.thetaSet, theta), labelsOf(&p.starSet, star)
+	live := func(l ident.Tag) bool { return thetaLabels.Has(l) || starLabels.Has(l) }
 	if full {
 		p.lastTheta = append(p.lastTheta[:0], theta...)
 		p.lastStar = append(p.lastStar[:0], star...)
 		p.viewsKnown = true
-		live := liveLabels(theta, star)
 		for _, rec := range p.ackOrder {
-			rec.st.purge(&p.sets, live.Has)
+			rec.st.purge(&p.sets, live)
 		}
 		if p.cfg.CheckOnTick {
 			for _, rec := range p.ackOrder {
@@ -885,9 +926,8 @@ func (p *Quiescent) Tick() Step {
 		p.visited += uint64(len(p.ackOrder))
 	} else if q := *p.dirtyQ; len(q) > 0 {
 		slices.SortFunc(q, func(a, b *ackState) int { return cmp.Compare(a.pos, b.pos) })
-		live := liveLabels(theta, star)
 		for _, st := range q {
-			st.purge(&p.sets, live.Has)
+			st.purge(&p.sets, live)
 		}
 		if p.cfg.CheckOnTick {
 			for _, st := range q {
@@ -900,7 +940,7 @@ func (p *Quiescent) Tick() Step {
 	for _, rec := range p.tickRecs {
 		ready := false
 		if rec.delivered && (full || (rec.st != nil && rec.st.dirty)) {
-			ready = p.retireReady(rec, star)
+			ready = p.retireReady(rec, star, starLabels)
 		}
 		// The guard's outcome cannot change between the two retirement
 		// sites of one pass (line 54 sends mutate nothing it reads), so
@@ -939,11 +979,12 @@ func (p *Quiescent) Stats() Stats {
 	exclusive := 0
 	for _, rec := range p.ackOrder {
 		st := rec.st
-		out.AckEntries += st.ackers()
+		out.AckEntries += st.ackers.Len()
 		if st.compacted {
 			out.CompactedMsgs++
 		}
-		for _, v := range st.byAcker {
+		for i := 0; i < st.ackers.Len(); i++ {
+			v := st.ackers.At(i)
 			out.AckLabels += v.labels.Len()
 			if v.entry == nil {
 				exclusive += v.labels.Len()
@@ -966,7 +1007,7 @@ func (p *Quiescent) ackState(id wire.MsgID) *ackState {
 // Claims reports the current claim count for (id, label) — test hook.
 func (p *Quiescent) Claims(id wire.MsgID, label ident.Tag) int {
 	if st := p.ackState(id); st != nil {
-		return st.claims[label]
+		return st.claims.Value(label)
 	}
 	return 0
 }
@@ -974,7 +1015,7 @@ func (p *Quiescent) Claims(id wire.MsgID, label ident.Tag) int {
 // Ackers reports how many distinct tag_acks have been seen for id.
 func (p *Quiescent) Ackers(id wire.MsgID) int {
 	if st := p.ackState(id); st != nil {
-		return st.ackers()
+		return st.ackers.Len()
 	}
 	return 0
 }
@@ -1003,19 +1044,19 @@ func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
 	for _, pair := range p.det.ATheta() {
 		have := 0
 		if st != nil {
-			have = st.claims[pair.Label]
+			have = st.claims.Value(pair.Label)
 		}
 		ex.Gaps = append(ex.Gaps, obs.EvidenceGap{Label: pair.Label, Have: have, Need: pair.Number})
 	}
 	if st != nil {
-		ex.Ackers = st.ackers()
+		ex.Ackers = st.ackers.Len()
 		for _, tick := range st.reqTick {
 			if tick == p.ticks+1 {
 				ex.PendingResync++
 			}
 		}
-		for _, acker := range st.ackerOrder {
-			if !st.byAcker[acker].synced {
+		for i := 0; i < st.ackers.Len(); i++ {
+			if !st.ackers.At(i).synced {
 				ex.UnsyncedAckers++
 			}
 		}
@@ -1025,15 +1066,14 @@ func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
 		for _, pair := range star {
 			have := 0
 			if st != nil {
-				have = st.claims[pair.Label]
+				have = st.claims.Value(pair.Label)
 			}
 			ex.RetireGaps = append(ex.RetireGaps, obs.EvidenceGap{Label: pair.Label, Have: have, Need: pair.Number})
 		}
 		if st != nil && len(star) > 0 {
-			starLabels := star.Labels()
-			for _, acker := range st.ackerOrder {
-				for _, l := range st.byAcker[acker].labels.Slice() {
-					if !starLabels.Has(l) && !tagIn(ex.StrayLabels, l) {
+			for i := 0; i < st.ackers.Len(); i++ {
+				for _, l := range st.ackers.At(i).labels.Slice() {
+					if !star.Has(l) && !tagIn(ex.StrayLabels, l) {
 						ex.StrayLabels = append(ex.StrayLabels, l)
 					}
 				}

@@ -397,7 +397,7 @@ func TestQuiescentStatsShape(t *testing.T) {
 
 // TestQuiescentPurgeDropsDeadAckers: the D4 purge must delete acker
 // entries whose entire label set belonged to crashed processes — not
-// just empty their sets — so byAcker/ackerOrder stop growing and
+// just empty their sets — so the acker table stops growing and
 // retireReady stops scanning dead ackers forever. Retirement must still
 // hold afterwards.
 func TestQuiescentPurgeDropsDeadAckers(t *testing.T) {
@@ -474,10 +474,10 @@ func TestQuiescentClaimsMapDoesNotLeakDeadLabels(t *testing.T) {
 	}
 	p.Tick() // purge: every stale label dies; ackers keep {lbl(1)}
 	st := p.ackState(id)
-	if len(st.claims) != 1 {
-		t.Fatalf("claims map holds %d keys after purge, want 1 (dead labels leaked)", len(st.claims))
+	if st.claims.Len() != 1 {
+		t.Fatalf("claim table holds %d keys after purge, want 1 (dead labels leaked)", st.claims.Len())
 	}
-	if st.claims[lbl(1)] != 64 {
-		t.Fatalf("live label count corrupted: %d", st.claims[lbl(1)])
+	if st.claims.Value(lbl(1)) != 64 {
+		t.Fatalf("live label count corrupted: %d", st.claims.Value(lbl(1)))
 	}
 }

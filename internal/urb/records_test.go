@@ -66,7 +66,48 @@ func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) er
 	return nil
 }
 
-// checkProcRecords applies checkRecords to any of the three stacks.
+// claimMap flattens the claim counters for comparison.
+func (a *ackState) claimMap() map[ident.Tag]int {
+	m := make(map[ident.Tag]int, a.claims.Len())
+	for i, l := range a.claims.Keys() {
+		m[l] = *a.claims.At(i)
+	}
+	return m
+}
+
+// checkTables verifies one message's label tables: no tag_ack is listed
+// twice, every view has a label set (the interned one, if it is shared),
+// and the claim counters are exactly the recount from the views — one
+// entry per claimed label, none for an unclaimed one.
+func (a *ackState) checkTables() error {
+	recount := make(map[ident.Tag]int)
+	seen := make(map[ident.Tag]bool, a.ackers.Len())
+	for i, acker := range a.ackers.Keys() {
+		if seen[acker] {
+			return fmt.Errorf("acker %v listed twice", acker)
+		}
+		seen[acker] = true
+		v := a.ackers.At(i)
+		if v.labels == nil || (v.entry != nil && v.entry.labels != v.labels) {
+			return fmt.Errorf("acker %v: label set %p, interned entry %+v", acker, v.labels, v.entry)
+		}
+		for _, l := range v.labels.Slice() {
+			recount[l]++
+		}
+	}
+	if a.claims.Len() != len(recount) {
+		return fmt.Errorf("claim table lists %d labels (%v), the views claim %d", a.claims.Len(), a.claims.Keys(), len(recount))
+	}
+	for l, want := range recount {
+		if got := a.claims.Value(l); got != want {
+			return fmt.Errorf("claims[%v] = %d, the views claim it %d times", l, got, want)
+		}
+	}
+	return nil
+}
+
+// checkProcRecords applies checkRecords to any of the three stacks, and
+// checkTables to every ACK state of Algorithm 2.
 func checkProcRecords(t testing.TB, p Process) {
 	t.Helper()
 	var err error
@@ -75,6 +116,14 @@ func checkProcRecords(t testing.TB, p Process) {
 		err = p.checkRecords(p.ackOrder, func(r *msgRec) bool { return r.acks != nil })
 	case *Quiescent:
 		err = p.checkRecords(p.ackOrder, func(r *msgRec) bool { return r.st != nil })
+		for _, rec := range p.ackOrder {
+			if err != nil {
+				break
+			}
+			if err = rec.st.checkTables(); err != nil {
+				err = fmt.Errorf("%v: %w", rec.id, err)
+			}
+		}
 	case *HeartbeatHost:
 		checkProcRecords(t, p.inner)
 	default:

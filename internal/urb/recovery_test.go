@@ -244,11 +244,7 @@ func (c *recCluster) drain(t *testing.T, name string) {
 func claimsByLabel(p *Quiescent) map[string]map[ident.Tag]int {
 	out := make(map[string]map[ident.Tag]int)
 	for _, rec := range p.ackOrder {
-		m := make(map[ident.Tag]int, len(rec.st.claims))
-		for l, cnt := range rec.st.claims {
-			m[l] = cnt
-		}
-		out[rec.id.Body] = m
+		out[rec.id.Body] = rec.st.claimMap()
 	}
 	return out
 }

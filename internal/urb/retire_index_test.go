@@ -19,8 +19,9 @@ import (
 // checkDirtyIndex verifies the index's structural invariant on p: every
 // tracked state sits at its recorded ackOrder position and points at
 // the process's queue, a state is dirty iff it is queued exactly once,
-// and the queue holds nothing else. afterTick additionally requires the
-// queue to be empty (a Tick drains it).
+// and the queue holds nothing else; every state's label tables are
+// consistent (checkTables). afterTick additionally requires the queue to
+// be empty (a Tick drains it).
 func checkDirtyIndex(t testing.TB, p *Quiescent, afterTick bool) {
 	t.Helper()
 	queued := make(map[*ackState]int, len(*p.dirtyQ))
@@ -39,6 +40,9 @@ func checkDirtyIndex(t testing.TB, p *Quiescent, afterTick bool) {
 			t.Fatalf("index: ackOrder[%d] dirty=%v but queued %d times", i, st.dirty, n)
 		}
 		delete(queued, st)
+		if err := st.checkTables(); err != nil {
+			t.Fatalf("index: ackOrder[%d]: %v", i, err)
+		}
 	}
 	if len(queued) != 0 {
 		t.Fatalf("index: %d queued states are not tracked", len(queued))

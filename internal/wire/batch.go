@@ -11,8 +11,6 @@ package wire
 
 import (
 	"sync/atomic"
-
-	"anonurb/internal/ident"
 )
 
 // DefaultEncodeCacheSize is the entry bound EncodeCache uses when built
@@ -95,12 +93,11 @@ func DecodeBatch(frame []byte) ([]Message, error) {
 // owner encodes.
 type EncodeCache struct {
 	capacity int
-	// entries is keyed tag-first, then body: indexing the inner map
-	// with string(m.Body) lets the compiler elide the string conversion
-	// on lookups, so a cache hit — the per-tick steady-state path —
-	// allocates nothing.
-	entries map[ident.Tag]map[string][]byte
-	count   int
+	// entries is one flat map. Lookups index it with a MsgID literal
+	// whose Body is string(m.Body) written in the index expression, which
+	// lets the compiler elide the string conversion, so a cache hit — the
+	// per-tick steady-state path — allocates nothing.
+	entries map[MsgID][]byte
 	// order is a FIFO of cached ids; head indexes the oldest live entry
 	// (the slice is compacted when the dead prefix grows large). Every
 	// slot is live when popped: entries are unique and removed only by
@@ -119,7 +116,7 @@ func NewEncodeCache(capacity int) *EncodeCache {
 	}
 	return &EncodeCache{
 		capacity: capacity,
-		entries:  make(map[ident.Tag]map[string][]byte, capacity),
+		entries:  make(map[MsgID][]byte, capacity),
 	}
 }
 
@@ -131,23 +128,18 @@ func (c *EncodeCache) AppendEncoded(dst []byte, m Message) []byte {
 	if m.Kind != KindMsg {
 		return m.Encode(dst)
 	}
-	if enc, ok := c.entries[m.Tag][string(m.Body)]; ok {
+	if enc, ok := c.entries[MsgID{Tag: m.Tag, Body: string(m.Body)}]; ok {
 		c.hits.Add(1)
 		return append(dst, enc...)
 	}
 	c.misses.Add(1)
 	enc := m.Encode(make([]byte, 0, m.EncodedSize()))
-	if c.count >= c.capacity {
+	if len(c.entries) >= c.capacity {
 		c.evictOldest()
 	}
-	byBody, ok := c.entries[m.Tag]
-	if !ok {
-		byBody = make(map[string][]byte, 1)
-		c.entries[m.Tag] = byBody
-	}
-	byBody[string(m.Body)] = enc
-	c.count++
-	c.order = append(c.order, m.ID())
+	id := m.ID()
+	c.entries[id] = enc
+	c.order = append(c.order, id)
 	return append(dst, enc...)
 }
 
@@ -156,17 +148,8 @@ func (c *EncodeCache) evictOldest() {
 	if c.head >= len(c.order) {
 		return
 	}
-	id := c.order[c.head]
+	delete(c.entries, c.order[c.head])
 	c.head++
-	if byBody, ok := c.entries[id.Tag]; ok {
-		if _, ok := byBody[id.Body]; ok {
-			delete(byBody, id.Body)
-			c.count--
-			if len(byBody) == 0 {
-				delete(c.entries, id.Tag)
-			}
-		}
-	}
 	// Compact the consumed prefix once it dominates the slice.
 	if c.head > len(c.order)/2 && c.head > 64 {
 		c.order = append(c.order[:0], c.order[c.head:]...)
@@ -175,7 +158,7 @@ func (c *EncodeCache) evictOldest() {
 }
 
 // Len reports the number of cached encodings.
-func (c *EncodeCache) Len() int { return c.count }
+func (c *EncodeCache) Len() int { return len(c.entries) }
 
 // Stats reports (cache hits, cache misses) so far. Safe to call
 // concurrently with the owner's AppendEncoded.

@@ -137,6 +137,12 @@ func TestEncodeCache(t *testing.T) {
 	if buf[0] != 0x42 || !bytes.Equal(buf[1:], m2.Encode(nil)) {
 		t.Fatal("AppendEncoded does not extend dst correctly")
 	}
+
+	// A hit into a buffer with room allocates nothing: in particular no
+	// string for the lookup key's body.
+	if got := testing.AllocsPerRun(100, func() { buf = c.AppendEncoded(buf[:0], m2) }); got != 0 {
+		t.Fatalf("cache hit allocates %v, want 0", got)
+	}
 }
 
 // TestEncodeCacheChurn: sustained churn far beyond capacity keeps the
