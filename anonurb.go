@@ -396,10 +396,6 @@ func ServeDebug(addr string, tracers []*Tracer, m *NodeMetrics) (*DebugServer, e
 // message. Receiving handles batch frames in both modes.
 func WithBatching(enabled bool) NodeOption { return node.WithBatching(enabled) }
 
-// WithEncodeCacheSize bounds the node's per-message encode cache, which
-// serves the byte-identical MSG frames Task 1 retransmits every tick.
-func WithEncodeCacheSize(entries int) NodeOption { return node.WithEncodeCacheSize(entries) }
-
 // Flow-fairness admission (internal/admit, DESIGN.md §11).
 type (
 	// AdmitConfig parameterises a node's admission stage: per-flow fair

@@ -7,7 +7,7 @@ import (
 )
 
 // Determinism enforces the repo's replay contract (DESIGN.md §5, §12):
-// the deterministic packages — urb, sim, replay, wire, xrand — are pure
+// the deterministic packages — urb, host, sim, replay, wire, xrand — are pure
 // functions of their inputs, so equivalence tests and the record/replay
 // digest can compare runs bit-for-bit. Three rules:
 //
@@ -31,7 +31,7 @@ var Determinism = &Analyzer{
 
 // strictPkgs are the packages whose outputs must be bit-reproducible.
 var strictPkgs = map[string]bool{
-	"urb": true, "sim": true, "replay": true, "wire": true, "xrand": true,
+	"urb": true, "host": true, "sim": true, "replay": true, "wire": true, "xrand": true,
 }
 
 // wallclockPkgs additionally ban unannotated clock use: they touch real

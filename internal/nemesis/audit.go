@@ -2,6 +2,7 @@ package nemesis
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"anonurb/internal/obs"
@@ -54,6 +55,95 @@ type Audit struct {
 	// Stalls lists every missing (process, message) pair with blame and
 	// explanation.
 	Stalls []Stall
+}
+
+// ledger is what a runner records of one campaign run, in the shape the
+// auditor needs; RunSim fills it from a finished sim.Result, RunLive
+// from a live cluster at one instant.
+type ledger struct {
+	// procs is the number of process slots; end is when the run stopped,
+	// in campaign units.
+	procs int
+	end   int64
+	// issued maps every URB-broadcast message to its broadcast time and
+	// origin to its broadcaster.
+	issued map[wire.MsgID]int64
+	origin map[wire.MsgID]int
+	// gone marks processes that crashed for good or left.
+	gone map[int]bool
+	// pending lists scheduled joiners whose transfer never completed.
+	pending []int
+	// counts[p][id] is how many times process p delivered id.
+	counts map[int]map[wire.MsgID]int
+	// held reports that p holds id without a delivery event in counts:
+	// history adopted at a join, or restored by a recovery.
+	held func(p int, id wire.MsgID) bool
+	// explain is p's own account of what id still lacks, false when p
+	// exposes no explainer.
+	explain func(p int, id wire.MsgID) (obs.Explanation, bool)
+}
+
+// audit checks uniform agreement, join completion and re-delivery over
+// a ledger, attributing every stall to the stage in force when the
+// message was born.
+func audit(c Campaign, l ledger) Audit {
+	heal := c.HealTime()
+	a := Audit{Campaign: c.Name, HealTime: heal, Deadline: c.HealDeadline,
+		EndTime: l.end, HealLatency: -1, PendingJoins: append([]int(nil), l.pending...)}
+	sort.Ints(a.PendingJoins)
+	pending := make(map[int]bool, len(l.pending))
+	for _, p := range l.pending {
+		pending[p] = true
+	}
+
+	// obliged is the agreement set: messages broadcast by processes still
+	// standing, plus messages anybody delivered (uniformity). A departed
+	// sender's message nobody delivered may legally vanish.
+	obliged := make(map[wire.MsgID]bool)
+	for id, p := range l.origin {
+		if !l.gone[p] {
+			obliged[id] = true
+		}
+	}
+	for _, m := range l.counts {
+		for id, n := range m {
+			if n > 1 {
+				a.Redelivered += n - 1
+			}
+			if _, ok := l.issued[id]; ok && n > 0 {
+				obliged[id] = true
+			}
+		}
+	}
+
+	for p := 0; p < l.procs; p++ {
+		if l.gone[p] || pending[p] {
+			continue
+		}
+		a.Survivors++
+		for id := range obliged {
+			if l.counts[p][id] > 0 || l.held(p, id) {
+				continue
+			}
+			st := Stall{Proc: p, ID: id, Born: l.issued[id], Stage: c.Blame(l.issued[id])}
+			st.Explanation, st.HasExplanation = l.explain(p, id)
+			a.Stalls = append(a.Stalls, st)
+		}
+	}
+	sort.Slice(a.Stalls, func(i, j int) bool {
+		if a.Stalls[i].Proc != a.Stalls[j].Proc {
+			return a.Stalls[i].Proc < a.Stalls[j].Proc
+		}
+		return a.Stalls[i].Born < a.Stalls[j].Born
+	})
+	a.Agreement = len(a.Stalls) == 0 && len(a.PendingJoins) == 0
+	if a.Agreement {
+		a.HealLatency = l.end - heal
+		if a.HealLatency < 0 {
+			a.HealLatency = 0
+		}
+	}
+	return a
 }
 
 // OK reports whether the campaign passed every hard gate: agreement

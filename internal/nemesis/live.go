@@ -8,6 +8,7 @@ import (
 
 	"anonurb/internal/channel"
 	"anonurb/internal/liverun"
+	"anonurb/internal/obs"
 	"anonurb/internal/store"
 	"anonurb/internal/wire"
 )
@@ -117,18 +118,18 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 		}
 	}
 
-	// The delivery ledger: per-proc receipt counts, under one lock.
+	// Per-proc receipt counts, under one lock.
 	var (
 		mu     sync.Mutex
-		ledger = map[int]map[wire.MsgID]int{}
+		counts = map[int]map[wire.MsgID]int{}
 	)
 	base := cfg.OnDeliver
 	cfg.OnDeliver = func(d liverun.Delivery) {
 		mu.Lock()
-		if ledger[d.Proc] == nil {
-			ledger[d.Proc] = map[wire.MsgID]int{}
+		if counts[d.Proc] == nil {
+			counts[d.Proc] = map[wire.MsgID]int{}
 		}
-		ledger[d.Proc][d.ID]++
+		counts[d.Proc][d.ID]++
 		mu.Unlock()
 		if base != nil {
 			base(d)
@@ -141,13 +142,12 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 
 	// Campaign bookkeeping the auditor needs.
 	var (
-		left      = map[int]bool{} // gone for good: left, or crashed with no recovery
-		joined    = map[int]bool{} // join completed
-		joinFail  = map[int]bool{}
+		left      = map[int]bool{}   // gone for good: left, or crashed with no recovery
+		joinFail  []int              // scheduled joins that did not complete
 		corrupted = map[int]func(){} // armed snapcorrupt: proc → clear-and-note
 		issued    = map[wire.MsgID]int64{}
 		origin    = map[wire.MsgID]int{}
-		preCrash  = map[int]map[wire.MsgID]int{} // ledger counts at crash instant
+		preCrash  = map[int]map[wire.MsgID]int{} // receipt counts at crash instant
 	)
 
 	// reconcileTorn applies the write-ahead reconciliation (the live
@@ -167,13 +167,13 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 				continue
 			}
 			mu.Lock()
-			now := ledger[p][id]
+			now := counts[p][id]
 			// Not in the restored state: the tail record tore. If the
 			// node already re-delivered (now > pre), the extra receipt is
 			// the one true exposure; either way one pre-crash count goes.
 			if !ex.Delivered || now > pre {
-				if ledger[p][id]--; ledger[p][id] == 0 {
-					delete(ledger[p], id)
+				if counts[p][id]--; counts[p][id] == 0 {
+					delete(counts[p], id)
 				}
 			}
 			mu.Unlock()
@@ -206,8 +206,8 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 					cl.Crash(p)
 					if recovers {
 						mu.Lock()
-						snap := make(map[wire.MsgID]int, len(ledger[p]))
-						for id, n := range ledger[p] {
+						snap := make(map[wire.MsgID]int, len(counts[p]))
+						for id, n := range counts[p] {
 							snap[id] = n
 						}
 						preCrash[p] = snap
@@ -240,14 +240,10 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 				p := p
 				events = append(events, liveEvent{at: s.From, order: i, run: func() {
 					if p != cl.N() {
-						joinFail[p] = true
-						return
+						joinFail = append(joinFail, p)
+					} else if _, err := cl.Join(nil); err != nil {
+						joinFail = append(joinFail, p)
 					}
-					if _, err := cl.Join(nil); err != nil {
-						joinFail[p] = true
-						return
-					}
-					joined[p] = true
 				}})
 			}
 		case StageLeave:
@@ -310,106 +306,43 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 	// past the nominal heal time; the heal phase starts now regardless.
 	healWall := time.Now()
 
-	a := Audit{Campaign: c.Name, HealTime: heal, Deadline: c.HealDeadline, HealLatency: -1}
-	for p := range joinFail {
-		a.PendingJoins = append(a.PendingJoins, p)
-	}
-	sort.Ints(a.PendingJoins)
-
-	// survivors are every proc held to the agreement obligation.
-	var survivors []int
-	for p := 0; p < cl.N(); p++ {
-		if left[p] || joinFail[p] {
-			continue
-		}
-		if p >= lr.Config.N && !joined[p] {
-			continue
-		}
-		survivors = append(survivors, p)
-	}
-	a.Survivors = len(survivors)
-
-	// check returns the missing (proc, id) pairs and the re-delivery
-	// count right now. A message counts as held by a proc when the
-	// ledger saw a delivery or the proc's explainer reports it
-	// delivered (which covers adopted join history and
+	// The auditor's ledger of the cluster right now. A message counts as
+	// held by a proc when it saw a delivery or the proc's explainer
+	// reports it delivered (which covers adopted join history and
 	// recovery-restored state).
-	check := func(explain bool) (missing []Stall, redelivered int) {
+	explain := func(p int, id wire.MsgID) (obs.Explanation, bool) {
+		ex, err := cl.Explain(p, id)
+		return ex, err == nil
+	}
+	held := func(p int, id wire.MsgID) bool {
+		ex, ok := explain(p, id)
+		return ok && ex.Delivered
+	}
+	snapshot := func() ledger {
+		l := ledger{procs: cl.N(), end: heal + int64(time.Since(healWall)/cfg.Unit),
+			issued: issued, origin: origin, gone: left, pending: joinFail,
+			counts: make(map[int]map[wire.MsgID]int, len(counts)),
+			held:   held, explain: explain}
 		mu.Lock()
-		counts := make(map[int]map[wire.MsgID]int, len(ledger))
-		for p, m := range ledger {
+		for p, m := range counts {
 			cp := make(map[wire.MsgID]int, len(m))
 			for id, n := range m {
 				cp[id] = n
 			}
-			counts[p] = cp
+			l.counts[p] = cp
 		}
 		mu.Unlock()
-		for _, m := range counts {
-			for _, n := range m {
-				if n > 1 {
-					redelivered += n - 1
-				}
-			}
-		}
-		// The agreement set: messages issued by procs still standing,
-		// plus anything anybody delivered (uniformity). A departed
-		// proc's message nobody delivered may legally vanish.
-		obliged := map[wire.MsgID]bool{}
-		for id, p := range origin {
-			if !left[p] {
-				obliged[id] = true
-			}
-		}
-		for _, m := range counts {
-			for id, n := range m {
-				if n > 0 {
-					if _, ok := issued[id]; ok {
-						obliged[id] = true
-					}
-				}
-			}
-		}
-		for _, p := range survivors {
-			for id := range obliged {
-				if counts[p][id] > 0 {
-					continue
-				}
-				ex, err := cl.Explain(p, id)
-				if err == nil && ex.Delivered {
-					continue
-				}
-				st := Stall{Proc: p, ID: id, Born: issued[id], Stage: c.Blame(issued[id])}
-				if explain && err == nil {
-					st.Explanation = ex
-					st.HasExplanation = true
-				}
-				missing = append(missing, st)
-			}
-		}
-		return missing, redelivered
+		return l
 	}
 
 	deadline := healWall.Add(time.Duration(c.HealDeadline) * cfg.Unit)
 	for {
-		missing, redelivered := check(false)
-		if len(missing) == 0 {
-			a.Agreement = len(a.PendingJoins) == 0
-			a.Redelivered = redelivered
-			a.HealLatency = int64(time.Since(healWall) / cfg.Unit)
-			a.EndTime = heal + a.HealLatency
-			break
-		}
-		if time.Now().After(deadline) {
-			stalls, redeliv := check(true)
-			a.Stalls, a.Redelivered = stalls, redeliv
-			a.EndTime = heal + int64(time.Since(healWall)/cfg.Unit)
+		res.Audit = audit(c, snapshot())
+		if len(res.Audit.Stalls) == 0 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(cfg.Unit * 10)
 	}
-
-	res.Audit = a
 	res.Link = cl.LinkStats()
 	return res, nil
 }

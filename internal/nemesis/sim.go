@@ -2,7 +2,6 @@ package nemesis
 
 import (
 	"fmt"
-	"sort"
 
 	"anonurb/internal/obs"
 	"anonurb/internal/sim"
@@ -105,7 +104,7 @@ func RunSim(base sim.Config, c Campaign) (*SimResult, error) {
 
 	e := sim.NewEngine(cfg)
 	res := e.Run()
-	return &SimResult{Result: res, Audit: auditSim(c, cfg, e, res, heal)}, nil
+	return &SimResult{Result: res, Audit: audit(c, simLedger(cfg, e, res))}, nil
 }
 
 func ensureTimes(base []sim.Time, n int, fill sim.Time) []sim.Time {
@@ -130,72 +129,34 @@ func lastBroadcast(bs []sim.ScheduledBroadcast) sim.Time {
 	return last
 }
 
-// auditSim checks uniform agreement, join completion and re-delivery
-// over a finished simulator run, attributing every stall to the stage
-// in force when the message was born.
-func auditSim(c Campaign, cfg sim.Config, e *sim.Engine, res sim.Result, heal int64) Audit {
-	a := Audit{Campaign: c.Name, HealTime: heal, Deadline: c.HealDeadline,
-		EndTime: res.EndTime, HealLatency: -1}
-
-	// born maps every issued message to its broadcast time; obliged is
-	// the agreement set: messages broadcast by correct (surviving or
-	// recovered) processes, plus messages anybody delivered. A faulty
-	// sender's message nobody delivered may legally vanish.
-	born := make(map[wire.MsgID]int64, len(res.Broadcasts))
-	obliged := make(map[wire.MsgID]bool)
-	for _, b := range res.Broadcasts {
-		born[b.ID] = b.At
-		if !res.Crashed[b.Proc] {
-			obliged[b.ID] = true
-		}
-	}
-	got := make([]map[wire.MsgID]bool, cfg.N)
-	for p, ds := range res.Deliveries {
-		got[p] = make(map[wire.MsgID]bool, len(ds))
-		for _, d := range ds {
-			if got[p][d.ID] {
-				a.Redelivered++
-			}
-			got[p][d.ID] = true
-			if _, issued := born[d.ID]; issued {
-				obliged[d.ID] = true
-			}
-		}
-	}
-
-	for p := 0; p < cfg.N; p++ {
-		if res.Crashed[p] {
-			continue
-		}
-		if cfg.JoinAt[p] > 0 && res.JoinedAt[p] == sim.Never {
-			a.PendingJoins = append(a.PendingJoins, p)
-			continue
-		}
-		a.Survivors++
-		for id := range obliged {
-			if got[p][id] || (res.Adopted[p] != nil && res.Adopted[p][id]) {
-				continue
-			}
-			st := Stall{Proc: p, ID: id, Born: born[id], Stage: c.Blame(born[id])}
+// simLedger reads the auditor's ledger off a finished simulator run.
+func simLedger(cfg sim.Config, e *sim.Engine, res sim.Result) ledger {
+	l := ledger{procs: cfg.N, end: res.EndTime,
+		issued: make(map[wire.MsgID]int64, len(res.Broadcasts)),
+		origin: make(map[wire.MsgID]int, len(res.Broadcasts)),
+		gone:   make(map[int]bool),
+		counts: make(map[int]map[wire.MsgID]int, cfg.N),
+		held:   func(p int, id wire.MsgID) bool { return res.Adopted[p][id] },
+		explain: func(p int, id wire.MsgID) (obs.Explanation, bool) {
 			if ex, ok := e.Process(p).(obs.Explainer); ok {
-				st.Explanation = ex.Explain(id)
-				st.HasExplanation = true
+				return ex.Explain(id), true
 			}
-			a.Stalls = append(a.Stalls, st)
+			return obs.Explanation{}, false
+		},
+	}
+	for _, b := range res.Broadcasts {
+		l.issued[b.ID] = b.At
+		l.origin[b.ID] = b.Proc
+	}
+	for p, ds := range res.Deliveries {
+		l.gone[p] = res.Crashed[p]
+		if !res.Crashed[p] && cfg.JoinAt[p] > 0 && res.JoinedAt[p] == sim.Never {
+			l.pending = append(l.pending, p)
+		}
+		l.counts[p] = make(map[wire.MsgID]int, len(ds))
+		for _, d := range ds {
+			l.counts[p][d.ID]++
 		}
 	}
-	sort.Slice(a.Stalls, func(i, j int) bool {
-		if a.Stalls[i].Proc != a.Stalls[j].Proc {
-			return a.Stalls[i].Proc < a.Stalls[j].Proc
-		}
-		return a.Stalls[i].Born < a.Stalls[j].Born
-	})
-	a.Agreement = len(a.Stalls) == 0 && len(a.PendingJoins) == 0
-	if a.Agreement {
-		a.HealLatency = res.EndTime - heal
-		if a.HealLatency < 0 {
-			a.HealLatency = 0
-		}
-	}
-	return a
+	return l
 }

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"anonurb/internal/host"
 	"anonurb/internal/obs"
-	"anonurb/internal/snapxfer"
 	"anonurb/internal/store"
 	"anonurb/internal/transport"
 	"anonurb/internal/urb"
@@ -15,25 +15,14 @@ import (
 	"anonurb/internal/xrand"
 )
 
-// This file is the node half of the join protocol (DESIGN.md §13).
-//
-// Donor side: every running node whose process can snapshot answers
-// SNAPREQ solicitations by chunking its current state over the wire
-// (serveSnap, called from the receive loop). Joiner side: Join performs
-// the pull-based transfer synchronously — before the algorithm goes
-// live — then restores the donor state through the same path Recover
-// uses and converts it to joiner state with urb.Joiner.Adopt.
+// This file is the live driver of the join protocol (DESIGN.md §13). The
+// protocol — joiner and donor side — is internal/host; here is what only
+// a live joiner has: a context, a transport to read frames from, a
+// ticker, and the jittered back-off between donors.
 
 // ErrStaleSnapshot rejects a donor snapshot whose delta-stream
-// incarnation is below the joiner's floor (WithJoinFloor): state older
-// than what the joiner has already held is a replay of superseded
-// history, not a bootstrap.
-var ErrStaleSnapshot = errors.New("node: donor snapshot below the joiner's incarnation floor")
-
-// snapServeWindow is how many chunks a donor answers per SNAPREQ. The
-// joiner re-requests at its own cadence, so the window bounds burst
-// size, not throughput.
-const snapServeWindow = 8
+// incarnation is below the joiner's floor (WithJoinFloor).
+var ErrStaleSnapshot = host.ErrStaleSnapshot
 
 // joinBackoffCap bounds the exponential stall-timeout growth at this
 // multiple of the base timeout.
@@ -63,7 +52,7 @@ func joinBackoff(base time.Duration, attempt int, rng *xrand.Source) time.Durati
 }
 
 // WithJoinFrom hands Join an already-obtained snapshot container (the
-// store.EncodeSnapshotFile framing, e.g. copied out-of-band from a
+// internal/store snapshot-file framing, e.g. copied out-of-band from a
 // peer's store) instead of soliciting one over the transport. The
 // container still passes the full verification gate.
 func WithJoinFrom(container []byte) Option {
@@ -103,53 +92,36 @@ func WithJoinTimeout(d time.Duration) Option {
 // proc must be freshly constructed (its own seed, stream position
 // zero) and implement urb.Joiner; both paper algorithms and the
 // heartbeat host do. st, when non-nil, makes the joiner durable exactly
-// as WithStore does, with the adopted state checkpointed as its
-// baseline. ctx bounds the transfer; the returned node is not started.
+// as WithStore does (which it overrides), with the adopted state
+// checkpointed as its baseline. ctx bounds the transfer; the returned
+// node is not started. It is built last, after the transfer and all
+// store work: on error no node exists, nothing was started, and tr is
+// still the caller's.
 func Join(ctx context.Context, proc urb.Process, st store.Store, tr transport.Transport, opts ...Option) (*Node, error) {
-	j, ok := proc.(urb.Joiner)
-	if !ok {
+	if _, ok := proc.(urb.Joiner); !ok {
 		return nil, fmt.Errorf("node: %T does not implement urb.Joiner", proc)
 	}
-	o := options{tickEvery: 10 * time.Millisecond, joinTimeout: 500 * time.Millisecond}
-	for _, f := range opts {
-		f(&o)
-	}
+	o := parse(opts)
 	container := o.joinFrom
 	if container == nil {
 		var err error
-		container, err = fetchSnapshot(ctx, tr, o)
-		if err != nil {
+		if container, err = pullSnapshot(ctx, tr, o); err != nil {
 			return nil, err
 		}
-	} else if err := vetContainer(container, o.joinFloor); err != nil {
+	} else if err := host.Vet(container, o.joinFloor); err != nil {
 		return nil, fmt.Errorf("node: join: %w", err)
 	}
-	payload, err := store.ParseSnapshotFile(container)
+	baseline, err := host.Adopt(proc, st, container)
 	if err != nil {
-		return nil, fmt.Errorf("node: join: %w", err)
+		return nil, err
 	}
-	if err := j.Restore(payload); err != nil {
-		return nil, fmt.Errorf("node: join restore: %w", err)
-	}
-	j.Adopt()
 	// SNAP_DONE on the joiner's tracer: the container is verified,
 	// restored and adopted — the bootstrap transfer is complete.
 	o.tracer.Snap(obs.EvSnapDone, len(container), len(container))
-	nodeOpts := opts
+	o.store = st
+	n := build(proc, tr, o)
 	if st != nil {
-		nodeOpts = append(append([]Option(nil), opts...), WithStore(st), withRecovered())
-	}
-	n := New(proc, tr, nodeOpts...)
-	if st != nil {
-		// The adopted state becomes the joiner's baseline checkpoint: a
-		// crash right after the join recovers to post-adopt state and
-		// must not re-run the adoption.
-		fresh := j.Snapshot()
-		if err := st.SaveSnapshot(fresh); err != nil {
-			return nil, fmt.Errorf("node: join checkpoint: %w", err)
-		}
-		n.checkpoints.Add(1)
-		n.checkpointBytes.Add(uint64(len(fresh)))
+		n.countCheckpoint(baseline)
 	}
 	n.joinedBytes = len(container)
 	return n, nil
@@ -160,123 +132,47 @@ func Join(ctx context.Context, proc urb.Process, st store.Store, tr transport.Tr
 // protocol's catch-up cost, before post-join deltas.
 func (n *Node) JoinedBytes() int { return n.joinedBytes }
 
-// fetchSnapshot runs the joiner's half of the transfer: solicit, offer
-// every arriving chunk to the assembler, re-request the lowest gap at
-// the request cadence, abandon a stalled transfer (dead donor) and
-// re-solicit, and reject assembled containers that fail verification —
-// remembering their refs so a bad donor cannot be retried forever.
-func fetchSnapshot(ctx context.Context, tr transport.Transport, o options) ([]byte, error) {
-	asm := snapxfer.NewAssembler()
-	rejected := make(map[uint64]bool)
+// pullSnapshot drives a host.Joiner over tr until a container passes
+// its gate: every decoded message is offered to it, its request goes
+// out on the tick cadence (the same pacing Task-1 gives
+// retransmissions), and its patience with each donor follows the
+// joinBackoff schedule, the base being the configured join timeout.
+func pullSnapshot(ctx context.Context, tr transport.Transport, o options) ([]byte, error) {
+	start := time.Now()
+	now := func() int64 { return int64(time.Since(start)) }
+	rng := xrand.SplitLabeled(o.seed, "join-backoff")
+	j := host.NewJoiner(0, o.joinFloor, func(attempt int) int64 {
+		return int64(joinBackoff(o.joinTimeout, attempt, rng))
+	})
 	send := func(m wire.Message) { tr.Send(m.Encode(nil)) }
-	send(asm.Request())
-	// Re-request on the tick cadence: the same pacing Task-1 gives
-	// retransmissions.
+	send(j.Request(0))
 	req := time.NewTicker(o.tickEvery)
 	defer req.Stop()
-	// Stall detection backs off exponentially with deterministic jitter
-	// (joinBackoff): the base is the configured join timeout, and every
-	// abandonment doubles the patience for the next donor.
-	backoffRng := xrand.SplitLabeled(o.seed, "join-backoff")
-	resolicits := 0
-	stallAfter := joinBackoff(o.joinTimeout, resolicits, backoffRng)
-	lastProgress := time.Now()
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("node: join: %w after %d/%d bytes", ctx.Err(), asm.Received(), asm.Total())
+			received, total := j.Progress()
+			return nil, fmt.Errorf("node: join: %w after %d/%d bytes", ctx.Err(), received, total)
 		case frame, ok := <-tr.Receive():
 			if !ok {
 				return nil, errors.New("node: join: transport closed")
 			}
-			rest := frame
-			for len(rest) > 0 {
+			for rest := frame; len(rest) > 0; {
 				m, next, err := wire.DecodePrefix(rest)
 				if err != nil {
 					break // garbled tail: the lossy channel could have eaten it
 				}
 				rest = next
-				if m.Kind != wire.KindSnapChunk || rejected[m.Ref] {
-					continue
+				container, resolicit := j.Offer(m, now())
+				if container != nil {
+					return container, nil
 				}
-				if asm.Offer(m) {
-					lastProgress = time.Now()
+				if resolicit {
+					send(j.Request(now()))
 				}
 			}
-			if !asm.Done() {
-				continue
-			}
-			container := asm.Bytes()
-			if err := vetContainer(container, o.joinFloor); err != nil {
-				// Loud locally, silent on the wire: remember the ref so
-				// this donor's snapshot is never reassembled, and solicit
-				// a fresh transfer from someone else.
-				rejected[asm.Ref()] = true
-				asm.Reset()
-				lastProgress = time.Now()
-				send(asm.Request())
-				continue
-			}
-			return container, nil
 		case <-req.C:
-			if asm.Ref() != 0 && time.Since(lastProgress) >= stallAfter {
-				// The donor went silent mid-transfer: abandon its ref and
-				// solicit afresh — any other peer may answer. Each
-				// abandonment escalates the backoff schedule.
-				asm.Reset()
-				lastProgress = time.Now()
-				resolicits++
-				stallAfter = joinBackoff(o.joinTimeout, resolicits, backoffRng)
-			}
-			send(asm.Request())
+			send(j.Request(now()))
 		}
 	}
-}
-
-// vetContainer is the joiner's verification gate: container framing and
-// CRC, the full snapshot round-trip check, and the staleness floor.
-func vetContainer(container []byte, floor uint64) error {
-	payload, err := store.ParseSnapshotFile(container)
-	if err != nil {
-		return err
-	}
-	info, err := urb.VerifySnapshot(payload)
-	if err != nil {
-		return err
-	}
-	if info.Incarnation < floor {
-		return fmt.Errorf("%w: snapshot incarnation %d, floor %d", ErrStaleSnapshot, info.Incarnation, floor)
-	}
-	return nil
-}
-
-// serveSnap is the donor side, on the node goroutine: answer a fresh
-// solicitation by snapshotting the current state into a chunk server,
-// and resume requests by re-serving from the cached one. Chunks ride
-// the ordinary absorb path, so they are batched, budgeted and counted
-// like all other traffic. SNAPCHUNK frames address a bootstrapping
-// joiner, not a live node: ignored here.
-func (n *Node) serveSnap(step *urb.Step, m wire.Message) {
-	if m.Kind != wire.KindSnapReq {
-		return
-	}
-	sn, ok := n.proc.(urb.Snapshotter)
-	if !ok {
-		return
-	}
-	n.opt.tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
-	if m.Ref == 0 {
-		container := store.EncodeSnapshotFile(sn.Snapshot())
-		n.donor = snapxfer.NewDonor(container, n.budget)
-	} else if n.donor == nil || n.donor.Ref() != m.Ref {
-		return // another donor's transfer
-	}
-	if n.donor == nil {
-		return // unservable state (empty or oversized container)
-	}
-	chunks := n.donor.Serve(m.Off, snapServeWindow)
-	if len(chunks) > 0 {
-		n.opt.tracer.Snap(obs.EvSnapChunk, int(m.Off), len(chunks))
-	}
-	step.Broadcasts = append(step.Broadcasts, chunks...)
 }

@@ -1,12 +1,14 @@
 package node_test
 
-// Snapshot-transfer failure modes, driven through a scripted transport
-// that plays the donor side byte-for-byte: torn frames and CRC-flipped
-// chunks must read as loss (the transfer resumes, never corrupts), a
-// donor that dies mid-transfer must be abandoned for another peer, and
-// a stale donor must be rejected by ref so the joiner converges on a
-// fresh one. These are the loss/Byzantine corners DESIGN.md §13's
-// resumability argument rests on.
+// Snapshot-transfer failure modes of the live join driver, driven
+// through a scripted transport that plays the donor side byte-for-byte:
+// torn frames and CRC-flipped chunks must read as loss at the frame
+// decoder (the transfer resumes, never corrupts), and a donor that dies
+// mid-transfer must be abandoned on the WithJoinTimeout back-off
+// schedule, and a rejected container must be re-solicited at once with
+// the WithJoinFloor the driver was given. The protocol's own table —
+// chunk loss, refs of rejected containers never reassembled, the stall
+// policy consulted once per donor — is internal/host's TestJoiner.
 
 import (
 	"context"

@@ -23,8 +23,8 @@ import (
 	"time"
 
 	"anonurb/internal/admit"
+	"anonurb/internal/host"
 	"anonurb/internal/obs"
-	"anonurb/internal/snapxfer"
 	"anonurb/internal/store"
 	"anonurb/internal/transport"
 	"anonurb/internal/urb"
@@ -104,27 +104,16 @@ type options struct {
 	observer        Observer
 	inboxDepth      int
 	batching        bool
-	cacheSize       int
 	store           store.Store
 	checkpointEvery time.Duration
 	admission       *admit.Config
 	// tracer is the lifecycle tracer (DESIGN.md §14); nil — the zero
 	// value — is off.
 	tracer *obs.Tracer
-	// recovered marks a node built by Recover, whose store legitimately
-	// holds the predecessor's state at construction time.
-	recovered bool
 	// joinFrom/joinFloor/joinTimeout configure Join (join.go).
 	joinFrom    []byte
 	joinFloor   uint64
 	joinTimeout time.Duration
-}
-
-// withRecovered is the internal option Recover uses to bypass New's
-// populated-store refusal (the store holding state is the whole point
-// there).
-func withRecovered() Option {
-	return func(o *options) { o.recovered = true }
 }
 
 // Option configures a Node.
@@ -175,18 +164,6 @@ func WithInboxDepth(depth int) Option {
 // Receiving is always batch-capable in both modes.
 func WithBatching(enabled bool) Option {
 	return func(o *options) { o.batching = enabled }
-}
-
-// WithEncodeCacheSize bounds the node's per-MsgID encode cache (default
-// wire.DefaultEncodeCacheSize entries). The cache serves the byte-
-// identical MSG frames Task 1 retransmits every tick without
-// re-encoding them; size it to the expected |MSG_i| working set.
-func WithEncodeCacheSize(entries int) Option {
-	return func(o *options) {
-		if entries > 0 {
-			o.cacheSize = entries
-		}
-	}
 }
 
 // WithStore makes the node durable (DESIGN.md §9): durable events —
@@ -258,7 +235,9 @@ type BroadcastObserver interface {
 
 // Node hosts one urb.Process on a Transport.
 type Node struct {
-	proc urb.Process
+	// core is the hosted process and its store, with internal/host's
+	// protocol around them. Loop goroutine only once started.
+	core host.Core
 	tr   transport.Transport
 	opt  options
 
@@ -316,24 +295,17 @@ type Node struct {
 	checkpointBytes atomic.Uint64
 	walAppends      atomic.Uint64
 	walBytes        atomic.Uint64
-	storeErrMu      sync.Mutex
-	// storeErr is the first durable-write failure; guarded by storeErrMu.
-	storeErr    error
-	storeBroken atomic.Bool
+	// storeErr is the first durable-write failure, nil while the store
+	// works; once set the node stops persisting.
+	storeErr atomic.Pointer[error]
 
 	// cache and budget belong to the loop goroutine (absorb path).
 	cache  *wire.EncodeCache
 	budget int
 
-	// donor is the cached chunk server of the join protocol's snapshot
-	// transfer (loop goroutine only; built on demand by serveSnap, and
-	// replaced when a fresh solicitation arrives).
-	donor *snapxfer.Donor
-
-	// recoveredSnap/recoveredWAL record what Recover replayed to build
-	// this node (zero for New-built nodes). Written before Start.
-	recoveredSnap int
-	recoveredWAL  int
+	// recovery records what the Recover that built this node merged (zero
+	// for nodes built any other way). Written before Start.
+	recovery host.Recovery
 	// joinedBytes records the donor container size a Join transferred to
 	// build this node (zero otherwise). Written before Start.
 	joinedBytes int
@@ -349,13 +321,35 @@ type Node struct {
 // transport: Stop closes it. Start must be called before the node does
 // anything.
 func New(proc urb.Process, tr transport.Transport, opts ...Option) *Node {
-	if proc == nil || tr == nil {
-		panic("node: process and transport are required")
+	o := parse(opts)
+	if o.store != nil {
+		if st := o.store.Stats(); st.SnapshotBytes > 0 || st.WALRecords > 0 {
+			// A populated store under a fresh process is almost certainly
+			// a restart that should have gone through Recover: running on
+			// would re-pin already-acked messages under fresh tags
+			// (phantom ackers) and interleave two incarnations' WAL
+			// records behind one snapshot. Refuse loudly.
+			panic("node: store already holds durable state; restart with node.Recover, not New")
+		}
 	}
+	return build(proc, tr, o)
+}
+
+// parse applies opts over the defaults.
+func parse(opts []Option) options {
 	o := options{tickEvery: 10 * time.Millisecond, inboxDepth: 256, batching: true,
-		checkpointEvery: time.Second}
+		checkpointEvery: time.Second, joinTimeout: 500 * time.Millisecond}
 	for _, f := range opts {
 		f(&o)
+	}
+	return o
+}
+
+// build is New without the populated-store refusal: Recover and Join get
+// here with o.store holding exactly the state they just put there.
+func build(proc urb.Process, tr transport.Transport, o options) *Node {
+	if proc == nil || tr == nil {
+		panic("node: process and transport are required")
 	}
 	if o.tracer != nil {
 		if tp, ok := proc.(obs.Traceable); ok {
@@ -379,22 +373,12 @@ func New(proc urb.Process, tr transport.Transport, opts ...Option) *Node {
 		stage = admit.Wrap(tr, acfg)
 		tr = stage
 	}
-	if o.store != nil {
-		if _, ok := proc.(urb.Durable); !ok {
-			panic("node: WithStore requires a urb.Durable process")
-		}
-		if st := o.store.Stats(); !o.recovered && (st.SnapshotBytes > 0 || st.WALRecords > 0) {
-			// A populated store under a fresh process is almost certainly
-			// a restart that should have gone through Recover: running on
-			// would re-pin already-acked messages under fresh tags
-			// (phantom ackers) and interleave two incarnations' WAL
-			// records behind one snapshot. Refuse loudly.
-			panic("node: store already holds durable state; restart with node.Recover, not New")
-		}
+	if _, ok := proc.(urb.Durable); o.store != nil && !ok {
+		panic("node: WithStore requires a urb.Durable process")
 	}
 	bo, _ := o.observer.(BroadcastObserver)
 	return &Node{
-		proc:           proc,
+		core:           host.Core{Proc: proc, Store: o.store},
 		tr:             tr,
 		opt:            o,
 		admission:      stage,
@@ -403,7 +387,7 @@ func New(proc urb.Process, tr transport.Transport, opts ...Option) *Node {
 		deliveries:     make(chan Delivery, o.inboxDepth),
 		actions:        make(chan func(urb.Process), 64),
 		done:           make(chan struct{}),
-		cache:          wire.NewEncodeCache(o.cacheSize),
+		cache:          wire.NewEncodeCache(wire.DefaultEncodeCacheSize),
 		budget:         tr.FrameBudget(),
 	}
 }
@@ -495,7 +479,7 @@ func (n *Node) call(f func(p urb.Process) func()) error {
 // node is stopped, and with ErrNotExplainable when the hosted process
 // does not implement obs.Explainer.
 func (n *Node) Explain(id wire.MsgID) (obs.Explanation, error) {
-	if _, ok := n.proc.(obs.Explainer); !ok {
+	if _, ok := n.core.Proc.(obs.Explainer); !ok {
 		return obs.Explanation{}, ErrNotExplainable
 	}
 	var ex obs.Explanation
@@ -562,7 +546,7 @@ func (n *Node) Stop() error {
 		// close the delivery channel so consumers unblock. The algorithm
 		// never ran, so its initial stats are the final ones.
 		n.state.Store(stateStopped)
-		n.finalStats = n.proc.Stats()
+		n.finalStats = n.core.Proc.Stats()
 		close(n.done)
 		close(n.deliveries)
 		n.lifeMu.Unlock()
@@ -635,51 +619,28 @@ type StoreStats struct {
 // StoreStats returns the durability counters. Safe to call while the
 // node runs.
 func (n *Node) StoreStats() StoreStats {
-	n.storeErrMu.Lock()
-	err := n.storeErr
-	n.storeErrMu.Unlock()
-	return StoreStats{
+	st := StoreStats{
 		Checkpoints:     n.checkpoints.Load(),
 		CheckpointBytes: n.checkpointBytes.Load(),
 		WALAppends:      n.walAppends.Load(),
 		WALBytes:        n.walBytes.Load(),
-		Err:             err,
 	}
+	if err := n.storeErr.Load(); err != nil {
+		st.Err = *err
+	}
+	return st
 }
 
-// failStore records the first store error and stops further persistence.
-func (n *Node) failStore(err error) {
-	n.storeErrMu.Lock()
-	if n.storeErr == nil {
-		n.storeErr = err
-	}
-	n.storeErrMu.Unlock()
-	n.storeBroken.Store(true)
-}
+// failStore records the first store error; persistence stops. Not
+// inlined: &err would move absorb's err to the heap on every Step.
+//
+//go:noinline
+func (n *Node) failStore(err error) { n.storeErr.CompareAndSwap(nil, &err) }
 
-// walAppend writes one durable event ahead of the action it guards.
-// Runs on the node goroutine.
-func (n *Node) walAppend(ev urb.DurableEvent) {
-	rec := ev.EncodeWAL()
-	if err := n.opt.store.AppendWAL(rec); err != nil {
-		n.failStore(err)
-		return
-	}
-	n.walAppends.Add(1)
-	n.walBytes.Add(uint64(len(rec)))
-}
-
-// checkpoint snapshots the state machine into the store (compacting the
-// WAL). Runs on the node goroutine.
-func (n *Node) checkpoint() {
-	d := n.proc.(urb.Durable) // validated in New
-	snap := d.Snapshot()
-	if err := n.opt.store.SaveSnapshot(snap); err != nil {
-		n.failStore(err)
-		return
-	}
+// countCheckpoint records one saved snapshot of size bytes.
+func (n *Node) countCheckpoint(size int) {
 	n.checkpoints.Add(1)
-	n.checkpointBytes.Add(uint64(len(snap)))
+	n.checkpointBytes.Add(uint64(size))
 }
 
 // InboxOverflows reports how many inbound frames this node's transport
@@ -731,7 +692,7 @@ func (n *Node) loop(ctx context.Context) {
 		// Snapshot the algorithm's final stats so post-run accounting
 		// (quiescence and memory experiments) survives Stop. Published
 		// to other goroutines by the close of done below.
-		n.finalStats = n.proc.Stats()
+		n.finalStats = n.core.Proc.Stats()
 		// Release the derived context even when the loop exits on its
 		// own (e.g. the transport's receive channel closed) — otherwise
 		// the registration on a long-lived parent context would leak.
@@ -789,12 +750,19 @@ func (n *Node) loop(ctx context.Context) {
 				}
 				if m.Kind.IsSnap() {
 					// Join-protocol traffic is host-level, the way beats
-					// are detector-level: served (or ignored) here, never
-					// shown to the algorithm.
-					n.serveSnap(&step, m)
+					// are detector-level, and never shown to the algorithm:
+					// a solicitation is served, its chunks batched, budgeted
+					// and counted by absorb like all other traffic; a
+					// SNAPCHUNK addresses a bootstrapping joiner, not us.
+					if m.Kind == wire.KindSnapReq {
+						n.opt.tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
+						if served := n.core.ServeSnap(m, n.budget, &step); served > 0 {
+							n.opt.tracer.Snap(obs.EvSnapChunk, int(m.Off), served)
+						}
+					}
 					continue
 				}
-				step.Merge(n.proc.Receive(m))
+				step.Merge(n.core.Proc.Receive(m))
 			}
 			// Every inbound frame lands in exactly one counter: received
 			// if at least one message decoded from it (a corrupt tail
@@ -816,15 +784,19 @@ func (n *Node) loop(ctx context.Context) {
 			step.Deliveries = step.Deliveries[:0]
 			step.Durable = step.Durable[:0]
 		case <-tick.C:
-			n.absorb(n.proc.Tick())
+			n.absorb(n.core.Proc.Tick())
 			tick.Reset(n.opt.tickEvery)
 			// Checkpoint on cadence, but only when the WAL grew since the
 			// last one: an idle (e.g. quiescent) node re-snapshotting an
 			// unchanged state would be pure churn.
-			if n.opt.store != nil && !n.storeBroken.Load() &&
+			if n.core.Store != nil && n.storeErr.Load() == nil &&
 				time.Since(lastCheckpoint) >= n.opt.checkpointEvery &&
 				n.walAppends.Load() != walAtCheckpoint {
-				n.checkpoint()
+				if size, err := n.core.Checkpoint(); err != nil {
+					n.failStore(err)
+				} else {
+					n.countCheckpoint(size)
+				}
 				lastCheckpoint = time.Now()
 				walAtCheckpoint = n.walAppends.Load()
 			}
@@ -842,7 +814,7 @@ func (n *Node) loop(ctx context.Context) {
 			}
 			sentAtLastTick = n.sentFrames.Load()
 		case f := <-n.actions:
-			f(n.proc)
+			f(n.core.Proc)
 		}
 	}
 }
@@ -861,17 +833,14 @@ func (n *Node) loop(ctx context.Context) {
 //
 //urb:hotpath
 func (n *Node) absorb(s urb.Step) {
-	// Write-ahead: pins, broadcasts and deliveries reach the WAL before
-	// the node acts on the Step — before the ACK carrying a fresh tag_ack
-	// leaves, and before a delivery is exposed to the application. A
-	// crash after the WAL write but before the action loses nothing; a
-	// crash before it loses an event the outside world never saw.
-	if n.opt.store != nil && !n.storeBroken.Load() {
-		for _, ev := range s.Durable {
-			n.walAppend(ev)
-		}
-		for _, d := range s.Deliveries {
-			n.walAppend(urb.DeliverEvent(d))
+	// Write-ahead (host.Core.Commit) before the node acts on any of s.
+	// After a store error the node stops persisting and keeps serving.
+	if n.core.Store != nil && n.storeErr.Load() == nil {
+		records, bytes, err := n.core.Commit(s)
+		n.walAppends.Add(uint64(records))
+		n.walBytes.Add(uint64(bytes))
+		if err != nil {
+			n.failStore(err)
 		}
 	}
 	// One clock reading and one lock round-trip per Step that delivers,

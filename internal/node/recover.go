@@ -1,8 +1,7 @@
 package node
 
 import (
-	"fmt"
-
+	"anonurb/internal/host"
 	"anonurb/internal/store"
 	"anonurb/internal/transport"
 	"anonurb/internal/urb"
@@ -22,50 +21,21 @@ import (
 // draws continue the predecessor's stream. tr is a fresh transport
 // endpoint (the crashed node closed its own).
 //
-// Recover checkpoints the merged state back into the store before
-// returning, so the replayed WAL is compacted and a crash loop cannot
-// grow it without bound. The returned node keeps persisting to st; call
-// Start to resume operation.
+// The merged state is checkpointed back into the store, so a crash loop
+// cannot grow the WAL without bound. The returned node keeps persisting
+// to st; call Start to resume operation. All of this (host.Recover)
+// happens before the node is built: on error no node exists, nothing was
+// started, and tr is still the caller's.
 func Recover(proc urb.Process, st store.Store, tr transport.Transport, opts ...Option) (*Node, error) {
-	d, ok := proc.(urb.Durable)
-	if !ok {
-		return nil, fmt.Errorf("node: %T does not implement urb.Durable", proc)
-	}
-	snap, wal, err := st.Load()
+	rec, err := host.Recover(proc, st)
 	if err != nil {
-		return nil, fmt.Errorf("node: recover load: %w", err)
+		return nil, err
 	}
-	if snap != nil {
-		if err := d.Restore(snap); err != nil {
-			return nil, fmt.Errorf("node: recover snapshot: %w", err)
-		}
-	}
-	replayed := 0
-	for i, raw := range wal {
-		rec, err := urb.DecodeWALRecord(raw)
-		if err != nil {
-			return nil, fmt.Errorf("node: recover wal record %d/%d: %w", i+1, len(wal), err)
-		}
-		if err := d.ApplyWAL(rec); err != nil {
-			return nil, fmt.Errorf("node: recover wal record %d/%d: %w", i+1, len(wal), err)
-		}
-		replayed++
-	}
-	// New incarnation: outbound stream numbering (delta-ACK epochs) must
-	// dominate anything the predecessor sent in the lost post-checkpoint
-	// window.
-	d.Rejoin()
-	n := New(proc, tr, append(opts, WithStore(st), withRecovered())...)
-	// Compact: the recovered state becomes the new baseline snapshot, so
-	// the next recovery replays only what happens after this one.
-	fresh := d.Snapshot()
-	if err := st.SaveSnapshot(fresh); err != nil {
-		return nil, fmt.Errorf("node: recover checkpoint: %w", err)
-	}
-	n.checkpoints.Add(1)
-	n.checkpointBytes.Add(uint64(len(fresh)))
-	n.recoveredWAL = replayed
-	n.recoveredSnap = len(snap)
+	o := parse(opts)
+	o.store = st
+	n := build(proc, tr, o)
+	n.countCheckpoint(rec.CheckpointBytes)
+	n.recovery = rec
 	return n, nil
 }
 
@@ -73,5 +43,5 @@ func Recover(proc urb.Process, st store.Store, tr transport.Transport, opts ...O
 // the snapshot payload size and the number of WAL records merged on top
 // (both zero for nodes built with New).
 func (n *Node) RecoveryStats() (snapshotBytes, walRecords int) {
-	return n.recoveredSnap, n.recoveredWAL
+	return n.recovery.SnapshotBytes, n.recovery.WALRecords
 }

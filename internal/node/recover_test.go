@@ -2,9 +2,12 @@ package node
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"anonurb/internal/admit"
 	"anonurb/internal/channel"
 	"anonurb/internal/ident"
 	"anonurb/internal/store"
@@ -161,57 +164,86 @@ func TestNodeCrashRecover(t *testing.T) {
 	}
 }
 
-// TestNodeRecoverUniformityAcrossRestart pins the acceptance criterion
-// directly at the algorithm boundary: everything the predecessor
-// delivered is delivered (not re-delivered) in the successor, and the
-// successor keeps retransmitting it.
-func TestNodeRecoverUniformityAcrossRestart(t *testing.T) {
+// snapFailStore is a store whose SaveSnapshot always fails.
+type snapFailStore struct{ *store.Mem }
+
+func (snapFailStore) SaveSnapshot([]byte) error { return errors.New("disk full") }
+
+// TestRecoverAndJoinBuildTheNodeLast: when the baseline checkpoint
+// fails, Recover and Join return the error having built no node — so
+// with WithAdmission no admission stage was wrapped around the
+// transport and none of its goroutines started. (The WAL-only,
+// snapshot and torn-tail recovery cases themselves are internal/host's
+// TestRecover.)
+func TestRecoverAndJoinBuildTheNodeLast(t *testing.T) {
 	mesh := transport.NewMesh(transport.MeshConfig{
-		N:    1,
+		N:    2,
 		Link: channel.Reliable{D: channel.FixedDelay(0)},
 		Unit: time.Millisecond,
 		Seed: 7,
 	})
 	defer mesh.Close()
-	st := store.NewMem()
+	mk := func() urb.Process { return urb.NewMajority(1, ident.NewSource(xrand.New(5)), urb.Config{}) }
+	container := store.EncodeSnapshotFile(mk().(*urb.Majority).Snapshot())
 
-	proc := urb.NewMajority(1, ident.NewSource(xrand.New(5)), urb.Config{})
-	nd := New(proc, mesh.Endpoint(0), WithStore(st), WithTickEvery(time.Millisecond))
-	inbox := nd.Deliveries()
-	ctx := context.Background()
-	if err := nd.Start(ctx); err != nil {
-		t.Fatal(err)
+	before := runtime.NumGoroutine()
+	if nd, err := Recover(mk(), snapFailStore{store.NewMem()}, mesh.Endpoint(0),
+		WithAdmission(admit.Config{})); err == nil || nd != nil {
+		t.Fatalf("Recover over a failing store = %v, %v; want no node and an error", nd, err)
 	}
-	id, err := nd.Broadcast([]byte("solo"))
-	if err != nil {
-		t.Fatal(err)
+	if nd, err := Join(context.Background(), mk(), snapFailStore{store.NewMem()}, mesh.Endpoint(1),
+		WithAdmission(admit.Config{}), WithJoinFrom(container)); err == nil || nd != nil {
+		t.Fatalf("Join over a failing store = %v, %v; want no node and an error", nd, err)
 	}
-	if got := collect(t, inbox, 1, 5*time.Second); got[id] != 1 {
-		t.Fatalf("solo delivery missing: %v", got)
+	// The leak check of the transport conformance suite.
+	var after int
+	for i := 0; i < 50; i++ {
+		if after = runtime.NumGoroutine(); after <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	nd.Stop() // crash — WAL has the broadcast and the delivery, maybe no checkpoint
+	t.Fatalf("goroutines leaked by the failed Recover and Join: %d before, %d after", before, after)
+}
 
-	rec, err := Recover(urb.NewMajority(1, ident.NewSource(xrand.New(5)), urb.Config{}),
-		st, mesh.Reopen(0), WithTickEvery(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverAndJoinCopyTheirOptions: both append internal options to
+// the caller's; handed a prefix opts[:k] of a longer slice they must not
+// write into its spare capacity.
+func TestRecoverAndJoinCopyTheirOptions(t *testing.T) {
+	mesh := transport.NewMesh(transport.MeshConfig{
+		N:    2,
+		Link: channel.Reliable{D: channel.FixedDelay(0)},
+		Unit: time.Millisecond,
+		Seed: 7,
+	})
+	defer mesh.Close()
+	mk := func() urb.Process { return urb.NewMajority(1, ident.NewSource(xrand.New(5)), urb.Config{}) }
+	container := store.EncodeSnapshotFile(mk().(*urb.Majority).Snapshot())
+
+	tailRan := 0
+	tail := func(*options) { tailRan++ }
+	opts := []Option{WithTickEvery(time.Millisecond), WithJoinFrom(container), tail, tail}
+	build := map[string]func(opts ...Option) (*Node, error){
+		"Recover": func(opts ...Option) (*Node, error) {
+			return Recover(mk(), store.NewMem(), mesh.Endpoint(0), opts...)
+		},
+		"Join": func(opts ...Option) (*Node, error) {
+			return Join(context.Background(), mk(), store.NewMem(), mesh.Endpoint(1), opts...)
+		},
 	}
-	inbox2 := rec.Deliveries()
-	if err := rec.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Stop()
-	select {
-	case d := <-inbox2:
-		t.Fatalf("recovered solo node re-delivered %v", d.ID)
-	case <-time.After(30 * time.Millisecond):
-	}
-	st2, err := rec.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Delivered != 1 || st2.MsgSet != 1 {
-		t.Fatalf("recovered state lost the delivery or the MSG set: %+v", st2)
+	for name, f := range build {
+		nd, err := f(opts[:2]...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nd.Stop()
+		tailRan = 0
+		for _, o := range opts[2:] {
+			o(&options{})
+		}
+		if tailRan != 2 {
+			t.Fatalf("%s overwrote the caller's options beyond the prefix it was given", name)
+		}
 	}
 }
 

@@ -31,9 +31,9 @@ import (
 	"sort"
 
 	"anonurb/internal/channel"
+	"anonurb/internal/host"
 	"anonurb/internal/ident"
 	"anonurb/internal/obs"
-	"anonurb/internal/snapxfer"
 	"anonurb/internal/store"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
@@ -304,12 +304,13 @@ type Result struct {
 
 // Engine executes one run.
 type Engine struct {
-	cfg    Config
-	now    Time
-	seq    uint64
-	heap   eventHeap
-	net    *channel.Network
-	procs  []urb.Process
+	cfg  Config
+	now  Time
+	seq  uint64
+	heap eventHeap
+	net  *channel.Network
+	// hosts[i] is process i with its store (Config.Stores[i], if any).
+	hosts  []host.Core
 	crash  []bool
 	result Result
 	// pendingWire counts queued evReceive events; quiescence detection
@@ -338,33 +339,15 @@ type Engine struct {
 	// delivery obligations.
 	present []bool
 	// joining[i] is process i's in-progress snapshot transfer.
-	joining []*joinState
-	// donors[i] caches process i's chunk server across resume requests
-	// for one transfer reference (rebuilt on every fresh solicitation).
-	donors []*snapxfer.Donor
+	joining []*host.Joiner
 	// frameAware routes broadcasts through the encoded-frame judging
 	// path (set when cfg.Link is a channel.FrameModel).
 	frameAware bool
 }
 
-// joinState is one joiner's transfer progress.
-type joinState struct {
-	asm *snapxfer.Assembler
-	// rejected remembers transfer refs whose assembled container failed
-	// verification, so a bad donor is never retried.
-	rejected map[uint64]bool
-	// lastGain is when the assembler last covered new bytes; a stalled
-	// transfer (dead donor) is abandoned and re-solicited.
-	lastGain Time
-}
-
 // joinStallTicks is how many Task-1 periods without progress make a
 // joiner abandon its donor and solicit afresh.
 const joinStallTicks = 10
-
-// simSnapWindow is how many chunks a donor answers per SNAPREQ, the
-// simulator counterpart of the node layer's serving window.
-const simSnapWindow = 8
 
 // NewEngine validates cfg and builds the run.
 func NewEngine(cfg Config) *Engine {
@@ -430,7 +413,7 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:                 cfg,
 		net:                 channel.NewNetwork(cfg.N, cfg.Link, xrand.SplitLabeled(cfg.Seed, "net")),
-		procs:               make([]urb.Process, cfg.N),
+		hosts:               make([]host.Core, cfg.N),
 		crash:               make([]bool, cfg.N),
 		delivered:           make([]int, cfg.N),
 		remainingBroadcasts: len(cfg.Broadcasts),
@@ -452,8 +435,7 @@ func NewEngine(cfg Config) *Engine {
 	e.result.Left = make([]bool, cfg.N)
 	e.result.Adopted = make([]map[wire.MsgID]bool, cfg.N)
 	e.present = make([]bool, cfg.N)
-	e.joining = make([]*joinState, cfg.N)
-	e.donors = make([]*snapxfer.Donor, cfg.N)
+	e.joining = make([]*host.Joiner, cfg.N)
 	for i := range e.present {
 		e.present[i] = true
 		e.result.JoinedAt[i] = Never
@@ -471,7 +453,10 @@ func NewEngine(cfg Config) *Engine {
 			Tags:  ident.NewSource(src),
 			Now:   func() Time { return e.now },
 		}
-		e.procs[i] = cfg.Factory(env)
+		e.hosts[i].Proc = cfg.Factory(env)
+		if cfg.Stores != nil {
+			e.hosts[i].Store = cfg.Stores[i]
+		}
 	}
 	// Phase-shift the first tick of each process so the mesh does not
 	// operate in lockstep. Late joiners have no tick chain until their
@@ -547,7 +532,7 @@ func (e *Engine) push(ev *event) {
 func (e *Engine) Now() Time { return e.now }
 
 // Process returns the algorithm instance at index i (test hook).
-func (e *Engine) Process(i int) urb.Process { return e.procs[i] }
+func (e *Engine) Process(i int) urb.Process { return e.hosts[i].Proc }
 
 // Network exposes the mesh (test hook).
 func (e *Engine) Network() *channel.Network { return e.net }
@@ -616,24 +601,12 @@ func (e *Engine) broadcastFrames(src int, m wire.Message) {
 
 // absorb handles one Step from a process.
 func (e *Engine) absorb(proc int, s urb.Step) {
-	// Write-ahead: durable events and deliveries reach the process's
-	// store before the Step's broadcasts reach the network or the
-	// deliveries reach the result (the same discipline the live node
-	// applies). Store errors are fatal in the simulator — a sim store is
-	// in-memory or a test fixture, and silent degradation would make a
-	// recovery test pass vacuously.
-	if e.cfg.Stores != nil && e.cfg.Stores[proc] != nil {
-		st := e.cfg.Stores[proc]
-		for _, ev := range s.Durable {
-			if err := st.AppendWAL(ev.EncodeWAL()); err != nil {
-				panic(fmt.Sprintf("sim: proc %d wal append: %v", proc, err))
-			}
-		}
-		for _, d := range s.Deliveries {
-			if err := st.AppendWAL(urb.DeliverEvent(d).EncodeWAL()); err != nil {
-				panic(fmt.Sprintf("sim: proc %d wal append: %v", proc, err))
-			}
-		}
+	// Write-ahead (host.Core.Commit) before the Step's broadcasts reach
+	// the network or its deliveries the result. Store errors are fatal in
+	// the simulator — a sim store is in-memory or a test fixture, and
+	// silent degradation would make a recovery test pass vacuously.
+	if _, _, err := e.hosts[proc].Commit(s); err != nil {
+		panic(fmt.Sprintf("sim: proc %d wal append: %v", proc, err))
 	}
 	for _, d := range s.Deliveries {
 		e.result.Deliveries[proc] = append(e.result.Deliveries[proc],
@@ -765,12 +738,12 @@ func (e *Engine) Run() Result {
 			for _, o := range e.cfg.Observers {
 				o.OnReceive(e.now, ev.proc, ev.msg)
 			}
-			e.absorb(ev.proc, e.procs[ev.proc].Receive(ev.msg))
+			e.absorb(ev.proc, e.hosts[ev.proc].Proc.Receive(ev.msg))
 		case evTick:
 			if e.crash[ev.proc] || !e.present[ev.proc] {
 				break
 			}
-			e.absorb(ev.proc, e.procs[ev.proc].Tick())
+			e.absorb(ev.proc, e.hosts[ev.proc].Proc.Tick())
 			if !e.crash[ev.proc] { // absorb may have crashed it
 				e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: ev.proc})
 			}
@@ -787,7 +760,7 @@ func (e *Engine) Run() Result {
 			if e.crash[ev.proc] {
 				break
 			}
-			id, s := e.procs[ev.proc].Broadcast(ev.body)
+			id, s := e.hosts[ev.proc].Proc.Broadcast(ev.body)
 			e.result.Broadcasts = append(e.result.Broadcasts,
 				BroadcastAt{ID: id, Proc: ev.proc, At: e.now})
 			e.msgOrigin[id] = ev.proc
@@ -799,7 +772,15 @@ func (e *Engine) Run() Result {
 			e.takeSample()
 			e.push(&event{at: e.now + e.cfg.SampleEvery, kind: evSample})
 		case evCheckpoint:
-			e.takeCheckpoints()
+			// Every live stored process, whether or not its WAL grew.
+			for i := range e.hosts {
+				if e.crash[i] || !e.present[i] {
+					continue
+				}
+				if _, err := e.hosts[i].Checkpoint(); err != nil {
+					panic(fmt.Sprintf("sim: proc %d checkpoint: %v", i, err))
+				}
+			}
 			e.push(&event{at: e.now + e.cfg.CheckpointEvery, kind: evCheckpoint})
 		case evRecover:
 			e.doRecover(ev.proc)
@@ -830,27 +811,10 @@ func (e *Engine) Run() Result {
 	e.result.EndTime = e.now
 	e.result.Net = e.net.Stats()
 	e.result.ProcStats = make([]urb.Stats, e.cfg.N)
-	for i, p := range e.procs {
-		e.result.ProcStats[i] = p.Stats()
+	for i := range e.hosts {
+		e.result.ProcStats[i] = e.hosts[i].Proc.Stats()
 	}
 	return e.result
-}
-
-// takeCheckpoints snapshots every live stored process (compacting its
-// WAL), the simulator's counterpart of the node's checkpoint cadence.
-func (e *Engine) takeCheckpoints() {
-	for i, st := range e.cfg.Stores {
-		if st == nil || e.crash[i] || !e.present[i] {
-			continue
-		}
-		d, ok := e.procs[i].(urb.Durable)
-		if !ok {
-			panic(fmt.Sprintf("sim: proc %d has a store but is not urb.Durable", i))
-		}
-		if err := st.SaveSnapshot(d.Snapshot()); err != nil {
-			panic(fmt.Sprintf("sim: proc %d checkpoint: %v", i, err))
-		}
-	}
 }
 
 // doRecover restarts a crashed process from its store: the factory
@@ -863,41 +827,14 @@ func (e *Engine) doRecover(proc int) {
 	if !e.crash[proc] {
 		panic(fmt.Sprintf("sim: recover of live proc %d", proc))
 	}
-	st := e.cfg.Stores[proc]
-	snap, wal, err := st.Load()
-	if err != nil {
-		panic(fmt.Sprintf("sim: proc %d recover load: %v", proc, err))
-	}
 	env := Env{
 		Index: proc,
 		Tags:  ident.NewSource(e.tagClones[proc].Clone()),
 		Now:   func() Time { return e.now },
 	}
 	p := e.cfg.Factory(env)
-	d, ok := p.(urb.Durable)
-	if !ok {
-		panic(fmt.Sprintf("sim: proc %d factory does not build urb.Durable processes", proc))
-	}
-	if snap != nil {
-		if err := d.Restore(snap); err != nil {
-			panic(fmt.Sprintf("sim: proc %d restore: %v", proc, err))
-		}
-	}
-	for i, raw := range wal {
-		rec, err := urb.DecodeWALRecord(raw)
-		if err != nil {
-			panic(fmt.Sprintf("sim: proc %d wal record %d: %v", proc, i, err))
-		}
-		if err := d.ApplyWAL(rec); err != nil {
-			panic(fmt.Sprintf("sim: proc %d wal replay %d: %v", proc, i, err))
-		}
-	}
-	// New incarnation (delta-ACK epoch rebasing; see urb.Durable.Rejoin),
-	// then compact, as the live Recover does: the merged state is the new
-	// baseline.
-	d.Rejoin()
-	if err := st.SaveSnapshot(d.Snapshot()); err != nil {
-		panic(fmt.Sprintf("sim: proc %d recovery checkpoint: %v", proc, err))
+	if _, err := host.Recover(p, e.hosts[proc].Store); err != nil {
+		panic(fmt.Sprintf("sim: proc %d: %v", proc, err))
 	}
 	// Write-ahead reconciliation for torn stores: the restored state may
 	// lack deliveries this run already exposed, if the store lost tail
@@ -925,7 +862,7 @@ func (e *Engine) doRecover(proc int) {
 			e.retractDelivery(proc, id)
 		}
 	}
-	e.procs[proc] = p
+	e.hosts[proc].Proc = p
 	e.crash[proc] = false
 	e.result.Crashed[proc] = false
 	e.result.Recovered[proc] = true
@@ -965,96 +902,65 @@ func (e *Engine) retractDelivery(proc int, id wire.MsgID) {
 // the lossy links and keep re-requesting on the tick cadence until the
 // container assembles and verifies.
 func (e *Engine) startJoin(proc int) {
-	js := &joinState{asm: snapxfer.NewAssembler(), rejected: make(map[uint64]bool), lastGain: e.now}
+	js := host.NewJoiner(e.now, 0, func(int) int64 { return joinStallTicks * e.cfg.TickEvery })
 	e.joining[proc] = js
-	e.broadcastCopies(proc, js.asm.Request())
+	e.broadcastCopies(proc, js.Request(e.now))
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evJoinRetry, proc: proc})
 }
 
-// retryJoin re-requests the lowest missing offset, abandoning a stalled
-// transfer (dead donor) so any other live peer may answer the fresh
-// solicitation.
+// retryJoin sends the joiner's current request — the lowest missing
+// offset, or a fresh solicitation once a stalled donor was abandoned —
+// and schedules the next one a period later.
 func (e *Engine) retryJoin(proc int) {
 	js := e.joining[proc]
 	if js == nil || e.crash[proc] {
 		return
 	}
-	if js.asm.Ref() != 0 && e.now-js.lastGain >= joinStallTicks*e.cfg.TickEvery {
-		js.asm.Reset()
-		js.lastGain = e.now
-	}
-	e.broadcastCopies(proc, js.asm.Request())
+	e.broadcastCopies(proc, js.Request(e.now))
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evJoinRetry, proc: proc})
 }
 
-// handleSnap routes join-protocol traffic: a live Snapshotter answers
+// handleSnap routes join-protocol traffic: a live process answers
 // solicitations and resume requests (the donor side), and a joining
-// process feeds chunks to its assembler (the joiner side). Neither side
+// process feeds chunks to its transfer (the joiner side). Neither side
 // ever shows these messages to the algorithm.
 func (e *Engine) handleSnap(proc int, m wire.Message) {
 	if m.Kind == wire.KindSnapReq {
 		if !e.present[proc] {
 			return // joiners do not serve
 		}
-		sn, ok := e.procs[proc].(urb.Snapshotter)
-		if !ok {
-			return
-		}
-		if m.Ref == 0 {
-			e.donors[proc] = snapxfer.NewDonor(store.EncodeSnapshotFile(sn.Snapshot()), 0)
-		} else if e.donors[proc] == nil || e.donors[proc].Ref() != m.Ref {
-			return // another donor's transfer
-		}
-		if e.donors[proc] == nil {
-			return // unservable state
-		}
-		for _, chunk := range e.donors[proc].Serve(m.Off, simSnapWindow) {
+		var out urb.Step
+		e.hosts[proc].ServeSnap(m, 0, &out)
+		for _, chunk := range out.Broadcasts {
 			e.broadcastCopies(proc, chunk)
 		}
 		return
 	}
 	// A SNAPCHUNK is only meaningful at a joining process.
 	js := e.joining[proc]
-	if js == nil || js.rejected[m.Ref] {
+	if js == nil {
 		return
 	}
-	if js.asm.Offer(m) {
-		js.lastGain = e.now
+	container, resolicit := js.Offer(m, e.now)
+	if resolicit {
+		// A container that fails verification is not a panic — a lossy
+		// world must tolerate a bad donor: ask someone else.
+		e.broadcastCopies(proc, js.Request(e.now))
 	}
-	if js.asm.Done() {
-		e.finishJoin(proc)
+	if container != nil {
+		e.finishJoin(proc, container)
 	}
 }
 
-// finishJoin verifies the assembled container and brings the joiner
-// live: restore through the recovery path, Adopt (fresh acker identity,
-// rebased delta streams; see urb.Joiner), checkpoint the adopted state
-// as the durable baseline, and start the tick chain. A container that
-// fails verification is remembered by ref — loud locally would be a
-// panic, but a lossy world must tolerate a bad donor — and the transfer
-// re-solicited from someone else.
-func (e *Engine) finishJoin(proc int) {
-	js := e.joining[proc]
-	container := js.asm.Bytes()
-	payload, err := store.ParseSnapshotFile(container)
-	if err == nil {
-		_, err = urb.VerifySnapshot(payload)
+// finishJoin brings the joiner live on a verified container: restore
+// through the recovery path, Adopt (fresh acker identity, rebased delta
+// streams; see urb.Joiner), checkpoint the adopted state as the durable
+// baseline, and start the tick chain.
+func (e *Engine) finishJoin(proc int, container []byte) {
+	h := &e.hosts[proc]
+	if _, err := host.Adopt(h.Proc, h.Store, container); err != nil {
+		panic(fmt.Sprintf("sim: proc %d has JoinAt: %v", proc, err))
 	}
-	if err != nil {
-		js.rejected[js.asm.Ref()] = true
-		js.asm.Reset()
-		js.lastGain = e.now
-		e.broadcastCopies(proc, js.asm.Request())
-		return
-	}
-	j, ok := e.procs[proc].(urb.Joiner)
-	if !ok {
-		panic(fmt.Sprintf("sim: proc %d has JoinAt but %T does not implement urb.Joiner", proc, e.procs[proc]))
-	}
-	if err := j.Restore(payload); err != nil {
-		panic(fmt.Sprintf("sim: proc %d join restore: %v", proc, err))
-	}
-	j.Adopt()
 	e.joining[proc] = nil
 	e.present[proc] = true
 	e.result.JoinedAt[proc] = e.now
@@ -1062,18 +968,13 @@ func (e *Engine) finishJoin(proc int) {
 	// History the joiner adopted as already delivered satisfies its
 	// delivery obligations — uniformity forbids re-delivering it — so
 	// the convergence ledger credits it up front.
-	if hd, ok := e.procs[proc].(interface{ HasDelivered(wire.MsgID) bool }); ok {
+	if hd, ok := h.Proc.(interface{ HasDelivered(wire.MsgID) bool }); ok {
 		e.result.Adopted[proc] = make(map[wire.MsgID]bool)
 		for id := range e.msgOrigin {
 			if hd.HasDelivered(id) {
 				e.deliveredAt[proc][id] = true
 				e.result.Adopted[proc][id] = true
 			}
-		}
-	}
-	if proc < len(e.cfg.Stores) && e.cfg.Stores[proc] != nil {
-		if err := e.cfg.Stores[proc].SaveSnapshot(j.Snapshot()); err != nil {
-			panic(fmt.Sprintf("sim: proc %d join checkpoint: %v", proc, err))
 		}
 	}
 	for _, o := range e.cfg.Observers {
@@ -1102,8 +1003,8 @@ func (e *Engine) doLeave(proc int) {
 
 func (e *Engine) takeSample() {
 	s := Sample{At: e.now, Stats: make([]urb.Stats, e.cfg.N), CumSent: e.net.Stats().Sent}
-	for i, p := range e.procs {
-		s.Stats[i] = p.Stats()
+	for i := range e.hosts {
+		s.Stats[i] = e.hosts[i].Proc.Stats()
 	}
 	e.result.Samples = append(e.result.Samples, s)
 }

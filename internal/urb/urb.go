@@ -21,11 +21,12 @@
 //
 // The implementations are deterministic, single-threaded state machines:
 // the hosting runtime (the discrete-event simulator in internal/sim or the
-// goroutine runtime in internal/liverun) feeds them received messages and
-// periodic ticks, and executes the broadcasts and deliveries each Step
-// returns. The state machines receive no process identity — their only
-// inputs are messages, failure detector views and a random source — so the
-// code is structurally unable to break the anonymity assumption.
+// goroutine runtime in internal/node, both drivers of internal/host) feeds
+// them received messages and periodic ticks, and executes the broadcasts
+// and deliveries each Step returns. The state machines receive no process
+// identity — their only inputs are messages, failure detector views and a
+// random source — so the code is structurally unable to break the
+// anonymity assumption.
 package urb
 
 import (
