@@ -1,7 +1,7 @@
 // Command urbsim runs one scenario of the anonymous-URB simulator from
 // flags and reports deliveries, property checks and traffic statistics.
-// It is the interactive companion to cmd/urbbench: where urbbench sweeps,
-// urbsim lets you poke at a single configuration.
+// It is the interactive companion to cmd/urbbench: where the paper suite
+// sweeps, urbsim lets you poke at a single configuration.
 //
 // Examples:
 //

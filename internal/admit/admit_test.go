@@ -142,6 +142,20 @@ func drain(t *testing.T, tr *Transport, n int) [][]byte {
 	return got
 }
 
+// TestFairnessBaselineBudget: WithDefaults keeps explicit lane depths
+// and fills every zero field, so a FIFO baseline derived from a fair
+// configuration carries the same total lane budget.
+func TestFairnessBaselineBudget(t *testing.T) {
+	cfg := Config{HighDepth: 100, LowDepth: 40}.WithDefaults()
+	if cfg.HighDepth != 100 || cfg.LowDepth != 40 {
+		t.Fatalf("WithDefaults rewrote explicit depths: %+v", cfg)
+	}
+	if d := (Config{}).WithDefaults(); d.HighDepth <= 0 || d.LowDepth <= 0 ||
+		d.Rate <= 0 || d.Burst <= 0 || d.Penalty <= 0 || d.Flows <= 0 {
+		t.Fatalf("WithDefaults left zero fields: %+v", d)
+	}
+}
+
 // TestWrapPassesAdmittedTraffic: polite traffic flows through the stage
 // unchanged, and Send is a passthrough.
 func TestWrapPassesAdmittedTraffic(t *testing.T) {

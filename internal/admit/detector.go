@@ -7,7 +7,7 @@
 // many sends imply infinitely many receptions — but says nothing about
 // a fair *sender*: one hot broadcaster's MSG/ACK retransmissions can
 // legally saturate every finite inbox and starve the other broadcasters'
-// deliveries (the bench's flood scenarios measure exactly this). The
+// deliveries (liverun's TestFairAdmission flood checks exactly this). The
 // admission stage restores per-broadcaster fairness without touching the
 // algorithms: it classifies inbound traffic by flow (the broadcast tag's
 // Hi half — see ident.NewFlowSource and wire.FlowOf), meters each flow
@@ -22,7 +22,7 @@
 // ambiguity-region detection with leaky buckets): a fixed-size,
 // zero-allocation bucket table charged on the ingest hot path, with
 // damage-style accounting (deliveries lost with vs without admission,
-// false demotions) measured by internal/bench's fairness suite.
+// false demotions) gated by liverun's TestFairAdmission.
 package admit
 
 import (

@@ -11,8 +11,8 @@ import (
 )
 
 // Params scales the experiment suite. Quick runs the reduced sweeps used
-// by tests and benchmarks; the full sweeps are what cmd/urbbench records
-// in EXPERIMENTS.md.
+// by tests and benchmarks; the full sweeps are what cmd/urbbench (the
+// only program that runs the suite) prints and EXPERIMENTS.md records.
 type Params struct {
 	Seed  uint64
 	Quick bool

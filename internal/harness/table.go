@@ -6,9 +6,9 @@ import (
 )
 
 // Table is a rendered experiment result: a title, column headers and
-// string rows. Render produces the aligned text form printed by
-// cmd/urbbench and recorded in EXPERIMENTS.md; CSV produces a
-// machine-readable form.
+// string rows. Render produces the aligned text form the paper suite
+// (cmd/urbbench) prints and EXPERIMENTS.md records; CSV produces a
+// machine-readable form (urbbench -csv).
 type Table struct {
 	Title   string
 	Note    string

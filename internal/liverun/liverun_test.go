@@ -278,57 +278,92 @@ func TestLiveJoinLeave(t *testing.T) {
 	// Membership churn end to end: a heartbeat-stack cluster grows by
 	// one (real snapshot transfer over the lossy mesh), the joiner
 	// participates both ways without re-delivering adopted history, and
-	// a leaving process goes silent without wedging the survivors.
-	col := newCollector()
-	const n = 3
-	factory := func(_ int, tags *ident.Source, clock func() int64) urb.Process {
-		return urb.NewHeartbeatHost(tags, 200, 1, clock, urb.Config{DeltaAcks: true})
-	}
-	c := Start(fastCfg(n, factory, 0.1, col.onDeliver))
-	defer c.Stop()
+	// a leaving process goes silent without wedging the survivors. Both
+	// ACK encodings, with one and with sixteen messages of pre-join
+	// history (what sizes the snapshot).
+	for _, tc := range []struct {
+		name    string
+		delta   bool
+		history int
+	}{
+		{"full-set/h1", false, 1},
+		{"full-set/h16", false, 16},
+		{"delta/h1", true, 1},
+		{"delta/h16", true, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := newCollector()
+			const n = 3
+			factory := func(_ int, tags *ident.Source, clock func() int64) urb.Process {
+				return urb.NewHeartbeatHost(tags, 200, 1, clock, urb.Config{DeltaAcks: tc.delta})
+			}
+			c := Start(fastCfg(n, factory, 0.1, col.onDeliver))
+			defer c.Stop()
 
-	time.Sleep(30 * time.Millisecond)
-	c.Broadcast(0, []byte("pre-join"))
-	if !waitFor(t, 15*time.Second, func() bool { return col.deliveredBy("pre-join") == n }) {
-		t.Fatalf("pre-join broadcast stuck at %d/%d", col.deliveredBy("pre-join"), n)
-	}
+			time.Sleep(30 * time.Millisecond)
+			history := func(want int) bool {
+				for i := 0; i < tc.history; i++ {
+					if col.deliveredBy(fmt.Sprintf("pre-join-%d", i)) != want {
+						return false
+					}
+				}
+				return true
+			}
+			for i := 0; i < tc.history; i++ {
+				c.Broadcast(i%n, []byte(fmt.Sprintf("pre-join-%d", i)))
+			}
+			if !waitFor(t, 15*time.Second, func() bool { return history(n) }) {
+				t.Fatal("pre-join history never delivered everywhere")
+			}
 
-	joiner, err := c.Join(store.NewMem())
-	if err != nil {
-		t.Fatalf("join: %v", err)
-	}
-	if joiner != n {
-		t.Fatalf("joiner index = %d, want %d", joiner, n)
-	}
-	if c.N() != n+1 {
-		t.Fatalf("N after join = %d", c.N())
-	}
-	if c.Node(joiner).JoinedBytes() == 0 {
-		t.Fatal("join transferred zero bytes")
-	}
+			joiner, err := c.Join(store.NewMem())
+			if err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			if joiner != n {
+				t.Fatalf("joiner index = %d, want %d", joiner, n)
+			}
+			if c.N() != n+1 {
+				t.Fatalf("N after join = %d", c.N())
+			}
+			joined := c.Node(joiner).JoinedBytes()
+			if joined == 0 {
+				t.Fatal("join transferred zero bytes")
+			}
+			// The donors put at least the joiner's container on the wire.
+			var snapBytes uint64
+			for p := 0; p < c.N(); p++ {
+				_, _, _, snap, _ := c.Node(p).ByteStats()
+				snapBytes += snap
+			}
+			if snapBytes < uint64(joined) {
+				t.Fatalf("catch-up wire bytes %d below the joiner's %d-byte container", snapBytes, joined)
+			}
 
-	// The joiner hears new traffic and its own broadcasts reach all.
-	if !c.Broadcast(joiner, []byte("from-joiner")) {
-		t.Fatal("joiner broadcast refused")
-	}
-	c.Broadcast(1, []byte("post-join"))
-	if !waitFor(t, 15*time.Second, func() bool {
-		return col.deliveredBy("from-joiner") == n+1 && col.deliveredBy("post-join") == n+1
-	}) {
-		t.Fatalf("post-join convergence stuck: from-joiner=%d post-join=%d",
-			col.deliveredBy("from-joiner"), col.deliveredBy("post-join"))
-	}
-	// The collector panics on duplicate delivery, so adopted history
-	// re-delivering at the joiner would have crashed the run; check the
-	// joiner also never delivered pre-join history late.
-	if got := col.deliveredBy("pre-join"); got != n {
-		t.Fatalf("pre-join history re-delivered after the join: %d", got)
-	}
+			// The joiner hears new traffic and its own broadcasts reach all.
+			if !c.Broadcast(joiner, []byte("from-joiner")) {
+				t.Fatal("joiner broadcast refused")
+			}
+			c.Broadcast(1, []byte("post-join"))
+			if !waitFor(t, 15*time.Second, func() bool {
+				return col.deliveredBy("from-joiner") == n+1 && col.deliveredBy("post-join") == n+1
+			}) {
+				t.Fatalf("post-join convergence stuck: from-joiner=%d post-join=%d",
+					col.deliveredBy("from-joiner"), col.deliveredBy("post-join"))
+			}
+			// The collector panics on duplicate delivery, so adopted history
+			// re-delivering at the joiner would have crashed the run; check the
+			// joiner also never delivered pre-join history late.
+			if !history(n) {
+				t.Fatal("pre-join history re-delivered after the join")
+			}
 
-	// Leave: the departed process goes silent, the rest keep delivering.
-	c.Leave(1)
-	c.Broadcast(2, []byte("post-leave"))
-	if !waitFor(t, 15*time.Second, func() bool { return col.deliveredBy("post-leave") == n }) {
-		t.Fatalf("post-leave convergence stuck at %d/%d", col.deliveredBy("post-leave"), n)
+			// Leave: the departed process goes silent, the rest keep delivering.
+			c.Leave(1)
+			c.Broadcast(2, []byte("post-leave"))
+			if !waitFor(t, 15*time.Second, func() bool { return col.deliveredBy("post-leave") == n }) {
+				t.Fatalf("post-leave convergence stuck at %d/%d", col.deliveredBy("post-leave"), n)
+			}
+		})
 	}
 }

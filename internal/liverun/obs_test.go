@@ -113,6 +113,28 @@ func TestLiveClusterTracing(t *testing.T) {
 	if !strings.Contains(report, "DELIVER") && !strings.Contains(report, id.String()) {
 		t.Fatalf("/report output:\n%s", report)
 	}
+
+	// Emits are per message, never per frame: once Majority has
+	// retransmitted for a while, the trace is a fraction of the wire
+	// traffic, while a per-copy emit would outgrow it. Events are read
+	// before sends, since both counts only grow.
+	sent := func() (total uint64) {
+		for p := 0; p < n; p++ {
+			msgs, _ := c.Node(p).MessageStats()
+			total += msgs
+		}
+		return total
+	}
+	if !waitFor(t, 10*time.Second, func() bool { return sent() >= 500 }) {
+		t.Fatalf("cluster sent only %d wire messages", sent())
+	}
+	var events uint64
+	for _, tr := range tracers {
+		events += tr.Total()
+	}
+	if s := sent(); events > s {
+		t.Fatalf("%d lifecycle events for %d wire messages sent: emits leak per frame", events, s)
+	}
 }
 
 // TestLiveClusterTracingOff checks the zero-valued knob: no tracers, and

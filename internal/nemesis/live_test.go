@@ -41,30 +41,44 @@ func liveWorkload(n int) []LiveBroadcast {
 	return bs
 }
 
-// TestLiveCampaignSplitHeals runs a real split campaign against live
-// goroutine nodes: partition {0} away from {1,2}, broadcast on both
-// sides, heal, and demand uniform agreement with zero re-deliveries.
+// TestLiveCampaignSplitHeals runs real split campaigns against live
+// goroutine nodes — {0} cut from {1,2}, and the split preset's two
+// successive seams over five nodes — broadcasts on both sides, heals,
+// and demands uniform agreement with zero re-deliveries.
 func TestLiveCampaignSplitHeals(t *testing.T) {
-	c, err := Parse("name=live-split;split@100-400:0;loss@100-400:0.05;deadline=12000")
+	spec, err := Parse("name=live-split;split@100-400:0;loss@100-400:0.05;deadline=12000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLive(LiveRun{
-		Config:     liveConfig(3, 11),
-		Campaign:   c,
-		Broadcasts: liveWorkload(3),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.OK() {
-		t.Fatalf("live split campaign failed:\n%s", res.Audit.Report())
-	}
-	if res.Audit.Survivors != 3 {
-		t.Fatalf("survivors %d, want 3", res.Audit.Survivors)
-	}
-	if res.Link.Sent == 0 {
-		t.Fatal("mesh moved no frames")
+	preset, _ := Preset("split", 5)
+	for _, tc := range []struct {
+		name     string
+		campaign Campaign
+		n        int
+		seed     uint64
+	}{
+		{"spec/n3", spec, 3, 11},
+		{"preset/n5", preset, 5, 2015 + 104729},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunLive(LiveRun{
+				Config:     liveConfig(tc.n, tc.seed),
+				Campaign:   tc.campaign,
+				Broadcasts: liveWorkload(tc.n),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Audit.OK() {
+				t.Fatalf("live split campaign failed:\n%s", res.Audit.Report())
+			}
+			if res.Audit.Survivors != tc.n || res.Audit.Redelivered != 0 {
+				t.Fatalf("survivors %d (want %d), %d re-deliveries", res.Audit.Survivors, tc.n, res.Audit.Redelivered)
+			}
+			if res.Link.Sent == 0 {
+				t.Fatal("mesh moved no frames")
+			}
+		})
 	}
 }
 

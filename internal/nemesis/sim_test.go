@@ -36,28 +36,42 @@ func TestCampaignMatrixConverges(t *testing.T) {
 		"majority":  harness.AlgoMajority,
 		"heartbeat": harness.AlgoHeartbeat,
 	}
-	for _, preset := range []string{"split", "asym", "crashstorm", "churnsplit"} {
+	// Two workloads: seed 1 with three broadcasts per writer, and a
+	// seed per preset (2015 + i·7919) with two.
+	seeds := []struct {
+		name      string
+		seed      func(preset int) uint64
+		perWriter int
+	}{
+		{"seed1", func(int) uint64 { return 1 }, 3},
+		{"seed2015", func(i int) uint64 { return 2015 + uint64(i)*7919 }, 2},
+	}
+	for i, preset := range []string{"split", "asym", "crashstorm", "churnsplit"} {
 		for name, algo := range algos {
-			t.Run(preset+"/"+name, func(t *testing.T) {
-				c, ok := Preset(preset, 5)
-				if !ok {
-					t.Fatalf("preset %q missing", preset)
-				}
-				cfg, _ := baseScenario(algo, 1).Build()
-				res, err := RunSim(cfg, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Audit.OK() {
-					t.Fatalf("campaign failed:\n%s", res.Audit.Report())
-				}
-				if res.Audit.HealLatency < 0 || res.Audit.HealLatency > c.HealDeadline {
-					t.Fatalf("heal latency %d outside [0, %d]", res.Audit.HealLatency, c.HealDeadline)
-				}
-				if res.Audit.Redelivered != 0 {
-					t.Fatalf("%d redeliveries", res.Audit.Redelivered)
-				}
-			})
+			for _, s := range seeds {
+				t.Run(preset+"/"+name+"/"+s.name, func(t *testing.T) {
+					c, ok := Preset(preset, 5)
+					if !ok {
+						t.Fatalf("preset %q missing", preset)
+					}
+					sc := baseScenario(algo, s.seed(i))
+					sc.Workload = workload.MultiWriter{Writers: 5, PerWriter: s.perWriter, Start: 50, Interval: 100}
+					cfg, _ := sc.Build()
+					res, err := RunSim(cfg, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Audit.OK() {
+						t.Fatalf("campaign failed:\n%s", res.Audit.Report())
+					}
+					if res.Audit.HealLatency < 0 || res.Audit.HealLatency > c.HealDeadline {
+						t.Fatalf("heal latency %d outside [0, %d]", res.Audit.HealLatency, c.HealDeadline)
+					}
+					if res.Audit.Redelivered != 0 {
+						t.Fatalf("%d redeliveries", res.Audit.Redelivered)
+					}
+				})
+			}
 		}
 	}
 }

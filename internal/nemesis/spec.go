@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Parse builds a Campaign from the compact spec language the CLIs
-// accept (urbsim -nemesis, urbbench -nemesis). A spec is a
+// Parse builds a Campaign from the compact spec language urbsim
+// -nemesis accepts. A spec is a
 // semicolon-separated list of clauses:
 //
 //	name=<ident>              campaign name (defaults to "custom")
@@ -186,8 +186,9 @@ func parseProcs(s string) ([]int, error) {
 
 // Preset returns a built-in campaign for a base cluster of n
 // processes, or false when the name is unknown. These are the four
-// hard-gated campaigns of the urbbench nemesis matrix plus the
-// deliberately broken one demonstrating the failure report:
+// campaigns TestCampaignMatrixConverges gates under both stacks plus
+// the deliberately broken one demonstrating the failure report
+// (TestBrokenCampaignNamesStage):
 //
 //	split       symmetric partition that heals and re-splits along a
 //	            different seam, background loss throughout

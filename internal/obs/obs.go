@@ -23,8 +23,8 @@
 // only, and trace ACK receptions solely through the ACK_PROGRESS steps
 // where the evidence actually advances. (The simulator's per-frame
 // SEND/RECV hooks are the exception: they observe virtual time, not the
-// live frames path.) This is what holds the `urbbench -obs` gate: the
-// tracer-on frames path stays within 5% of tracer-off throughput.
+// live frames path.) liverun's TestLiveClusterTracing holds this line:
+// a traced cluster records no more events than it sends wire messages.
 //
 // Determinism: tracers never feed back into algorithm state — a traced
 // run produces bit-identical Steps, digests and snapshots to an
@@ -139,7 +139,8 @@ const DefaultCapacity = 1 << 14
 // tracer's only bulk allocation (DefaultCapacity slots per node), and a
 // pointer-carrying ring of that size would be re-scanned on every GC
 // cycle for the tracer's whole lifetime — measurably more overhead than
-// the emits themselves (`urbbench -obs` caught exactly this). The one
+// the emits themselves (a tracing-overhead measurement caught exactly
+// this; BenchmarkEmit keeps the emit cost in view). The one
 // pointer in the public Event — the message body string — is interned
 // per distinct message in Tracer.bodies, and the slot stores its
 // index+1 (0 = empty body).

@@ -127,8 +127,9 @@ func (p *Majority) receiveAck(rec *msgRec, ackTag ident.Tag) Step {
 	// evidence step, and only when the tag_ack is new: fair lossy
 	// channels are overcome by retransmission, so per-frame ACK volume
 	// is unbounded and duplicates carry no lifecycle information — a
-	// per-frame emit here is what would break the 5% tracing budget
-	// (`urbbench -obs`). MSG receptions keep their per-first-copy RECV.
+	// per-frame emit here is what liverun's TestLiveClusterTracing
+	// catches (events ≤ wire messages sent). MSG receptions keep their
+	// per-first-copy RECV.
 	if p.tr != nil && rec.acks.Len() != before {
 		p.tr.AckProgress(rec.id, ident.Tag{}, rec.acks.Len(), p.threshold)
 	}

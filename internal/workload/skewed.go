@@ -139,7 +139,7 @@ func (w BurstTrains) String() string {
 // fair lossy channel model permits this sender ("fair" constrains the
 // channel, not the producers), and without an admission stage the flood's
 // MSG/ACK retransmissions legally evict the victims' frames from finite
-// inboxes. This is the scenario BENCH_fairness.json quantifies.
+// inboxes. This is the scenario liverun's TestFairAdmission gates.
 type Flood struct {
 	Flooder    int
 	Count      int
