@@ -373,7 +373,7 @@ func MergeTraces(tracers ...*Tracer) []TraceEvent { return obs.Merge(tracers...)
 // in Perfetto (ui.perfetto.dev) or chrome://tracing. Pass nanos=true
 // for traces stamped by NewTracer's wall clock.
 func WriteChromeTrace(w io.Writer, evs []TraceEvent, nanos bool) error {
-	return obs.WriteChromeTrace(w, evs, nanos)
+	return obs.WriteChromeTrace(w, obs.Run{Events: evs}, nanos)
 }
 
 // ServeDebug starts the live introspection endpoint on addr

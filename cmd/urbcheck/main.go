@@ -1,17 +1,20 @@
-// Command urbcheck verifies a recorded run against the URB specification:
-// validity, uniform agreement, uniform integrity, the crash model and
-// channel integrity (see internal/trace). With -snapshot it instead
-// verifies a saved durable-state snapshot (DESIGN.md §9): the codec
-// version, the structure, and the embedded fingerprint digest.
+// Command urbcheck verifies a recorded run against the URB specification
+// (internal/obs's checker): validity, uniform agreement, uniform
+// integrity, tag uniqueness, causality and the crash model. The run is
+// the Chrome trace-event JSON file urbsim -trace-out writes; urbcheck
+// first validates it as a trace (valid JSON, required fields,
+// per-process monotone timestamps), then checks the run it carries.
+// With -snapshot it instead verifies a saved durable-state snapshot
+// (DESIGN.md §9): the codec version, the structure, and the embedded
+// fingerprint digest.
 //
 // Usage:
 //
-//	urbcheck trace.jsonl          # verify a trace file
-//	urbsim ... -trace out.jsonl && urbcheck out.jsonl
-//	urbcheck -selftest            # record a fresh run and verify it
+//	urbsim ... -trace-out t.json && urbcheck t.json
+//	urbcheck -truncated t.json    # a run prefix: skip the eventual properties
+//	urbcheck -selftest            # record a lossy, crashing run and check its trace
 //	urbcheck -snapshot snapshot.bin   # verify a durable-state snapshot
 //	urbcheck -explain             # stall-explainer demo on a partitioned cluster
-//	urbcheck -chrometrace t.json  # validate a Chrome trace-event export
 //
 // -snapshot accepts both a store container file (a File store's
 // snapshot.bin) and a raw snapshot payload (urb.Snapshotter output).
@@ -21,85 +24,87 @@
 // explainer's report (DESIGN.md §14): which delivery evidence is
 // missing, named exactly. Exit 0 iff the explainer names the shortfall.
 //
-// -chrometrace re-parses a Chrome trace-event JSON file (as written by
-// urbsim -trace-out or served at /trace.json) and validates it: valid
-// JSON, required fields, per-process monotone timestamps.
-//
-// Exit status: 0 if all properties hold, 1 otherwise (2 on usage or
-// unreadable input).
+// Exit status: 0 if all properties hold, 1 if the trace is invalid or a
+// property is violated, 2 on usage errors, unreadable input, or a trace
+// that cannot be checked (no run size, or a ring that wrapped and lost
+// events).
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"anonurb/internal/channel"
 	"anonurb/internal/obs"
 	"anonurb/internal/sim"
 	"anonurb/internal/store"
-	"anonurb/internal/trace"
 	"anonurb/internal/urb"
-	"anonurb/internal/wire"
 )
 
 func main() {
-	selftest := flag.Bool("selftest", false, "record a run in-process and verify it")
+	selftest := flag.Bool("selftest", false, "record a lossy, crashing run in-process and check its trace")
 	truncated := flag.Bool("truncated", false, "trace is a run prefix: skip the eventual properties")
 	snapshot := flag.String("snapshot", "", "verify a durable-state snapshot file instead of a trace")
 	explain := flag.Bool("explain", false, "run the stall-explainer demo: a partitioned cluster, the report names the missing evidence")
-	chrometrace := flag.String("chrometrace", "", "validate a Chrome trace-event JSON file instead of a trace")
 	flag.Parse()
 
-	if *snapshot != "" {
-		os.Exit(checkSnapshot(*snapshot))
-	}
-	if *explain {
-		os.Exit(explainDemo())
-	}
-	if *chrometrace != "" {
-		os.Exit(checkChromeTrace(*chrometrace))
-	}
-
-	var h trace.Header
-	var events []trace.Event
-	var err error
-
 	switch {
+	case *snapshot != "":
+		os.Exit(checkSnapshot(*snapshot))
+	case *explain:
+		os.Exit(explainDemo())
 	case *selftest:
-		h, events = recordSelftest()
+		os.Exit(checkTrace(os.Stdout, os.Stderr, selftestTrace(), *truncated))
 	case flag.NArg() == 1:
-		f, ferr := os.Open(flag.Arg(0))
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "urbcheck: %v\n", ferr)
-			os.Exit(2)
-		}
-		defer f.Close()
-		h, events, err = trace.Read(f)
+		f, err := os.Open(flag.Arg(0))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "urbcheck: %v\n", err)
 			os.Exit(2)
 		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: urbcheck [-truncated] trace.jsonl | urbcheck -selftest | urbcheck -snapshot snapshot.bin")
-		os.Exit(2)
+		code := checkTrace(os.Stdout, os.Stderr, f, *truncated)
+		f.Close()
+		os.Exit(code)
 	}
+	fmt.Fprintln(os.Stderr, "usage: urbcheck [-truncated] trace.json | urbcheck -selftest | urbcheck -snapshot snapshot.bin | urbcheck -explain")
+	os.Exit(2)
+}
 
-	checker := trace.NewChecker(h.N, h.Crashed)
-	checker.CheckConvergent = !*truncated
-	rep := checker.Check(events)
-	fmt.Printf("trace    : n=%d, %d events, %d broadcasts, %d deliveries (%d fast)\n",
-		h.N, len(events), rep.Broadcast, rep.TotalDeliveries, rep.FastDeliveries)
+// checkTrace validates a Chrome trace-event file, then checks the run
+// it carries, and returns the exit status. Verdicts go to stdout, the
+// reasons a trace cannot be checked to stderr.
+func checkTrace(stdout, stderr io.Writer, r io.Reader, truncated bool) int {
+	tr, err := obs.ReadChromeTrace(r)
+	if err == nil {
+		err = obs.CheckChromeTrace(tr)
+	}
+	if err != nil {
+		fmt.Fprintf(stdout, "verdict  : INVALID — %v\n", err)
+		return 1
+	}
+	run, err := tr.Run()
+	var rep *obs.Report
+	if err == nil {
+		rep, err = run.Check(truncated)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "urbcheck: cannot check this trace: %v\n", err)
+		return 2
+	}
+	fmt.Fprintf(stdout, "trace    : valid Chrome trace-event JSON; n=%d, %d events, %d broadcasts, %d deliveries (%d fast)\n",
+		run.N, len(run.Events), rep.Broadcast, rep.TotalDeliveries, rep.FastDeliveries)
 	if rep.OK() {
-		fmt.Println("verdict  : all URB properties hold")
-		return
+		fmt.Fprintln(stdout, "verdict  : all URB properties hold")
+		return 0
 	}
-	fmt.Printf("verdict  : %d violation(s)\n", len(rep.Violations))
+	fmt.Fprintf(stdout, "verdict  : %d violation(s)\n", len(rep.Violations))
 	for _, v := range rep.Violations {
-		fmt.Printf("  - %s\n", v.Error())
+		fmt.Fprintf(stdout, "  - %s\n", v.Error())
 	}
-	os.Exit(1)
+	return 1
 }
 
 // checkSnapshot decodes and verifies a durable-state snapshot and
@@ -173,7 +178,6 @@ func explainDemo() int {
 func runExplainDemo() (ex obs.Explanation, ok bool) {
 	const n = 5
 	var procs []*urb.Majority
-	lifecycle := sim.NewTraceObserver(0)
 	res := sim.NewEngine(sim.Config{
 		N: n,
 		Factory: func(env sim.Env) urb.Process {
@@ -186,53 +190,24 @@ func runExplainDemo() (ex obs.Explanation, ok bool) {
 		MaxTime:    2_000,
 		CrashAt:    []sim.Time{sim.Never, sim.Never, 1, 1, 1},
 		Broadcasts: []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("stalled")}},
-		Observers:  []sim.Observer{lifecycle},
 	}).Run()
-	var id wire.MsgID
-	for _, e := range lifecycle.Events() {
-		if e.Kind == obs.EvBroadcast {
-			id = e.Msg
-		}
-	}
 	for _, ds := range res.Deliveries {
 		if len(ds) != 0 {
 			return ex, false // a partitioned majority must not deliver
 		}
 	}
-	ex = procs[0].Explain(id)
+	ex = procs[0].Explain(res.Broadcasts[0].ID)
 	return ex, ex.Known && ex.Stalled() && ex.Ackers > 0 && ex.Ackers < ex.Need
 }
 
-// checkChromeTrace validates a Chrome trace-event JSON export and
-// returns the exit code.
-func checkChromeTrace(path string) int {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "urbcheck: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	tr, err := obs.ReadChromeTrace(f)
-	if err != nil {
-		fmt.Printf("verdict  : INVALID — %v\n", err)
-		return 1
-	}
-	if err := obs.CheckChromeTrace(tr); err != nil {
-		fmt.Printf("trace    : %d events\n", len(tr.TraceEvents))
-		fmt.Printf("verdict  : INVALID — %v\n", err)
-		return 1
-	}
-	fmt.Printf("trace    : %d events\n", len(tr.TraceEvents))
-	fmt.Println("verdict  : valid Chrome trace-event JSON, per-process timestamps monotone")
-	return 0
-}
-
-// recordSelftest runs a small lossy scenario with crashes and returns its
-// trace.
-func recordSelftest() (trace.Header, []trace.Event) {
+// selftestTrace records a small lossy run in which two of five
+// processes crash mid-dissemination and returns its Chrome trace, so
+// the self-test goes through the same validation and checking as a
+// trace file.
+func selftestTrace() io.Reader {
 	const n = 5
-	rec := trace.NewRecorder(trace.Options{Wire: true})
-	res := sim.NewEngine(sim.Config{
+	lifecycle := sim.NewTraceObserver(n, 0)
+	sim.NewEngine(sim.Config{
 		N: n,
 		Factory: func(env sim.Env) urb.Process {
 			return urb.NewMajority(n, env.Tags, urb.Config{})
@@ -245,8 +220,11 @@ func recordSelftest() (trace.Header, []trace.Event) {
 			{At: 5, Proc: 0, Body: []byte("selftest-a")},
 			{At: 9, Proc: 1, Body: []byte("selftest-b")},
 		},
-		Observers:        []sim.Observer{rec},
-		ExpectDeliveries: 2,
+		Observers:         []sim.Observer{lifecycle},
+		ExpectDeliveries:  2,
+		NoEarlyStopBefore: 100,
 	}).Run()
-	return trace.Header{Version: 1, N: n, Crashed: res.Crashed}, rec.Events()
+	var buf bytes.Buffer
+	obs.WriteChromeTrace(&buf, lifecycle.Run(), false)
+	return &buf
 }

@@ -9,6 +9,13 @@
 //	urbsim -n 5 -algo quiescent -loss 0.2 -crashes 4 -gst 200 -noise benign
 //	urbsim -n 4 -algo lowered -loss 0 -v   # unsafe threshold, watch it break
 //
+// Tracing (DESIGN.md §14): -trace-out writes the run's lifecycle trace
+// as Chrome trace-event JSON, which Perfetto loads and urbcheck both
+// validates and checks against the URB properties; -timeline prints the
+// same events as a per-message report:
+//
+//	urbsim -n 5 -msgs 3 -trace-out t.json && urbcheck t.json
+//
 // Record/replay (DESIGN.md §11): -record writes the run's broadcast
 // schedule to a compact trace file; -replay drives a scenario from such
 // a file instead of the built-in workload (same trace + same seed =
@@ -59,7 +66,6 @@ import (
 	"anonurb/internal/obs"
 	"anonurb/internal/replay"
 	"anonurb/internal/sim"
-	"anonurb/internal/trace"
 	"anonurb/internal/workload"
 )
 
@@ -76,10 +82,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "run seed")
 	maxTime := flag.Int64("max-time", 200_000, "virtual-time horizon")
 	verbose := flag.Bool("v", false, "print per-process deliveries")
-	traceOut := flag.String("trace", "", "write the run trace (JSONL) to this file for urbcheck")
-	chromeOut := flag.String("trace-out", "", "write a Chrome trace-event JSON lifecycle trace (load in Perfetto / chrome://tracing)")
-	timeline := flag.Bool("timeline", false, "print an event timeline (broadcast/deliver/crash)")
-	timelineWire := flag.Bool("timeline-wire", false, "include send/receive events in the timeline")
+	traceOut := flag.String("trace-out", "", "write the run's lifecycle trace as Chrome trace-event JSON (load in Perfetto; check with urbcheck)")
+	timeline := flag.Bool("timeline", false, "print the run's lifecycle events as a per-message report")
 	record := flag.String("record", "", "record the run's broadcast schedule to this trace file")
 	replayFrom := flag.String("replay", "", "replay the broadcast schedule from this trace file instead of the built-in workload")
 	speed := flag.Float64("speed", 1, "with -replay: time-scale the schedule (2 = twice as fast)")
@@ -120,23 +124,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var rec *trace.Recorder
-	var observers []sim.Observer
-	if *traceOut != "" || *timeline || *timelineWire {
-		rec = trace.NewRecorder(trace.Options{Wire: *traceOut != "" || *timelineWire})
-		observers = []sim.Observer{rec}
-	}
-	var schedRec *replay.Recorder
-	if *record != "" {
-		schedRec = replay.NewRecorder()
-		observers = append(observers, schedRec)
-	}
-	var lifecycle *sim.TraceObserver
-	if *chromeOut != "" {
-		lifecycle = sim.NewTraceObserver(0)
-		observers = append(observers, lifecycle)
-	}
-
 	var wl workload.Broadcasts = workload.MultiWriter{
 		Writers: 1, PerWriter: *msgs, Start: 5, Interval: 30,
 	}
@@ -153,6 +140,18 @@ func main() {
 			*n = sched.N
 		}
 		wl = replay.Replayer{Schedule: sched, Speed: *speed}
+	}
+
+	var observers []sim.Observer
+	var schedRec *replay.Recorder
+	if *record != "" {
+		schedRec = replay.NewRecorder()
+		observers = append(observers, schedRec)
+	}
+	var lifecycle *sim.TraceObserver
+	if *traceOut != "" || *timeline {
+		lifecycle = sim.NewTraceObserver(*n, 0)
+		observers = append(observers, lifecycle)
 	}
 
 	// Churn schedules parse after -replay may have pinned n, so the
@@ -192,8 +191,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "urbsim: -nemesis needs -algo majority or heartbeat: the oracle detectors are built before campaign faults merge and would contradict them (DESIGN.md §15)")
 			os.Exit(2)
 		}
-		if *record != "" || *traceOut != "" || *chromeOut != "" || *timeline || *timelineWire {
-			fmt.Fprintln(os.Stderr, "urbsim: -nemesis does not compose with -record/-trace/-trace-out/-timeline (campaign runs have their own auditor; record schedules without -nemesis, then replay them under it)")
+		if *record != "" || *traceOut != "" || *timeline {
+			fmt.Fprintln(os.Stderr, "urbsim: -nemesis does not compose with -record/-trace-out/-timeline (campaign runs have their own auditor; record schedules without -nemesis, then replay them under it)")
 			os.Exit(2)
 		}
 		os.Exit(runNemesisCampaign(scen, *nemesisSpec, *verbose))
@@ -245,48 +244,26 @@ func main() {
 		}
 	}
 
-	if *timeline || *timelineWire {
+	if *timeline {
 		fmt.Println()
-		fmt.Print(trace.Timeline(*n, rec.Events(), trace.TimelineOptions{
-			Wire:      *timelineWire,
-			MaxEvents: 400,
-		}))
+		obs.WriteReport(os.Stdout, lifecycle.Events())
 	}
 
-	if rec != nil && *traceOut != "" {
+	if *traceOut != "" {
+		run := lifecycle.Run()
 		f, err := os.Create(*traceOut)
+		if err == nil {
+			// Virtual time, not wall nanos: Chrome ts stays in raw units.
+			err = obs.WriteChromeTrace(f, run, false)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)
 		}
-		if err := trace.Write(f, *n, out.Result.Crashed, rec.Events()); err != nil {
-			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("trace    : %d events written to %s\n", len(rec.Events()), *traceOut)
-	}
-
-	if lifecycle != nil {
-		f, err := os.Create(*chromeOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
-			os.Exit(2)
-		}
-		evs := lifecycle.Events()
-		// Virtual time, not wall nanos: Chrome ts stays in raw units.
-		if err := obs.WriteChromeTrace(f, evs, false); err != nil {
-			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
-			os.Exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("chrome   : %d lifecycle events written to %s (load in Perfetto)\n", len(evs), *chromeOut)
+		fmt.Printf("trace    : %d events written to %s\n", len(run.Events), *traceOut)
 	}
 
 	if schedRec != nil {

@@ -15,9 +15,9 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
 	"anonurb/internal/metrics"
+	"anonurb/internal/obs"
 	"anonurb/internal/rb"
 	"anonurb/internal/sim"
-	"anonurb/internal/trace"
 	"anonurb/internal/urb"
 	"anonurb/internal/workload"
 	"anonurb/internal/xrand"
@@ -124,7 +124,7 @@ type Scenario struct {
 type Outcome struct {
 	Scenario Scenario
 	Result   sim.Result
-	Report   *trace.Report
+	Report   *obs.Report
 	// Oracle is the failure detector oracle, if one was built.
 	Oracle *fd.Oracle
 	// Latency collects (delivery time − broadcast time) over all
@@ -272,7 +272,7 @@ func analyze(s Scenario, oracle *fd.Oracle, res sim.Result) Outcome {
 		Issued:      len(res.Broadcasts),
 		QuiesceTime: -1,
 	}
-	o.Report = trace.CheckResult(res)
+	o.Report = res.Check()
 	if res.Quiescent {
 		o.QuiesceTime = res.LastSend
 	}

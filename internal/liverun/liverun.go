@@ -35,16 +35,13 @@ import (
 // cluster's elapsed time in link-delay units.
 type Factory func(index int, tags *ident.Source, clock func() int64) urb.Process
 
-// Delivery is one URB-delivery observed on the cluster.
+// Delivery is one URB-delivery observed on the cluster: the delivering
+// process and the time since the cluster started.
 type Delivery struct {
+	urb.Delivery
 	Proc    int
-	ID      wire.MsgID
-	Fast    bool
 	Elapsed time.Duration
 }
-
-// Body returns the delivered payload as a fresh byte slice.
-func (d Delivery) Body() []byte { return d.ID.Bytes() }
 
 // Config describes a live cluster.
 type Config struct {
@@ -141,10 +138,9 @@ func (o observer) OnQuiescence(time.Duration)  {}
 func (o observer) OnDeliver(d node.Delivery) {
 	if o.c.cfg.OnDeliver != nil {
 		o.c.cfg.OnDeliver(Delivery{
-			Proc:    o.proc,
-			ID:      d.ID,
-			Fast:    d.Fast,
-			Elapsed: time.Since(o.c.start),
+			Delivery: d.Delivery,
+			Proc:     o.proc,
+			Elapsed:  time.Since(o.c.start),
 		})
 	}
 }

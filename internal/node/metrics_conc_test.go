@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"anonurb/internal/ident"
+	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
 
@@ -32,7 +33,7 @@ func TestMetricsConcurrent(t *testing.T) {
 				c.OnSend(m, m.Encode(nil))
 				c.OnReceive(m)
 				c.OnBroadcast(id, start)
-				c.OnDeliver(Delivery{ID: id, At: start.Add(time.Duration(i) * time.Millisecond)})
+				c.OnDeliver(Delivery{Delivery: urb.Delivery{ID: id}, At: start.Add(time.Duration(i) * time.Millisecond)})
 				if i%100 == 0 {
 					c.OnQuiescence(time.Millisecond)
 				}
@@ -71,7 +72,7 @@ func TestMetricsPerMessageLatency(t *testing.T) {
 	id := wire.MsgID{Tag: ident.Tag{Hi: 1, Lo: 1}, Body: "m"}
 	bcast := time.Now()
 	c.OnBroadcast(id, bcast)
-	c.OnDeliver(Delivery{ID: id, At: bcast.Add(25 * time.Millisecond)})
+	c.OnDeliver(Delivery{Delivery: urb.Delivery{ID: id}, At: bcast.Add(25 * time.Millisecond)})
 	if got := c.deliverLat.Max(); got != 25 {
 		t.Fatalf("per-message latency = %dms, want 25 (fallback would be ~60000)", got)
 	}
@@ -79,7 +80,7 @@ func TestMetricsPerMessageLatency(t *testing.T) {
 	// A delivery the collector never saw broadcast falls back to the
 	// collector epoch (the documented pre-tracing behavior).
 	other := wire.MsgID{Tag: ident.Tag{Hi: 2, Lo: 2}, Body: "m"}
-	c.OnDeliver(Delivery{ID: other, At: c.start.Add(90 * time.Millisecond)})
+	c.OnDeliver(Delivery{Delivery: urb.Delivery{ID: other}, At: c.start.Add(90 * time.Millisecond)})
 	if got := c.deliverLat.Max(); got != 90 {
 		t.Fatalf("fallback latency = %dms, want 90", got)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anonurb/internal/ident"
+	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
 
@@ -15,9 +16,8 @@ func TestMetricsDeliveriesByFlow(t *testing.T) {
 	m := NewMetrics()
 	deliver := func(flow, lo uint64, fast bool) {
 		m.OnDeliver(Delivery{
-			ID:   wire.MsgID{Tag: ident.Tag{Hi: flow, Lo: lo}, Body: "x"},
-			Fast: fast,
-			At:   time.Now(),
+			Delivery: urb.Delivery{ID: wire.MsgID{Tag: ident.Tag{Hi: flow, Lo: lo}, Body: "x"}, Fast: fast},
+			At:       time.Now(),
 		})
 	}
 	// Flow 0xAA broadcasts three times, flow 0xBB once; with pinned
@@ -53,8 +53,8 @@ func TestMetricsFlowOfUnpinnedTags(t *testing.T) {
 	m := NewMetrics()
 	for i := uint64(1); i <= 5; i++ {
 		m.OnDeliver(Delivery{
-			ID: wire.MsgID{Tag: ident.Tag{Hi: i * 31, Lo: i}, Body: "y"},
-			At: time.Now(),
+			Delivery: urb.Delivery{ID: wire.MsgID{Tag: ident.Tag{Hi: i * 31, Lo: i}, Body: "y"}},
+			At:       time.Now(),
 		})
 	}
 	if got := len(m.Snapshot().DeliveriesByFlow); got != 5 {

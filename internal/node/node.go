@@ -49,19 +49,12 @@ var (
 	ErrBodyTooLarge = errors.New("node: payload exceeds wire.MaxBody")
 )
 
-// Delivery is one URB-delivery handed to the application.
+// Delivery is one URB-delivery handed to the application, stamped with
+// its wall-clock time.
 type Delivery struct {
-	// ID identifies the delivered message (payload + tag).
-	ID wire.MsgID
-	// Fast reports the paper's fast-delivery case (evidence from ACKs
-	// alone, no MSG copy seen).
-	Fast bool
-	// At is the wall-clock delivery time.
+	urb.Delivery
 	At time.Time
 }
-
-// Body returns the delivered payload as a fresh byte slice.
-func (d Delivery) Body() []byte { return d.ID.Bytes() }
 
 // Observer receives node events. Callbacks fire synchronously on the
 // node's goroutine: keep them fast, and synchronise externally if one
@@ -257,7 +250,7 @@ type Node struct {
 
 	deliveries chan Delivery
 	subscribed atomic.Bool
-	actions    chan func(urb.Process)
+	actions    chan func(urb.Process) bool
 
 	// lifeMu serialises lifecycle transitions (Start/Stop).
 	lifeMu sync.Mutex
@@ -295,8 +288,8 @@ type Node struct {
 	checkpointBytes atomic.Uint64
 	walAppends      atomic.Uint64
 	walBytes        atomic.Uint64
-	// storeErr is the first durable-write failure, nil while the store
-	// works; once set the node stops persisting.
+	// storeErr is the store failure that stopped the node, nil while
+	// the store works.
 	storeErr atomic.Pointer[error]
 
 	// cache and budget belong to the loop goroutine (absorb path).
@@ -385,7 +378,7 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 		bcastObs:       bo,
 		flowDeliveries: make(map[uint64]uint64),
 		deliveries:     make(chan Delivery, o.inboxDepth),
-		actions:        make(chan func(urb.Process), 64),
+		actions:        make(chan func(urb.Process) bool, 64),
 		done:           make(chan struct{}),
 		cache:          wire.NewEncodeCache(wire.DefaultEncodeCacheSize),
 		budget:         tr.FrameBudget(),
@@ -432,13 +425,13 @@ func (n *Node) Broadcast(body []byte) (wire.MsgID, error) {
 		return wire.MsgID{}, ErrNotRunning
 	}
 	var id wire.MsgID
-	if err := n.call(func(p urb.Process) func() {
+	if err := n.call(func(p urb.Process) func() bool {
 		var s urb.Step
 		id, s = p.Broadcast(body)
 		if n.bcastObs != nil {
 			n.bcastObs.OnBroadcast(id, time.Now())
 		}
-		return func() { n.absorb(s) }
+		return func() bool { return n.absorb(s) }
 	}); err != nil {
 		return wire.MsgID{}, err
 	}
@@ -450,15 +443,14 @@ func (n *Node) Broadcast(body []byte) (wire.MsgID, error) {
 // synchronisation point). A non-nil after-hook returned by f runs on
 // the node goroutine once the caller has been released — Broadcast
 // absorbs its Step there, so a delivery-queue backpressure stall cannot
-// deadlock a caller that is also the Deliveries drainer.
-func (n *Node) call(f func(p urb.Process) func()) error {
+// deadlock a caller that is also the Deliveries drainer. The hook
+// reports false when the loop must stop (absorb's store failure).
+func (n *Node) call(f func(p urb.Process) func() bool) error {
 	reply := make(chan struct{})
-	act := func(p urb.Process) {
+	act := func(p urb.Process) bool {
 		after := f(p)
 		close(reply)
-		if after != nil {
-			after()
-		}
+		return after == nil || after()
 	}
 	select {
 	case n.actions <- act:
@@ -483,7 +475,7 @@ func (n *Node) Explain(id wire.MsgID) (obs.Explanation, error) {
 		return obs.Explanation{}, ErrNotExplainable
 	}
 	var ex obs.Explanation
-	err := n.call(func(p urb.Process) func() {
+	err := n.call(func(p urb.Process) func() bool {
 		ex = p.(obs.Explainer).Explain(id)
 		return nil
 	})
@@ -502,7 +494,7 @@ func (n *Node) Stats() (urb.Stats, error) {
 	for {
 		if n.state.Load() == stateRunning {
 			var st urb.Stats
-			if err := n.call(func(p urb.Process) func() {
+			if err := n.call(func(p urb.Process) func() bool {
 				st = p.Stats()
 				return nil
 			}); err == nil {
@@ -609,10 +601,11 @@ type StoreStats struct {
 	// cumulative payload bytes (across compactions).
 	WALAppends uint64
 	WALBytes   uint64
-	// Err is the first store error, if any. After an error the node
-	// stops persisting (and keeps serving): a half-written durable state
-	// is worse than a clearly stale one, and the error is surfaced here
-	// for the supervisor to act on.
+	// Err is the store error that stopped the node, if any. A node
+	// whose store fails stops before it exposes or sends anything of
+	// the Step that failed to persist, so everything it ever exposed is
+	// durable; its Deliveries channel closes and the supervisor restarts
+	// it through Recover.
 	Err error
 }
 
@@ -631,8 +624,8 @@ func (n *Node) StoreStats() StoreStats {
 	return st
 }
 
-// failStore records the first store error; persistence stops. Not
-// inlined: &err would move absorb's err to the heap on every Step.
+// failStore records the store error that stops the node. Not inlined:
+// &err would move absorb's err to the heap on every Step.
 //
 //go:noinline
 func (n *Node) failStore(err error) { n.storeErr.CompareAndSwap(nil, &err) }
@@ -773,7 +766,9 @@ func (n *Node) loop(ctx context.Context) {
 			} else {
 				n.badFrames.Add(1)
 			}
-			n.absorb(step)
+			if !n.absorb(step) {
+				return
+			}
 			// absorb retains nothing, so the slices can be reused — after
 			// clearing what this frame used, lest the backing arrays pin
 			// bodies and label slices until the next frame as large.
@@ -784,19 +779,22 @@ func (n *Node) loop(ctx context.Context) {
 			step.Deliveries = step.Deliveries[:0]
 			step.Durable = step.Durable[:0]
 		case <-tick.C:
-			n.absorb(n.core.Proc.Tick())
+			if !n.absorb(n.core.Proc.Tick()) {
+				return
+			}
 			tick.Reset(n.opt.tickEvery)
 			// Checkpoint on cadence, but only when the WAL grew since the
 			// last one: an idle (e.g. quiescent) node re-snapshotting an
 			// unchanged state would be pure churn.
-			if n.core.Store != nil && n.storeErr.Load() == nil &&
+			if n.core.Store != nil &&
 				time.Since(lastCheckpoint) >= n.opt.checkpointEvery &&
 				n.walAppends.Load() != walAtCheckpoint {
-				if size, err := n.core.Checkpoint(); err != nil {
+				size, err := n.core.Checkpoint()
+				if err != nil {
 					n.failStore(err)
-				} else {
-					n.countCheckpoint(size)
+					return
 				}
+				n.countCheckpoint(size)
 				lastCheckpoint = time.Now()
 				walAtCheckpoint = n.walAppends.Load()
 			}
@@ -814,13 +812,17 @@ func (n *Node) loop(ctx context.Context) {
 			}
 			sentAtLastTick = n.sentFrames.Load()
 		case f := <-n.actions:
-			f(n.core.Proc)
+			if !f(n.core.Proc) {
+				return
+			}
 		}
 	}
 }
 
 // absorb executes one Step: deliveries to the application, broadcasts to
-// the transport. Runs on the node goroutine only. It retains nothing of
+// the transport. Runs on the node goroutine only. It reports false when
+// the Step failed to persist: nothing of it was exposed or sent, and the
+// loop must stop (fail-stop). It retains nothing of
 // s: messages, deliveries and events reach the store, the observer, the
 // subscriber and the encode cache by value, so the caller may reuse the
 // Step's slices as soon as absorb returns.
@@ -832,15 +834,15 @@ func (n *Node) loop(ctx context.Context) {
 // MSG frames instead of re-encoding each body.
 //
 //urb:hotpath
-func (n *Node) absorb(s urb.Step) {
+func (n *Node) absorb(s urb.Step) bool {
 	// Write-ahead (host.Core.Commit) before the node acts on any of s.
-	// After a store error the node stops persisting and keeps serving.
-	if n.core.Store != nil && n.storeErr.Load() == nil {
+	if n.core.Store != nil {
 		records, bytes, err := n.core.Commit(s)
 		n.walAppends.Add(uint64(records))
 		n.walBytes.Add(uint64(bytes))
 		if err != nil {
 			n.failStore(err)
+			return false
 		}
 	}
 	// One clock reading and one lock round-trip per Step that delivers,
@@ -855,7 +857,7 @@ func (n *Node) absorb(s urb.Step) {
 		n.flowMu.Unlock()
 	}
 	for _, d := range s.Deliveries {
-		del := Delivery{ID: d.ID, Fast: d.Fast, At: now}
+		del := Delivery{Delivery: d, At: now}
 		if n.opt.observer != nil {
 			n.opt.observer.OnDeliver(del)
 		}
@@ -863,12 +865,12 @@ func (n *Node) absorb(s urb.Step) {
 			select {
 			case n.deliveries <- del:
 			case <-n.ctx.Done():
-				return
+				return true
 			}
 		}
 	}
 	if len(s.Broadcasts) == 0 {
-		return
+		return true
 	}
 	var frame []byte
 	flush := func() {
@@ -913,4 +915,5 @@ func (n *Node) absorb(s urb.Step) {
 		}
 	}
 	flush()
+	return true
 }

@@ -247,9 +247,11 @@ func TestRecoverAndJoinCopyTheirOptions(t *testing.T) {
 	}
 }
 
-// TestNodeStoreErrorDegradesLoudly: a failing store stops persistence,
-// surfaces the error, and the node keeps serving.
-func TestNodeStoreErrorDegradesLoudly(t *testing.T) {
+// TestNodeStoreErrorStopsNode: a node whose store fails stops before it
+// exposes anything of the Step that failed to persist (exposed implies
+// durable), surfaces the error, closes Deliveries, and refuses further
+// broadcasts.
+func TestNodeStoreErrorStopsNode(t *testing.T) {
 	mesh := transport.NewMesh(transport.MeshConfig{
 		N:    1,
 		Link: channel.Reliable{D: channel.FixedDelay(0)},
@@ -267,15 +269,26 @@ func TestNodeStoreErrorDegradesLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Stop()
-	id, err := nd.Broadcast([]byte("served-anyway"))
-	if err != nil {
+	if _, err := nd.Broadcast([]byte("never-durable")); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, inbox, 1, 5*time.Second); got[id] != 1 {
-		t.Fatalf("node stopped serving on store failure: %v", got)
+	timeout := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case d, ok := <-inbox:
+			if ok {
+				t.Fatalf("node exposed %v, which its store never persisted", d.ID)
+			}
+			open = false
+		case <-timeout:
+			t.Fatal("Deliveries did not close after the store failed")
+		}
 	}
 	if nd.StoreStats().Err == nil {
 		t.Fatal("store failure not surfaced")
+	}
+	if _, err := nd.Broadcast([]byte("after")); err != ErrNotRunning {
+		t.Fatalf("broadcast after fail-stop: %v, want ErrNotRunning", err)
 	}
 }
 

@@ -21,10 +21,13 @@
 // Fair lossy channels are overcome by retransmission, so per-frame
 // volume is unbounded — the algorithms emit RECV for the first MSG copy
 // only, and trace ACK receptions solely through the ACK_PROGRESS steps
-// where the evidence actually advances. (The simulator's per-frame
-// SEND/RECV hooks are the exception: they observe virtual time, not the
-// live frames path.) liverun's TestLiveClusterTracing holds this line:
-// a traced cluster records no more events than it sends wire messages.
+// where the evidence actually advances. liverun's TestLiveClusterTracing
+// holds this line: a traced cluster records no more events than it
+// sends wire messages.
+//
+// A simulator run recorded this way (sim.TraceObserver) is also what
+// the URB checker reads (check.go), in memory or from the Chrome trace
+// file cmd/urbsim writes and cmd/urbcheck checks.
 //
 // Determinism: tracers never feed back into algorithm state — a traced
 // run produces bit-identical Steps, digests and snapshots to an
@@ -51,7 +54,8 @@ type EventKind uint8
 // passes, and — Algorithm 2 only —
 // RETIRE when the quiescence rule deletes it from MSG_i. The remaining
 // kinds trace the host machinery around the algorithm: admission
-// demotions, snapshot-transfer joins, and crashes (sim runs).
+// demotions, snapshot-transfer joins and the history a joiner adopts,
+// and crashes and recoveries (sim runs).
 const (
 	EvNone EventKind = iota
 	EvBroadcast
@@ -64,8 +68,8 @@ const (
 	EvSnapReq
 	EvSnapChunk
 	EvSnapDone
-	EvSend
 	EvCrash
+	EvAdopt
 )
 
 // String names the kind the way the exporters spell it.
@@ -91,10 +95,10 @@ func (k EventKind) String() string {
 		return "SNAP_CHUNK"
 	case EvSnapDone:
 		return "SNAP_DONE"
-	case EvSend:
-		return "SEND"
 	case EvCrash:
 		return "CRASH"
+	case EvAdopt:
+		return "ADOPT"
 	}
 	return "NONE"
 }
@@ -106,10 +110,12 @@ func (k EventKind) String() string {
 //	              threshold (Algorithm 1: distinct tag_acks vs majority;
 //	              Algorithm 2: claims on the closest AΘ pair vs its
 //	              number), Aux is that pair's label (Algorithm 2).
-//	RECV/SEND:    Have carries the wire.Kind byte.
+//	RECV:         Have carries the wire.Kind byte.
 //	DELIVER:      Have is 1 for a fast delivery (Remark, Section III).
 //	ADMIT_DEMOTE: Flow is the demoted flow id.
 //	SNAP_CHUNK:   Have/Need are the chunk offset and total.
+//	CRASH:        Need is 1 when the process recovered instead.
+//	ADOPT:        Msg is one id a joiner took as already delivered.
 type Event struct {
 	// Seq is the tracer-local emission number (dense, starts at 1);
 	// the ring keeps the latest events, so the first retained Seq
@@ -396,24 +402,6 @@ func (t *Tracer) Snap(kind EventKind, off, total int) {
 		return
 	}
 	t.emit(Event{Kind: kind, Have: int64(off), Need: int64(total)})
-}
-
-// Send records one wire transmission observed at the host layer (the
-// simulator's per-frame hook; the node runtime traces FIRST_SEND from
-// inside the algorithm instead).
-func (t *Tracer) Send(id wire.MsgID, kind wire.Kind) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: EvSend, Msg: id, Have: int64(kind)})
-}
-
-// Crash records a process crash (sim runs).
-func (t *Tracer) Crash(node int) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: EvCrash, Have: int64(node)})
 }
 
 // EmitAt appends an arbitrary event with an explicit timestamp and node

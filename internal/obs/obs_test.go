@@ -25,8 +25,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Retire(mid(1, "a"))
 	tr.AdmitDemote(7)
 	tr.Snap(EvSnapDone, 0, 0)
-	tr.Send(mid(1, "a"), wire.KindMsg)
-	tr.Crash(2)
 	tr.EmitAt(5, 0, Event{Kind: EvRecv})
 	if tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Node() != -1 {
 		t.Fatal("nil tracer reported state")

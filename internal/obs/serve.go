@@ -54,7 +54,7 @@ func Handler(opts ServeOptions) http.Handler {
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = WriteChromeTrace(w, Merge(opts.Tracers...), opts.Nanos)
+		_ = WriteChromeTrace(w, Run{Events: Merge(opts.Tracers...)}, opts.Nanos)
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")

@@ -63,7 +63,7 @@ func (tl *Timeline) Stalled(nodes int) bool {
 
 // Timelines groups an event stream into per-message timelines, ordered
 // by first appearance in the stream. Node-scoped events (ADMIT_DEMOTE,
-// SNAP_*, CRASH) are skipped.
+// SNAP_*, CRASH) and ADOPT are skipped.
 func Timelines(evs []Event) []*Timeline {
 	byMsg := make(map[wire.MsgID]*Timeline)
 	var order []*Timeline
@@ -149,7 +149,11 @@ func WriteReport(w io.Writer, evs []Event) error {
 		case EvSnapReq, EvSnapChunk, EvSnapDone:
 			fmt.Fprintf(w, "%s t=%d node=%d off=%d total=%d\n", e.Kind, e.At, e.Node, e.Have, e.Need)
 		case EvCrash:
-			fmt.Fprintf(w, "crash t=%d node=%d\n", e.At, e.Have)
+			what := "crash"
+			if e.Need == 1 {
+				what = "recover"
+			}
+			fmt.Fprintf(w, "%s t=%d node=%d\n", what, e.At, e.Node)
 		}
 	}
 	return nil

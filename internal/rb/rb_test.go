@@ -6,7 +6,6 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/ident"
 	"anonurb/internal/sim"
-	"anonurb/internal/trace"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 	"anonurb/internal/xrand"
@@ -140,7 +139,7 @@ func TestBestEffortLosesAgreementUnderLoss(t *testing.T) {
 	if got == 0 || got == n {
 		t.Fatalf("seed should produce partial delivery for the demo, got %d/%d", got, n)
 	}
-	rep := trace.CheckResult(res)
+	rep := res.Check()
 	agreementBroken := false
 	for _, v := range rep.Violations {
 		if v.Property == "uniform-agreement" {
@@ -165,7 +164,7 @@ func TestEagerRBConvergesOnReliableChannels(t *testing.T) {
 		Broadcasts:       []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("m")}},
 		ExpectDeliveries: 1,
 	}).Run()
-	rep := trace.CheckResult(res)
+	rep := res.Check()
 	if err := rep.Err(); err != nil {
 		t.Fatalf("eager RB on reliable channels must be clean: %v", err)
 	}
@@ -188,7 +187,7 @@ func TestIDedConvergesUnderLossAndCrashes(t *testing.T) {
 		Broadcasts:       []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("m")}},
 		ExpectDeliveries: 1,
 	}).Run()
-	rep := trace.CheckResult(res)
+	rep := res.Check()
 	if err := rep.Err(); err != nil {
 		t.Fatalf("IDed URB run not clean: %v", err)
 	}
@@ -259,7 +258,7 @@ func TestAnonymousRBCorrectAgreementUnderLoss(t *testing.T) {
 			t.Fatalf("p%d delivered %d", i, len(ds))
 		}
 	}
-	if err := trace.CheckResult(res).Err(); err != nil {
+	if err := res.Check().Err(); err != nil {
 		t.Fatal(err)
 	}
 }

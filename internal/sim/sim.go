@@ -99,8 +99,9 @@ type RecoverObserver interface {
 // membership-churn events.
 type JoinObserver interface {
 	// OnJoin fires when a joining process completes its snapshot
-	// transfer and goes live; bytes is the container size it pulled.
-	OnJoin(t Time, proc int, bytes int)
+	// transfer and goes live; bytes is the container size it pulled and
+	// adopted the ids it took as already delivered, in broadcast order.
+	OnJoin(t Time, proc int, bytes int, adopted []wire.MsgID)
 	// OnLeave fires when a process leaves the cluster for good.
 	OnLeave(t Time, proc int)
 }
@@ -234,9 +235,8 @@ func (h *eventHeap) Pop() any {
 
 // DeliveryAt is one URB-delivery with its virtual time.
 type DeliveryAt struct {
-	ID   wire.MsgID
-	At   Time
-	Fast bool
+	urb.Delivery
+	At Time
 }
 
 // BroadcastAt is one URB-broadcast with its origin (ground truth for the
@@ -610,7 +610,7 @@ func (e *Engine) absorb(proc int, s urb.Step) {
 	}
 	for _, d := range s.Deliveries {
 		e.result.Deliveries[proc] = append(e.result.Deliveries[proc],
-			DeliveryAt{ID: d.ID, At: e.now, Fast: d.Fast})
+			DeliveryAt{Delivery: d, At: e.now})
 		e.delivered[proc]++
 		e.deliveredSomewhere[d.ID] = true
 		e.deliveredAt[proc][d.ID] = true
@@ -968,18 +968,20 @@ func (e *Engine) finishJoin(proc int, container []byte) {
 	// History the joiner adopted as already delivered satisfies its
 	// delivery obligations — uniformity forbids re-delivering it — so
 	// the convergence ledger credits it up front.
+	var adopted []wire.MsgID
 	if hd, ok := h.Proc.(interface{ HasDelivered(wire.MsgID) bool }); ok {
 		e.result.Adopted[proc] = make(map[wire.MsgID]bool)
-		for id := range e.msgOrigin {
-			if hd.HasDelivered(id) {
-				e.deliveredAt[proc][id] = true
-				e.result.Adopted[proc][id] = true
+		for _, b := range e.result.Broadcasts {
+			if hd.HasDelivered(b.ID) {
+				e.deliveredAt[proc][b.ID] = true
+				e.result.Adopted[proc][b.ID] = true
+				adopted = append(adopted, b.ID)
 			}
 		}
 	}
 	for _, o := range e.cfg.Observers {
 		if jo, ok := o.(JoinObserver); ok {
-			jo.OnJoin(e.now, proc, len(container))
+			jo.OnJoin(e.now, proc, len(container), adopted)
 		}
 	}
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: proc})
