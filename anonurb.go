@@ -389,13 +389,6 @@ func ServeDebug(addr string, tracers []*Tracer, m *NodeMetrics) (*DebugServer, e
 	return obs.Serve(addr, opts)
 }
 
-// WithBatching enables or disables batched sending (default enabled):
-// all broadcasts of one algorithm step are coalesced into concatenated
-// batch frames no larger than the transport's FrameBudget. Batch
-// framing adds zero bytes; disabling restores one frame per wire
-// message. Receiving handles batch frames in both modes.
-func WithBatching(enabled bool) NodeOption { return node.WithBatching(enabled) }
-
 // Flow-fairness admission (internal/admit, DESIGN.md §11).
 type (
 	// AdmitConfig parameterises a node's admission stage: per-flow fair

@@ -7,10 +7,12 @@
 //
 // Like urb.Process the package is sans-IO: no goroutine, no clock (time
 // is an int64 the driver passes in, in whatever unit it ticks), no
-// transport. A driver feeds it Steps, wire messages and the current
-// time; it returns the wire messages to send and the errors the store
-// raised. What to do about a store error (degrade, panic), when to
-// checkpoint and how long to wait for a silent donor are driver policy.
+// transport. Loop is the event-loop body both drivers run: a driver
+// feeds it frames, ticks and its own Steps with the current time, and
+// it returns the deliveries to expose, the encoded frames to send and
+// the error the store raised — on which the driver stops (fail-stop).
+// Batching, the frame budget, the checkpoint cadence and how long to
+// wait for a silent donor are driver settings.
 package host
 
 import (
@@ -34,8 +36,8 @@ var ErrStaleSnapshot = errors.New("host: donor snapshot below the joiner's incar
 const ServeWindow = 8
 
 // Core is one live process and its durable store. Store may be nil: the
-// process is then not durable, Commit and Checkpoint do nothing, and the
-// core still serves snapshots to joiners.
+// process is then not durable, Commit does nothing, and the core still
+// serves snapshots to joiners.
 type Core struct {
 	Proc  urb.Process
 	Store store.Store
@@ -75,15 +77,8 @@ func (c *Core) Commit(s urb.Step) (records, bytes int, err error) {
 	return records, bytes, err
 }
 
-// Checkpoint snapshots the process into the store, compacting the WAL,
-// and reports the snapshot size.
-func (c *Core) Checkpoint() (int, error) {
-	if c.Store == nil {
-		return 0, nil
-	}
-	return checkpoint(c.Proc, c.Store)
-}
-
+// checkpoint snapshots proc into st, compacting the WAL, and reports the
+// snapshot size.
 func checkpoint(proc urb.Process, st store.Store) (int, error) {
 	sn, ok := proc.(urb.Snapshotter)
 	if !ok {

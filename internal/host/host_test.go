@@ -153,9 +153,6 @@ func TestCommit(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { c.Commit(step) }); n != 0 {
 			t.Fatalf("store-less commit allocates %v times", n)
 		}
-		if size, err := c.Checkpoint(); size != 0 || err != nil {
-			t.Fatalf("store-less checkpoint = %d, %v", size, err)
-		}
 	})
 }
 
@@ -190,7 +187,7 @@ func TestRecover(t *testing.T) {
 			name: "snapshot only",
 			crash: func(t *testing.T, c *Core, _ *recStore) ([]wire.MsgID, []wire.MsgID) {
 				ids := pump(t, c, "one", "two")
-				if _, err := c.Checkpoint(); err != nil {
+				if _, err := checkpoint(c.Proc, c.Store); err != nil {
 					t.Fatal(err)
 				}
 				return ids, nil
@@ -205,7 +202,7 @@ func TestRecover(t *testing.T) {
 			name: "snapshot + torn tail",
 			crash: func(t *testing.T, c *Core, st *recStore) ([]wire.MsgID, []wire.MsgID) {
 				first := pump(t, c, "one")
-				if _, err := c.Checkpoint(); err != nil {
+				if _, err := checkpoint(c.Proc, c.Store); err != nil {
 					t.Fatal(err)
 				}
 				second := pump(t, c, "two")
@@ -219,7 +216,7 @@ func TestRecover(t *testing.T) {
 			name: "corrupt snapshot",
 			crash: func(t *testing.T, c *Core, st *recStore) ([]wire.MsgID, []wire.MsgID) {
 				pump(t, c, "one")
-				if _, err := c.Checkpoint(); err != nil {
+				if _, err := checkpoint(c.Proc, c.Store); err != nil {
 					t.Fatal(err)
 				}
 				st.SetSnapshotMutator(garble{})

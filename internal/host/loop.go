@@ -1,0 +1,192 @@
+package host
+
+import (
+	"iter"
+
+	"anonurb/internal/obs"
+	"anonurb/internal/urb"
+	"anonurb/internal/wire"
+)
+
+// Loop is the body of a host's event loop (DESIGN.md §6), written once
+// for both drivers: node.Node calls it under the wall clock, sim.Engine
+// under virtual time. A received frame (OnFrame), a Task-1 tick (OnTick)
+// and a local broadcast (Absorb) all end in one absorb: Core.Commit,
+// then the Step's broadcasts packed into frames. The driver exposes
+// Out.Deliveries and sends Out.Frames. A Loop is not safe for
+// concurrent use.
+type Loop struct {
+	Core
+	cfg   LoopConfig
+	Cache *wire.EncodeCache // its counters are safe from any goroutine
+	// step and out live until Free: a batch frame merges a
+	// hundred per-message Steps, and re-growing fresh slices for every
+	// frame was a measurable share of a busy node's CPU.
+	step urb.Step
+	out  Out
+	// walGrew and lastCheckpoint are the checkpoint rule's state.
+	walGrew        bool
+	lastCheckpoint int64
+}
+
+// LoopConfig is what a driver fixes about its loop: the frame budget in
+// bytes (0 = unbudgeted) that SNAPCHUNKs and batches are sized under,
+// whether a Step's messages share frames (else one message per frame),
+// the checkpoint cadence in the driver's time unit (0 = never), the
+// tracer for snapshot-transfer events (nil = off), and the hook OnFrame
+// hands every decoded message to before the process sees it (nil =
+// none). A hook rather than a list in Out: a batch frame carries
+// hundreds of messages, and a list sized for the largest would stay
+// allocated for the loop's lifetime.
+type LoopConfig struct {
+	Budget          int
+	Batch           bool
+	CheckpointEvery int64
+	Tracer          *obs.Tracer
+	OnReceive       func(wire.Message)
+}
+
+// Span locates one sent message inside Out.Frames.
+type Span struct{ Frame, Start, End int }
+
+// Out is what one Loop call hands its driver. It is the loop's own
+// buffer, valid until the next call.
+type Out struct {
+	// Received counts the messages decoded from the frame (OnFrame
+	// only); Bad reports a frame nothing decoded from.
+	Received int
+	Bad      bool
+	// WALRecords and WALBytes count the records this call appended;
+	// Checkpoint is the size of the snapshot it saved (0 for none).
+	WALRecords, WALBytes, Checkpoint int
+	// Deliveries are durable by now: expose them before sending.
+	Deliveries []urb.Delivery
+	// Msgs are the Step's broadcasts, packed in order into Frames, and
+	// Spans[i] locates Msgs[i]. Each frame is freshly allocated, so a
+	// transport may keep it.
+	Msgs   []wire.Message
+	Frames [][]byte
+	Spans  []Span
+}
+
+// NewLoop builds the loop around c at time now, the origin of the
+// checkpoint cadence.
+func NewLoop(c Core, cfg LoopConfig, now int64) *Loop {
+	return &Loop{Core: c, cfg: cfg, Cache: wire.NewEncodeCache(wire.DefaultEncodeCacheSize), lastCheckpoint: now}
+}
+
+// Messages yields the messages of a received frame in order. A frame
+// carries one message or a whole batch — pure concatenation either way,
+// so DecodePrefix splits it. A corrupt tail ends the frame: the
+// remainder is lost, as fair lossy channels may lose anything,
+// including half a batch.
+func Messages(frame []byte) iter.Seq[wire.Message] {
+	return func(yield func(wire.Message) bool) {
+		for rest := frame; len(rest) > 0; {
+			m, next, err := wire.DecodePrefix(rest)
+			if err != nil || !yield(m) {
+				return
+			}
+			rest = next
+		}
+	}
+}
+
+// OnFrame feeds a received frame to the process message by message and
+// merges the Steps, so the replies (e.g. the ACKs to a batch of MSGs)
+// leave as one batch in turn. Join traffic is host-level and never
+// shown to the algorithm: a SNAPREQ is served (Core.ServeSnap), a
+// SNAPCHUNK addresses a bootstrapping joiner, not us.
+func (l *Loop) OnFrame(frame []byte) (*Out, error) {
+	l.Release()
+	for m := range Messages(frame) {
+		l.out.Received++
+		if l.cfg.OnReceive != nil {
+			l.cfg.OnReceive(m)
+		}
+		if !m.Kind.IsSnap() {
+			l.step.Merge(l.Proc.Receive(m))
+		} else if m.Kind == wire.KindSnapReq {
+			l.cfg.Tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
+			if served := l.ServeSnap(m, l.cfg.Budget, &l.step); served > 0 {
+				l.cfg.Tracer.Snap(obs.EvSnapChunk, int(m.Off), served)
+			}
+		}
+	}
+	l.out.Bad = l.out.Received == 0
+	return l.absorb(l.step)
+}
+
+// OnTick runs Task 1 at time now, checkpointing first when the cadence
+// has elapsed and the WAL grew since the last checkpoint: an idle (e.g.
+// quiescent) process re-snapshotting an unchanged state is pure churn.
+func (l *Loop) OnTick(now int64) (*Out, error) {
+	l.Release()
+	if l.walGrew && l.cfg.CheckpointEvery > 0 && now-l.lastCheckpoint >= l.cfg.CheckpointEvery {
+		size, err := checkpoint(l.Proc, l.Store)
+		if err != nil {
+			return &l.out, err
+		}
+		l.out.Checkpoint, l.lastCheckpoint, l.walGrew = size, now, false
+	}
+	return l.absorb(l.Proc.Tick())
+}
+
+// Absorb acts on a Step the driver got from the process itself: a local
+// URB_broadcast.
+func (l *Loop) Absorb(s urb.Step) (*Out, error) {
+	l.Release()
+	return l.absorb(s)
+}
+
+// Release drops what the last Out references — frames and the merged
+// Step — so an idle loop pins none of it. A driver
+// calls it once done with an Out; every call starts with it anyway.
+func (l *Loop) Release() {
+	s, o := &l.step, &l.out
+	clear(s.Broadcasts)
+	clear(s.Deliveries)
+	clear(s.Durable)
+	clear(o.Frames)
+	*s = urb.Step{Broadcasts: s.Broadcasts[:0], Deliveries: s.Deliveries[:0], Durable: s.Durable[:0]}
+	*o = Out{Frames: o.Frames[:0], Spans: o.Spans[:0]}
+}
+
+// Free drops the loop's reusable buffers too. A driver calls it once the
+// process has stopped, so a stopped process pins only its state; a loop
+// used again regrows them.
+func (l *Loop) Free() { l.step, l.out = urb.Step{}, Out{} }
+
+// absorb writes s ahead and packs its broadcasts. On a store error it
+// returns the error with nothing to expose or send, and the driver stops
+// (fail-stop), so everything it ever exposed is durable. Message bytes
+// come from the per-MsgID encode cache, so a steady-state Task-1 tick
+// copies cached MSG frames instead of re-encoding each body.
+//
+//urb:hotpath
+func (l *Loop) absorb(s urb.Step) (*Out, error) {
+	records, bytes, err := l.Commit(s)
+	l.out.WALRecords, l.out.WALBytes = records, bytes
+	l.walGrew = l.walGrew || records > 0
+	if err != nil {
+		return &l.out, err
+	}
+	l.out.Deliveries = s.Deliveries
+	l.out.Msgs = s.Broadcasts
+	var frame []byte
+	for _, m := range s.Broadcasts {
+		// A message too large for the budget alone still travels alone;
+		// the transport decides its fate.
+		if len(frame) > 0 && (!l.cfg.Batch || wire.SplitsBatch(len(frame), m, l.cfg.Budget)) {
+			l.out.Frames = append(l.out.Frames, frame)
+			frame = nil
+		}
+		start := len(frame)
+		frame = l.Cache.AppendEncoded(frame, m)
+		l.out.Spans = append(l.out.Spans, Span{Frame: len(l.out.Frames), Start: start, End: len(frame)})
+	}
+	if len(frame) > 0 {
+		l.out.Frames = append(l.out.Frames, frame)
+	}
+	return &l.out, nil
+}

@@ -133,7 +133,7 @@ func Join(ctx context.Context, proc urb.Process, st store.Store, tr transport.Tr
 func (n *Node) JoinedBytes() int { return n.joinedBytes }
 
 // pullSnapshot drives a host.Joiner over tr until a container passes
-// its gate: every decoded message is offered to it, its request goes
+// its gate: every received frame is offered to it, its request goes
 // out on the tick cadence (the same pacing Task-1 gives
 // retransmissions), and its patience with each donor follows the
 // joinBackoff schedule, the base being the configured join timeout.
@@ -157,12 +157,7 @@ func pullSnapshot(ctx context.Context, tr transport.Transport, o options) ([]byt
 			if !ok {
 				return nil, errors.New("node: join: transport closed")
 			}
-			for rest := frame; len(rest) > 0; {
-				m, next, err := wire.DecodePrefix(rest)
-				if err != nil {
-					break // garbled tail: the lossy channel could have eaten it
-				}
-				rest = next
+			for m := range host.Messages(frame) {
 				container, resolicit := j.Offer(m, now())
 				if container != nil {
 					return container, nil

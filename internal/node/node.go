@@ -4,11 +4,8 @@
 //
 // A Node owns one goroutine that serialises every interaction with the
 // algorithm state machine — received frames, periodic Task-1 ticks, and
-// application broadcasts — exactly as the urb.Process contract requires.
-// At the transport boundary the node encodes outgoing wire.Messages with
-// the canonical codec (internal/wire) and decodes inbound frames,
-// dropping undecodable ones (a garbled frame is indistinguishable from a
-// lost one, and fair lossy channels may lose anything).
+// application broadcasts — exactly as the urb.Process contract requires,
+// through host.Loop, the loop body the simulator runs too.
 //
 // The transport is swappable (internal/transport): the same Node code
 // runs on the in-process Mesh, on real UDP sockets, or on either wrapped
@@ -61,17 +58,16 @@ type Delivery struct {
 // Observer is shared between nodes.
 type Observer interface {
 	// OnSend fires once per wire message handed to the transport, with
-	// that message's encoded bytes. When batching is enabled several
-	// messages may travel in one transport frame; encoded is then the
-	// message's own sub-slice of the batch frame, so summing
-	// len(encoded) over OnSend calls still equals bytes on the wire
-	// exactly (batch framing adds zero overhead). The slice is only
-	// valid during the callback.
+	// that message's encoded bytes. Several messages may travel in one
+	// transport frame (the node batches); encoded is then the message's
+	// own sub-slice of the batch frame, so summing len(encoded) over
+	// OnSend calls still equals bytes on the wire exactly (batch framing
+	// adds zero overhead). The slice is only valid during the callback.
 	OnSend(m wire.Message, encoded []byte)
-	// OnReceive fires once per inbound wire message, before the
-	// algorithm processes it — a batch frame fires it once per message
-	// it carries. Frames nothing decoded from fire nothing (they count
-	// in FrameStats' bad column instead).
+	// OnReceive fires once per inbound wire message, before anything the
+	// algorithm did with it is delivered or sent — a batch frame fires
+	// it once per message it carries. Frames nothing decoded from fire
+	// nothing (they count in FrameStats' bad column instead).
 	OnReceive(m wire.Message)
 	// OnDeliver fires on each URB-delivery.
 	OnDeliver(d Delivery)
@@ -96,7 +92,6 @@ type options struct {
 	seed            uint64
 	observer        Observer
 	inboxDepth      int
-	batching        bool
 	store           store.Store
 	checkpointEvery time.Duration
 	admission       *admit.Config
@@ -143,20 +138,6 @@ func WithInboxDepth(depth int) Option {
 			o.inboxDepth = depth
 		}
 	}
-}
-
-// WithBatching enables or disables batched sending (default enabled).
-// When enabled, all broadcasts of one algorithm Step — a Task-1 tick's
-// retransmissions, or the ACK replies to one inbound batch — are
-// coalesced into as few transport frames as the transport's FrameBudget
-// allows; batch framing is pure concatenation, so this reduces frame
-// count (and per-frame cost: syscalls, channel ops, allocations)
-// without adding a single byte. When disabled, every wire message
-// travels in its own frame — the pre-batching behaviour, kept for
-// comparison benchmarks and for peers that cannot split batch frames.
-// Receiving is always batch-capable in both modes.
-func WithBatching(enabled bool) Option {
-	return func(o *options) { o.batching = enabled }
 }
 
 // WithStore makes the node durable (DESIGN.md §9): durable events —
@@ -226,11 +207,13 @@ type BroadcastObserver interface {
 	OnBroadcast(id wire.MsgID, at time.Time)
 }
 
-// Node hosts one urb.Process on a Transport.
+// Node hosts one urb.Process on a Transport. It runs host.Loop batched:
+// each Step's messages share as few frames as the transport's
+// FrameBudget allows, at zero byte overhead (DESIGN.md §7).
 type Node struct {
-	// core is the hosted process and its store, with internal/host's
-	// protocol around them. Loop goroutine only once started.
-	core host.Core
+	// loop is the hosted process and its store inside host.Loop. Loop
+	// goroutine only once started.
+	loop *host.Loop
 	tr   transport.Transport
 	opt  options
 
@@ -256,13 +239,12 @@ type Node struct {
 	lifeMu sync.Mutex
 	// state is kept atomic (not lifeMu-guarded) so hot paths can read
 	// the lifecycle phase without the lock.
-	state   atomic.Int32
-	started atomic.Bool // ever Started (stays true after Stop)
+	state atomic.Int32
 	// cancel tears down the loop's context; guarded by lifeMu, with one
 	// happens-before exception on the loop goroutine (annotated there).
 	cancel context.CancelFunc
 	done   chan struct{}
-	ctx    context.Context // set by loop; read only on the loop goroutine
+	ctx    context.Context // set by run; read only on the loop goroutine
 
 	sentFrames atomic.Uint64
 	sentMsgs   atomic.Uint64
@@ -270,6 +252,11 @@ type Node struct {
 	recvMsgs   atomic.Uint64
 	badFrames  atomic.Uint64
 	lastSend   atomic.Int64 // unix nanos; 0 = never sent
+
+	// sentAtLastTick and quiet track quiescence between ticks (loop
+	// goroutine only).
+	sentAtLastTick uint64
+	quiet          bool
 
 	// Per-class byte counters: MSG dissemination vs the ACK family
 	// (full, delta, resync) vs BEAT heartbeats vs the join protocol's
@@ -291,10 +278,6 @@ type Node struct {
 	// storeErr is the store failure that stopped the node, nil while
 	// the store works.
 	storeErr atomic.Pointer[error]
-
-	// cache and budget belong to the loop goroutine (absorb path).
-	cache  *wire.EncodeCache
-	budget int
 
 	// recovery records what the Recover that built this node merged (zero
 	// for nodes built any other way). Written before Start.
@@ -330,7 +313,7 @@ func New(proc urb.Process, tr transport.Transport, opts ...Option) *Node {
 
 // parse applies opts over the defaults.
 func parse(opts []Option) options {
-	o := options{tickEvery: 10 * time.Millisecond, inboxDepth: 256, batching: true,
+	o := options{tickEvery: 10 * time.Millisecond, inboxDepth: 256,
 		checkpointEvery: time.Second, joinTimeout: 500 * time.Millisecond}
 	for _, f := range opts {
 		f(&o)
@@ -370,8 +353,14 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 		panic("node: WithStore requires a urb.Durable process")
 	}
 	bo, _ := o.observer.(BroadcastObserver)
+	// Loop time is nanoseconds since the loop goroutine started.
+	cfg := host.LoopConfig{Budget: tr.FrameBudget(), Batch: true,
+		CheckpointEvery: int64(o.checkpointEvery), Tracer: o.tracer}
+	if o.observer != nil {
+		cfg.OnReceive = o.observer.OnReceive
+	}
 	return &Node{
-		core:           host.Core{Proc: proc, Store: o.store},
+		loop:           host.NewLoop(host.Core{Proc: proc, Store: o.store}, cfg, 0),
 		tr:             tr,
 		opt:            o,
 		admission:      stage,
@@ -380,8 +369,6 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 		deliveries:     make(chan Delivery, o.inboxDepth),
 		actions:        make(chan func(urb.Process) bool, 64),
 		done:           make(chan struct{}),
-		cache:          wire.NewEncodeCache(wire.DefaultEncodeCacheSize),
-		budget:         tr.FrameBudget(),
 	}
 }
 
@@ -399,8 +386,7 @@ func (n *Node) Start(ctx context.Context) error {
 	}
 	ctx, n.cancel = context.WithCancel(ctx)
 	n.state.Store(stateRunning)
-	n.started.Store(true)
-	go n.loop(ctx)
+	go n.run(ctx)
 	return nil
 }
 
@@ -431,7 +417,7 @@ func (n *Node) Broadcast(body []byte) (wire.MsgID, error) {
 		if n.bcastObs != nil {
 			n.bcastObs.OnBroadcast(id, time.Now())
 		}
-		return func() bool { return n.absorb(s) }
+		return func() bool { return n.expose(n.loop.Absorb(s)) }
 	}); err != nil {
 		return wire.MsgID{}, err
 	}
@@ -444,7 +430,7 @@ func (n *Node) Broadcast(body []byte) (wire.MsgID, error) {
 // the node goroutine once the caller has been released — Broadcast
 // absorbs its Step there, so a delivery-queue backpressure stall cannot
 // deadlock a caller that is also the Deliveries drainer. The hook
-// reports false when the loop must stop (absorb's store failure).
+// reports false when the loop must stop (expose's store failure).
 func (n *Node) call(f func(p urb.Process) func() bool) error {
 	reply := make(chan struct{})
 	act := func(p urb.Process) bool {
@@ -471,7 +457,7 @@ func (n *Node) call(f func(p urb.Process) func() bool) error {
 // node is stopped, and with ErrNotExplainable when the hosted process
 // does not implement obs.Explainer.
 func (n *Node) Explain(id wire.MsgID) (obs.Explanation, error) {
-	if _, ok := n.core.Proc.(obs.Explainer); !ok {
+	if _, ok := n.loop.Proc.(obs.Explainer); !ok {
 		return obs.Explanation{}, ErrNotExplainable
 	}
 	var ex obs.Explanation
@@ -491,41 +477,19 @@ func (n *Node) Tracer() *obs.Tracer { return n.opt.tracer }
 // quiescence and memory experiments — keeps working on a stopped node.
 // It fails with ErrNotRunning only before Start.
 func (n *Node) Stats() (urb.Stats, error) {
-	for {
-		if n.state.Load() == stateRunning {
-			var st urb.Stats
-			if err := n.call(func(p urb.Process) func() bool {
-				st = p.Stats()
-				return nil
-			}); err == nil {
-				return st, nil
-			}
-			// The node stopped while we were asking: fall through to
-			// the final snapshot (published by the close of done).
-		}
-		if !n.started.Load() {
-			select {
-			case <-n.done:
-				// Stopped without ever starting: Stop published the
-				// initial stats.
-				return n.finalStats, nil
-			default:
-				return urb.Stats{}, ErrNotRunning // never started
-			}
-		}
-		if n.state.Load() == stateRunning {
-			// A concurrent Start won the race with our first state read:
-			// the node is running after all — retry the live path rather
-			// than parking on done for the node's whole lifetime.
-			continue
-		}
-		// Started and no longer running: the loop closes done right
-		// after publishing finalStats, so this wait is bounded — it
-		// only blocks during the brief shutdown window between the loop
-		// leaving stateRunning and closing done.
-		<-n.done
+	if n.state.Load() == stateNew {
+		return urb.Stats{}, ErrNotRunning
+	}
+	var st urb.Stats
+	if err := n.call(func(p urb.Process) func() bool {
+		st = p.Stats()
+		return nil
+	}); err != nil {
+		// call fails only once done is closed, which publishes
+		// finalStats (a never-started Stop included).
 		return n.finalStats, nil
 	}
+	return st, nil
 }
 
 // Stop terminates the node, closes its transport and waits for the
@@ -538,7 +502,7 @@ func (n *Node) Stop() error {
 		// close the delivery channel so consumers unblock. The algorithm
 		// never ran, so its initial stats are the final ones.
 		n.state.Store(stateStopped)
-		n.finalStats = n.core.Proc.Stats()
+		n.finalStats = n.loop.Proc.Stats()
 		close(n.done)
 		close(n.deliveries)
 		n.lifeMu.Unlock()
@@ -566,8 +530,8 @@ func (n *Node) QuietFor(d time.Duration) bool {
 
 // FrameStats returns (frames sent, frames received, frames discarded
 // because no message decoded from them). A frame is one transport send;
-// with batching enabled it may carry several wire messages, so frame
-// counts are ≤ the message counts of MessageStats.
+// it may carry several wire messages, so frame counts are ≤ the message
+// counts of MessageStats.
 func (n *Node) FrameStats() (sent, received, bad uint64) {
 	return n.sentFrames.Load(), n.recvFrames.Load(), n.badFrames.Load()
 }
@@ -583,8 +547,8 @@ func (n *Node) MessageStats() (sent, received uint64) {
 // by wire-message class: MSG dissemination, the ACK family (full-set,
 // delta and resync frames), BEAT heartbeats, the join protocol's
 // snapshot transfer (SNAPREQ/SNAPCHUNK), and everything else (future
-// kinds). The sum equals exact bytes on the wire in both batching modes
-// (batch framing adds zero bytes). Safe to poll while the node runs.
+// kinds). The sum equals exact bytes on the wire (batch framing adds
+// zero bytes). Safe to poll while the node runs.
 func (n *Node) ByteStats() (msgBytes, ackBytes, beatBytes, snapBytes, otherBytes uint64) {
 	return n.sentMsgBytes.Load(), n.sentAckBytes.Load(), n.sentBeatBytes.Load(),
 		n.sentSnapBytes.Load(), n.sentOtherBytes.Load()
@@ -625,7 +589,7 @@ func (n *Node) StoreStats() StoreStats {
 }
 
 // failStore records the store error that stops the node. Not inlined:
-// &err would move absorb's err to the heap on every Step.
+// &err would move expose's err to the heap on every Step.
 //
 //go:noinline
 func (n *Node) failStore(err error) { n.storeErr.CompareAndSwap(nil, &err) }
@@ -669,23 +633,23 @@ func (n *Node) AdmitStats() (admit.Stats, bool) {
 	return n.admission.Stats(), true
 }
 
-// EncodeCacheStats returns the node's encode cache (hits, misses).
-// Like the other counter accessors it is safe to call while the node
-// runs (the counters are atomic).
+// EncodeCacheStats returns the node's encode cache (hits, misses). Safe
+// to call while the node runs.
 func (n *Node) EncodeCacheStats() (hits, misses uint64) {
-	return n.cache.Stats()
+	return n.loop.Cache.Stats()
 }
 
-// loop is the node goroutine: the single thread that touches proc.
+// run is the node goroutine: the single thread that touches proc.
 //
 //urbvet:unguarded cancel is written exactly once, by Start, before the go statement that spawns this goroutine: reading it here is ordered by goroutine creation, no lock needed
-func (n *Node) loop(ctx context.Context) {
+func (n *Node) run(ctx context.Context) {
 	defer func() {
 		n.state.Store(stateStopped)
 		// Snapshot the algorithm's final stats so post-run accounting
 		// (quiescence and memory experiments) survives Stop. Published
 		// to other goroutines by the close of done below.
-		n.finalStats = n.core.Proc.Stats()
+		n.finalStats = n.loop.Proc.Stats()
+		n.loop.Free()
 		// Release the derived context even when the loop exits on its
 		// own (e.g. the transport's receive channel closed) — otherwise
 		// the registration on a long-lived parent context would leak.
@@ -701,162 +665,76 @@ func (n *Node) loop(ctx context.Context) {
 	phase := time.Duration(xrand.SplitLabeled(n.opt.seed, "node-phase").Int63n(int64(n.opt.tickEvery))) + 1
 	tick := time.NewTimer(phase)
 	defer tick.Stop()
-
-	// step collects the merged outputs of one inbound frame. Its three
-	// slices live as long as the loop: a batch frame merges a hundred
-	// per-message Steps, and re-growing a fresh []wire.Message by doubling
-	// for every frame was a measurable share of a busy node's CPU.
-	var step urb.Step
-	var sentAtLastTick uint64
-	quiet := false
-	lastCheckpoint := time.Now()
-	walAtCheckpoint := n.walAppends.Load()
+	start := time.Now()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case frame, ok := <-n.tr.Receive():
-			if !ok {
+			if !ok || !n.expose(n.loop.OnFrame(frame)) {
 				return
 			}
-			// A frame carries one message or a whole batch — pure
-			// concatenation either way, so DecodePrefix splits it. Each
-			// message feeds the algorithm individually; the resulting
-			// Steps are merged so the replies (e.g. the ACKs to a batch
-			// of MSGs) can leave as one batch in turn. A corrupt tail
-			// drops the remainder only — fair lossy channels may lose
-			// anything, including half a batch.
-			decoded := false
-			rest := frame
-			for len(rest) > 0 {
-				m, next, err := wire.DecodePrefix(rest)
-				if err != nil {
-					// Garbled (remainder of the) frame: drop it, as the
-					// lossy channel could have.
-					break
-				}
-				rest = next
-				decoded = true
-				n.recvMsgs.Add(1)
-				if n.opt.observer != nil {
-					n.opt.observer.OnReceive(m)
-				}
-				if m.Kind.IsSnap() {
-					// Join-protocol traffic is host-level, the way beats
-					// are detector-level, and never shown to the algorithm:
-					// a solicitation is served, its chunks batched, budgeted
-					// and counted by absorb like all other traffic; a
-					// SNAPCHUNK addresses a bootstrapping joiner, not us.
-					if m.Kind == wire.KindSnapReq {
-						n.opt.tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
-						if served := n.core.ServeSnap(m, n.budget, &step); served > 0 {
-							n.opt.tracer.Snap(obs.EvSnapChunk, int(m.Off), served)
-						}
-					}
-					continue
-				}
-				step.Merge(n.core.Proc.Receive(m))
-			}
-			// Every inbound frame lands in exactly one counter: received
-			// if at least one message decoded from it (a corrupt tail
-			// loses only the tail), bad otherwise (empty frames
-			// included).
-			if decoded {
-				n.recvFrames.Add(1)
-			} else {
-				n.badFrames.Add(1)
-			}
-			if !n.absorb(step) {
-				return
-			}
-			// absorb retains nothing, so the slices can be reused — after
-			// clearing what this frame used, lest the backing arrays pin
-			// bodies and label slices until the next frame as large.
-			clear(step.Broadcasts)
-			clear(step.Deliveries)
-			clear(step.Durable)
-			step.Broadcasts = step.Broadcasts[:0]
-			step.Deliveries = step.Deliveries[:0]
-			step.Durable = step.Durable[:0]
 		case <-tick.C:
-			if !n.absorb(n.core.Proc.Tick()) {
+			if !n.expose(n.loop.OnTick(int64(time.Since(start)))) {
 				return
 			}
 			tick.Reset(n.opt.tickEvery)
-			// Checkpoint on cadence, but only when the WAL grew since the
-			// last one: an idle (e.g. quiescent) node re-snapshotting an
-			// unchanged state would be pure churn.
-			if n.core.Store != nil &&
-				time.Since(lastCheckpoint) >= n.opt.checkpointEvery &&
-				n.walAppends.Load() != walAtCheckpoint {
-				size, err := n.core.Checkpoint()
-				if err != nil {
-					n.failStore(err)
-					return
-				}
-				n.countCheckpoint(size)
-				lastCheckpoint = time.Now()
-				walAtCheckpoint = n.walAppends.Load()
-			}
-			sent := n.sentFrames.Load()
-			if sent == sentAtLastTick && sent > 0 {
-				if !quiet {
-					quiet = true
-					if n.opt.observer != nil {
-						idle := time.Since(time.Unix(0, n.lastSend.Load()))
-						n.opt.observer.OnQuiescence(idle)
-					}
-				}
-			} else {
-				quiet = false
-			}
-			sentAtLastTick = n.sentFrames.Load()
+			n.noteTick()
 		case f := <-n.actions:
-			if !f(n.core.Proc) {
+			if !f(n.loop.Proc) {
 				return
 			}
 		}
 	}
 }
 
-// absorb executes one Step: deliveries to the application, broadcasts to
-// the transport. Runs on the node goroutine only. It reports false when
-// the Step failed to persist: nothing of it was exposed or sent, and the
-// loop must stop (fail-stop). It retains nothing of
-// s: messages, deliveries and events reach the store, the observer, the
-// subscriber and the encode cache by value, so the caller may reuse the
-// Step's slices as soon as absorb returns.
-//
-// Broadcasts are coalesced into batch frames up to the transport's
-// frame budget (batching mode), or sent one frame per message
-// (unbatched mode). Either way every message's bytes come from the
-// per-MsgID encode cache, so a steady-state Task-1 tick copies cached
-// MSG frames instead of re-encoding each body.
+// noteTick fires OnQuiescence when a Task-1 tick sent nothing and
+// nothing else was sent since the previous tick (having sent before).
+// The event re-arms after the next send.
+func (n *Node) noteTick() {
+	sent := n.sentFrames.Load()
+	quiet := sent == n.sentAtLastTick && sent > 0
+	if quiet && !n.quiet && n.opt.observer != nil {
+		n.opt.observer.OnQuiescence(time.Since(time.Unix(0, n.lastSend.Load())))
+	}
+	n.quiet, n.sentAtLastTick = quiet, sent
+}
+
+// expose carries out one host.Loop call on the node goroutine: count and
+// observe, then hand the deliveries to the application and the frames
+// to the transport. It reports false on a store error: the node stops,
+// and nothing of the failed Step was exposed or sent (fail-stop).
 //
 //urb:hotpath
-func (n *Node) absorb(s urb.Step) bool {
-	// Write-ahead (host.Core.Commit) before the node acts on any of s.
-	if n.core.Store != nil {
-		records, bytes, err := n.core.Commit(s)
-		n.walAppends.Add(uint64(records))
-		n.walBytes.Add(uint64(bytes))
-		if err != nil {
-			n.failStore(err)
-			return false
-		}
+func (n *Node) expose(out *host.Out, err error) bool {
+	defer n.loop.Release()
+	if out.Bad {
+		n.badFrames.Add(1)
+	} else if out.Received > 0 {
+		n.recvFrames.Add(1)
+		n.recvMsgs.Add(uint64(out.Received))
+	}
+	n.walAppends.Add(uint64(out.WALRecords))
+	n.walBytes.Add(uint64(out.WALBytes))
+	if out.Checkpoint > 0 {
+		n.countCheckpoint(out.Checkpoint)
+	}
+	if err != nil {
+		n.failStore(err)
+		return false
 	}
 	// One clock reading and one lock round-trip per Step that delivers,
 	// not per delivery: the deliveries of a Step happen together.
 	var now time.Time
-	if len(s.Deliveries) > 0 {
+	if len(out.Deliveries) > 0 {
 		now = time.Now()
 		n.flowMu.Lock()
-		for _, d := range s.Deliveries {
+		for _, d := range out.Deliveries {
 			n.flowDeliveries[wire.FlowOf(d.ID.Tag)]++
 		}
 		n.flowMu.Unlock()
 	}
-	for _, d := range s.Deliveries {
+	for _, d := range out.Deliveries {
 		del := Delivery{Delivery: d, At: now}
 		if n.opt.observer != nil {
 			n.opt.observer.OnDeliver(del)
@@ -869,51 +747,33 @@ func (n *Node) absorb(s urb.Step) bool {
 			}
 		}
 	}
-	if len(s.Broadcasts) == 0 {
+	if len(out.Frames) == 0 {
 		return true
 	}
-	var frame []byte
-	flush := func() {
-		if len(frame) == 0 {
-			return
-		}
-		n.tr.Send(frame)
-		n.sentFrames.Add(1)
-		n.lastSend.Store(time.Now().UnixNano())
-		frame = nil
-	}
-	for _, m := range s.Broadcasts {
-		// Split before appending when the next message would push the
-		// batch over the transport budget (wire.SplitsBatch, the same
-		// rule EncodeBatch packs with). A message too large for the
-		// budget on its own still travels alone, exactly as before
-		// batching existed (the transport decides its fate: UDP counts
-		// it Oversized, the mesh carries it).
-		if wire.SplitsBatch(len(frame), m, n.budget) {
-			flush()
-		}
-		start := len(frame)
-		frame = n.cache.AppendEncoded(frame, m)
-		n.sentMsgs.Add(1)
+	n.sentMsgs.Add(uint64(len(out.Msgs)))
+	for i, m := range out.Msgs {
+		sp := out.Spans[i]
+		size := uint64(sp.End - sp.Start)
 		switch {
 		case m.Kind == wire.KindMsg:
-			n.sentMsgBytes.Add(uint64(len(frame) - start))
+			n.sentMsgBytes.Add(size)
 		case m.Kind.IsAck():
-			n.sentAckBytes.Add(uint64(len(frame) - start))
+			n.sentAckBytes.Add(size)
 		case m.Kind.IsBeat():
-			n.sentBeatBytes.Add(uint64(len(frame) - start))
+			n.sentBeatBytes.Add(size)
 		case m.Kind.IsSnap():
-			n.sentSnapBytes.Add(uint64(len(frame) - start))
+			n.sentSnapBytes.Add(size)
 		default:
-			n.sentOtherBytes.Add(uint64(len(frame) - start))
+			n.sentOtherBytes.Add(size)
 		}
 		if n.opt.observer != nil {
-			n.opt.observer.OnSend(m, frame[start:])
-		}
-		if !n.opt.batching {
-			flush()
+			n.opt.observer.OnSend(m, out.Frames[sp.Frame][sp.Start:sp.End])
 		}
 	}
-	flush()
+	for _, frame := range out.Frames {
+		n.tr.Send(frame)
+	}
+	n.sentFrames.Add(uint64(len(out.Frames)))
+	n.lastSend.Store(time.Now().UnixNano())
 	return true
 }

@@ -333,109 +333,58 @@ func (g *garblingTransport) Send(frame []byte) {
 	g.Transport.Send(bad)
 }
 
-// TestNodeURBDeliversEverywhereUnbatched: the full delivery path also
-// holds with batching disabled (one frame per wire message).
-func TestNodeURBDeliversEverywhereUnbatched(t *testing.T) {
+// TestNodeBatchingCoalescesFrames: with several messages in MSG_i, a
+// node's Task-1 tick sends fewer frames than messages and the receiving
+// side splits batches back into individual messages. (One frame per
+// message when unbatched is host.TestLoopPacking's; every sim run packs
+// that way.)
+func TestNodeBatchingCoalescesFrames(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	const n = 4
-	nodes, inboxes, _ := startMajorityCluster(t, ctx, n, node.WithBatching(false))
-
-	body := []byte("unbatched")
-	id, err := nodes[0].Broadcast(body)
-	if err != nil {
-		t.Fatalf("broadcast: %v", err)
+	mesh := transport.NewMesh(transport.MeshConfig{
+		N: 1, Link: channel.Reliable{D: channel.FixedDelay(0)},
+		Unit: 100 * time.Microsecond, Seed: 3,
+	})
+	nd := node.New(urb.NewMajority(1, ident.NewSource(xrand.New(4)), urb.Config{}),
+		mesh.Endpoint(0), node.WithTickEvery(time.Millisecond))
+	inbox := nd.Deliveries()
+	if err := nd.Start(ctx); err != nil {
+		t.Fatalf("start: %v", err)
 	}
-	for i, inbox := range inboxes {
+	defer func() { nd.Stop(); mesh.Close() }()
+
+	const k = 8
+	for i := 0; i < k; i++ {
+		if _, err := nd.Broadcast([]byte{byte(i), 0xff, 0x00}); err != nil {
+			t.Fatalf("broadcast %d: %v", i, err)
+		}
+	}
+	for i := 0; i < k; i++ {
 		select {
-		case d := <-inbox:
-			if d.ID != id || !bytes.Equal(d.Body(), body) {
-				t.Fatalf("node %d delivered wrong message", i)
-			}
+		case <-inbox:
 		case <-ctx.Done():
-			t.Fatalf("node %d never delivered", i)
+			t.Fatalf("only %d/%d self-deliveries", i, k)
 		}
 	}
-	for i, nd := range nodes {
-		// The two counters are read one after the other: stop the node
-		// first, or a send between the reads makes them disagree.
-		nd.Stop()
-		sentFrames, _, _ := nd.FrameStats()
-		sentMsgs, _ := nd.MessageStats()
-		if sentFrames != sentMsgs {
-			t.Fatalf("node %d unbatched: %d frames for %d messages, want equal", i, sentFrames, sentMsgs)
-		}
+	// Let several full ticks of steady-state retransmission run.
+	time.Sleep(30 * time.Millisecond)
+	nd.Stop()
+
+	sentFrames, recvFrames, _ := nd.FrameStats()
+	sentMsgs, recvMsgs := nd.MessageStats()
+	if sentMsgs == 0 || recvMsgs == 0 {
+		t.Fatal("no traffic recorded")
 	}
-}
-
-// TestNodeBatchingCoalescesFrames: with several messages in MSG_i, a
-// batching node's Task-1 tick sends fewer frames than messages, every
-// frame stays within the transport budget, and an unbatched twin sends
-// exactly one frame per message. The receiving side splits batches back
-// into individual messages.
-func TestNodeBatchingCoalescesFrames(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		name := "batched"
-		if !batched {
-			name = "unbatched"
-		}
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-			defer cancel()
-			mesh := transport.NewMesh(transport.MeshConfig{
-				N: 1, Link: channel.Reliable{D: channel.FixedDelay(0)},
-				Unit: 100 * time.Microsecond, Seed: 3,
-			})
-			nd := node.New(urb.NewMajority(1, ident.NewSource(xrand.New(4)), urb.Config{}),
-				mesh.Endpoint(0),
-				node.WithTickEvery(time.Millisecond),
-				node.WithBatching(batched),
-			)
-			inbox := nd.Deliveries()
-			if err := nd.Start(ctx); err != nil {
-				t.Fatalf("start: %v", err)
-			}
-			defer func() { nd.Stop(); mesh.Close() }()
-
-			const k = 8
-			for i := 0; i < k; i++ {
-				if _, err := nd.Broadcast([]byte{byte(i), 0xff, 0x00}); err != nil {
-					t.Fatalf("broadcast %d: %v", i, err)
-				}
-			}
-			for i := 0; i < k; i++ {
-				select {
-				case <-inbox:
-				case <-ctx.Done():
-					t.Fatalf("only %d/%d self-deliveries", i, k)
-				}
-			}
-			// Let several full ticks of steady-state retransmission run.
-			time.Sleep(30 * time.Millisecond)
-			nd.Stop()
-
-			sentFrames, recvFrames, _ := nd.FrameStats()
-			sentMsgs, recvMsgs := nd.MessageStats()
-			if sentMsgs == 0 || recvMsgs == 0 {
-				t.Fatal("no traffic recorded")
-			}
-			if batched {
-				// Steady-state ticks carry k MSGs plus ACK replies per
-				// inbound batch; frames must be well below messages.
-				if sentFrames*2 > sentMsgs {
-					t.Fatalf("batching ineffective: %d frames for %d messages", sentFrames, sentMsgs)
-				}
-				if recvMsgs <= recvFrames {
-					t.Fatalf("receive side never split a batch: %d msgs from %d frames", recvMsgs, recvFrames)
-				}
-				hits, _ := nd.EncodeCacheStats()
-				if hits == 0 {
-					t.Fatal("encode cache never hit across steady-state ticks")
-				}
-			} else if sentFrames != sentMsgs {
-				t.Fatalf("unbatched node coalesced: %d frames for %d messages", sentFrames, sentMsgs)
-			}
-		})
+	// Steady-state ticks carry k MSGs plus ACK replies per inbound
+	// batch; frames must be well below messages.
+	if sentFrames*2 > sentMsgs {
+		t.Fatalf("batching ineffective: %d frames for %d messages", sentFrames, sentMsgs)
+	}
+	if recvMsgs <= recvFrames {
+		t.Fatalf("receive side never split a batch: %d msgs from %d frames", recvMsgs, recvFrames)
+	}
+	if hits, _ := nd.EncodeCacheStats(); hits == 0 {
+		t.Fatal("encode cache never hit across steady-state ticks")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"anonurb/internal/channel"
@@ -205,4 +206,105 @@ func (o *recObserver) OnCrash(Time, int)                               {}
 func (o *recObserver) OnRecover(t Time, proc int) {
 	o.recovered = append(o.recovered, proc)
 	o.at = append(o.at, t)
+}
+
+var errDiskDied = errors.New("disk died")
+
+// dyingStore fails its k-th WAL append and every one after: a disk that
+// died mid-run.
+type dyingStore struct {
+	*store.Mem
+	k, appends int
+}
+
+func (s *dyingStore) AppendWAL(rec []byte) error {
+	if s.appends++; s.appends >= s.k {
+		return errDiskDied
+	}
+	return s.Mem.AppendWAL(rec)
+}
+
+// afterCrash counts what a process does once it has crashed, in event
+// order rather than by virtual time.
+type afterCrash struct {
+	proc         int
+	down         bool
+	exposedAfter int
+}
+
+func (a *afterCrash) OnBroadcast(Time, int, wire.MsgID) {}
+func (a *afterCrash) OnReceive(Time, int, wire.Message) {}
+func (a *afterCrash) OnCrash(_ Time, proc int)          { a.down = a.down || proc == a.proc }
+func (a *afterCrash) OnSend(_ Time, src, _ int, _ wire.Message, _ bool, _ Time) {
+	if src == a.proc && a.down {
+		a.exposedAfter++
+	}
+}
+func (a *afterCrash) OnDeliver(_ Time, proc int, _ urb.Delivery) {
+	if proc == a.proc && a.down {
+		a.exposedAfter++
+	}
+}
+
+// TestSimStoreErrorFailStops: a process whose store fails stops, as a
+// node does — nothing of the Step that failed to persist is delivered or
+// sent, everything it delivered is in its WAL, the run reports it
+// crashed, and the run still satisfies URB.
+func TestSimStoreErrorFailStops(t *testing.T) {
+	const n = 5
+	for _, k := range []int{1, 3, 8} {
+		st := &dyingStore{Mem: store.NewMem(), k: k}
+		stores := make([]store.Store, n)
+		stores[0] = st
+		watch := &afterCrash{proc: 0}
+		res := NewEngine(Config{
+			N:       n,
+			Factory: majorityFactory(n, urb.Config{}),
+			Link:    channel.Bernoulli{P: 0.2, D: channel.UniformDelay{Min: 1, Max: 4}},
+			Seed:    2015,
+			MaxTime: 100_000,
+			Stores:  stores,
+			Broadcasts: []ScheduledBroadcast{
+				{At: 5, Proc: 0, Body: []byte("a")},
+				{At: 9, Proc: 1, Body: []byte("b")},
+				{At: 40, Proc: 0, Body: []byte("c")},
+				{At: 60, Proc: 2, Body: []byte("d")},
+			},
+			Observers:         []Observer{watch},
+			ExpectDeliveries:  3,
+			NoEarlyStopBefore: 200,
+		}).Run()
+		if !res.Crashed[0] || !watch.down {
+			t.Fatalf("k=%d: proc 0 kept running after its store failed", k)
+		}
+		if watch.exposedAfter > 0 {
+			t.Fatalf("k=%d: proc 0 exposed or sent %d things after its store failed", k, watch.exposedAfter)
+		}
+		if rep := res.Check(); !rep.OK() {
+			t.Fatalf("k=%d: %v", k, rep.Err())
+		}
+		if k == 8 && len(res.Deliveries[0]) == 0 {
+			t.Fatal("k=8: run too tame, proc 0 failed before delivering anything")
+		}
+		// Exposed ⟹ durable.
+		_, wal, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		durable := make(map[wire.MsgID]bool)
+		for _, raw := range wal {
+			ev, err := urb.DecodeWALRecord(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Kind == urb.WALDeliver {
+				durable[ev.ID] = true
+			}
+		}
+		for _, d := range res.Deliveries[0] {
+			if !durable[d.ID] {
+				t.Fatalf("k=%d: proc 0 delivered %v without a WAL record", k, d.ID)
+			}
+		}
+	}
 }

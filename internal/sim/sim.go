@@ -10,10 +10,11 @@
 //
 // The simulator models:
 //
-//   - n anonymous processes, each hosting one urb.Process instance fed by
-//     Receive/Tick/Broadcast events;
+//   - n anonymous processes, each hosting one urb.Process instance inside
+//     the same host.Loop a live node.Node runs, fed by frame, tick and
+//     broadcast events;
 //   - an n×n mesh of lossy links (internal/channel) applying per-copy
-//     drop/delay verdicts — broadcasting one wire message costs n copies,
+//     verdicts to encoded frames — broadcasting one frame costs n copies,
 //     one per destination, including the sender itself (the paper's
 //     broadcast primitive includes self-delivery, and the self-link is as
 //     lossy as any other);
@@ -129,9 +130,9 @@ type Config struct {
 	// RecoverAt restarts the process from. Requires the factory to build
 	// urb.Durable processes for stored indices.
 	Stores []store.Store
-	// CheckpointEvery, when > 0, snapshots every live stored process on
-	// this virtual-time cadence (compacting its WAL). 0 means the WAL
-	// alone carries recovery.
+	// CheckpointEvery, when > 0, is the checkpoint cadence of stored
+	// processes (host.Loop's rule, the node's). 0 means the WAL alone
+	// carries recovery.
 	CheckpointEvery Time
 	// RecoverAt[i], when not Never, restarts process i at that time from
 	// Stores[i]: a fresh process is built by the factory (with a tag
@@ -196,7 +197,6 @@ const (
 	evCrash
 	evBroadcast
 	evSample
-	evCheckpoint
 	evRecover
 	evJoinStart
 	evJoinRetry
@@ -208,8 +208,11 @@ type event struct {
 	seq  uint64
 	kind evKind
 	proc int
-	msg  wire.Message
-	body []byte
+	// frame is what an evReceive delivers; msg is the message the sender
+	// encoded into it, kept for the engine's own bookkeeping.
+	frame []byte
+	msg   wire.Message
+	body  []byte
 }
 
 // eventHeap orders by (at, seq).
@@ -309,8 +312,8 @@ type Engine struct {
 	seq  uint64
 	heap eventHeap
 	net  *channel.Network
-	// hosts[i] is process i with its store (Config.Stores[i], if any).
-	hosts  []host.Core
+	// loops[i] hosts process i and its store (Config.Stores[i], if any).
+	loops  []*host.Loop
 	crash  []bool
 	result Result
 	// pendingWire counts queued evReceive events; quiescence detection
@@ -340,9 +343,6 @@ type Engine struct {
 	present []bool
 	// joining[i] is process i's in-progress snapshot transfer.
 	joining []*host.Joiner
-	// frameAware routes broadcasts through the encoded-frame judging
-	// path (set when cfg.Link is a channel.FrameModel).
-	frameAware bool
 }
 
 // joinStallTicks is how many Task-1 periods without progress make a
@@ -413,7 +413,7 @@ func NewEngine(cfg Config) *Engine {
 	e := &Engine{
 		cfg:                 cfg,
 		net:                 channel.NewNetwork(cfg.N, cfg.Link, xrand.SplitLabeled(cfg.Seed, "net")),
-		hosts:               make([]host.Core, cfg.N),
+		loops:               make([]*host.Loop, cfg.N),
 		crash:               make([]bool, cfg.N),
 		delivered:           make([]int, cfg.N),
 		remainingBroadcasts: len(cfg.Broadcasts),
@@ -423,7 +423,6 @@ func NewEngine(cfg Config) *Engine {
 		aliveTouched:        make(map[wire.MsgID]bool),
 		inFlightMsg:         make(map[wire.MsgID]int),
 	}
-	_, e.frameAware = cfg.Link.(channel.FrameModel)
 	for i := range e.deliveredAt {
 		e.deliveredAt[i] = make(map[wire.MsgID]bool)
 	}
@@ -453,10 +452,15 @@ func NewEngine(cfg Config) *Engine {
 			Tags:  ident.NewSource(src),
 			Now:   func() Time { return e.now },
 		}
-		e.hosts[i].Proc = cfg.Factory(env)
+		c := host.Core{Proc: cfg.Factory(env)}
 		if cfg.Stores != nil {
-			e.hosts[i].Store = cfg.Stores[i]
+			c.Store = cfg.Stores[i]
 		}
+		// The simulator runs unbatched on purpose: one message per frame
+		// keeps a channel verdict per message, which is what the golden
+		// digests pin. Budget 0: nothing to fit a frame into.
+		e.loops[i] = host.NewLoop(c, host.LoopConfig{CheckpointEvery: cfg.CheckpointEvery,
+			OnReceive: func(m wire.Message) { e.onReceive(i, m) }}, 0)
 	}
 	// Phase-shift the first tick of each process so the mesh does not
 	// operate in lockstep. Late joiners have no tick chain until their
@@ -492,9 +496,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if cfg.SampleEvery > 0 {
 		e.push(&event{at: 0, kind: evSample})
-	}
-	if cfg.CheckpointEvery > 0 && cfg.Stores != nil {
-		e.push(&event{at: cfg.CheckpointEvery, kind: evCheckpoint})
 	}
 	if cfg.RecoverAt != nil {
 		for i, at := range cfg.RecoverAt {
@@ -532,65 +533,30 @@ func (e *Engine) push(ev *event) {
 func (e *Engine) Now() Time { return e.now }
 
 // Process returns the algorithm instance at index i (test hook).
-func (e *Engine) Process(i int) urb.Process { return e.hosts[i].Proc }
+func (e *Engine) Process(i int) urb.Process { return e.loops[i].Proc }
 
 // Network exposes the mesh (test hook).
 func (e *Engine) Network() *channel.Network { return e.net }
 
-// broadcastCopies offers one wire message to every destination link.
-func (e *Engine) broadcastCopies(src int, m wire.Message) {
-	if e.frameAware {
-		e.broadcastFrames(src, m)
-		return
-	}
-	size := m.EncodedSize()
-	for dst := 0; dst < e.cfg.N; dst++ {
-		v := e.net.Send(e.now, src, dst, size)
-		arrive := Time(0)
-		if !v.Drop {
-			d := v.Delay
-			if d < 1 {
-				d = 1
-			}
-			arrive = e.now + d
-			e.push(&event{at: arrive, kind: evReceive, proc: dst, msg: m})
-		}
-		for _, o := range e.cfg.Observers {
-			o.OnSend(e.now, src, dst, m, v.Drop, arrive)
-		}
-	}
-	e.result.LastSend = e.now
-}
-
-// broadcastFrames is broadcastCopies under a channel.FrameModel: the
-// message is encoded once and each link judged over the bytes, so the
-// model may duplicate or mutate the frame. Simulator messages travel as
-// decoded structs, so the receiver's decode happens here, eagerly: a
-// copy whose mutated bytes no longer equal the original frame is what a
-// live node would reject at DecodePrefix — it is counted as sent and
-// then goes nowhere, which is exactly "mutation surfaces as loss". (A
-// frame here carries one message, so any byte change at all defeats the
-// decode; partial-batch truncation only exists on the live path.)
-func (e *Engine) broadcastFrames(src int, m wire.Message) {
-	frame := m.Encode(nil)
+// send offers a frame carrying m to every link, where a FrameModel may
+// duplicate or mutate it. A frame holds one message, so a mutated copy
+// holds nothing DecodePrefix would accept (at most FlipGate's
+// truncation): it is dropped here, as the loss it is.
+func (e *Engine) send(src int, frame []byte, m wire.Message) {
 	for dst := 0; dst < e.cfg.N; dst++ {
 		copies := e.net.SendFrame(e.now, src, dst, frame)
 		delivered := false
 		arrive := Time(0)
 		for _, c := range copies {
 			if !c.SameFrame(frame) {
-				continue // receiver decode-reject: the copy is lost
+				continue
 			}
-			d := c.Delay
-			if d < 1 {
-				d = 1
-			}
-			at := e.now + d
+			at := e.now + max(c.Delay, 1)
 			if !delivered || at < arrive {
 				arrive = at
 			}
 			delivered = true
-			e.push(&event{at: at, kind: evReceive, proc: dst, msg: m})
+			e.push(&event{at: at, kind: evReceive, proc: dst, frame: frame, msg: m})
 		}
 		for _, o := range e.cfg.Observers {
 			o.OnSend(e.now, src, dst, m, !delivered, arrive)
@@ -599,16 +565,28 @@ func (e *Engine) broadcastFrames(src int, m wire.Message) {
 	e.result.LastSend = e.now
 }
 
-// absorb handles one Step from a process.
-func (e *Engine) absorb(proc int, s urb.Step) {
-	// Write-ahead (host.Core.Commit) before the Step's broadcasts reach
-	// the network or its deliveries the result. Store errors are fatal in
-	// the simulator — a sim store is in-memory or a test fixture, and
-	// silent degradation would make a recovery test pass vacuously.
-	if _, _, err := e.hosts[proc].Commit(s); err != nil {
-		panic(fmt.Sprintf("sim: proc %d wal append: %v", proc, err))
+// onReceive is proc's host.Loop receive hook.
+func (e *Engine) onReceive(proc int, m wire.Message) {
+	if m.Kind.IsSnap() {
+		return // join traffic is host-level: observers never see it
 	}
-	for _, d := range s.Deliveries {
+	if carriesMsg(m) {
+		e.aliveTouched[m.ID()] = true
+	}
+	for _, o := range e.cfg.Observers {
+		o.OnReceive(e.now, proc, m)
+	}
+}
+
+// expose carries out one host.Loop call of proc. A store error stops the
+// process as it stops a node: nothing of the failed Step is exposed or
+// sent, and the run reports it crashed.
+func (e *Engine) expose(proc int, out *host.Out, err error) {
+	if err != nil {
+		e.doCrash(proc)
+		return
+	}
+	for _, d := range out.Deliveries {
 		e.result.Deliveries[proc] = append(e.result.Deliveries[proc],
 			DeliveryAt{Delivery: d, At: e.now})
 		e.delivered[proc]++
@@ -627,8 +605,8 @@ func (e *Engine) absorb(proc int, s urb.Step) {
 			return // broadcasts die with the process
 		}
 	}
-	for _, m := range s.Broadcasts {
-		e.broadcastCopies(proc, m)
+	for i, frame := range out.Frames {
+		e.send(proc, frame, out.Msgs[i]) // unbatched: frame i carries message i
 	}
 }
 
@@ -719,32 +697,21 @@ func (e *Engine) Run() Result {
 		e.now = ev.at
 		switch ev.kind {
 		case evReceive:
-			if e.crash[ev.proc] {
-				break
+			switch {
+			case e.crash[ev.proc]:
+			case e.joining[ev.proc] != nil:
+				e.offerChunk(ev.proc, ev.frame)
+			case e.present[ev.proc]: // else not yet joined: no inbox
+				out, err := e.loops[ev.proc].OnFrame(ev.frame)
+				e.expose(ev.proc, out, err)
 			}
-			if ev.msg.Kind.IsSnap() {
-				// Join-protocol traffic is host-level, exactly as in
-				// the live node: served or assembled here, never shown
-				// to the algorithm.
-				e.handleSnap(ev.proc, ev.msg)
-				break
-			}
-			if !e.present[ev.proc] {
-				break // not yet joined: the slot has no inbox
-			}
-			if carriesMsg(ev.msg) {
-				e.aliveTouched[ev.msg.ID()] = true
-			}
-			for _, o := range e.cfg.Observers {
-				o.OnReceive(e.now, ev.proc, ev.msg)
-			}
-			e.absorb(ev.proc, e.hosts[ev.proc].Proc.Receive(ev.msg))
 		case evTick:
 			if e.crash[ev.proc] || !e.present[ev.proc] {
 				break
 			}
-			e.absorb(ev.proc, e.hosts[ev.proc].Proc.Tick())
-			if !e.crash[ev.proc] { // absorb may have crashed it
+			out, err := e.loops[ev.proc].OnTick(e.now)
+			e.expose(ev.proc, out, err)
+			if !e.crash[ev.proc] { // expose may have crashed it
 				e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: ev.proc})
 			}
 		case evCrash:
@@ -760,28 +727,19 @@ func (e *Engine) Run() Result {
 			if e.crash[ev.proc] {
 				break
 			}
-			id, s := e.hosts[ev.proc].Proc.Broadcast(ev.body)
+			l := e.loops[ev.proc]
+			id, s := l.Proc.Broadcast(ev.body)
 			e.result.Broadcasts = append(e.result.Broadcasts,
 				BroadcastAt{ID: id, Proc: ev.proc, At: e.now})
 			e.msgOrigin[id] = ev.proc
 			for _, o := range e.cfg.Observers {
 				o.OnBroadcast(e.now, ev.proc, id)
 			}
-			e.absorb(ev.proc, s)
+			out, err := l.Absorb(s)
+			e.expose(ev.proc, out, err)
 		case evSample:
 			e.takeSample()
 			e.push(&event{at: e.now + e.cfg.SampleEvery, kind: evSample})
-		case evCheckpoint:
-			// Every live stored process, whether or not its WAL grew.
-			for i := range e.hosts {
-				if e.crash[i] || !e.present[i] {
-					continue
-				}
-				if _, err := e.hosts[i].Checkpoint(); err != nil {
-					panic(fmt.Sprintf("sim: proc %d checkpoint: %v", i, err))
-				}
-			}
-			e.push(&event{at: e.now + e.cfg.CheckpointEvery, kind: evCheckpoint})
 		case evRecover:
 			e.doRecover(ev.proc)
 		case evJoinStart:
@@ -811,8 +769,8 @@ func (e *Engine) Run() Result {
 	e.result.EndTime = e.now
 	e.result.Net = e.net.Stats()
 	e.result.ProcStats = make([]urb.Stats, e.cfg.N)
-	for i := range e.hosts {
-		e.result.ProcStats[i] = e.hosts[i].Proc.Stats()
+	for i, l := range e.loops {
+		e.result.ProcStats[i] = l.Proc.Stats()
 	}
 	return e.result
 }
@@ -833,13 +791,13 @@ func (e *Engine) doRecover(proc int) {
 		Now:   func() Time { return e.now },
 	}
 	p := e.cfg.Factory(env)
-	if _, err := host.Recover(p, e.hosts[proc].Store); err != nil {
+	if _, err := host.Recover(p, e.loops[proc].Store); err != nil {
 		panic(fmt.Sprintf("sim: proc %d: %v", proc, err))
 	}
 	// Write-ahead reconciliation for torn stores: the restored state may
 	// lack deliveries this run already exposed, if the store lost tail
 	// records (store.Mem.TearTail, nemesis StageTornWAL). Exposed but not
-	// durable contradicts the write-ahead discipline absorb enforces, so
+	// durable contradicts the write-ahead discipline host.Loop enforces, so
 	// the only physical reading of a torn delivery record is a crash that
 	// struck mid-step — after the append began, before the exposure
 	// escaped. The engine re-dates history accordingly: the retracted
@@ -862,7 +820,7 @@ func (e *Engine) doRecover(proc int) {
 			e.retractDelivery(proc, id)
 		}
 	}
-	e.hosts[proc].Proc = p
+	e.loops[proc].Proc = p
 	e.crash[proc] = false
 	e.result.Crashed[proc] = false
 	e.result.Recovered[proc] = true
@@ -904,7 +862,7 @@ func (e *Engine) retractDelivery(proc int, id wire.MsgID) {
 func (e *Engine) startJoin(proc int) {
 	js := host.NewJoiner(e.now, 0, func(int) int64 { return joinStallTicks * e.cfg.TickEvery })
 	e.joining[proc] = js
-	e.broadcastCopies(proc, js.Request(e.now))
+	e.sendMsg(proc, js.Request(e.now))
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evJoinRetry, proc: proc})
 }
 
@@ -916,39 +874,29 @@ func (e *Engine) retryJoin(proc int) {
 	if js == nil || e.crash[proc] {
 		return
 	}
-	e.broadcastCopies(proc, js.Request(e.now))
+	e.sendMsg(proc, js.Request(e.now))
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evJoinRetry, proc: proc})
 }
 
-// handleSnap routes join-protocol traffic: a live process answers
-// solicitations and resume requests (the donor side), and a joining
-// process feeds chunks to its transfer (the joiner side). Neither side
-// ever shows these messages to the algorithm.
-func (e *Engine) handleSnap(proc int, m wire.Message) {
-	if m.Kind == wire.KindSnapReq {
-		if !e.present[proc] {
-			return // joiners do not serve
-		}
-		var out urb.Step
-		e.hosts[proc].ServeSnap(m, 0, &out)
-		for _, chunk := range out.Broadcasts {
-			e.broadcastCopies(proc, chunk)
-		}
-		return
-	}
-	// A SNAPCHUNK is only meaningful at a joining process.
+// sendMsg sends a message the host produced outside the loop: a
+// joiner's request.
+func (e *Engine) sendMsg(src int, m wire.Message) { e.send(src, m.Encode(nil), m) }
+
+// offerChunk feeds a frame received by a joining process to its
+// transfer; the algorithm never sees it.
+func (e *Engine) offerChunk(proc int, frame []byte) {
 	js := e.joining[proc]
-	if js == nil {
-		return
-	}
-	container, resolicit := js.Offer(m, e.now)
-	if resolicit {
-		// A container that fails verification is not a panic — a lossy
-		// world must tolerate a bad donor: ask someone else.
-		e.broadcastCopies(proc, js.Request(e.now))
-	}
-	if container != nil {
-		e.finishJoin(proc, container)
+	for m := range host.Messages(frame) {
+		container, resolicit := js.Offer(m, e.now)
+		if resolicit {
+			// A container that fails verification is not a panic — a
+			// lossy world must tolerate a bad donor: ask someone else.
+			e.sendMsg(proc, js.Request(e.now))
+		}
+		if container != nil {
+			e.finishJoin(proc, container)
+			return
+		}
 	}
 }
 
@@ -957,7 +905,7 @@ func (e *Engine) handleSnap(proc int, m wire.Message) {
 // streams; see urb.Joiner), checkpoint the adopted state as the durable
 // baseline, and start the tick chain.
 func (e *Engine) finishJoin(proc int, container []byte) {
-	h := &e.hosts[proc]
+	h := e.loops[proc]
 	if _, err := host.Adopt(h.Proc, h.Store, container); err != nil {
 		panic(fmt.Sprintf("sim: proc %d has JoinAt: %v", proc, err))
 	}
@@ -1005,8 +953,8 @@ func (e *Engine) doLeave(proc int) {
 
 func (e *Engine) takeSample() {
 	s := Sample{At: e.now, Stats: make([]urb.Stats, e.cfg.N), CumSent: e.net.Stats().Sent}
-	for i := range e.hosts {
-		s.Stats[i] = e.hosts[i].Proc.Stats()
+	for i, l := range e.loops {
+		s.Stats[i] = l.Proc.Stats()
 	}
 	e.result.Samples = append(e.result.Samples, s)
 }
