@@ -434,3 +434,71 @@ func BenchmarkOracleViewAdversarial(b *testing.B) {
 		_ = o.ATheta(1, int64(i))
 	}
 }
+
+// snapshotState builds the Algorithm 2 state a durable_restart node
+// checkpoints: n=5, the tuned configuration, and history messages with
+// 256 B bodies, each received, acknowledged by all five ackers under one
+// AΘ view, delivered and retired.
+func snapshotState(tb testing.TB, history int) *urb.Quiescent {
+	tb.Helper()
+	const n = 5
+	view := make(fd.View, n)
+	labels := make([]ident.Tag, n)
+	for i := range view {
+		labels[i] = ident.Tag{Hi: uint64(i) + 1, Lo: 1}
+		view[i] = fd.Pair{Label: labels[i], Number: n}
+	}
+	det := fd.Static{Theta: fd.Normalize(view), Star: fd.Normalize(view.Clone())}
+	p := urb.NewQuiescent(det, ident.NewSource(xrand.New(21)), urb.Config{
+		EagerFirstSend: true, CheckOnTick: true, RetireBeforeSend: true,
+		DeltaAcks: true, CompactDelivered: true, PaceResyncs: true,
+	})
+	rng := xrand.New(22)
+	body := make([]byte, 256)
+	for k := 0; k < history; k++ {
+		for i := range body {
+			body[i] = byte('a' + rng.Intn(26))
+		}
+		id := wire.MsgID{Tag: ident.Tag{Hi: rng.Uint64() | 1, Lo: rng.Uint64()}, Body: string(body)}
+		p.Receive(wire.NewMsg(id))
+		for a := 0; a < n; a++ {
+			p.Receive(wire.NewAckSnapshot(id, ident.Tag{Hi: uint64(k*n+a) + 1000, Lo: 7}, 1, labels))
+		}
+		p.Tick()
+	}
+	if st := p.Stats(); st.Retired != history || st.Delivered != history {
+		tb.Fatalf("setup: retired %d, delivered %d, want %d", st.Retired, st.Delivered, history)
+	}
+	return p
+}
+
+// snapSink keeps the benchmarked Snapshot alive.
+var snapSink []byte
+
+// BenchmarkQuiescentSnapshot measures one checkpoint of a durable_restart
+// node's state: the encoding plus the digest over the canonical state
+// fingerprint (DESIGN.md §9).
+func BenchmarkQuiescentSnapshot(b *testing.B) {
+	p := snapshotState(b, 400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapSink = p.Snapshot()
+	}
+}
+
+// TestQuiescentSnapshotAllocs guards the checkpoint's allocation count:
+// the snapshot buffer and the sort scratch grow with history, but their
+// number must not, so doubling the retired history adds at most a small
+// constant of allocations per Snapshot.
+func TestQuiescentSnapshotAllocs(t *testing.T) {
+	allocs := func(history int) float64 {
+		p := snapshotState(t, history)
+		return testing.AllocsPerRun(3, func() { snapSink = p.Snapshot() })
+	}
+	a400, a800 := allocs(400), allocs(800)
+	t.Logf("allocations per Snapshot: %.0f at 400 messages, %.0f at 800", a400, a800)
+	if a800 > a400+8 {
+		t.Fatalf("Snapshot allocations grow with history: %.0f at 400 messages, %.0f at 800", a400, a800)
+	}
+}

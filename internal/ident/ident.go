@@ -47,9 +47,31 @@ func (t Tag) Compare(u Tag) int {
 	}
 }
 
-// String renders a short hex form for traces and logs.
+// String renders a short hex form for traces and logs: the 16 hex digits
+// of Rendered, that is of the low 32 bits of Hi and of Lo. Two tags that
+// agree in those 64 bits render alike, so text built from String — the
+// state fingerprints of internal/urb among it — tells tags apart only up
+// to that collision. The form is pinned: snapshot digests and golden
+// vectors hash it.
 func (t Tag) String() string {
-	return fmt.Sprintf("%08x%08x", t.Hi&0xffffffff, t.Lo&0xffffffff)
+	var b [16]byte
+	return string(t.AppendHex(b[:0]))
+}
+
+// Rendered returns the 64 bits String renders: the low 32 bits of Hi,
+// then the low 32 bits of Lo. Ordering tags by it orders their String
+// forms.
+func (t Tag) Rendered() uint64 { return t.Hi<<32 | t.Lo&0xffffffff }
+
+// AppendHex appends t's String form to b and returns the extended
+// buffer.
+func (t Tag) AppendHex(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	v := t.Rendered()
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // Source draws fresh tags from a deterministic stream. Each simulated

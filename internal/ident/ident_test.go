@@ -1,6 +1,7 @@
 package ident
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,31 @@ func TestTagString(t *testing.T) {
 	a := Tag{Hi: 0xdeadbeef, Lo: 0x1234}
 	if a.String() != "deadbeef00001234" {
 		t.Fatalf("tag string %q", a.String())
+	}
+}
+
+// TestTagStringMatchesFmt pins the hand-written rendering to the fmt form
+// it replaced, %08x%08x of the low 32 bits of each half, and Rendered's
+// order to the order of the strings.
+func TestTagStringMatchesFmt(t *testing.T) {
+	rng := xrand.New(3)
+	prev := Tag{}
+	for i := 0; i < 10000; i++ {
+		tg := Tag{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		if i%4 == 0 {
+			tg.Hi &= 0xf0f0 // short values: leading zeros
+		}
+		want := fmt.Sprintf("%08x%08x", tg.Hi&0xffffffff, tg.Lo&0xffffffff)
+		if got := tg.String(); got != want {
+			t.Fatalf("%#v renders %q, want %q", tg, got, want)
+		}
+		if got := string(tg.AppendHex([]byte("x"))); got != "x"+want {
+			t.Fatalf("AppendHex = %q, want %q", got, "x"+want)
+		}
+		if (prev.Rendered() < tg.Rendered()) != (prev.String() < want) {
+			t.Fatalf("Rendered orders %v, %v unlike their strings", prev, tg)
+		}
+		prev = tg
 	}
 }
 

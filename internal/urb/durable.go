@@ -1,10 +1,10 @@
 package urb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"anonurb/internal/fd"
@@ -170,8 +170,22 @@ var (
 // stateWriter accumulates the canonical big-endian encoding.
 type stateWriter struct{ b []byte }
 
-func (w *stateWriter) u8(v uint8) { w.b = append(w.b, v) }
+// room makes space for n more bytes, doubling the buffer when it is full:
+// append grows a large slice by a quarter, which for a snapshot of a
+// large state reallocates dozens of times and leaves about four times its
+// size behind as garbage.
+func (w *stateWriter) room(n int) {
+	if cap(w.b)-len(w.b) < n {
+		w.b = slices.Grow(w.b, max(n, len(w.b)))
+	}
+}
+
+func (w *stateWriter) u8(v uint8) {
+	w.room(1)
+	w.b = append(w.b, v)
+}
 func (w *stateWriter) u32(v uint32) {
+	w.room(4)
 	w.b = append(w.b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 func (w *stateWriter) u64(v uint64) {
@@ -191,11 +205,14 @@ func (w *stateWriter) tag(t ident.Tag) {
 }
 func (w *stateWriter) bytes(b []byte) {
 	w.u32(uint32(len(b)))
+	w.room(len(b))
 	w.b = append(w.b, b...)
 }
 func (w *stateWriter) msgID(id wire.MsgID) {
 	w.tag(id.Tag)
-	w.bytes([]byte(id.Body))
+	w.u32(uint32(len(id.Body)))
+	w.room(len(id.Body))
+	w.b = append(w.b, id.Body...)
 }
 func (w *stateWriter) tags(ts []ident.Tag) {
 	w.u32(uint32(len(ts)))
@@ -350,7 +367,19 @@ func (c *common) sortedRecs(keep func(*msgRec) bool) []*msgRec {
 	return out
 }
 
+// recsWhere appends to dst the records of table keep selects, in table
+// order: one sort of the whole table then serves every set.
+func recsWhere(dst, table []*msgRec, keep func(*msgRec) bool) []*msgRec {
+	for _, rec := range table {
+		if keep(rec) {
+			dst = append(dst, rec)
+		}
+	}
+	return dst
+}
+
 // The paper's sets, as predicates over a record.
+func (r *msgRec) inTable() bool     { return true }
 func (r *msgRec) isSaw() bool       { return r.saw }
 func (r *msgRec) isDelivered() bool { return r.delivered }
 func (r *msgRec) isPinned() bool    { return r.pinned }
@@ -363,24 +392,43 @@ func (r *msgRec) hasLedger() bool   { return r.send != nil }
 // behaviour-oriented fingerprint deliberately omits (e.g. the wire-sent
 // counter); covering the fingerprint catches encoder/decoder divergence.
 //
-// The hash is written out rather than taken from hash/fnv: its digest has
-// no WriteString, so feeding it the fingerprint — the larger of the two
-// inputs — means copying the whole string first, whether through
-// []byte(fp) or io.WriteString.
-func snapDigest(payload []byte, fp string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range payload {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for i := 0; i < len(fp); i++ {
-		h = (h ^ uint64(fp[i])) * prime64
-	}
-	return h
+// The fingerprint is streamed into the hash as its emitter writes it:
+// the digest equals FNV-1a over the payload followed by Fingerprint's
+// text, but that text is never built.
+func snapDigest(payload []byte, e fpEmitter) uint64 {
+	s := fpSink{h: fnvOffset}
+	s.h.write(payload)
+	e.fingerprint(&s)
+	return uint64(s.h)
 }
+
+// fnv64a is a running 64-bit FNV-1a hash. It is written out rather than
+// taken from hash/fnv, whose digest has no WriteString: feeding it a
+// string would copy it first.
+type fnv64a uint64
+
+const (
+	fnvOffset fnv64a = 14695981039346656037
+	fnvPrime  fnv64a = 1099511628211
+)
+
+func (h *fnv64a) write(b []byte) {
+	x := *h
+	for _, c := range b {
+		x = (x ^ fnv64a(c)) * fnvPrime
+	}
+	*h = x
+}
+
+func (h *fnv64a) writeString(s string) {
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x = (x ^ fnv64a(s[i])) * fnvPrime
+	}
+	*h = x
+}
+
+func (h *fnv64a) writeByte(c byte) { *h = (*h ^ fnv64a(c)) * fnvPrime }
 
 // cfgFlags packs the Config knobs for the restore-time compatibility
 // check: a snapshot must be restored into an identically configured
@@ -424,20 +472,25 @@ func cfgFromFlags(f uint8) Config {
 
 // --- common state sections ------------------------------------------------
 
-// encodeCommon writes the state shared by both algorithms.
-func (c *common) encodeCommon(w *stateWriter) {
+// encodeCommon writes the state shared by both algorithms. It returns the
+// whole table in canonical order, from which the caller reads its own
+// sets.
+func (c *common) encodeCommon(w *stateWriter) []*msgRec {
 	w.u8(cfgFlags(c.cfg))
 	w.u64(c.tags.Draws())
 	w.u64(c.wireSent)
 	w.ids(c.msgs.appendLive(nil)) // insertion order: Task-1 iteration order is state
-	w.ids(c.sortedRecs((*msgRec).isSaw))
-	w.ids(c.sortedRecs((*msgRec).isDelivered))
-	mine := c.sortedRecs((*msgRec).isPinned)
+	table := c.sortedRecs((*msgRec).inTable)
+	set := make([]*msgRec, 0, len(table))
+	w.ids(recsWhere(set, table, (*msgRec).isSaw))
+	w.ids(recsWhere(set, table, (*msgRec).isDelivered))
+	mine := recsWhere(set, table, (*msgRec).isPinned)
 	w.u32(uint32(len(mine)))
 	for _, rec := range mine {
 		w.msgID(rec.id)
 		w.tag(rec.ack)
 	}
+	return table
 }
 
 // decodeCommon rebuilds the shared state into a fresh table. The tag
@@ -553,7 +606,7 @@ func (p *Majority) Snapshot() []byte {
 		w.msgID(rec.id)
 		w.tags(rec.acks.Slice())
 	}
-	w.u64(snapDigest(w.b, p.Fingerprint()))
+	w.u64(snapDigest(w.b, p))
 	return w.b
 }
 
@@ -597,7 +650,7 @@ func (p *Majority) Restore(data []byte) error {
 	if err := r.done(); err != nil {
 		return err
 	}
-	if snapDigest(data[:len(data)-8], p.Fingerprint()) != digest {
+	if snapDigest(data[:len(data)-8], p) != digest {
 		return ErrSnapshotCorrupt
 	}
 	return nil
@@ -628,7 +681,7 @@ func (p *Quiescent) Snapshot() []byte {
 	var w stateWriter
 	w.u8(snapVersion)
 	w.u8(snapKindQuiescent)
-	p.encodeCommon(&w)
+	table := p.encodeCommon(&w)
 	w.u64(uint64(p.retired))
 	w.u64(p.ticks)
 	w.u64(p.epochFloor)
@@ -647,37 +700,28 @@ func (p *Quiescent) Snapshot() []byte {
 		tableSets = append(tableSets, s)
 		return i
 	}
-	type viewRef struct {
-		acker  ident.Tag
-		epoch  uint64
-		synced bool
-		ref    uint32
-	}
-	views := make([][]viewRef, len(p.ackOrder))
-	for i, rec := range p.ackOrder {
-		st := rec.st
-		vs := make([]viewRef, 0, st.ackers.Len())
-		for j, acker := range st.ackers.Keys() {
-			v := st.ackers.At(j)
-			vs = append(vs, viewRef{acker: acker, epoch: v.epoch, synced: v.synced, ref: refOf(v.labels)})
+	var refs []uint32 // the views' indices, in walk order
+	for _, rec := range p.ackOrder {
+		for j := range rec.st.ackers.Len() {
+			refs = append(refs, refOf(rec.st.ackers.At(j).labels))
 		}
-		views[i] = vs
 	}
 	w.u32(uint32(len(tableSets)))
 	for _, s := range tableSets {
 		w.tags(s.Slice())
 	}
 	w.u32(uint32(len(p.ackOrder)))
-	for i, rec := range p.ackOrder {
+	for _, rec := range p.ackOrder {
 		w.msgID(rec.id)
 		st := rec.st
-		vs := views[i]
-		w.u32(uint32(len(vs)))
-		for _, v := range vs {
-			w.tag(v.acker)
+		w.u32(uint32(st.ackers.Len()))
+		for j, acker := range st.ackers.Keys() {
+			v := st.ackers.At(j)
+			w.tag(acker)
 			w.u64(v.epoch)
 			w.boolean(v.synced)
-			w.u32(v.ref)
+			w.u32(refs[0])
+			refs = refs[1:]
 		}
 		reqs := make([]ident.Tag, 0, len(st.reqTick))
 		for acker := range st.reqTick {
@@ -690,7 +734,7 @@ func (p *Quiescent) Snapshot() []byte {
 			w.u64(st.reqTick[acker])
 		}
 	}
-	ledger := p.sortedRecs((*msgRec).hasLedger)
+	ledger := recsWhere(table[:0], table, (*msgRec).hasLedger) // filtered in place
 	w.u32(uint32(len(ledger)))
 	for _, rec := range ledger {
 		st := rec.send
@@ -700,7 +744,7 @@ func (p *Quiescent) Snapshot() []byte {
 		w.u64(st.snapTick)
 		w.tags(st.sent.Slice())
 	}
-	w.u64(snapDigest(w.b, p.Fingerprint()))
+	w.u64(snapDigest(w.b, p))
 	return w.b
 }
 
@@ -818,7 +862,7 @@ func (p *Quiescent) Restore(data []byte) error {
 	p.ackOrder = ackOrder
 	p.dirtyQ = dirtyQ
 	p.viewsKnown = false
-	if snapDigest(data[:len(data)-8], p.Fingerprint()) != digest {
+	if snapDigest(data[:len(data)-8], p) != digest {
 		return ErrSnapshotCorrupt
 	}
 	return nil
@@ -863,44 +907,6 @@ func (p *Quiescent) ApplyWAL(ev DurableEvent) error {
 
 // --- HeartbeatHost --------------------------------------------------------
 
-// Fingerprint digests the full heartbeat stack: the host's own state plus
-// the wrapped algorithm's fingerprint. Canonical in the same sense as the
-// algorithm fingerprints (snapshot round-trips preserve it).
-func (h *HeartbeatHost) Fingerprint() string {
-	var w fpWriter
-	w.b.WriteString("heartbeat-host")
-	w.section("label")
-	w.b.WriteString(h.hb.Label().String())
-	w.section("ticks")
-	fmt.Fprintf(&w.b, "%d", h.tickCount)
-	w.section("beats")
-	fmt.Fprintf(&w.b, "%d", h.beatsSent)
-	w.section("beatreqs")
-	fmt.Fprintf(&w.b, "%d", h.beatReqsSent)
-	w.section("beatstream")
-	fmt.Fprintf(&w.b, "%d/%t", h.beatEpoch, h.beatSnapSent)
-	// The receiver-side beat stream tables and the per-tick request
-	// limiter are deliberately excluded: they are soft wire-level caches
-	// (losing them costs one BEATREQ/snapshot exchange, which the
-	// protocol self-heals), kept out of snapshots for the same reason.
-	w.section("heard")
-	heard := h.hb.Heard()
-	keys := make([]string, len(heard))
-	for i, e := range heard {
-		keys[i] = fmt.Sprintf("%s@%d", e.Label, e.At)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			w.b.WriteByte(',')
-		}
-		w.b.WriteString(k)
-	}
-	w.section("inner")
-	w.b.WriteString(h.inner.Fingerprint())
-	return w.b.String()
-}
-
 // Snapshot implements Snapshotter: the host's heartbeat state wraps the
 // inner algorithm's snapshot. Heartbeat timestamps are in the host
 // clock's units; restarting with a clock that resumes from zero makes
@@ -928,7 +934,7 @@ func (h *HeartbeatHost) Snapshot() []byte {
 		w.u64(uint64(e.At))
 	}
 	w.bytes(h.inner.Snapshot())
-	w.u64(snapDigest(w.b, h.Fingerprint()))
+	w.u64(snapDigest(w.b, h))
 	return w.b
 }
 
@@ -991,7 +997,7 @@ func (h *HeartbeatHost) Restore(data []byte) error {
 	h.streams = nil // soft receiver state: rebuilt via BEATREQ
 	h.beatReqTick = nil
 	h.beatSnapTick = 0
-	if snapDigest(data[:len(data)-8], h.Fingerprint()) != digest {
+	if snapDigest(data[:len(data)-8], h) != digest {
 		return ErrSnapshotCorrupt
 	}
 	return nil
@@ -1140,10 +1146,7 @@ func VerifySnapshot(data []byte) (SnapshotInfo, error) {
 		return SnapshotInfo{Version: version}, ErrSnapshotVersion
 	}
 	info := SnapshotInfo{Version: version}
-	var proc interface {
-		Durable
-		Fingerprinter
-	}
+	var proc Durable
 	switch kind {
 	case snapKindMajority:
 		info.Kind = "majority"
@@ -1211,7 +1214,8 @@ func VerifySnapshot(data []byte) (SnapshotInfo, error) {
 		return info, err
 	}
 	info.Stats = proc.Stats()
-	info.Digest = snapDigest(data[:len(data)-8], proc.Fingerprint())
+	// Restore has just checked the trailer against the state it rebuilt.
+	info.Digest = binary.BigEndian.Uint64(data[len(data)-8:])
 	switch p := proc.(type) {
 	case *Majority:
 		info.Draws = p.tags.Draws()

@@ -157,9 +157,9 @@ func TestQuiescentAckerReadsViewInPlace(t *testing.T) {
 	}
 	// set renders labels the way the fingerprint does.
 	set := func(ls ...uint64) string {
-		var w fpWriter
-		w.sortedTags(tags(ls...))
-		return "{" + w.b.String() + "}"
+		var b strings.Builder
+		(&fpSink{text: &b}).tagSet(tags(ls...))
+		return "{" + b.String() + "}"
 	}
 	const msg, req = "MSG", "ACKREQ"
 	type step struct {
@@ -261,7 +261,7 @@ func TestQuiescentAckerReadsViewInPlace(t *testing.T) {
 			fp := p.Fingerprint()
 			_, ledger, ok := strings.Cut(fp, "|ledger:")
 			ledger, _, _ = strings.Cut(ledger, "|reqs:")
-			if want := fpKey(id) + tt.ledger; !ok || ledger != want {
+			if want := id.Tag.String() + "~" + id.Body + tt.ledger; !ok || ledger != want {
 				t.Fatalf("ledger section %q, want %q\nfingerprint: %s", ledger, want, fp)
 			}
 			// The snapshot round trip reads the shared sets back.

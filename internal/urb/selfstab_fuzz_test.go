@@ -31,7 +31,7 @@ import (
 // fingerprint the payload actually decodes to.
 func restamp(data []byte, fp string) []byte {
 	out := append([]byte(nil), data...)
-	binary.BigEndian.PutUint64(out[len(out)-8:], snapDigest(out[:len(out)-8], fp))
+	binary.BigEndian.PutUint64(out[len(out)-8:], textDigest(out[:len(out)-8], fp))
 	return out
 }
 
