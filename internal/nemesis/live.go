@@ -2,6 +2,8 @@ package nemesis
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -9,31 +11,23 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/liverun"
 	"anonurb/internal/obs"
+	"anonurb/internal/sim"
 	"anonurb/internal/store"
 	"anonurb/internal/wire"
 )
 
-// LiveBroadcast schedules one workload broadcast for RunLive, in mesh
-// elapsed units.
-type LiveBroadcast struct {
-	At   int64
-	Proc int
-	Body []byte
-}
-
 // LiveRun describes one campaign execution against a live in-process
-// cluster (liverun.Cluster): real goroutines, real time, the campaign
+// cluster (liverun.Cluster): real goroutines, real time, the merged
 // schedule driven wall-clock.
 type LiveRun struct {
-	// Config is the base cluster; RunLive wraps Config.Link in the
-	// campaign overlays and plants Mem stores for crash-recover procs
-	// that have none. The mesh hands the link model its elapsed units
-	// on every send, so the time-staged overlays activate on their own.
+	// Config is the base cluster; merge reads its N, Link and Stores.
+	// The mesh hands the merged link model its elapsed units on every
+	// send, so the time-staged overlays activate on their own.
 	Config liverun.Config
 	// Campaign is the fault script, in mesh units.
 	Campaign Campaign
-	// Broadcasts is the workload.
-	Broadcasts []LiveBroadcast
+	// Broadcasts is the workload, in mesh units.
+	Broadcasts []sim.ScheduledBroadcast
 }
 
 // LiveResult is the audited outcome of a live campaign.
@@ -50,81 +44,40 @@ type LiveResult struct {
 	CorruptRejected []int
 }
 
-// snapGarbler is the snapcorrupt stage's store.SnapshotMutator: it
-// XORs one mid-snapshot byte, which the recovery digest check must
-// catch and refuse.
-type snapGarbler struct{}
-
-func (snapGarbler) MutateSnapshot(snap []byte) []byte {
-	if len(snap) > 0 {
-		snap[len(snap)/2] ^= 0xFF
-	}
-	return snap
-}
-
-// liveEvent is one merged schedule entry.
-type liveEvent struct {
-	at    int64
-	order int // tie-break: broadcasts first, then faults, in stage order
-	run   func()
-}
-
-// RunLive executes the campaign against a live cluster and audits
-// convergence after heal. Cluster reconfiguration (crash, recover,
-// join, leave) must be single-goroutine, so the schedule is driven
-// serially; a Join blocks for its snapshot transfer, which can slip
-// later events — the audit measures from the actual heal instant, and
-// the donor-crash-during-transfer interleaving is exercised
-// deterministically by the simulator campaigns instead (DESIGN.md
-// §15).
+// RunLive plays the merged schedule (merge) against a live cluster and
+// audits convergence after heal. Broadcasts go first at equal times, so
+// a same-instant crash races the send through the mesh rather than
+// trivially preceding it; the fault actions follow in the simulator's
+// order: joins, leaves, crashes, recoveries. Cluster reconfiguration
+// must be single-goroutine, so the schedule is driven serially; a Join
+// blocks for its snapshot transfer, which can slip later events — the
+// audit measures from the actual heal instant, and the
+// donor-crash-during-transfer interleaving is exercised
+// deterministically by the simulator campaigns instead (DESIGN.md §15).
 func RunLive(lr LiveRun) (*LiveResult, error) {
 	c := lr.Campaign
-	cfg := lr.Config
-	if err := c.Validate(cfg.N, true); err != nil {
-		return nil, err
-	}
-	if cfg.Link == nil {
+	lc := lr.Config
+	if lc.Link == nil {
 		return nil, fmt.Errorf("nemesis: live run needs a base link model")
 	}
-	if cfg.Unit <= 0 {
-		cfg.Unit = time.Millisecond
+	if lc.Unit <= 0 {
+		lc.Unit = time.Millisecond
 	}
-	cfg.Link = c.BuildLink(cfg.Link)
-
-	// Fault procs need stores to recover from; plant Mem stores where
-	// the base config has none.
-	growStores := func(p int) {
-		// liverun.Start insists Stores, when present, covers every proc.
-		for len(cfg.Stores) < cfg.N || len(cfg.Stores) <= p {
-			cfg.Stores = append(cfg.Stores, nil)
-		}
-		if cfg.Stores[p] == nil {
-			cfg.Stores[p] = store.NewMem()
-		}
+	cfg, err := merge(sim.Config{N: lc.N, Link: lc.Link, Stores: lc.Stores, Broadcasts: lr.Broadcasts}, c, true)
+	if err != nil {
+		return nil, err
 	}
-	memStore := func(p int) (*store.Mem, error) {
-		if p < len(cfg.Stores) {
-			if m, ok := cfg.Stores[p].(*store.Mem); ok {
-				return m, nil
-			}
-		}
-		return nil, fmt.Errorf("nemesis: campaign %q: proc %d store fault needs a *store.Mem store", c.Name, p)
-	}
-	for _, s := range c.stagesOf(StageCrash) {
-		if s.RecoverAfter > 0 {
-			for _, p := range s.Procs {
-				growStores(p)
-			}
-		}
-	}
+	lc.Link = cfg.Link
+	// Founders' stores go to Start; each joiner's goes to its Join.
+	lc.Stores = cfg.Stores[:lc.N]
 
 	// Per-proc receipt counts, under one lock.
 	var (
 		mu     sync.Mutex
 		counts = map[int]map[wire.MsgID]int{}
 	)
-	base := cfg.OnDeliver
-	cfg.OnDeliver = func(d liverun.Delivery) {
+	base := lc.OnDeliver
+	lc.OnDeliver = func(d liverun.Delivery) {
 		mu.Lock()
 		if counts[d.Proc] == nil {
 			counts[d.Proc] = map[wire.MsgID]int{}
@@ -136,19 +89,21 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 		}
 	}
 
-	cl := liverun.Start(cfg)
+	cl := liverun.Start(lc)
 	defer cl.Stop()
 	res := &LiveResult{}
 
 	// Campaign bookkeeping the auditor needs.
 	var (
-		left      = map[int]bool{}   // gone for good: left, or crashed with no recovery
-		joinFail  []int              // scheduled joins that did not complete
-		corrupted = map[int]func(){} // armed snapcorrupt: proc → clear-and-note
-		issued    = map[wire.MsgID]int64{}
-		origin    = map[wire.MsgID]int{}
-		preCrash  = map[int]map[wire.MsgID]int{} // receipt counts at crash instant
+		left     = map[int]bool{} // gone for good: left, or crashed with no recovery
+		joinFail []int            // scheduled joins that did not complete
+		issued   = map[wire.MsgID]int64{}
+		origin   = map[wire.MsgID]int{}
+		preCrash = map[int]map[wire.MsgID]int{} // receipt counts at crash instant
 	)
+	// up reports that p has a node the schedule may still act on: a
+	// failed join leaves its slot, and every later action on it, unplayed.
+	up := func(p int) bool { return p < cl.N() && !left[p] }
 
 	// reconcileTorn applies the write-ahead reconciliation (the live
 	// mirror of the simulator's doRecover retraction, DESIGN.md §15): a
@@ -181,125 +136,99 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 		delete(preCrash, p)
 	}
 
-	var events []liveEvent
-	for _, b := range lr.Broadcasts {
-		b := b
-		events = append(events, liveEvent{at: b.At, order: -1, run: func() {
-			if left[b.Proc] {
+	type action struct {
+		at  int64
+		run func()
+	}
+	var events []action
+	for _, b := range cfg.Broadcasts {
+		events = append(events, action{b.At, func() {
+			if !up(b.Proc) {
 				return
 			}
-			id, err := cl.Node(b.Proc).Broadcast(b.Body)
-			if err == nil {
+			if id, err := cl.Node(b.Proc).Broadcast(b.Body); err == nil {
 				issued[id] = b.At
 				origin[id] = b.Proc
 			}
 		}})
 	}
-	for i, s := range c.Stages {
-		s := s
-		switch s.Kind {
-		case StageCrash:
-			for _, p := range s.Procs {
-				p := p
-				recovers := s.RecoverAfter > 0
-				events = append(events, liveEvent{at: s.From, order: i, run: func() {
-					cl.Crash(p)
-					if recovers {
-						mu.Lock()
-						snap := make(map[wire.MsgID]int, len(counts[p]))
-						for id, n := range counts[p] {
-							snap[id] = n
-						}
-						preCrash[p] = snap
-						mu.Unlock()
-					}
-				}})
-				if recovers {
-					events = append(events, liveEvent{at: s.From + s.RecoverAfter, order: i, run: func() {
-						if err := cl.Recover(p); err != nil {
-							if note := corrupted[p]; note != nil {
-								// The corrupt snapshot was refused, as it
-								// must be. Restore and try again.
-								note()
-								delete(corrupted, p)
-								err = cl.Recover(p)
-							}
-							if err != nil {
-								left[p] = true
-								return
-							}
-						}
-						reconcileTorn(p)
-					}})
-				} else {
-					events = append(events, liveEvent{at: s.From, order: i, run: func() { left[p] = true }})
+	for p, at := range cfg.JoinAt {
+		if at > 0 {
+			events = append(events, action{at, func() {
+				if p != cl.N() {
+					joinFail = append(joinFail, p)
+				} else if _, err := cl.Join(cfg.Stores[p]); err != nil {
+					joinFail = append(joinFail, p)
 				}
-			}
-		case StageJoin:
-			for _, p := range s.Procs {
-				p := p
-				events = append(events, liveEvent{at: s.From, order: i, run: func() {
-					if p != cl.N() {
-						joinFail = append(joinFail, p)
-					} else if _, err := cl.Join(nil); err != nil {
-						joinFail = append(joinFail, p)
-					}
-				}})
-			}
-		case StageLeave:
-			for _, p := range s.Procs {
-				p := p
-				events = append(events, liveEvent{at: s.From, order: i, run: func() {
-					cl.Leave(p)
-					left[p] = true
-				}})
-			}
-		case StageTornWAL:
-			for _, p := range s.Procs {
-				p := p
-				events = append(events, liveEvent{at: s.From, order: i, run: func() {
-					if m, err := memStore(p); err == nil {
-						m.TearTail()
-					}
-				}})
-			}
-		case StageSnapCorrupt:
-			for _, p := range s.Procs {
-				p := p
-				events = append(events, liveEvent{at: s.From, order: i, run: func() {
-					m, err := memStore(p)
-					if err != nil {
-						return
-					}
-					m.SetSnapshotMutator(snapGarbler{})
-					corrupted[p] = func() {
-						m.SetSnapshotMutator(nil)
-						res.CorruptRejected = append(res.CorruptRejected, p)
-					}
-				}})
-			}
+			}})
 		}
 	}
-	// Store-fault setup must precede its target's recovery at equal
-	// times; broadcasts go first so a same-instant crash races the send
-	// through the mesh rather than trivially preceding it.
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	for p, at := range cfg.LeaveAt {
+		if at > 0 {
+			events = append(events, action{at, func() {
+				if p < cl.N() {
+					cl.Leave(p)
+				}
+				left[p] = true
+			}})
 		}
-		return events[i].order < events[j].order
-	})
+	}
+	for p, at := range cfg.CrashAt {
+		if at == sim.Never {
+			continue
+		}
+		recovers := cfg.RecoverAt[p] != sim.Never
+		events = append(events, action{at, func() {
+			if !up(p) {
+				return
+			}
+			cl.Crash(p)
+			if !recovers {
+				left[p] = true
+				return
+			}
+			mu.Lock()
+			preCrash[p] = maps.Clone(counts[p])
+			mu.Unlock()
+		}})
+	}
+	for p, at := range cfg.RecoverAt {
+		if at == sim.Never {
+			continue
+		}
+		events = append(events, action{at, func() {
+			if !up(p) {
+				return
+			}
+			err := cl.Recover(p)
+			if err != nil && slices.ContainsFunc(c.Stages, func(s Stage) bool {
+				return s.Kind == StageSnapCorrupt && slices.Contains(s.Procs, p)
+			}) {
+				// The corrupt snapshot was refused, as it must be:
+				// restore it and try again.
+				cfg.Stores[p].(*store.Mem).SetSnapshotMutator(nil)
+				res.CorruptRejected = append(res.CorruptRejected, p)
+				err = cl.Recover(p)
+			}
+			if err != nil {
+				left[p] = true
+				return
+			}
+			reconcileTorn(p)
+		}})
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 
 	start := time.Now()
 	for _, ev := range events {
-		if d := time.Duration(ev.at)*cfg.Unit - time.Since(start); d > 0 {
+		if d := time.Duration(ev.at)*lc.Unit - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}
 		ev.run()
 	}
 
 	heal := c.HealTime()
-	if d := time.Duration(heal)*cfg.Unit - time.Since(start); d > 0 {
+	if d := time.Duration(heal)*lc.Unit - time.Since(start); d > 0 {
 		time.Sleep(d)
 	}
 	// Blocking joins or slow recoveries may have pushed the schedule
@@ -319,29 +248,25 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 		return ok && ex.Delivered
 	}
 	snapshot := func() ledger {
-		l := ledger{procs: cl.N(), end: heal + int64(time.Since(healWall)/cfg.Unit),
+		l := ledger{procs: cl.N(), end: heal + int64(time.Since(healWall)/lc.Unit),
 			issued: issued, origin: origin, gone: left, pending: joinFail,
 			counts: make(map[int]map[wire.MsgID]int, len(counts)),
 			held:   held, explain: explain}
 		mu.Lock()
 		for p, m := range counts {
-			cp := make(map[wire.MsgID]int, len(m))
-			for id, n := range m {
-				cp[id] = n
-			}
-			l.counts[p] = cp
+			l.counts[p] = maps.Clone(m)
 		}
 		mu.Unlock()
 		return l
 	}
 
-	deadline := healWall.Add(time.Duration(c.HealDeadline) * cfg.Unit)
+	deadline := healWall.Add(time.Duration(c.HealDeadline) * lc.Unit)
 	for {
 		res.Audit = audit(c, snapshot())
 		if len(res.Audit.Stalls) == 0 || time.Now().After(deadline) {
 			break
 		}
-		time.Sleep(cfg.Unit * 10)
+		time.Sleep(lc.Unit * 10)
 	}
 	res.Link = cl.LinkStats()
 	return res, nil

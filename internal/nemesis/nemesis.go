@@ -19,8 +19,10 @@
 package nemesis
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // StageKind enumerates the fault vocabulary.
@@ -63,34 +65,16 @@ const (
 	StageSnapCorrupt
 )
 
+// kindNames are the stage kinds' spec-language names, by StageKind.
+var kindNames = [...]string{"split", "oneway", "crash", "join", "leave",
+	"loss", "dup", "reorder", "flip", "tornwal", "snapcorrupt"}
+
 // String implements fmt.Stringer.
 func (k StageKind) String() string {
-	switch k {
-	case StageSplit:
-		return "split"
-	case StageOneWay:
-		return "oneway"
-	case StageCrash:
-		return "crash"
-	case StageJoin:
-		return "join"
-	case StageLeave:
-		return "leave"
-	case StageLoss:
-		return "loss"
-	case StageDup:
-		return "dup"
-	case StageReorder:
-		return "reorder"
-	case StageFlip:
-		return "flip"
-	case StageTornWAL:
-		return "tornwal"
-	case StageSnapCorrupt:
-		return "snapcorrupt"
-	default:
-		return fmt.Sprintf("StageKind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("StageKind(%d)", int(k))
 }
 
 // Stage is one scheduled fault. Which fields matter depends on Kind;
@@ -183,22 +167,6 @@ func (c Campaign) HealTime() int64 {
 	return heal
 }
 
-// MaxProc returns the highest process index any stage references, or
-// -1 when no stage names a process.
-func (c Campaign) MaxProc() int {
-	max := -1
-	for _, s := range c.Stages {
-		for _, set := range [][]int{s.A, s.Src, s.Dst, s.Procs} {
-			for _, p := range set {
-				if p > max {
-					max = p
-				}
-			}
-		}
-	}
-	return max
-}
-
 // Blame names the stages whose fault was in force at time t, joined
 // with "+", or "heal" when t falls outside every stage — the auditor
 // attaches it to each stalled message's birth time.
@@ -212,29 +180,30 @@ func (c Campaign) Blame(t int64) string {
 	if len(names) == 0 {
 		return "heal"
 	}
-	sort.Strings(names)
-	out := names[0]
-	for _, n := range names[1:] {
-		out += "+" + n
-	}
-	return out
+	slices.Sort(names)
+	return strings.Join(names, "+")
 }
 
-// stagesOf returns the stages of the given kind.
-func (c Campaign) stagesOf(kind StageKind) []Stage {
-	var out []Stage
-	for _, s := range c.Stages {
-		if s.Kind == kind {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Validate checks the campaign's internal consistency for a base
-// cluster of n processes. live selects the live-cluster rules
+// Validate checks the campaign for a base cluster of n founders. It
+// rejects every campaign the merged schedule could not hold as written
+// — the one schedule RunSim and RunLive both play — so neither driver
+// silently changes a campaign. live selects the live-cluster rules
 // (snapshot corruption is live-only; the simulator panics on store
-// errors by design).
+// errors by design). Beyond each stage's own shape, the schedule rules
+// are:
+//
+//   - a stage names only founders (< n) and joiners;
+//   - joiners are the fresh slots n, n+1, … in join-time order, joining
+//     after time 0 (the live cluster can only append a process);
+//   - a process is in at most one crash stage and one leave stage;
+//   - a joiner crashes and leaves after its join, and a recovering
+//     process leaves after its recovery;
+//   - a joiner's crash is permanent: Restore's draw plausibility bound
+//     can refuse the baseline a joiner adopted (its tag stream sits at
+//     the donor's position with the donor's pins dropped), so a joiner
+//     cannot yet recover from its store;
+//   - a store fault's target recovers, at or after the fault's From:
+//     that recovery's Load is the one the fault strikes.
 func (c Campaign) Validate(n int, live bool) error {
 	if c.Name == "" {
 		return fmt.Errorf("nemesis: campaign needs a name")
@@ -245,59 +214,118 @@ func (c Campaign) Validate(n int, live bool) error {
 	if len(c.Stages) == 0 {
 		return fmt.Errorf("nemesis: campaign %q has no stages", c.Name)
 	}
-	recovers := map[int]bool{}
-	for _, s := range c.stagesOf(StageCrash) {
-		if s.RecoverAfter > 0 {
-			for _, p := range s.Procs {
-				recovers[p] = true
+	where := func(i int) string {
+		return fmt.Sprintf("nemesis: campaign %q stage %d (%s)", c.Name, i, c.Stages[i].label())
+	}
+
+	// Each process's crash and leave stage, and the joins in slot order.
+	type join struct {
+		stage, proc int
+		at          int64
+	}
+	var joins []join
+	once := map[StageKind]map[int]int{StageCrash: {}, StageLeave: {}}
+	for i, s := range c.Stages {
+		for _, p := range s.Procs {
+			if s.Kind == StageJoin {
+				joins = append(joins, join{i, p, s.From})
+			} else if seen := once[s.Kind]; seen != nil {
+				if j, dup := seen[p]; dup {
+					return fmt.Errorf("%s: proc %d is already in stage %d (%s): a process is in at most one %s stage",
+						where(i), p, j, c.Stages[j].label(), s.Kind)
+				}
+				seen[p] = i
 			}
 		}
 	}
+	slices.SortFunc(joins, func(a, b join) int { return cmp.Or(cmp.Compare(a.at, b.at), a.proc-b.proc) })
+	joinAt := map[int]int64{}
+	for k, j := range joins {
+		if j.at <= 0 {
+			return fmt.Errorf("%s: proc %d joins at %d: a join starts after 0, where a process is a founder", where(j.stage), j.proc, j.at)
+		}
+		if j.proc != n+k {
+			return fmt.Errorf("%s: join target %d is not the fresh slot %d: joiners take slots %d, %d, … in join-time order",
+				where(j.stage), j.proc, n+k, n, n+1)
+		}
+		joinAt[j.proc] = j.at
+	}
+	recoverAt := func(p int) (int64, bool) {
+		i, ok := once[StageCrash][p]
+		if !ok || c.Stages[i].RecoverAfter <= 0 {
+			return 0, false
+		}
+		return c.Stages[i].From + c.Stages[i].RecoverAfter, true
+	}
+
 	for i, s := range c.Stages {
-		where := fmt.Sprintf("nemesis: campaign %q stage %d (%s)", c.Name, i, s.label())
+		for _, set := range [][]int{s.A, s.Src, s.Dst, s.Procs} {
+			for _, p := range set {
+				if _, joiner := joinAt[p]; p < 0 || p >= n && !joiner {
+					return fmt.Errorf("%s: proc %d is neither a founder (< %d) nor declared by a join stage", where(i), p, n)
+				}
+			}
+		}
 		if s.From < 0 {
-			return fmt.Errorf("%s: negative From", where)
+			return fmt.Errorf("%s: negative From", where(i))
 		}
 		if s.windowed() && s.Until <= s.From {
-			return fmt.Errorf("%s: window [%d,%d) is empty", where, s.From, s.Until)
+			return fmt.Errorf("%s: window [%d,%d) is empty", where(i), s.From, s.Until)
 		}
 		switch s.Kind {
 		case StageSplit:
 			if len(s.A) == 0 || len(s.A) >= n {
-				return fmt.Errorf("%s: side A must be a nonempty proper subset of the %d founders", where, n)
+				return fmt.Errorf("%s: side A must be a nonempty proper subset of the %d founders", where(i), n)
 			}
 		case StageOneWay:
 			if len(s.Src) == 0 || len(s.Dst) == 0 {
-				return fmt.Errorf("%s: one-way cut needs Src and Dst procs", where)
+				return fmt.Errorf("%s: one-way cut needs Src and Dst procs", where(i))
 			}
 		case StageLoss, StageDup, StageReorder, StageFlip:
 			if s.P < 0 || s.P > 1 {
-				return fmt.Errorf("%s: probability %g outside [0,1]", where, s.P)
+				return fmt.Errorf("%s: probability %g outside [0,1]", where(i), s.P)
 			}
 			if s.Kind == StageReorder && s.Window <= 0 {
-				return fmt.Errorf("%s: reorder needs a positive Window", where)
+				return fmt.Errorf("%s: reorder needs a positive Window", where(i))
 			}
 		case StageCrash, StageJoin, StageLeave:
 			if len(s.Procs) == 0 {
-				return fmt.Errorf("%s: needs target Procs", where)
+				return fmt.Errorf("%s: needs target Procs", where(i))
 			}
-			if s.RecoverAfter < 0 {
-				return fmt.Errorf("%s: negative RecoverAfter", where)
+			if s.RecoverAfter < 0 || s.From+s.RecoverAfter < s.From {
+				return fmt.Errorf("%s: RecoverAfter %d is negative or overflows", where(i), s.RecoverAfter)
+			}
+			for _, p := range s.Procs {
+				at, joiner := joinAt[p]
+				if joiner && s.Kind != StageJoin && s.From <= at {
+					return fmt.Errorf("%s: proc %d's %s at %d is not after its join at %d", where(i), p, s.Kind, s.From, at)
+				}
+				if joiner && s.Kind == StageCrash && s.RecoverAfter > 0 {
+					return fmt.Errorf("%s: joiner %d must crash for good: an adopted baseline can fail recovery's draw plausibility bound", where(i), p)
+				}
+				if at, ok := recoverAt(p); ok && s.Kind == StageLeave && s.From <= at {
+					return fmt.Errorf("%s: proc %d leaves at %d, not after its recovery at %d", where(i), p, s.From, at)
+				}
 			}
 		case StageTornWAL, StageSnapCorrupt:
 			if s.Kind == StageSnapCorrupt && !live {
-				return fmt.Errorf("%s: snapshot corruption is live-only (the simulator treats store errors as harness bugs)", where)
+				return fmt.Errorf("%s: snapshot corruption is live-only (the simulator treats store errors as harness bugs)", where(i))
 			}
 			if len(s.Procs) == 0 {
-				return fmt.Errorf("%s: needs target Procs", where)
+				return fmt.Errorf("%s: needs target Procs", where(i))
 			}
 			for _, p := range s.Procs {
-				if !recovers[p] {
-					return fmt.Errorf("%s: proc %d has no crash+recover stage for the store fault to manifest at", where, p)
+				at, ok := recoverAt(p)
+				if !ok {
+					return fmt.Errorf("%s: proc %d has no crash+recover stage for the store fault to manifest at", where(i), p)
+				}
+				if s.From > at {
+					return fmt.Errorf("%s: store fault at %d falls after proc %d's recovery at %d, the one Load it can strike",
+						where(i), s.From, p, at)
 				}
 			}
 		default:
-			return fmt.Errorf("%s: unknown kind %v", where, s.Kind)
+			return fmt.Errorf("%s: unknown kind %v", where(i), s.Kind)
 		}
 	}
 	return nil

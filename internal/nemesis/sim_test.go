@@ -155,21 +155,38 @@ func TestCampaignMutatorsOnWire(t *testing.T) {
 	}
 }
 
-// TestRunSimRejects: campaign/config mismatches fail fast with
-// explanatory errors rather than producing meaningless runs.
-func TestRunSimRejects(t *testing.T) {
-	cfg, _ := baseScenario(harness.AlgoMajority, 1).Build()
-	if _, err := RunSim(cfg, Campaign{Name: "x", Stages: []Stage{
-		{Kind: StageCrash, From: 10, RecoverAfter: 20, Procs: []int{1}},
-		{Kind: StageSnapCorrupt, From: 15, Procs: []int{1}},
-	}}); err == nil {
-		t.Fatal("snapcorrupt must be rejected in the simulator")
-	}
-	// A workload outliving the campaign horizon cannot converge and is
-	// rejected up front.
-	short := Campaign{Name: "x", HealDeadline: 10, Stages: []Stage{
-		{Kind: StageLoss, From: 0, Until: 20, P: 0.1}}}
-	if _, err := RunSim(cfg, short); err == nil {
-		t.Fatal("workload beyond the horizon must be rejected")
-	}
+// FuzzCampaignSim: any spec Validate accepts runs in the simulator to
+// a result or an error, never a panic — every schedule the simulator
+// would refuse is Validate's to reject. Runs are kept small: five
+// heartbeat founders, at most three joiners, at most three duplicates
+// per frame, a horizon of at most 4,000 units.
+func FuzzCampaignSim(f *testing.F) {
+	f.Add("name=split;split@100-400:0,1;split@500-800:0,4;loss@100-800:0.05;deadline=2000")
+	f.Add("name=storm;crash@150+250:1;crash@200+300:2;crash@300+250:3;tornwal@150:1;loss@100-600:0.05;deadline=2000")
+	f.Add("name=churn;split@100-500:0,1;leave@150:1;join@200:5;crash@250+150:4;deadline=2000")
+	f.Add("name=mutate;dup@50-600:0.3/2;reorder@50-600:0.3/20;flip@50-600:0.05;deadline=2000")
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec)
+		if err != nil || c.Validate(5, false) != nil || c.HealTime()+c.HealDeadline > 4000 {
+			return
+		}
+		joiners := 0
+		for _, s := range c.Stages {
+			switch {
+			case s.Kind == StageJoin:
+				joiners += len(s.Procs)
+			case s.Kind == StageDup && s.Window > 3:
+				return // every frame fans out into up to Window copies
+			}
+		}
+		if joiners > 3 {
+			return
+		}
+		sc := baseScenario(harness.AlgoHeartbeat, 1)
+		sc.Workload = workload.MultiWriter{Writers: 5, PerWriter: 1, Start: 50, Interval: 100}
+		cfg, _ := sc.Build()
+		if res, err := RunSim(cfg, c); res == nil && err == nil {
+			t.Fatal("RunSim returned neither a result nor an error")
+		}
+	})
 }

@@ -2,6 +2,7 @@ package nemesis
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,31 +72,8 @@ func parseStage(clause string) (Stage, error) {
 	if !ok {
 		return bad("missing '@<from>'")
 	}
-	var st Stage
-	switch kindStr {
-	case "split":
-		st.Kind = StageSplit
-	case "oneway":
-		st.Kind = StageOneWay
-	case "crash":
-		st.Kind = StageCrash
-	case "join":
-		st.Kind = StageJoin
-	case "leave":
-		st.Kind = StageLeave
-	case "loss":
-		st.Kind = StageLoss
-	case "dup":
-		st.Kind = StageDup
-	case "reorder":
-		st.Kind = StageReorder
-	case "flip":
-		st.Kind = StageFlip
-	case "tornwal":
-		st.Kind = StageTornWAL
-	case "snapcorrupt":
-		st.Kind = StageSnapCorrupt
-	default:
+	st := Stage{Kind: StageKind(slices.Index(kindNames[:], kindStr))}
+	if st.Kind < 0 {
 		return bad("unknown kind %q", kindStr)
 	}
 
@@ -196,6 +174,7 @@ func parseProcs(s string) ([]int, error) {
 //	            frames arrive but nothing reaches it), then mute
 //	crashstorm  overlapping crash-recover storm with a torn WAL tail
 //	            and background loss; at its peak a majority is down
+//	            (over three founders, all of them)
 //	churnsplit  a join solicited mid-partition on the majority side
 //	            while a potential donor crashes mid-transfer and a
 //	            minority proc leaves
@@ -207,10 +186,10 @@ func Preset(name string, n int) (Campaign, bool) {
 	if minority < 1 {
 		minority = 1
 	}
-	sideA := joinInts(seq(0, minority))
+	sideA := procRange(0, minority)
 	// A different seam for the re-split: proc 0 plus the last founder.
 	seam2 := fmt.Sprintf("0,%d", n-1)
-	others := joinInts(seq(1, n))
+	others := procRange(1, n)
 	var spec string
 	switch name {
 	case "split":
@@ -222,8 +201,9 @@ func Preset(name string, n int) (Campaign, bool) {
 			"name=asym;oneway@100-400:%s>0;oneway@500-800:0>%s;loss@100-800:0.05;deadline=6000",
 			others, others)
 	case "crashstorm":
-		spec = "name=crashstorm;crash@150+250:1;crash@200+300:2;crash@300+250:3;" +
-			"tornwal@150:1;loss@100-600:0.05;deadline=6000"
+		// Over three founders the third crash wraps to proc 0.
+		spec = fmt.Sprintf("name=crashstorm;crash@150+250:1;crash@200+300:2;crash@300+250:%d;"+
+			"tornwal@150:1;loss@100-600:0.05;deadline=6000", 3%n)
 	case "churnsplit":
 		spec = fmt.Sprintf(
 			"name=churnsplit;split@100-500:%s;leave@150:1;join@200:%d;crash@250+150:%d;deadline=8000",
@@ -256,18 +236,11 @@ func Resolve(spec string, n int) (Campaign, error) {
 	return Parse(spec)
 }
 
-func seq(lo, hi int) []int {
-	var out []int
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
-func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
+// procRange renders the processes lo..hi-1 as a spec process list.
+func procRange(lo, hi int) string {
+	var parts []string
+	for p := lo; p < hi; p++ {
+		parts = append(parts, strconv.Itoa(p))
 	}
 	return strings.Join(parts, ",")
 }

@@ -1,6 +1,7 @@
 package nemesis
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -63,45 +64,98 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
+	crashRecover1 := Stage{Kind: StageCrash, From: 10, RecoverAfter: 20, Procs: []int{1}}
 	cases := []struct {
 		name string
 		c    Campaign
 		live bool
+		want string // a phrase of the rule the error must name
 	}{
-		{"empty window", Campaign{Name: "x", Stages: []Stage{{Kind: StageLoss, From: 100, Until: 100, P: 0.1}}}, false},
-		{"split of everyone", Campaign{Name: "x", Stages: []Stage{{Kind: StageSplit, From: 0, Until: 10, A: []int{0, 1, 2}}}}, false},
-		{"bad probability", Campaign{Name: "x", Stages: []Stage{{Kind: StageFlip, From: 0, Until: 10, P: 1.5}}}, false},
+		{"empty window", Campaign{Name: "x", Stages: []Stage{{Kind: StageLoss, From: 100, Until: 100, P: 0.1}}}, false, "is empty"},
+		{"split of everyone", Campaign{Name: "x", Stages: []Stage{{Kind: StageSplit, From: 0, Until: 10, A: []int{0, 1, 2}}}}, false, "proper subset"},
+		{"bad probability", Campaign{Name: "x", Stages: []Stage{{Kind: StageFlip, From: 0, Until: 10, P: 1.5}}}, false, "outside [0,1]"},
 		{"snapcorrupt in sim", Campaign{Name: "x", Stages: []Stage{
-			{Kind: StageCrash, From: 10, RecoverAfter: 20, Procs: []int{1}},
-			{Kind: StageSnapCorrupt, From: 15, Procs: []int{1}}}}, false},
-		{"tornwal without recovery", Campaign{Name: "x", Stages: []Stage{{Kind: StageTornWAL, From: 10, Procs: []int{1}}}}, false},
-		{"negative deadline", Campaign{Name: "x", HealDeadline: -1, Stages: []Stage{{Kind: StageLoss, From: 0, Until: 10, P: 0.1}}}, false},
+			crashRecover1,
+			{Kind: StageSnapCorrupt, From: 15, Procs: []int{1}}}}, false, "live-only"},
+		{"tornwal without recovery", Campaign{Name: "x", Stages: []Stage{{Kind: StageTornWAL, From: 10, Procs: []int{1}}}}, false, "no crash+recover stage"},
+		{"negative deadline", Campaign{Name: "x", HealDeadline: -1, Stages: []Stage{{Kind: StageLoss, From: 0, Until: 10, P: 0.1}}}, false, "negative heal deadline"},
+
+		// The schedule rules. Each row is a campaign the parent Validate
+		// accepted and one driver then played differently or panicked on.
+		// "split@100-400:7" over n=3: RunSim grew N and made 3-7 founders.
+		{"undeclared proc", mustParse(t, "name=z;split@100-400:7;deadline=3000"), false, "neither a founder"},
+		{"undeclared oneway proc", mustParse(t, "name=z;oneway@100-400:1>4;deadline=3000"), false, "neither a founder"},
+		// "crash@5+10:1;crash@1000:1": the simulator kept the last crash
+		// only and panicked on the orphaned recovery.
+		{"two crash stages", mustParse(t, "name=x;crash@5+10:1;crash@1000:1;deadline=100"), false, "at most one crash stage"},
+		{"crash listed twice", mustParse(t, "name=x;crash@5+10:1,1;deadline=100"), false, "at most one crash stage"},
+		{"two leave stages", mustParse(t, "name=x;leave@100:1;leave@300:1;deadline=100"), false, "at most one leave stage"},
+		{"join of a founder", mustParse(t, "name=j;join@100:2;deadline=100"), false, "fresh slot 3"},
+		{"join skips a slot", mustParse(t, "name=j;join@100:4;deadline=100"), false, "fresh slot 3"},
+		{"joins out of time order", mustParse(t, "name=j;join@200:3;join@100:4;deadline=100"), false, "fresh slot 3"},
+		{"join at time 0", mustParse(t, "name=j;join@0:3;deadline=100"), false, "a join starts after 0"},
+		// "join@200:5;leave@100:5": the simulator panicked on a leave
+		// before the join.
+		{"leave before join", mustParse(t, "name=y;join@200:3;leave@100:3;deadline=100"), false, "not after its join"},
+		{"crash at join", mustParse(t, "name=y;join@200:3;crash@200+50:3;deadline=100"), false, "not after its join"},
+		// "join@100:5;crash@110+1:5" (FuzzCampaignSim): the simulator
+		// panicked restoring the joiner's adopted baseline.
+		{"joiner recovers", mustParse(t, "name=j;join@100:3;crash@110+1:3;deadline=0"), false, "must crash for good"},
+		{"recovery overflows", mustParse(t, "name=o;crash@9223372036854775800+100:1"), false, "negative or overflows"},
+		{"leave before recovery", mustParse(t, "name=y;crash@100+200:1;leave@250:1;deadline=100"), false, "not after its recovery"},
+		// "crash@100+50:1;tornwal@300:1": the simulator tore the recovery
+		// at 150, the live runner tore after it, so never.
+		{"tornwal after recovery", mustParse(t, "name=w;crash@100+50:1;tornwal@300:1;deadline=3000"), false, "after proc 1's recovery"},
+		{"snapcorrupt after recovery", Campaign{Name: "x", Stages: []Stage{
+			crashRecover1,
+			{Kind: StageSnapCorrupt, From: 31, Procs: []int{1}}}}, true, "after proc 1's recovery"},
 	}
 	for _, tc := range cases {
-		if err := tc.c.Validate(3, tc.live); err == nil {
-			t.Errorf("%s: expected validation error", tc.name)
+		err := tc.c.Validate(3, tc.live)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	// The same snapcorrupt campaign is legal on a live cluster.
-	live := Campaign{Name: "x", Stages: []Stage{
-		{Kind: StageCrash, From: 10, RecoverAfter: 20, Procs: []int{1}},
-		{Kind: StageSnapCorrupt, From: 15, Procs: []int{1}}}}
-	if err := live.Validate(3, true); err != nil {
-		t.Errorf("live snapcorrupt rejected: %v", err)
+	// The same snapcorrupt campaign is legal on a live cluster, and the
+	// schedule rules admit what both drivers play alike: joiners in slot
+	// order (equal times included), a joiner crashing for good and
+	// leaving after its join, a store fault at its target's recovery.
+	for _, tc := range []struct {
+		c    Campaign
+		live bool
+	}{
+		{Campaign{Name: "x", Stages: []Stage{crashRecover1, {Kind: StageSnapCorrupt, From: 15, Procs: []int{1}}}}, true},
+		{mustParse(t, "name=j;join@100:4,3;join@150:5;crash@200:3;leave@300:3;split@100-200:0,4;deadline=100"), false},
+		{mustParse(t, "name=w;crash@100+50:1;tornwal@150:1;deadline=100"), false},
+	} {
+		if err := tc.c.Validate(3, tc.live); err != nil {
+			t.Errorf("campaign %+v rejected: %v", tc.c, err)
+		}
 	}
+}
+
+func mustParse(t *testing.T, spec string) Campaign {
+	t.Helper()
+	c, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestPresets(t *testing.T) {
 	for _, name := range PresetNames() {
-		c, ok := Preset(name, 5)
-		if !ok {
-			t.Fatalf("preset %q missing", name)
-		}
-		if err := c.Validate(5, false); err != nil {
-			t.Fatalf("preset %q invalid: %v", name, err)
-		}
-		if c.HealTime() <= 0 {
-			t.Fatalf("preset %q has no faults", name)
+		for n := 3; n <= 9; n++ {
+			c, ok := Preset(name, n)
+			if !ok {
+				t.Fatalf("preset %q missing", name)
+			}
+			if err := c.Validate(n, false); err != nil {
+				t.Fatalf("preset %q invalid at n=%d: %v", name, n, err)
+			}
+			if c.HealTime() <= 0 {
+				t.Fatalf("preset %q has no faults", name)
+			}
 		}
 	}
 	if c, _ := Preset("broken", 5); c.HealDeadline != 0 {
