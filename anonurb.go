@@ -175,7 +175,8 @@ type (
 	TagSource = ident.Source
 	// MsgID identifies an application message: (payload, tag).
 	MsgID = wire.MsgID
-	// Message is a wire message (MSG or ACK).
+	// Message is a wire message (MSG or ACK). Its Body is shared bytes
+	// (the received frame's, or the MsgID's): read it, never write it.
 	Message = wire.Message
 )
 

@@ -18,6 +18,7 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
 	"anonurb/internal/harness"
+	"anonurb/internal/host"
 	"anonurb/internal/ident"
 	"anonurb/internal/sim"
 	"anonurb/internal/transport"
@@ -213,8 +214,9 @@ func dupID(k int) wire.MsgID {
 // BenchmarkMajorityReceiveDuplicate measures the steady state of
 // Algorithm 1 on fair lossy channels: every message of a 200-message
 // working set is already known, acknowledged and delivered, and Receive
-// sees yet another copy — round-robin over the set. /msg re-ACKs (its two
-// allocations are the reply); /ack changes nothing and allocates nothing.
+// sees yet another copy — round-robin over the set. /msg re-ACKs (its one
+// allocation is the reply's Step slice; the ACK shares the record's body
+// bytes); /ack changes nothing and allocates nothing.
 func BenchmarkMajorityReceiveDuplicate(b *testing.B) {
 	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
 	msgs := make([]wire.Message, dupWorkingSet)
@@ -242,6 +244,39 @@ func BenchmarkMajorityReceiveDuplicate(b *testing.B) {
 				recvSink = p.Receive(c.in[i%dupWorkingSet])
 			}
 		})
+	}
+}
+
+// BenchmarkLoopFrameDuplicates measures the same steady state one layer
+// up, where a live node meets it: host.Loop.OnFrame takes a peer's
+// Task-1 batch frame of 100 MSG duplicates, decodes it, feeds every
+// message to a Majority process holding a 200-message working set (all
+// delivered) and packs the 100 ACK replies into one outgoing frame. One
+// op is one frame; allocs/op covers decode, Receive and packing.
+func BenchmarkLoopFrameDuplicates(b *testing.B) {
+	const batch = 100
+	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
+	var frames [dupWorkingSet / batch][]byte
+	for k := 0; k < dupWorkingSet; k++ {
+		id := dupID(k)
+		m := wire.NewMsg(id)
+		p.Receive(m)
+		for a := uint64(100); a < 103; a++ {
+			p.Receive(wire.NewAck(id, ident.Tag{Hi: a, Lo: 1}))
+		}
+		frames[k/batch] = m.Encode(frames[k/batch])
+	}
+	if st := p.Stats(); st.Delivered != dupWorkingSet {
+		b.Fatalf("setup: delivered %d/%d", st.Delivered, dupWorkingSet)
+	}
+	l := host.NewLoop(host.Core{Proc: p}, host.LoopConfig{Budget: transport.MaxUDPFrame, Batch: true}, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := l.OnFrame(frames[i%len(frames)])
+		if err != nil || out.Received != batch || len(out.Frames) != 1 {
+			b.Fatalf("frame %d: err %v, received %d, %d reply frames", i, err, out.Received, len(out.Frames))
+		}
 	}
 }
 
@@ -274,7 +309,7 @@ func BenchmarkQuiescentReceiveDuplicateAck(b *testing.B) {
 // BenchmarkQuiescentReceiveMsgSteady is the acker side of Algorithm 2's
 // steady state: yet another MSG copy of a known message, round-robin over
 // the working set, under an AΘ view that does not change. Each copy is
-// answered with the unchanged re-ACK — two allocations, the reply — and
+// answered with the unchanged re-ACK — one allocation, the reply — and
 // the view is compared with the ledger in place (DESIGN.md §10, "Label
 // tables"); a Tick outside the timer after each round re-arms the
 // per-tick re-ACK limit.

@@ -1,8 +1,8 @@
 // Command urbvet runs the repo's static-analysis suite
 // (internal/analysis): exhaustive wire.Kind switches, determinism
-// hygiene, guarded-by conventions, zero-valued deviation knobs and
-// hot-path allocation discipline. See DESIGN.md §12 for the invariant
-// table.
+// hygiene, guarded-by conventions, zero-valued deviation knobs,
+// hot-path allocation discipline and no writes through a shared message
+// body. See DESIGN.md §12 for the invariant table.
 //
 // It speaks two protocols:
 //

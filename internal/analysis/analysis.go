@@ -1,9 +1,10 @@
-// Package analysis is the repo's static-analysis suite: five analyzers
+// Package analysis is the repo's static-analysis suite: six analyzers
 // that machine-check invariants which previously existed only as prose
 // in DESIGN.md (exhaustive wire.Kind handling, wall-clock and map-order
 // determinism, mutex guard conventions, zero-valued deviation knobs,
-// allocation discipline on //urb:hotpath functions — see DESIGN.md §12
-// for the analyzer ↔ section map).
+// allocation discipline on //urb:hotpath functions, no writes through
+// the shared bytes of a wire.Message's Body — see DESIGN.md §12 for the
+// analyzer ↔ section map).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // vocabulary (Analyzer, Pass, Diagnostic) so the analyzers could move
@@ -75,6 +76,7 @@ func All() []*Analyzer {
 		GuardedBy,
 		ZeroConfig,
 		HotPath,
+		BodyWrite,
 	}
 }
 

@@ -67,7 +67,9 @@ type Observer interface {
 	// OnReceive fires once per inbound wire message, before anything the
 	// algorithm did with it is delivered or sent — a batch frame fires
 	// it once per message it carries. Frames nothing decoded from fire
-	// nothing (they count in FrameStats' bad column instead).
+	// nothing (they count in FrameStats' bad column instead). m.Body
+	// borrows the received frame: read it, and copy it (m.ID()) to keep
+	// it.
 	OnReceive(m wire.Message)
 	// OnDeliver fires on each URB-delivery.
 	OnDeliver(d Delivery)

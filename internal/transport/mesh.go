@@ -273,7 +273,7 @@ func (m *Mesh) String() string {
 // broadcast offers one frame to every directed link out of src;
 // surviving copies arrive later on the destinations' inboxes. The frame
 // slice is shared across destinations, which is safe because receivers
-// treat frames as read-only (the node layer decodes by copy).
+// treat frames as read-only (decoded bodies borrow them, never write).
 //
 //urbvet:wallclock clocks the send in link-delay units and stamps each delayed copy's due time
 func (m *Mesh) broadcast(src int, frame []byte) {

@@ -33,9 +33,11 @@ package transport
 //     most fair lossy, and the algorithms are built for exactly that.
 //   - Receive returns the inbound frame channel. Received frames are
 //     READ-ONLY and may be shared between receivers (the mesh hands the
-//     same slice to every endpoint); consumers must decode by copy and
-//     never mutate a frame (wire.Decode already copies). The channel is
-//     closed after Close; ranging over it terminates.
+//     same slice to every endpoint); consumers never mutate a frame. A
+//     transport never reuses a frame it handed out, either: decoded
+//     messages borrow their bodies from it (wire.DecodePrefix), so its
+//     bytes must hold still for as long as a receiver looks. The
+//     channel is closed after Close; ranging over it terminates.
 //   - Close releases the transport's resources. It is idempotent. After
 //     Close, Send is a silent no-op (a closed endpoint is
 //     indistinguishable from a crashed one).

@@ -54,8 +54,8 @@ func TestQuiescentSteadyReceiveAllocs(t *testing.T) {
 	next := func(ms []wire.Message) func() {
 		return func() { recvSink = p.Receive(ms[i%k]); i++ }
 	}
-	if got := testing.AllocsPerRun(k-1, next(msgs)); got != 2 {
-		t.Errorf("delta mode: duplicate MSG allocates %v, want 2 (Step.Broadcasts + the re-ACK's body)", got)
+	if got := testing.AllocsPerRun(k-1, next(msgs)); got != 1 {
+		t.Errorf("delta mode: duplicate MSG allocates %v, want 1 (Step.Broadcasts; the re-ACK shares its body)", got)
 	}
 	if len(recvSink.Broadcasts) != 1 || recvSink.Broadcasts[0].Kind != wire.KindAckDelta {
 		t.Fatalf("delta mode: duplicate MSG answered %+v, want one unchanged re-ACK", recvSink.Broadcasts)
@@ -84,8 +84,8 @@ func TestQuiescentSteadyReceiveAllocs(t *testing.T) {
 
 	// The paper's full-set form: the reply also carries the label list.
 	p, msgs = steadyQuiescent(t, Config{}, k)
-	if got := testing.AllocsPerRun(k-1, next(msgs)); got != 3 {
-		t.Errorf("full-set mode: duplicate MSG allocates %v, want 3 (Step.Broadcasts + the ACK's body and labels)", got)
+	if got := testing.AllocsPerRun(k-1, next(msgs)); got != 2 {
+		t.Errorf("full-set mode: duplicate MSG allocates %v, want 2 (Step.Broadcasts + the ACK's labels)", got)
 	}
 	acks := make([]wire.Message, k)
 	for j, m := range msgs {

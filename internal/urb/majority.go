@@ -150,7 +150,7 @@ func (p *Majority) checkDeliver(out *Step, rec *msgRec) {
 // MSG_i. The set never shrinks, which is why Algorithm 1 is not
 // quiescent — and why the pass can walk MSG_i in place: nothing is
 // removed under it. The Step's Broadcasts slice, sized up front, is the
-// pass's only allocation besides the body copy inside each wire.NewMsg.
+// pass's only allocation: wire.NewMsg shares each record's body bytes.
 func (p *Majority) Tick() Step {
 	var out Step
 	if n := p.msgs.len(); n > 0 {

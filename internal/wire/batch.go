@@ -32,7 +32,7 @@ func EncodeBatch(msgs []Message, budget int) [][]byte {
 	var frames [][]byte
 	var cur []byte
 	for _, m := range msgs {
-		if SplitsBatch(len(cur), m, budget) {
+		if SplitsBatch(len(cur), m.EncodedSize(), budget) {
 			frames = append(frames, cur)
 			cur = nil
 		}
@@ -45,12 +45,13 @@ func EncodeBatch(msgs []Message, budget int) [][]byte {
 }
 
 // SplitsBatch is the greedy packing rule shared by EncodeBatch and
-// batching senders (the node runtime): appending m to a batch frame
-// currently curLen bytes long must start a new frame iff the frame is
-// non-empty and would exceed budget (<= 0: no bound). A message whose
-// encoding alone exceeds the budget therefore still travels, alone.
-func SplitsBatch(curLen int, m Message, budget int) bool {
-	return budget > 0 && curLen > 0 && curLen+m.EncodedSize() > budget
+// batching senders (the node runtime): appending a message of size
+// encoded bytes (its EncodedSize) to a batch frame currently curLen
+// bytes long must start a new frame iff the frame is non-empty and would
+// exceed budget (<= 0: no bound). A message whose encoding alone exceeds
+// the budget therefore still travels, alone.
+func SplitsBatch(curLen, size, budget int) bool {
+	return budget > 0 && curLen > 0 && curLen+size > budget
 }
 
 // DecodeBatch parses a batch frame — one or more concatenated canonical

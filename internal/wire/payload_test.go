@@ -6,6 +6,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"anonurb/internal/ident"
 )
@@ -72,17 +73,100 @@ func TestMsgIDBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodedBodyDoesNotAliasFrame(t *testing.T) {
-	m := NewMsg(NewMsgID(ident.Tag{Hi: 1, Lo: 2}, []byte{0xaa, 0xbb}))
-	frame := m.Encode(nil)
-	dec, err := Decode(frame)
-	if err != nil {
-		t.Fatal(err)
+// TestDecodedBodyBorrowsFrame pins the decode side of the shared-bytes
+// contract: a decoded body is the frame's own bytes, found in place for
+// every body-bearing kind (SNAPCHUNK and the second message of a batch
+// included), with its capacity clipped so an append cannot run into the
+// next message.
+func TestDecodedBodyBorrowsFrame(t *testing.T) {
+	id := NewMsgID(ident.Tag{Hi: 1, Lo: 2}, []byte{0xaa, 0xbb})
+	ack := ident.Tag{Hi: 3, Lo: 4}
+	for _, m := range []Message{
+		NewMsg(id),
+		NewAck(id, ack),
+		NewAckDelta(id, ack, 1, nil, nil),
+		NewAckResync(id, ack),
+		NewSnapChunk(9, 10, 4, []byte{0xaa, 0xbb}),
+	} {
+		lead := NewMsg(NewMsgID(ident.Tag{Hi: 5, Lo: 6}, []byte("lead")))
+		frame := m.Encode(lead.Encode(nil))
+		_, rest, err := DecodePrefix(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(rest)
+		if err != nil {
+			t.Fatalf("%v: %v", m.Kind, err)
+		}
+		at := bytes.Index(rest, []byte{0xaa, 0xbb})
+		if at < 0 || &dec.Body[0] != &rest[at] {
+			t.Fatalf("%v: decoded body %p does not borrow the frame", m.Kind, dec.Body)
+		}
+		if cap(dec.Body) != len(dec.Body) {
+			t.Fatalf("%v: borrowed body has capacity %d beyond its length %d", m.Kind, cap(dec.Body), len(dec.Body))
+		}
+		rest[at] = 0x11
+		if dec.Body[0] != 0x11 {
+			t.Fatalf("%v: decoded body is a copy", m.Kind)
+		}
 	}
-	for i := range frame {
-		frame[i] = 0x11 // scribble over the frame buffer
+}
+
+// TestBuiltBodySharesIdentity pins the constructor side: a message built
+// from a MsgID carries the identity's string bytes, not a copy, with its
+// capacity clipped so an append leaves the identity alone.
+func TestBuiltBodySharesIdentity(t *testing.T) {
+	id := NewMsgID(ident.Tag{Hi: 1, Lo: 2}, []byte("shared payload"))
+	ack := ident.Tag{Hi: 3, Lo: 4}
+	labels := []ident.Tag{{Hi: 7, Lo: 7}}
+	for _, m := range []Message{
+		NewMsg(id),
+		NewAck(id, ack),
+		NewLabeledAck(id, ack, labels),
+		NewAckDelta(id, ack, 2, labels, nil),
+		NewAckSnapshot(id, ack, 1, labels),
+		NewAckResync(id, ack),
+	} {
+		if unsafe.SliceData(m.Body) != unsafe.StringData(id.Body) {
+			t.Fatalf("%v: body is a copy of the identity", m.Kind)
+		}
+		if cap(m.Body) != len(m.Body) {
+			t.Fatalf("%v: shared body has capacity %d beyond its length %d", m.Kind, cap(m.Body), len(m.Body))
+		}
+		if grown := append(m.Body, '!'); unsafe.SliceData(grown) == unsafe.StringData(id.Body) {
+			t.Fatalf("%v: append onto a shared body wrote in place", m.Kind)
+		}
 	}
-	if !bytes.Equal(dec.Body, []byte{0xaa, 0xbb}) {
-		t.Fatalf("decoded body aliases the frame: %x", dec.Body)
+	if m := NewMsg(MsgID{Tag: id.Tag}); m.Body != nil {
+		t.Fatalf("empty identity built body %v, want nil", m.Body)
+	}
+}
+
+// TestDecodePrefixAllocs: decoding the steady-state kinds — MSG, ACK,
+// ACKREQ and the unchanged re-ACK (an ACKΔ with no labels) — allocates
+// nothing, so a duplicate costs its decode no heap at all.
+func TestDecodePrefixAllocs(t *testing.T) {
+	id := NewMsgID(ident.Tag{Hi: 1, Lo: 2}, []byte("a sixty-byte payload, give or take, like the benchmark's"))
+	ack := ident.Tag{Hi: 3, Lo: 4}
+	for _, m := range []Message{
+		NewMsg(id),
+		NewAck(id, ack),
+		NewAckResync(id, ack),
+		NewAckDelta(id, ack, 1, nil, nil),
+	} {
+		frame := m.Encode(nil)
+		var sink Message
+		got := testing.AllocsPerRun(100, func() {
+			var err error
+			if sink, _, err = DecodePrefix(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("DecodePrefix(%v) allocates %v, want 0", m.Kind, got)
+		}
+		if !sink.Equal(m) {
+			t.Errorf("%v: decoded %v", m.Kind, sink)
+		}
 	}
 }

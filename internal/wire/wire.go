@@ -33,7 +33,8 @@
 //
 // Messages are values; the codec gives them a deterministic, versioned
 // binary form used by the live runtime, the trace files and the
-// size-accounting metrics.
+// size-accounting metrics. On the frame path a message's body bytes are
+// shared, never copied (see Message.Body).
 package wire
 
 import (
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"unsafe"
 
 	"anonurb/internal/ident"
 )
@@ -227,8 +229,13 @@ func (id MsgID) String() string {
 // Message is one protocol message. The zero value is not a valid message.
 type Message struct {
 	Kind Kind
-	// Body is the application payload m, as raw bytes. Present in both
-	// kinds. Receivers treat it as immutable once a message is built.
+	// Body is the application payload m, as raw bytes (for KindSnapChunk,
+	// the chunk). On the frame path it is never a private copy: a decoded
+	// message borrows it from the received frame, and one built from a
+	// MsgID shares the identity's string bytes (see sharedBody). It is
+	// read-only outside this package, and whatever keeps it beyond the
+	// call that received it copies it — through ID, as the algorithms'
+	// message table does.
 	Body []byte
 	// Tag is the unique random tag the URB-broadcaster attached to m.
 	Tag ident.Tag
@@ -270,17 +277,36 @@ type Message struct {
 	Sum uint32
 }
 
-// ID returns the application message identity (m, tag).
+// ID returns the application message identity (m, tag). The body is
+// copied into the identity's string, so an ID outlives the frame a
+// decoded m borrows from: ID is how a retainer keeps a body.
 func (m Message) ID() MsgID { return MsgID{Tag: m.Tag, Body: string(m.Body)} }
+
+// sharedBody returns id's payload as a byte slice that aliases the
+// identity's string bytes instead of copying them: every constructor of
+// a body-bearing message goes through it, so a Task-1 tick re-sending
+// the working set or the ACK answering a duplicate costs no body copy.
+// The slice's capacity is clipped to its length, so an append onto it
+// reallocates. Go strings are immutable and the bytes may live in
+// read-only memory, which is why nothing outside this package may write
+// through a Message's Body (urbvet's bodywrite analyzer rejects it): a
+// write would change the identity of every map key sharing the bytes,
+// or fault.
+func sharedBody(id MsgID) []byte {
+	if id.Body == "" {
+		return nil
+	}
+	return unsafe.Slice(unsafe.StringData(id.Body), len(id.Body))
+}
 
 // NewMsg builds a MSG message.
 func NewMsg(id MsgID) Message {
-	return Message{Kind: KindMsg, Body: []byte(id.Body), Tag: id.Tag}
+	return Message{Kind: KindMsg, Body: sharedBody(id), Tag: id.Tag}
 }
 
 // NewAck builds an Algorithm 1 ACK message.
 func NewAck(id MsgID, ackTag ident.Tag) Message {
-	return Message{Kind: KindAck, Body: []byte(id.Body), Tag: id.Tag, AckTag: ackTag}
+	return Message{Kind: KindAck, Body: sharedBody(id), Tag: id.Tag, AckTag: ackTag}
 }
 
 // NewBeat builds an ALIVE heartbeat for the given failure detector
@@ -294,7 +320,7 @@ func NewBeat(label ident.Tag) Message {
 func NewLabeledAck(id MsgID, ackTag ident.Tag, labels []ident.Tag) Message {
 	return Message{
 		Kind:   KindAck,
-		Body:   []byte(id.Body),
+		Body:   sharedBody(id),
 		Tag:    id.Tag,
 		AckTag: ackTag,
 		Labels: append([]ident.Tag(nil), labels...),
@@ -309,7 +335,7 @@ func NewLabeledAck(id MsgID, ackTag ident.Tag, labels []ident.Tag) Message {
 func NewAckDelta(id MsgID, ackTag ident.Tag, epoch uint64, adds, dels []ident.Tag) Message {
 	return Message{
 		Kind:      KindAckDelta,
-		Body:      []byte(id.Body),
+		Body:      sharedBody(id),
 		Tag:       id.Tag,
 		AckTag:    ackTag,
 		Epoch:     epoch,
@@ -324,7 +350,7 @@ func NewAckDelta(id MsgID, ackTag ident.Tag, epoch uint64, adds, dels []ident.Ta
 func NewAckSnapshot(id MsgID, ackTag ident.Tag, epoch uint64, labels []ident.Tag) Message {
 	return Message{
 		Kind:   KindAckDelta,
-		Body:   []byte(id.Body),
+		Body:   sharedBody(id),
 		Tag:    id.Tag,
 		AckTag: ackTag,
 		Epoch:  epoch,
@@ -336,7 +362,7 @@ func NewAckSnapshot(id MsgID, ackTag ident.Tag, epoch uint64, labels []ident.Tag
 // NewAckResync builds the resync request for the delta stream of ackTag
 // on message id.
 func NewAckResync(id MsgID, ackTag ident.Tag) Message {
-	return Message{Kind: KindAckReq, Body: []byte(id.Body), Tag: id.Tag, AckTag: ackTag}
+	return Message{Kind: KindAckReq, Body: sharedBody(id), Tag: id.Tag, AckTag: ackTag}
 }
 
 // BeatRef derives a beat stream's 64-bit wire reference from its owner's
@@ -680,6 +706,7 @@ func (m Message) Encode(dst []byte) []byte {
 }
 
 // Decode parses exactly one message from b, rejecting trailing bytes.
+// Like DecodePrefix, the message's Body borrows b.
 func Decode(b []byte) (Message, error) {
 	m, rest, err := DecodePrefix(b)
 	if err != nil {
@@ -692,76 +719,94 @@ func Decode(b []byte) (Message, error) {
 }
 
 // DecodePrefix parses one message from the front of b and returns the
-// remainder, allowing streams of concatenated messages.
+// remainder, allowing streams of concatenated messages. The message's
+// Body borrows b (capacity clipped, so an append onto it cannot reach
+// the bytes behind it) and label lists are fresh: decoding a MSG, ACK,
+// ACKREQ or label-free ACKΔ allocates nothing. b must therefore not
+// change while the message is in use, which the transports guarantee by
+// never reusing a frame they handed out.
+func DecodePrefix(b []byte) (m Message, rest []byte, err error) {
+	if rest, err = DecodeInto(&m, b); err != nil {
+		return Message{}, nil, err
+	}
+	return m, rest, nil
+}
+
+// DecodeInto is DecodePrefix writing the message into *m, which it
+// overwrites whole; on error *m holds no valid message. It is the form
+// for a loop walking a frame: a Message is some 150 bytes, and returning
+// one by value costs a copy per message, of which a duplicate-heavy
+// frame decodes hundreds.
 //
 //urb:hotpath
-func DecodePrefix(b []byte) (Message, []byte, error) {
+func DecodeInto(m *Message, b []byte) ([]byte, error) {
+	*m = Message{}
 	if len(b) < headerLen {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
 	if b[0] != codecVersion {
-		return Message{}, nil, ErrVersion
+		return nil, ErrVersion
 	}
 	kind := Kind(b[1])
 	switch kind {
 	case KindMsg, KindAck, KindBeat, KindAckDelta, KindAckReq:
 	case KindBeatDelta, KindBeatReq:
-		return decodeBeatPrefix(kind, b[headerLen:])
+		return decodeBeatPrefix(m, kind, b[headerLen:])
 	case KindSnapReq, KindSnapChunk:
-		return decodeSnapPrefix(kind, b[headerLen:])
+		return decodeSnapPrefix(m, kind, b[headerLen:])
 	default:
-		return Message{}, nil, ErrKind
+		return nil, ErrKind
 	}
 	if len(b) < headerLen+4 {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
 	bodyLen := binary.BigEndian.Uint32(b[2:6])
 	if bodyLen > MaxBody {
-		return Message{}, nil, ErrOversize
+		return nil, ErrOversize
 	}
 	b = b[6:]
 	if uint32(len(b)) < bodyLen {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
 	var body []byte
 	if bodyLen > 0 {
-		body = append(body, b[:bodyLen]...)
+		body = b[:bodyLen:bodyLen]
 	}
 	b = b[bodyLen:]
 	if len(b) < tagLen {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
-	m := Message{Kind: kind, Body: body, Tag: getTag(b)}
+	m.Kind, m.Body, m.Tag = kind, body, getTag(b)
 	b = b[tagLen:]
 	if m.Tag.Zero() {
-		return Message{}, nil, ErrZeroTag
+		return nil, ErrZeroTag
 	}
 	if kind == KindMsg || kind == KindBeat {
-		return m, b, nil
+		return b, nil
 	}
 	// All ACK forms carry the acker tag next.
 	if len(b) < tagLen {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
 	m.AckTag = getTag(b)
 	if m.AckTag.Zero() {
-		return Message{}, nil, ErrZeroAckTag
+		return nil, ErrZeroAckTag
 	}
 	b = b[tagLen:]
 	if kind == KindAckReq {
-		return m, b, nil
+		return b, nil
 	}
 	if kind == KindAckDelta {
 		if len(b) < 8+1 {
-			return Message{}, nil, ErrShort
+			return nil, ErrShort
 		}
 		m.Epoch = binary.BigEndian.Uint64(b[:8])
 		if m.Epoch == 0 {
-			return Message{}, nil, ErrZeroEpoch
+			return nil, ErrZeroEpoch
 		}
 		m.Flags = b[8]
 		if m.Flags&^AckFlagSnapshot != 0 {
-			return Message{}, nil, ErrBadFlags
+			return nil, ErrBadFlags
 		}
 		b = b[9:]
 	}
@@ -789,38 +834,38 @@ func DecodePrefix(b []byte) (Message, []byte, error) {
 	}
 	var err error
 	if m.Labels, err = readTags(); err != nil {
-		return Message{}, nil, err
+		return nil, err
 	}
 	if kind == KindAckDelta {
 		if m.DelLabels, err = readTags(); err != nil {
-			return Message{}, nil, err
+			return nil, err
 		}
 		// A snapshot is a complete set, not a difference: removals are
 		// structurally meaningless there and canonical encoders never
 		// emit them, so the decoder rejects the combination.
 		if m.Flags&AckFlagSnapshot != 0 && len(m.DelLabels) != 0 {
-			return Message{}, nil, ErrBadFlags
+			return nil, ErrBadFlags
 		}
 	}
-	return m, b, nil
+	return b, nil
 }
 
 // decodeBeatPrefix parses the compact beat-family layouts; b starts
 // right after the two header bytes.
-func decodeBeatPrefix(kind Kind, b []byte) (Message, []byte, error) {
-	m := Message{Kind: kind}
+func decodeBeatPrefix(m *Message, kind Kind, b []byte) ([]byte, error) {
+	m.Kind = kind
 	if kind == KindBeatReq {
 		if len(b) < 8 {
-			return Message{}, nil, ErrShort
+			return nil, ErrShort
 		}
 		m.Ref = binary.BigEndian.Uint64(b[:8])
 		if m.Ref == 0 {
-			return Message{}, nil, ErrZeroRef
+			return nil, ErrZeroRef
 		}
-		return m, b[8:], nil
+		return b[8:], nil
 	}
 	if len(b) < 1+4+8 {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
 	m.Flags = b[0]
 	m.Epoch = uint64(binary.BigEndian.Uint32(b[1:5]))
@@ -828,13 +873,13 @@ func decodeBeatPrefix(kind Kind, b []byte) (Message, []byte, error) {
 	b = b[13:]
 	if m.Flags&^(BeatFlagSnapshot|BeatFlagDelta) != 0 ||
 		m.Flags == BeatFlagSnapshot|BeatFlagDelta {
-		return Message{}, nil, ErrBadFlags
+		return nil, ErrBadFlags
 	}
 	if m.Epoch == 0 {
-		return Message{}, nil, ErrZeroEpoch
+		return nil, ErrZeroEpoch
 	}
 	if m.Ref == 0 {
-		return Message{}, nil, ErrZeroRef
+		return nil, ErrZeroRef
 	}
 	readTags := func() ([]ident.Tag, error) {
 		if len(b) < 4 {
@@ -861,39 +906,39 @@ func decodeBeatPrefix(kind Kind, b []byte) (Message, []byte, error) {
 	var err error
 	if m.Flags&BeatFlagSnapshot != 0 {
 		if m.Labels, err = readTags(); err != nil {
-			return Message{}, nil, err
+			return nil, err
 		}
 	}
 	if m.Flags&BeatFlagDelta != 0 {
 		if m.Labels, err = readTags(); err != nil {
-			return Message{}, nil, err
+			return nil, err
 		}
 		if m.DelLabels, err = readTags(); err != nil {
-			return Message{}, nil, err
+			return nil, err
 		}
 	}
-	return m, b, nil
+	return b, nil
 }
 
 // decodeSnapPrefix parses the compact snapshot-transfer layouts; b
 // starts right after the two header bytes.
-func decodeSnapPrefix(kind Kind, b []byte) (Message, []byte, error) {
-	m := Message{Kind: kind}
+func decodeSnapPrefix(m *Message, kind Kind, b []byte) ([]byte, error) {
+	m.Kind = kind
 	if kind == KindSnapReq {
 		if len(b) < 16 {
-			return Message{}, nil, ErrShort
+			return nil, ErrShort
 		}
 		m.Ref = binary.BigEndian.Uint64(b[:8])
 		m.Off = binary.BigEndian.Uint64(b[8:16])
 		// A fresh request (ref zero) names no transfer, so a nonzero
 		// resume offset is structurally meaningless.
 		if m.Ref == 0 && m.Off != 0 {
-			return Message{}, nil, ErrSnapBounds
+			return nil, ErrSnapBounds
 		}
-		return m, b[16:], nil
+		return b[16:], nil
 	}
 	if len(b) < 8+8+8+4+4 {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
 	m.Ref = binary.BigEndian.Uint64(b[:8])
 	m.Total = binary.BigEndian.Uint64(b[8:16])
@@ -902,22 +947,22 @@ func decodeSnapPrefix(kind Kind, b []byte) (Message, []byte, error) {
 	chunkLen := binary.BigEndian.Uint32(b[28:32])
 	b = b[32:]
 	if m.Ref == 0 {
-		return Message{}, nil, ErrZeroRef
+		return nil, ErrZeroRef
 	}
 	if m.Total == 0 || m.Total > MaxSnapshot || chunkLen > MaxBody {
-		return Message{}, nil, ErrOversize
+		return nil, ErrOversize
 	}
 	if chunkLen == 0 || uint64(chunkLen) > m.Total || m.Off > m.Total-uint64(chunkLen) {
-		return Message{}, nil, ErrSnapBounds
+		return nil, ErrSnapBounds
 	}
 	if uint32(len(b)) < chunkLen {
-		return Message{}, nil, ErrShort
+		return nil, ErrShort
 	}
-	m.Body = append(m.Body, b[:chunkLen]...)
+	m.Body = b[:chunkLen:chunkLen]
 	if crc32.Checksum(m.Body, crcTable) != m.Sum {
-		return Message{}, nil, ErrChecksum
+		return nil, ErrChecksum
 	}
-	return m, b[chunkLen:], nil
+	return b[chunkLen:], nil
 }
 
 // Equal reports deep equality of two messages, including label multiset
