@@ -252,7 +252,10 @@ func BenchmarkMajorityReceiveDuplicate(b *testing.B) {
 // Task-1 batch frame of 100 MSG duplicates, decodes it, feeds every
 // message to a Majority process holding a 200-message working set (all
 // delivered) and packs the 100 ACK replies into one outgoing frame. One
-// op is one frame; allocs/op covers decode, Receive and packing.
+// op is one frame; allocs/op covers decode, Receive and packing. The
+// direct case is the loop's in-place path (urb.ReceiveFunc picks
+// ReceiveTo); decorated hides ReceiveTo behind a wrapper, as a process
+// decorator does, so every reception goes through Receive and Merge.
 func BenchmarkLoopFrameDuplicates(b *testing.B) {
 	const batch = 100
 	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
@@ -269,16 +272,27 @@ func BenchmarkLoopFrameDuplicates(b *testing.B) {
 	if st := p.Stats(); st.Delivered != dupWorkingSet {
 		b.Fatalf("setup: delivered %d/%d", st.Delivered, dupWorkingSet)
 	}
-	l := host.NewLoop(host.Core{Proc: p}, host.LoopConfig{Budget: transport.MaxUDPFrame, Batch: true}, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := l.OnFrame(frames[i%len(frames)])
-		if err != nil || out.Received != batch || len(out.Frames) != 1 {
-			b.Fatalf("frame %d: err %v, received %d, %d reply frames", i, err, out.Received, len(out.Frames))
-		}
+	for _, c := range []struct {
+		name string
+		proc urb.Process
+	}{{"direct", p}, {"decorated", decorated{p}}} {
+		b.Run(c.name, func(b *testing.B) {
+			l := host.NewLoop(host.Core{Proc: c.proc}, host.LoopConfig{Budget: transport.MaxUDPFrame, Batch: true}, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := l.OnFrame(frames[i%len(frames)])
+				if err != nil || out.Received != batch || len(out.Frames) != 1 {
+					b.Fatalf("frame %d: err %v, received %d, %d reply frames", i, err, out.Received, len(out.Frames))
+				}
+			}
+		})
 	}
 }
+
+// decorated wraps a process the way a decorator does, exposing only the
+// urb.Process methods.
+type decorated struct{ urb.Process }
 
 // BenchmarkQuiescentReceiveDuplicateAck is the Algorithm 2 counterpart:
 // the unchanged re-ACK (an empty ACKΔ at the acker's current epoch) for a

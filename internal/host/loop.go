@@ -19,8 +19,16 @@ type Loop struct {
 	Core
 	cfg   LoopConfig
 	Cache *wire.EncodeCache // its counters are safe from any goroutine
-	// step and out live until Free: a batch frame merges a
-	// hundred per-message Steps, and re-growing fresh slices for every
+	// receive lands one reception in step: urb.ReceiveFunc of Proc,
+	// decided by NewLoop and again by SetProc, the one way to replace
+	// Proc afterwards.
+	receive func(*urb.Step, *wire.Message)
+	// msg is OnFrame's decode target. A field rather than a local, so
+	// the pointer handed to receive makes nothing escape; OnFrame zeroes
+	// it before returning, because its Body borrows the frame.
+	msg wire.Message
+	// step and out live until Free: a batch frame fills one Step with a
+	// hundred receptions' outputs, and re-growing fresh slices for every
 	// frame was a measurable share of a busy node's CPU.
 	step urb.Step
 	out  Out
@@ -72,7 +80,13 @@ type Out struct {
 // NewLoop builds the loop around c at time now, the origin of the
 // checkpoint cadence.
 func NewLoop(c Core, cfg LoopConfig, now int64) *Loop {
-	return &Loop{Core: c, cfg: cfg, Cache: wire.NewEncodeCache(wire.DefaultEncodeCacheSize), lastCheckpoint: now}
+	return &Loop{Core: c, cfg: cfg, Cache: wire.NewEncodeCache(wire.DefaultEncodeCacheSize),
+		receive: urb.ReceiveFunc(c.Proc), lastCheckpoint: now}
+}
+
+// SetProc replaces the loop's process, as a recovery does.
+func (l *Loop) SetProc(p urb.Process) {
+	l.Proc, l.receive = p, urb.ReceiveFunc(p)
 }
 
 // Messages yields the messages of a received frame in order. A frame
@@ -92,37 +106,39 @@ func Messages(frame []byte) iter.Seq[wire.Message] {
 	}
 }
 
-// OnFrame feeds a received frame to the process message by message and
-// merges the Steps, so the replies (e.g. the ACKs to a batch of MSGs)
-// leave as one batch in turn. Join traffic is host-level and never
-// shown to the algorithm: a SNAPREQ is served (Core.ServeSnap), a
-// SNAPCHUNK addresses a bootstrapping joiner, not us. The frame is split
-// as Messages splits it, but each message is decoded in place into one
-// variable (wire.DecodeInto) rather than copied out of an iterator: on
-// a frame of duplicates, those copies were a tenth of the node's CPU.
+// OnFrame feeds a received frame to the process message by message,
+// every reception appending its outputs to the one Step, so the replies
+// (e.g. the ACKs to a batch of MSGs) leave as one batch in turn. Join
+// traffic is host-level and never shown to the algorithm: a SNAPREQ is
+// served (Core.ServeSnap), a SNAPCHUNK addresses a bootstrapping joiner,
+// not us. The frame is split as Messages splits it, but each message is
+// decoded in place into the loop's one Message (wire.DecodeInto) and
+// handed on by pointer rather than copied out of an iterator: on a frame
+// of duplicates, those copies were a tenth of the node's CPU.
 //
 //urb:hotpath
 func (l *Loop) OnFrame(frame []byte) (*Out, error) {
 	l.Release()
-	var m wire.Message
+	m := &l.msg
 	for rest := frame; len(rest) > 0; {
 		var err error
-		if rest, err = wire.DecodeInto(&m, rest); err != nil {
+		if rest, err = wire.DecodeInto(m, rest); err != nil {
 			break
 		}
 		l.out.Received++
 		if l.cfg.OnReceive != nil {
-			l.cfg.OnReceive(m)
+			l.cfg.OnReceive(*m)
 		}
 		if !m.Kind.IsSnap() {
-			l.step.Merge(l.Proc.Receive(m))
+			l.receive(&l.step, m)
 		} else if m.Kind == wire.KindSnapReq {
 			l.cfg.Tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
-			if served := l.ServeSnap(m, l.cfg.Budget, &l.step); served > 0 {
+			if served := l.ServeSnap(*m, l.cfg.Budget, &l.step); served > 0 {
 				l.cfg.Tracer.Snap(obs.EvSnapChunk, int(m.Off), served)
 			}
 		}
 	}
+	*m = wire.Message{}
 	l.out.Bad = l.out.Received == 0
 	return l.absorb(l.step)
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"anonurb/internal/ident"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
+	"anonurb/internal/xrand"
 )
 
 // garbage is bytes DecodePrefix rejects.
@@ -125,6 +127,28 @@ type shown struct {
 }
 
 func (s *shown) Receive(m wire.Message) urb.Step { s.n++; return s.Quiescent.Receive(m) }
+
+// TestLoopReceivePaths: the loop feeds this package's processes in place
+// (urb.ReceiveFunc), and any other process through Receive — here a
+// decorator that embeds a Quiescent and overrides Receive, so a promoted
+// ReceiveTo must not bypass it. SetProc re-decides for the new process.
+func TestLoopReceivePaths(t *testing.T) {
+	msg := wire.NewMsg(wire.MsgID{Tag: label(3), Body: "m"})
+	dec := &shown{Quiescent: urb.NewQuiescent(view{{Label: label(1), Number: 1}}, ident.NewSource(xrand.New(4)), urb.Config{})}
+	l := NewLoop(Core{Proc: dec}, LoopConfig{Batch: true}, 0)
+	if out, err := l.OnFrame(msg.Encode(nil)); err != nil || dec.n != 1 || len(out.Msgs) != 1 {
+		t.Fatalf("decorator shown %d receptions, %d replies (err %v); want 1 and 1", dec.n, len(out.Msgs), err)
+	}
+	next := solo(2)
+	l.SetProc(next)
+	out, err := l.OnFrame(msg.Encode(nil))
+	if err != nil || dec.n != 1 {
+		t.Fatalf("the replaced process was fed (%d receptions, err %v)", dec.n, err)
+	}
+	if len(out.Msgs) != 1 || out.Msgs[0].Kind != wire.KindAck || !next.KnowsMsg(msg.ID()) {
+		t.Fatalf("the new process answered %v", out.Msgs)
+	}
+}
 
 // TestLoopServeSnap: a SNAPREQ is served, never shown to the algorithm,
 // and its chunks leave in frames within the budget.

@@ -2,7 +2,9 @@ package host
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"anonurb/internal/ident"
 	"anonurb/internal/obs"
@@ -18,7 +20,8 @@ import (
 // the ACK forms, SNAPCHUNKs) goes through a Loop and a Joiner for each
 // algorithm; then the frame is scribbled over. The delivered identity,
 // the state fingerprint, the encode cache, the tracer's bodies, the
-// reply frames and the assembled container must all be unchanged.
+// reply frames and the assembled container must all be unchanged; and
+// once OnFrame has returned, the loop holds no reference to a frame.
 func TestLoopRetainsNoFrameBytes(t *testing.T) {
 	id := wire.MsgID{Tag: label(7), Body: "retained payload"}
 	src, _ := donor(t, 4, 6)
@@ -103,6 +106,32 @@ func TestLoopRetainsNoFrameBytes(t *testing.T) {
 			if !bytes.Equal(joined, container) {
 				t.Error("assembled container changed with the frame")
 			}
+			if loopPinsFrame(l, wire.NewMsg(id).Encode(nil)) {
+				t.Error("the loop still references a frame after OnFrame returned")
+			}
 		})
 	}
+}
+
+// loopPinsFrame feeds l a heap copy of frame, drops the copy and reports
+// whether it stays reachable: a finalizer on it runs only once nothing
+// references it. OnFrame's decode target borrows the frame's bytes, so
+// the loop must let go of it before returning.
+func loopPinsFrame(l *Loop, frame []byte) bool {
+	freed := make(chan struct{})
+	func() {
+		box := new([1 << 10]byte)
+		runtime.SetFinalizer(box, func(*[1 << 10]byte) { close(freed) })
+		l.OnFrame(box[:copy(box[:], frame)])
+	}()
+	defer runtime.KeepAlive(l)
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-freed:
+			return false
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	return true
 }

@@ -820,7 +820,7 @@ func (e *Engine) doRecover(proc int) {
 			e.retractDelivery(proc, id)
 		}
 	}
-	e.loops[proc].Proc = p
+	e.loops[proc].SetProc(p)
 	e.crash[proc] = false
 	e.result.Crashed[proc] = false
 	e.result.Recovered[proc] = true

@@ -73,21 +73,26 @@ func ListenUDP(addr string, depth int) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
+	u := newUDP(conn, depth)
+	go u.readLoop()
+	return u, nil
+}
+
+// newUDP wraps a bound socket without starting its reader. The reader
+// reads with conn.Read: ReadFromUDP would allocate the sender's address
+// for every datagram, and the address is of no use to an anonymous
+// receiver.
+func newUDP(conn *net.UDPConn, depth int) *UDP {
 	if depth <= 0 {
 		depth = 1024
 	}
-	u := &UDP{
-		conn:  conn,
-		inbox: make(chan []byte, depth),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+	return &UDP{
+		conn:     conn,
+		readFrom: conn.Read,
+		inbox:    make(chan []byte, depth),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	u.readFrom = func(p []byte) (int, error) {
-		n, _, err := conn.ReadFromUDP(p)
-		return n, err
-	}
-	go u.readLoop()
-	return u, nil
 }
 
 // LocalAddr returns the bound address (with the concrete port when the

@@ -1,8 +1,9 @@
 package transport
 
-// White-box tests for the UDP reader's error handling: a persistent
-// non-Close read error must degrade to a bounded-rate poll (backoff),
-// never a busy spin, and Close must wake a sleeping reader promptly.
+// White-box tests for the UDP reader: a socket read allocates nothing,
+// a persistent non-Close read error must degrade to a bounded-rate poll
+// (backoff), never a busy spin, and Close must wake a sleeping reader
+// promptly.
 
 import (
 	"errors"
@@ -39,6 +40,42 @@ func stopLoopUDP(t *testing.T, u *UDP) {
 	case <-u.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("readLoop did not exit")
+	}
+}
+
+// TestUDPReadAllocs: the socket read the reader polls allocates nothing
+// per datagram, so the frame the reader copies out is its only
+// allocation. (ReadFromUDP allocated the sender's address every time.)
+func TestUDPReadAllocs(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	u := newUDP(conn, 1) // reader not started: the test reads
+	send, err := net.DialUDP("udp", nil, u.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	const runs = 50
+	for range runs + 1 { // AllocsPerRun adds one warm-up call
+		if _, err := send.Write([]byte("datagram")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MaxUDPFrame)
+	var n int
+	got := testing.AllocsPerRun(runs, func() {
+		if n, err = u.readFrom(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 || string(buf[:n]) != "datagram" {
+		t.Fatalf("read %q allocating %v per datagram, want %q and 0", buf[:n], got, "datagram")
 	}
 }
 

@@ -353,7 +353,7 @@ func (r *stateReader) done() error {
 // sorted keys of a map.
 func (c *common) sortedRecs(keep func(*msgRec) bool) []*msgRec {
 	var out []*msgRec
-	for _, rec := range c.recs {
+	for rec := range c.recs.all {
 		if keep(rec) {
 			out = append(out, rec)
 		}
@@ -513,7 +513,7 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	}
 	// The lists are sets: a repeated identity lands on its one record (a
 	// repeated pin keeps the last tag_ack, as a map assignment would).
-	fresh := common{recs: make(map[wire.MsgID]*msgRec, len(saw))}
+	fresh := common{recs: msgTable{byTag: make(map[ident.Tag]*msgRec, len(saw))}}
 	for _, id := range msgs {
 		fresh.msgs.add(fresh.recordID(id))
 	}
@@ -875,7 +875,7 @@ func (p *Quiescent) Restore(data []byte) error {
 // (or gap-detect and resync) regardless of where the lost window ended.
 func (p *Quiescent) Rejoin() {
 	inc := p.epochFloor >> 32
-	for _, rec := range p.recs {
+	for rec := range p.recs.all {
 		if rec.send == nil {
 			continue
 		}

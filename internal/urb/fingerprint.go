@@ -186,8 +186,8 @@ func (s *fpSink) writeRecs(keep func(*msgRec) bool, emit func(*fpSink, *msgRec))
 // (fpSink.key): each set read off it reaches writeSorted in order, but for
 // entries whose tags render alike.
 func (c *common) commonFingerprint(s *fpSink) {
-	table := make([]*msgRec, 0, len(c.recs))
-	for _, rec := range c.recs {
+	table := make([]*msgRec, 0, c.recs.len())
+	for rec := range c.recs.all {
 		table = append(table, rec)
 	}
 	slices.SortFunc(table, func(a, b *msgRec) int {
@@ -340,7 +340,7 @@ func (p *Quiescent) holdsDeltaState() bool {
 			return true
 		}
 	}
-	for _, rec := range p.recs {
+	for rec := range p.recs.all {
 		if rec.hasLedger() {
 			return true
 		}

@@ -143,20 +143,27 @@ func (h *HeartbeatHost) Broadcast(body []byte) (wire.MsgID, Step) {
 	return h.inner.Broadcast(body)
 }
 
-// Receive implements Process: beats feed the detector, the rest feeds
-// the algorithm.
+// Receive implements Process over ReceiveTo.
 func (h *HeartbeatHost) Receive(m wire.Message) Step {
+	var out Step
+	h.ReceiveTo(&out, &m)
+	return out
+}
+
+// ReceiveTo appends the outputs of one reception to out: beats feed the
+// detector, the rest feeds the algorithm.
+func (h *HeartbeatHost) ReceiveTo(out *Step, m *wire.Message) {
 	//urbvet:partial non-beat kinds fall through to the wrapped algorithm's dispatch
 	switch m.Kind {
 	case wire.KindBeat:
 		h.hb.Hear(m.Tag)
-		return Step{}
 	case wire.KindBeatDelta:
-		return h.receiveBeatDelta(m)
+		h.receiveBeatDelta(out, m)
 	case wire.KindBeatReq:
-		return h.receiveBeatReq(m)
+		h.receiveBeatReq(out, m)
+	default:
+		h.inner.ReceiveTo(out, m)
 	}
-	return h.inner.Receive(m)
 }
 
 // receiveBeatDelta feeds one incremental beat into the detector.
@@ -168,8 +175,7 @@ func (h *HeartbeatHost) Receive(m wire.Message) Step {
 // snapshot instead of guessing, so a collided or stale mapping can delay
 // liveness refreshes (repaired within a tick) but never mis-attribute
 // them. That preserves the fd.Heartbeat accuracy argument untouched.
-func (h *HeartbeatHost) receiveBeatDelta(m wire.Message) Step {
-	var out Step
+func (h *HeartbeatHost) receiveBeatDelta(out *Step, m *wire.Message) {
 	st := h.streams[m.Ref]
 	epoch := uint32(m.Epoch)
 	switch {
@@ -206,7 +212,7 @@ func (h *HeartbeatHost) receiveBeatDelta(m wire.Message) Step {
 			// lower epoch, whose liveness would starve if we stayed
 			// silent. Ask for a snapshot; snapshots carry full labels and
 			// therefore attribute soundly either way.
-			h.beatResync(&out, m.Ref)
+			h.beatResync(out, m.Ref)
 		case st != nil && !st.ambiguous && epoch == st.epoch+1:
 			// In sequence: fold removals then additions, mirroring
 			// ackState.applyDelta.
@@ -230,7 +236,7 @@ func (h *HeartbeatHost) receiveBeatDelta(m wire.Message) Step {
 		case st != nil && !st.ambiguous && epoch == st.epoch:
 			// Duplicate of the delta that produced our state: ignore.
 		default:
-			h.beatResync(&out, m.Ref)
+			h.beatResync(out, m.Ref)
 		}
 	default: // refresh
 		switch {
@@ -246,10 +252,9 @@ func (h *HeartbeatHost) receiveBeatDelta(m wire.Message) Step {
 			// unattributable beat asks for a snapshot (rate-limited per
 			// ref per tick; snapshots carry full labels and attribute
 			// soundly whatever the cause).
-			h.beatResync(&out, m.Ref)
+			h.beatResync(out, m.Ref)
 		}
 	}
-	return out
 }
 
 // beatResync broadcasts a BEATREQ for ref, at most once per ref per
@@ -275,19 +280,17 @@ func (h *HeartbeatHost) beatResync(out *Step, ref uint64) {
 // stream with a snapshot, at most once per tick (every send is a
 // broadcast, so one snapshot serves all requesters). Hosts beating in
 // legacy mode never opened a stream and stay silent.
-func (h *HeartbeatHost) receiveBeatReq(m wire.Message) Step {
-	var out Step
+func (h *HeartbeatHost) receiveBeatReq(out *Step, m *wire.Message) {
 	if !h.inner.cfg.DeltaBeats || m.Ref != h.beatRef() {
-		return out
+		return
 	}
 	if h.beatSnapTick == h.tickCount+1 {
-		return out
+		return
 	}
 	h.beatSnapTick = h.tickCount + 1
 	h.beatSnapSent = true
 	h.beatsSent++ // the answer is an ALIVE announcement like any beat
 	out.Broadcasts = append(out.Broadcasts, wire.NewBeatSnapshot(h.beatRef(), h.beatEpoch, h.announced()))
-	return out
 }
 
 // Tick implements Process: emit the periodic ALIVE, then run Task 1.

@@ -46,7 +46,7 @@ var (
 
 // dropPins forgets every pinned tag_ack (the donor's MY_ACK_i).
 func (c *common) dropPins() {
-	for _, rec := range c.recs {
+	for rec := range c.recs.all {
 		rec.ack, rec.pinned = ident.Tag{}, false
 	}
 }

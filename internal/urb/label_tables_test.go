@@ -113,7 +113,7 @@ func TestQuiescentLedgerSharesSentSet(t *testing.T) {
 	distinct := func(p *Quiescent) int {
 		sets := make(map[*ident.Set]bool)
 		for _, id := range ids {
-			sets[p.recs[id].send.sent] = true
+			sets[p.recs.find(id).send.sent] = true
 		}
 		return len(sets)
 	}
@@ -128,14 +128,14 @@ func TestQuiescentLedgerSharesSentSet(t *testing.T) {
 		t.Fatalf("restored: %d sent sets for %d entries, want 1", n, len(ids))
 	}
 
-	old := p.recs[ids[0]].send.sent
+	old := p.recs.find(ids[0]).send.sent
 	view = fd.Normalize(fd.View{{Label: lbl(1), Number: 3}, {Label: lbl(3), Number: 3}})
 	p.Tick()
 	p.Receive(wire.NewMsg(ids[0]))
-	if got := p.recs[ids[0]].send.sent; got == old || !got.Has(lbl(3)) || got.Has(lbl(2)) {
+	if got := p.recs.find(ids[0]).send.sent; got == old || !got.Has(lbl(3)) || got.Has(lbl(2)) {
 		t.Fatalf("refreshed entry holds %v", got.Slice())
 	}
-	if got := p.recs[ids[1]].send.sent; got != old || !got.Has(lbl(2)) || got.Has(lbl(3)) || got.Len() != 2 {
+	if got := p.recs.find(ids[1]).send.sent; got != old || !got.Has(lbl(2)) || got.Has(lbl(3)) || got.Len() != 2 {
 		t.Fatalf("an entry that sent nothing since now holds %v: a shared sent set was mutated", got.Slice())
 	}
 }
@@ -251,9 +251,9 @@ func TestQuiescentAckerReadsViewInPlace(t *testing.T) {
 				if s.in == msg {
 					got = p.Receive(wire.NewMsg(id))
 				} else {
-					got = p.Receive(wire.NewAckResync(id, p.recs[id].ack))
+					got = p.Receive(wire.NewAckResync(id, p.recs.find(id).ack))
 				}
-				if want := s.want(p.recs[id].ack); !reflect.DeepEqual(got.Broadcasts, want) {
+				if want := s.want(p.recs.find(id).ack); !reflect.DeepEqual(got.Broadcasts, want) {
 					t.Fatalf("step %d (%s under %v):\n got %v\nwant %v", i, s.in, s.view, got.Broadcasts, want)
 				}
 				p.Tick() // the next step is not rate-limited

@@ -65,27 +65,36 @@ func NewMajorityThreshold(n, threshold int, tags *ident.Source, cfg Config) *Maj
 	}
 }
 
-// Receive resolves the message's record, then dispatches on the kind
-// (lines 7-27).
+// Receive implements Process over ReceiveTo.
 //
 //urb:hotpath
 func (p *Majority) Receive(m wire.Message) Step {
+	var out Step
+	p.ReceiveTo(&out, &m)
+	return out
+}
+
+// ReceiveTo resolves the message's record, then dispatches on the kind
+// (lines 7-27), appending the replies, deliveries and durable events to
+// out. It only appends: a host passes the Step it is filling, so a
+// reception allocates no Step of its own.
+//
+//urb:hotpath
+func (p *Majority) ReceiveTo(out *Step, m *wire.Message) {
 	//urbvet:partial Algorithm 1 speaks MSG/ACK only; delta and beat kinds are other layers' traffic
 	switch m.Kind {
 	case wire.KindMsg:
-		return p.receiveMsg(p.record(m.Tag, m.Body))
+		p.receiveMsg(out, p.record(m.Tag, m.Body))
 	case wire.KindAck:
-		return p.receiveAck(p.record(m.Tag, m.Body), m.AckTag)
+		p.receiveAck(out, p.record(m.Tag, m.Body), m.AckTag)
 	default:
 		// Unknown kinds (e.g. failure detector heartbeats multiplexed on
 		// the same mesh) are not for us; ignore.
-		return Step{}
 	}
 }
 
 // receiveMsg handles (MSG, m, tag) (lines 7-17).
-func (p *Majority) receiveMsg(rec *msgRec) Step {
-	var out Step
+func (p *Majority) receiveMsg(out *Step, rec *msgRec) {
 	// RECV traces the first MSG copy only: retransmissions are the fair
 	// lossy channel's business, not the message lifecycle's.
 	if p.tr != nil && !rec.saw {
@@ -95,7 +104,7 @@ func (p *Majority) receiveMsg(rec *msgRec) Step {
 	if p.msgs.add(rec) && p.cfg.EagerFirstSend {
 		// First time we learn of m from the network: start retransmitting
 		// (Task 1 covers it; eager mode also forwards at once).
-		p.send(&out, wire.NewMsg(rec.id))
+		p.send(out, wire.NewMsg(rec.id))
 	}
 	if !rec.pinned {
 		// First reception: draw the unique tag_ack for (m, tag) and pin
@@ -110,13 +119,11 @@ func (p *Majority) receiveMsg(rec *msgRec) Step {
 	}
 	// Acknowledge every reception (lines 11-12 / 16): retransmissions of
 	// the ACK are what overcome ACK loss on fair lossy channels.
-	p.send(&out, wire.NewAck(rec.id, rec.ack))
-	return out
+	p.send(out, wire.NewAck(rec.id, rec.ack))
 }
 
 // receiveAck handles (ACK, m, tag, tag_ack) (lines 18-27).
-func (p *Majority) receiveAck(rec *msgRec, ackTag ident.Tag) Step {
-	var out Step
+func (p *Majority) receiveAck(out *Step, rec *msgRec, ackTag ident.Tag) {
 	if rec.acks == nil {
 		rec.acks = ident.NewSet()
 		p.ackOrder = append(p.ackOrder, rec)
@@ -133,8 +140,7 @@ func (p *Majority) receiveAck(rec *msgRec, ackTag ident.Tag) Step {
 	if p.tr != nil && rec.acks.Len() != before {
 		p.tr.AckProgress(rec.id, ident.Tag{}, rec.acks.Len(), p.threshold)
 	}
-	p.checkDeliver(&out, rec)
-	return out
+	p.checkDeliver(out, rec)
 }
 
 // checkDeliver applies the guard of lines 22-26: a majority of distinct
@@ -181,7 +187,7 @@ func (p *Majority) Stats() Stats {
 // AckCount reports how many distinct tag_acks have been seen for id
 // (test hook).
 func (p *Majority) AckCount(id wire.MsgID) int {
-	if rec := p.recs[id]; rec != nil && rec.acks != nil {
+	if rec := p.recs.find(id); rec != nil && rec.acks != nil {
 		return rec.acks.Len()
 	}
 	return 0
@@ -192,7 +198,7 @@ func (p *Majority) AckCount(id wire.MsgID) int {
 // is still missing. Call it on the goroutine hosting the process.
 func (p *Majority) Explain(id wire.MsgID) obs.Explanation {
 	ex := obs.Explanation{ID: id, Algo: "majority", Need: p.threshold}
-	rec := p.recs[id]
+	rec := p.recs.find(id)
 	if rec == nil {
 		return ex
 	}

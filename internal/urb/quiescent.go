@@ -513,34 +513,40 @@ func NewQuiescent(det fd.Detector, tags *ident.Source, cfg Config) *Quiescent {
 	}
 }
 
-// Receive resolves the message's record, then dispatches on kind (lines
-// 7-51).
+// Receive implements Process over ReceiveTo.
 //
 //urb:hotpath
 func (p *Quiescent) Receive(m wire.Message) Step {
+	var out Step
+	p.ReceiveTo(&out, &m)
+	return out
+}
+
+// ReceiveTo resolves the message's record, then dispatches on kind
+// (lines 7-51), appending the outputs to out, which it never reads (see
+// Majority.ReceiveTo).
+//
+//urb:hotpath
+func (p *Quiescent) ReceiveTo(out *Step, m *wire.Message) {
 	//urbvet:partial beat-family kinds are host traffic, consumed by HeartbeatHost before the algorithm
 	switch m.Kind {
 	case wire.KindMsg:
-		return p.receiveMsg(p.record(m.Tag, m.Body))
+		p.receiveMsg(out, p.record(m.Tag, m.Body))
 	case wire.KindAck:
-		return p.receiveAck(p.record(m.Tag, m.Body), m)
+		p.receiveAck(out, p.record(m.Tag, m.Body), m)
 	case wire.KindAckDelta:
-		return p.receiveAckDelta(p.record(m.Tag, m.Body), m)
+		p.receiveAckDelta(out, p.record(m.Tag, m.Body), m)
 	case wire.KindAckReq:
 		// A request about a message this process never heard of cannot be
 		// for one of its streams: no record is made for it.
-		if rec := p.lookup(m.Tag, m.Body); rec != nil {
-			return p.receiveAckResync(rec, m.AckTag)
+		if rec := p.recs.lookup(m.Tag, m.Body); rec != nil {
+			p.receiveAckResync(out, rec, m.AckTag)
 		}
-		return Step{}
-	default:
-		return Step{}
 	}
 }
 
 // receiveMsg handles (MSG, m, tag) (lines 7-21).
-func (p *Quiescent) receiveMsg(rec *msgRec) Step {
-	var out Step
+func (p *Quiescent) receiveMsg(out *Step, rec *msgRec) {
 	// RECV traces the first MSG copy only (same policy as Majority):
 	// retransmissions carry no lifecycle information.
 	if p.tr != nil && !rec.saw {
@@ -551,7 +557,7 @@ func (p *Quiescent) receiveMsg(rec *msgRec) Step {
 	// is what keeps a retired message retired when late MSG copies
 	// straggle in.
 	if !rec.delivered && p.msgs.add(rec) && p.cfg.EagerFirstSend {
-		p.send(&out, wire.NewMsg(rec.id))
+		p.send(out, wire.NewMsg(rec.id))
 	}
 	if !rec.pinned {
 		rec.ack, rec.pinned = p.tags.Next(), true // line 17: pinned forever after
@@ -565,11 +571,10 @@ func (p *Quiescent) receiveMsg(rec *msgRec) Step {
 	// view travels incrementally instead (D5).
 	theta := p.det.ATheta()
 	if !p.cfg.DeltaAcks {
-		p.send(&out, wire.NewLabeledAck(rec.id, rec.ack, labelsOf(&p.thetaSet, theta).Slice()))
-		return out
+		p.send(out, wire.NewLabeledAck(rec.id, rec.ack, labelsOf(&p.thetaSet, theta).Slice()))
+		return
 	}
-	p.sendDeltaAck(&out, rec, theta)
-	return out
+	p.sendDeltaAck(out, rec, theta)
 }
 
 // labelsOf returns v's label set through a one-entry cache: the set
@@ -665,15 +670,13 @@ func (p *Quiescent) sendDeltaAck(out *Step, rec *msgRec, theta fd.View) {
 // (lines 22-51). The set replaces the acker's view wholesale; it carries
 // no epoch, so the view is left unsynced and a subsequent delta from the
 // same acker resynchronises via snapshot first.
-func (p *Quiescent) receiveAck(rec *msgRec, m wire.Message) Step {
-	var out Step
+func (p *Quiescent) receiveAck(out *Step, rec *msgRec, m *wire.Message) {
 	if p.tr != nil {
 		p.tr.Recv(rec.id, wire.KindAck)
 	}
 	st := p.ackStateFor(rec)
 	st.replace(&p.sets, m.AckTag, m.Labels, 0, false) // lines 27-45 (D1)
-	p.checkDeliver(&out, rec)                         // lines 46-51
-	return out
+	p.checkDeliver(out, rec)                          // lines 46-51
 }
 
 // receiveAckDelta handles the incremental form (D5). Snapshots replace;
@@ -681,8 +684,7 @@ func (p *Quiescent) receiveAck(rec *msgRec, m wire.Message) Step {
 // epoch gap, an unknown or unsynced acker — leaves the claims untouched
 // and asks the acker for a snapshot (rate-limited per (message, acker)
 // per tick).
-func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
-	var out Step
+func (p *Quiescent) receiveAckDelta(out *Step, rec *msgRec, m *wire.Message) {
 	if p.tr != nil {
 		p.tr.Recv(rec.id, wire.KindAckDelta)
 	}
@@ -694,7 +696,7 @@ func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
 	// satisfied — so return before touching the claim machinery.
 	if rec.delivered && rec.st != nil && m.Flags == 0 && len(m.Labels) == 0 && len(m.DelLabels) == 0 {
 		if v := rec.st.ackers.Ptr(m.AckTag); v != nil && v.synced && m.Epoch <= v.epoch {
-			return out
+			return
 		}
 	}
 	st := p.ackStateFor(rec)
@@ -735,7 +737,7 @@ func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
 				// Queued so the next Tick drops the entry even if nothing
 				// else about this message ever changes again.
 				st.markDirty()
-				p.send(&out, wire.NewAckResync(rec.id, m.AckTag))
+				p.send(out, wire.NewAckResync(rec.id, m.AckTag))
 			}
 		}
 	}
@@ -744,8 +746,7 @@ func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
 	// or empty re-ACK can still enable a delivery the view's numbers
 	// dropping has unblocked — exactly as the full-set path re-checks on
 	// every re-ACK.
-	p.checkDeliver(&out, rec)
-	return out
+	p.checkDeliver(out, rec)
 }
 
 // receiveAckResync answers a resync request addressed to this process's
@@ -753,14 +754,13 @@ func (p *Quiescent) receiveAckDelta(rec *msgRec, m wire.Message) Step {
 // (refreshing it against the live AΘ view first), at most once per
 // message per tick — every send is a broadcast, so one snapshot serves
 // all requesters.
-func (p *Quiescent) receiveAckResync(rec *msgRec, ackTag ident.Tag) Step {
-	var out Step
+func (p *Quiescent) receiveAckResync(out *Step, rec *msgRec, ackTag ident.Tag) {
 	if !rec.pinned || rec.ack != ackTag {
-		return out // someone else's stream (or a message we never ACKed)
+		return // someone else's stream (or a message we never ACKed)
 	}
 	st := rec.send
 	if st != nil && st.snapTick == p.ticks+1 {
-		return out
+		return
 	}
 	if st == nil {
 		// Our ACK for the message predates delta mode (or was sent by the
@@ -773,8 +773,7 @@ func (p *Quiescent) receiveAckResync(rec *msgRec, ackTag ident.Tag) Step {
 	}
 	st.snapTick = p.ticks + 1
 	st.reAckTick = p.ticks + 1 // the snapshot doubles as this tick's re-ACK
-	p.send(&out, wire.NewAckSnapshot(rec.id, rec.ack, st.epoch, st.sent.Slice()))
-	return out
+	p.send(out, wire.NewAckSnapshot(rec.id, rec.ack, st.epoch, st.sent.Slice()))
 }
 
 // ackStateFor returns (creating on demand) the message's ACK bookkeeping
@@ -998,7 +997,7 @@ func (p *Quiescent) Stats() Stats {
 
 // ackState returns id's ACK bookkeeping, nil if there is none.
 func (p *Quiescent) ackState(id wire.MsgID) *ackState {
-	if rec := p.recs[id]; rec != nil {
+	if rec := p.recs.find(id); rec != nil {
 		return rec.st
 	}
 	return nil
@@ -1032,7 +1031,7 @@ func (p *Quiescent) RetiredCount() int { return p.retired }
 func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
 	ex := obs.Explanation{ID: id, Algo: "quiescent"}
 	var st *ackState
-	if rec := p.recs[id]; rec != nil {
+	if rec := p.recs.find(id); rec != nil {
 		st = rec.st
 		ex.Delivered = rec.delivered
 		ex.Known = st != nil || rec.slot >= 0 || rec.saw || rec.delivered

@@ -12,16 +12,33 @@ import (
 
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
+	"anonurb/internal/obs"
 	"anonurb/internal/wire"
 	"anonurb/internal/xrand"
 )
 
-// checkRecords verifies the table's structural invariant: every entry of
-// an order slice points at the table's record for its identity; a record
-// has a MSG_i slot iff it is listed exactly once in msgSet.order, at that
+// checkRecords verifies the table's structural invariant: a record is
+// filed under its own tag, or — when an earlier record with another body
+// holds that tag — in the clash map under its own identity, and find
+// resolves every identity to its one record; every entry of an order
+// slice points at the table's record for its identity; a record has a
+// MSG_i slot iff it is listed exactly once in msgSet.order, at that
 // slot; it has ACK state (hasAcks) iff it is listed exactly once in
 // ackOrder.
 func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) error {
+	for tag, rec := range c.recs.byTag {
+		if rec.id.Tag != tag {
+			return fmt.Errorf("record %v filed under tag %v", rec.id, tag)
+		}
+	}
+	for id, rec := range c.recs.clash {
+		if rec.id != id {
+			return fmt.Errorf("clash record %v filed under %v", rec.id, id)
+		}
+		if first := c.recs.byTag[id.Tag]; first == nil || first.id.Body == id.Body {
+			return fmt.Errorf("clash record %v, but its tag holds %v", id, first)
+		}
+	}
 	inMsgs := make(map[*msgRec]int, len(c.msgs.order))
 	dead := 0
 	for i, rec := range c.msgs.order {
@@ -29,7 +46,7 @@ func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) er
 		case rec == nil:
 			dead++
 			continue
-		case c.recs[rec.id] != rec:
+		case c.recs.find(rec.id) != rec:
 			return fmt.Errorf("msgs.order[%d] (%v) is not the table's record", i, rec.id)
 		case int(rec.slot) != i:
 			return fmt.Errorf("msgs.order[%d] (%v) records slot %d", i, rec.id, rec.slot)
@@ -41,7 +58,7 @@ func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) er
 	}
 	inAcks := make(map[*msgRec]int, len(ackOrder))
 	for i, rec := range ackOrder {
-		if rec == nil || c.recs[rec.id] != rec {
+		if rec == nil || c.recs.find(rec.id) != rec {
 			return fmt.Errorf("ackOrder[%d] is not a table record", i)
 		}
 		inAcks[rec]++
@@ -52,9 +69,10 @@ func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) er
 		}
 		return 0
 	}
-	for id, rec := range c.recs {
-		if rec.id != id {
-			return fmt.Errorf("record %v filed under %v", rec.id, id)
+	for rec := range c.recs.all {
+		id := rec.id
+		if c.recs.find(id) != rec {
+			return fmt.Errorf("%v does not resolve to its record", id)
 		}
 		if got, want := inMsgs[rec], count(rec.slot >= 0); got != want {
 			return fmt.Errorf("%v: slot %d but listed %d times in msgs.order", id, rec.slot, got)
@@ -134,9 +152,125 @@ func checkProcRecords(t testing.TB, p Process) {
 	}
 }
 
+// clashProc is the part of a process TestTagClash drives.
+type clashProc interface {
+	Durable
+	obs.Explainer
+	HasDelivered(wire.MsgID) bool
+	KnowsMsg(wire.MsgID) bool
+	Fingerprint() string
+}
+
+// TestTagClash: the table is keyed by tag, so two bodies under one tag —
+// a corrupted copy or a real collision — share a slot of the tag map.
+// They must still be two messages: two records (one in the clash map),
+// each pinned, ACKed, delivered and explained on its own evidence, told
+// apart by HasDelivered and KnowsMsg, and carried through a
+// Snapshot/Restore round trip with the fingerprint and the snapshot
+// bytes unchanged.
+func TestTagClash(t *testing.T) {
+	a := wire.MsgID{Tag: ident.Tag{Hi: 0xc1a5, Lo: 1}, Body: "alpha"}
+	b := wire.MsgID{Tag: a.Tag, Body: "bravo"}
+	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
+	only := []ident.Tag{lbl(1)}
+	for _, tc := range []struct {
+		name string
+		make func() clashProc
+		ack  func(id wire.MsgID, acker ident.Tag) wire.Message
+	}{
+		{"majority",
+			func() clashProc { return NewMajority(3, ident.NewSource(xrand.New(3)), Config{}) },
+			func(id wire.MsgID, acker ident.Tag) wire.Message { return wire.NewAck(id, acker) }},
+		{"quiescent",
+			func() clashProc {
+				return NewQuiescent(fd.Static{Theta: view}, ident.NewSource(xrand.New(3)), Config{DeltaAcks: true})
+			},
+			func(id wire.MsgID, acker ident.Tag) wire.Message { return wire.NewAckSnapshot(id, acker, 1, only) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.make()
+			c := commonOf(p)
+			names := func(s Step, id wire.MsgID) {
+				t.Helper()
+				if len(s.Broadcasts) != 1 || s.Broadcasts[0].ID() != id {
+					t.Fatalf("reply %v, want one ACK naming %v", s.Broadcasts, id)
+				}
+			}
+			names(p.Receive(wire.NewMsg(a)), a)
+			names(p.Receive(wire.NewMsg(b)), b)
+			if c.recs.len() != 2 || len(c.recs.clash) != 1 {
+				t.Fatalf("%d records (%d clashing), want 2 (1)", c.recs.len(), len(c.recs.clash))
+			}
+			pinA, _ := pinOf(c, a)
+			pinB, _ := pinOf(c, b)
+			if pinA == pinB || c.recs.find(a) == c.recs.find(b) {
+				t.Fatal("the two bodies share a record or a tag_ack")
+			}
+
+			p.Receive(tc.ack(a, lbl(100)))
+			if s := p.Receive(tc.ack(a, lbl(101))); len(s.Deliveries) != 1 || s.Deliveries[0].ID != a {
+				t.Fatalf("second ACK for %v delivered %v", a, s.Deliveries)
+			}
+			if !p.HasDelivered(a) || p.HasDelivered(b) {
+				t.Fatalf("HasDelivered: %v, %v; want true, false", p.HasDelivered(a), p.HasDelivered(b))
+			}
+			if ea, eb := p.Explain(a), p.Explain(b); ea.Ackers != 2 || !ea.Delivered || eb.Ackers != 0 || eb.Delivered || !eb.Known {
+				t.Fatalf("Explain: %v got %d ackers (delivered %v), %v got %d (delivered %v)",
+					a, ea.Ackers, ea.Delivered, b, eb.Ackers, eb.Delivered)
+			}
+			// ACKREQ resolves its record by lookup, not record: the answer
+			// (one per message per tick, hence the Tick) names the
+			// requested body.
+			if q, ok := p.(*Quiescent); ok {
+				q.Tick()
+				names(q.Receive(wire.NewAckResync(b, pinB)), b)
+			}
+			p.Receive(tc.ack(b, lbl(102)))
+			if s := p.Receive(tc.ack(b, lbl(103))); len(s.Deliveries) != 1 || s.Deliveries[0].ID != b {
+				t.Fatalf("second ACK for %v delivered %v", b, s.Deliveries)
+			}
+			if eb := p.Explain(b); eb.Ackers != 2 || !eb.Delivered {
+				t.Fatalf("Explain(%v): %d ackers, delivered %v", b, eb.Ackers, eb.Delivered)
+			}
+			other := wire.MsgID{Tag: a.Tag, Body: "charlie"}
+			if !p.KnowsMsg(a) || !p.KnowsMsg(b) || p.KnowsMsg(other) || p.HasDelivered(other) {
+				t.Fatal("KnowsMsg/HasDelivered do not tell the bodies apart")
+			}
+			checkProcRecords(t, p)
+
+			snap, fp := p.Snapshot(), p.Fingerprint()
+			fresh := tc.make()
+			if err := fresh.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := fresh.Fingerprint(); got != fp {
+				t.Fatalf("fingerprint after Restore:\n%s\nwant\n%s", got, fp)
+			}
+			if !bytes.Equal(fresh.Snapshot(), snap) {
+				t.Fatal("snapshot bytes changed across Restore")
+			}
+			if !fresh.HasDelivered(a) || !fresh.HasDelivered(b) || commonOf(fresh).recs.len() != 2 {
+				t.Fatal("Restore lost one of the two bodies")
+			}
+			checkProcRecords(t, fresh)
+		})
+	}
+}
+
+// commonOf returns the shared state of a Majority or Quiescent.
+func commonOf(p Process) *common {
+	switch p := p.(type) {
+	case *Majority:
+		return &p.common
+	case *Quiescent:
+		return &p.common
+	}
+	panic(fmt.Sprintf("commonOf: %T", p))
+}
+
 // pinOf reads id's MY_ACK_i entry.
 func pinOf(c *common, id wire.MsgID) (ident.Tag, bool) {
-	if rec := c.recs[id]; rec != nil && rec.pinned {
+	if rec := c.recs.find(id); rec != nil && rec.pinned {
 		return rec.ack, true
 	}
 	return ident.Tag{}, false
@@ -170,9 +304,11 @@ var recvSink Step
 
 // TestReceiveDuplicateAllocs pins the cost of the steady state on fair
 // lossy channels: a duplicate ACK for a delivered message resolves its
-// record and allocates nothing (no string for the lookup key, no Step
-// slice); a duplicate MSG allocates exactly its reply's Step.Broadcasts
-// slice — the ACK shares the record's body bytes instead of copying them.
+// record by tag and allocates nothing (no string for the lookup key, no
+// Step slice); a duplicate MSG through Receive allocates exactly its
+// reply's Step.Broadcasts slice — the ACK shares the record's body bytes
+// instead of copying them — and through ReceiveTo into a Step with room,
+// the way host.Loop feeds it, nothing at all.
 func TestReceiveDuplicateAllocs(t *testing.T) {
 	p, msgs, acks := deliveredMajority(t, 200)
 	i := 0
@@ -181,6 +317,17 @@ func TestReceiveDuplicateAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(400, func() { recvSink = p.Receive(msgs[i%len(msgs)]); i++ }); got != 1 {
 		t.Errorf("Majority: duplicate MSG allocates %v, want 1 (Step.Broadcasts)", got)
+	}
+	step := Step{Broadcasts: make([]wire.Message, 0, 1)}
+	if got := testing.AllocsPerRun(400, func() {
+		step.Broadcasts = step.Broadcasts[:0]
+		p.ReceiveTo(&step, &msgs[i%len(msgs)])
+		i++
+	}); got != 0 {
+		t.Errorf("Majority: duplicate MSG through ReceiveTo allocates %v, want 0", got)
+	}
+	if len(step.Broadcasts) != 1 || step.Broadcasts[0].Kind != wire.KindAck {
+		t.Errorf("ReceiveTo appended %v, want the one ACK", step.Broadcasts)
 	}
 
 	// Algorithm 2: the unchanged re-ACK (an empty ACKΔ at the acker's

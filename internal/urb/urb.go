@@ -66,8 +66,8 @@ type Step struct {
 
 // Merge appends o's outputs onto s. Hosting runtimes use it to coalesce
 // the Steps of several inputs processed back-to-back (e.g. all messages
-// of one inbound batch frame) so the combined broadcasts can travel as
-// one batch.
+// of one inbound batch frame, for a process without ReceiveTo; see
+// ReceiveFunc) so the combined broadcasts can travel as one batch.
 func (s *Step) Merge(o Step) {
 	s.Broadcasts = append(s.Broadcasts, o.Broadcasts...)
 	s.Deliveries = append(s.Deliveries, o.Deliveries...)
@@ -95,6 +95,25 @@ type Process interface {
 	// Stats reports the sizes of the algorithm's internal sets, for the
 	// memory-footprint experiment (F5) and for quiescence accounting.
 	Stats() Stats
+}
+
+// ReceiveFunc returns how a host lands p's receptions in a Step it is
+// filling. This package's three processes append in place (ReceiveTo),
+// so a duplicate allocates no Step and copies no message. Any other
+// Process — the rb baselines, test fakes, decorators — is fed through
+// Receive and its Step merged. The choice is by concrete type, not by
+// method set: a decorator embedding one of the three overrides Receive,
+// and a promoted ReceiveTo would bypass it.
+func ReceiveFunc(p Process) func(out *Step, m *wire.Message) {
+	switch p := p.(type) {
+	case *Majority:
+		return p.ReceiveTo
+	case *Quiescent:
+		return p.ReceiveTo
+	case *HeartbeatHost:
+		return p.ReceiveTo
+	}
+	return func(out *Step, m *wire.Message) { out.Merge(p.Receive(*m)) }
 }
 
 // Stats is a snapshot of a process's internal state sizes.
@@ -251,7 +270,7 @@ func (b *resyncBudget) take(limit int, tick uint64) bool {
 // paper's MSG_i, MY_ACK_i, URB_DELIVERED_i and ALL_ACK_i are views of.
 // Receive resolves it once per wire message and every handler works on
 // the pointer, so a duplicate reception — the steady state on fair lossy
-// channels — hashes and compares the payload exactly once.
+// channels — probes the table by tag and compares the payload once.
 type msgRec struct {
 	id wire.MsgID
 	// ack is the paper's MY_ACK_i entry: the unique tag_ack this process
@@ -336,14 +355,72 @@ func (s *msgSet) appendLive(dst []*msgRec) []*msgRec {
 	return dst
 }
 
+// msgTable is the message table (DESIGN.md §10, "Message records"):
+// one record per (m, tag) the process has ever heard of. Records are
+// never removed — retirement only takes a message out of MSG_i.
+//
+// The table is keyed by the tag alone. A tag is 128 random bits (the
+// collision bound in the ident package doc), so it is already the hash:
+// a duplicate costs one 16-byte probe plus one exact compare of the
+// body, where a MsgID key would hash the whole body as well. A second body under a taken tag — a corrupted copy or a real
+// collision — is still a message of its own: it goes to clash, keyed by
+// the full identity, which stays nil until the first such body arrives.
+type msgTable struct {
+	byTag map[ident.Tag]*msgRec
+	clash map[wire.MsgID]*msgRec
+}
+
+// lookup returns the record of (body, tag), nil if the process has never
+// heard of the message. Comparing string(body) in place, like indexing
+// with it, makes no string: a hit allocates nothing.
+func (t *msgTable) lookup(tag ident.Tag, body []byte) *msgRec {
+	if rec := t.byTag[tag]; rec == nil || rec.id.Body == string(body) {
+		return rec
+	}
+	return t.clash[wire.MsgID{Tag: tag, Body: string(body)}]
+}
+
+// find is lookup for an identity already in MsgID form.
+func (t *msgTable) find(id wire.MsgID) *msgRec {
+	if rec := t.byTag[id.Tag]; rec == nil || rec.id.Body == id.Body {
+		return rec
+	}
+	return t.clash[id]
+}
+
+// insert files a record whose identity the table does not hold yet.
+func (t *msgTable) insert(rec *msgRec) {
+	if t.byTag[rec.id.Tag] == nil {
+		t.byTag[rec.id.Tag] = rec
+		return
+	}
+	if t.clash == nil {
+		t.clash = make(map[wire.MsgID]*msgRec)
+	}
+	t.clash[rec.id] = rec
+}
+
+// all yields every record, in no particular order.
+func (t *msgTable) all(yield func(*msgRec) bool) {
+	for _, rec := range t.byTag {
+		if !yield(rec) {
+			return
+		}
+	}
+	for _, rec := range t.clash {
+		if !yield(rec) {
+			return
+		}
+	}
+}
+
+func (t *msgTable) len() int { return len(t.byTag) + len(t.clash) }
+
 // common holds the state shared by both algorithms.
 type common struct {
-	cfg  Config
-	tags *ident.Source
-	// recs is the message table: one record per (m, tag) the process has
-	// ever heard of. Records are never removed — retirement only takes a
-	// message out of MSG_i.
-	recs     map[wire.MsgID]*msgRec
+	cfg      Config
+	tags     *ident.Source
+	recs     msgTable
 	msgs     msgSet
 	wireSent uint64
 	// tr is the lifecycle tracer (DESIGN.md §14). nil — the zero value —
@@ -356,21 +433,13 @@ type common struct {
 }
 
 func newCommon(cfg Config, tags *ident.Source) common {
-	return common{cfg: cfg, tags: tags, recs: make(map[wire.MsgID]*msgRec)}
-}
-
-// lookup returns the record of (body, tag), nil if the process has never
-// heard of the message. The key literal sits directly in the index
-// expression so that the compiler elides the []byte→string conversion:
-// a hit allocates nothing.
-func (c *common) lookup(tag ident.Tag, body []byte) *msgRec {
-	return c.recs[wire.MsgID{Tag: tag, Body: string(body)}]
+	return common{cfg: cfg, tags: tags, recs: msgTable{byTag: make(map[ident.Tag]*msgRec)}}
 }
 
 // record returns the record of a wire message's (m, tag), creating it on
 // first contact.
 func (c *common) record(tag ident.Tag, body []byte) *msgRec {
-	if rec := c.lookup(tag, body); rec != nil {
+	if rec := c.recs.lookup(tag, body); rec != nil {
 		return rec
 	}
 	return c.firstContact(tag, body)
@@ -389,10 +458,10 @@ func (c *common) firstContact(tag ident.Tag, body []byte) *msgRec {
 
 // recordID is record for an identity already in MsgID form.
 func (c *common) recordID(id wire.MsgID) *msgRec {
-	rec := c.recs[id]
+	rec := c.recs.find(id)
 	if rec == nil {
 		rec = &msgRec{id: id, slot: -1}
-		c.recs[id] = rec
+		c.recs.insert(rec)
 	}
 	return rec
 }
@@ -447,7 +516,7 @@ func (c *common) deliverOnce(out *Step, rec *msgRec) bool {
 // over the table.
 func (c *common) commonStats() Stats {
 	st := Stats{MsgSet: c.msgs.len(), WireSent: c.wireSent}
-	for _, rec := range c.recs {
+	for rec := range c.recs.all {
 		if rec.pinned {
 			st.MyAcks++
 		}
@@ -460,13 +529,13 @@ func (c *common) commonStats() Stats {
 
 // HasDelivered reports whether id has been URB-delivered locally.
 func (c *common) HasDelivered(id wire.MsgID) bool {
-	rec := c.recs[id]
+	rec := c.recs.find(id)
 	return rec != nil && rec.delivered
 }
 
 // KnowsMsg reports whether id is currently in MSG_i — for Algorithm 2,
 // false again once retired (test hook).
 func (c *common) KnowsMsg(id wire.MsgID) bool {
-	rec := c.recs[id]
+	rec := c.recs.find(id)
 	return rec != nil && rec.slot >= 0
 }

@@ -11,6 +11,8 @@ package wire
 
 import (
 	"sync/atomic"
+
+	"anonurb/internal/ident"
 )
 
 // DefaultEncodeCacheSize is the entry bound EncodeCache uses when built
@@ -76,7 +78,7 @@ func DecodeBatch(frame []byte) ([]Message, error) {
 	return msgs, nil
 }
 
-// EncodeCache memoises canonical MSG encodings by MsgID. MSG frames are
+// EncodeCache memoises canonical MSG encodings by tag. MSG frames are
 // a pure function of the message identity and Task 1 retransmits the
 // same identities tick after tick, so a steady-state tick can append
 // cached bytes instead of re-encoding every body. ACK frames carry the
@@ -87,6 +89,12 @@ func DecodeBatch(frame []byte) ([]Message, error) {
 // encodes differently at every epoch — so, like full labeled ACKs, they
 // are never cached.
 //
+// A tag is 128 random bits, so it alone keys the cache; a hit still
+// checks the body against the one the cached bytes carry. A second body
+// under a cached tag (a corrupted copy, a real collision) is encoded
+// afresh and not cached: each message gets its own bytes, never the
+// other's.
+//
 // The cache is bounded: once capacity entries are held, the oldest entry
 // is evicted first (retired messages age out on their own). It is not
 // safe for concurrent use — every node owns its own cache — except for
@@ -94,16 +102,15 @@ func DecodeBatch(frame []byte) ([]Message, error) {
 // owner encodes.
 type EncodeCache struct {
 	capacity int
-	// entries is one flat map. Lookups index it with a MsgID literal
-	// whose Body is string(m.Body) written in the index expression, which
-	// lets the compiler elide the string conversion, so a cache hit — the
+	// entries maps a tag to its MSG's encoding. The body is compared in
+	// place against the encoding's body bytes, so a cache hit — the
 	// per-tick steady-state path — allocates nothing.
-	entries map[MsgID][]byte
-	// order is a FIFO of cached ids; head indexes the oldest live entry
+	entries map[ident.Tag][]byte
+	// order is a FIFO of cached tags; head indexes the oldest live entry
 	// (the slice is compacted when the dead prefix grows large). Every
 	// slot is live when popped: entries are unique and removed only by
 	// eviction, which consumes the slot.
-	order []MsgID
+	order []ident.Tag
 	head  int
 
 	hits, misses atomic.Uint64
@@ -117,7 +124,7 @@ func NewEncodeCache(capacity int) *EncodeCache {
 	}
 	return &EncodeCache{
 		capacity: capacity,
-		entries:  make(map[MsgID][]byte, capacity),
+		entries:  make(map[ident.Tag][]byte, capacity),
 	}
 }
 
@@ -129,20 +136,27 @@ func (c *EncodeCache) AppendEncoded(dst []byte, m Message) []byte {
 	if m.Kind != KindMsg {
 		return m.Encode(dst)
 	}
-	if enc, ok := c.entries[MsgID{Tag: m.Tag, Body: string(m.Body)}]; ok {
+	enc, ok := c.entries[m.Tag]
+	if ok && string(msgBody(enc)) == string(m.Body) {
 		c.hits.Add(1)
 		return append(dst, enc...)
 	}
 	c.misses.Add(1)
-	enc := m.Encode(make([]byte, 0, m.EncodedSize()))
+	if ok {
+		return m.Encode(dst) // another body holds the tag's entry
+	}
+	enc = m.Encode(make([]byte, 0, m.EncodedSize()))
 	if len(c.entries) >= c.capacity {
 		c.evictOldest()
 	}
-	id := m.ID()
-	c.entries[id] = enc
-	c.order = append(c.order, id)
+	c.entries[m.Tag] = enc
+	c.order = append(c.order, m.Tag)
 	return append(dst, enc...)
 }
+
+// msgBody returns the body bytes of a canonical MSG encoding: what
+// follows the header and the body length, up to the trailing tag.
+func msgBody(enc []byte) []byte { return enc[headerLen+4 : len(enc)-tagLen] }
 
 // evictOldest removes the oldest cached entry.
 func (c *EncodeCache) evictOldest() {

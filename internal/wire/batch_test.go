@@ -145,6 +145,30 @@ func TestEncodeCache(t *testing.T) {
 	}
 }
 
+// TestEncodeCacheTagClash: the cache is keyed by tag, so two bodies
+// under one tag (a corrupted copy, a real collision) meet in one slot.
+// Each must get its own bytes, in either order, and never be served the
+// other's; the first body keeps the slot and its hits.
+func TestEncodeCacheTagClash(t *testing.T) {
+	first := NewMsg(MsgID{Tag: tag(5, 5), Body: "first"})
+	second := NewMsg(MsgID{Tag: tag(5, 5), Body: "other"}) // same length
+	longer := NewMsg(MsgID{Tag: tag(5, 5), Body: "first, longer"})
+	c := NewEncodeCache(4)
+	for pass := 0; pass < 3; pass++ {
+		for _, m := range []Message{first, second, longer} {
+			if got := c.AppendEncoded(nil, m); !bytes.Equal(got, m.Encode(nil)) {
+				t.Fatalf("pass %d: %q served %x, want its own %x", pass, m.Body, got, m.Encode(nil))
+			}
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache holds %d entries, want 1 (the first body's)", c.Len())
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 7 {
+		t.Fatalf("hits=%d misses=%d, want 2/7: only the first body is cached", hits, misses)
+	}
+}
+
 // TestEncodeCacheChurn: sustained churn far beyond capacity keeps the
 // entry count bounded (the FIFO compaction path is exercised).
 func TestEncodeCacheChurn(t *testing.T) {
