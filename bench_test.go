@@ -456,6 +456,44 @@ func BenchmarkQuiescentTickIdle(b *testing.B) {
 	}
 }
 
+// BenchmarkQuiescentTickViewShift measures one Task-1 pass under a
+// changed detector view, which the retirement index cannot skip: the
+// full pass purges and re-evaluates every message holding claim state
+// (DESIGN.md §10). history messages were broadcast, delivered and
+// retired before the timer starts; each op flips AΘ between two views
+// that agree on every claimed label, so the purge changes nothing and
+// only its reach is measured. Retirement frees the claim state (D3), so
+// the history=100 and history=10000 lines must read the same.
+func BenchmarkQuiescentTickViewShift(b *testing.B) {
+	for _, history := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			label := ident.Tag{Hi: 1, Lo: 1}
+			star := fd.Normalize(fd.View{{Label: label, Number: 1}})
+			views := []fd.View{star, fd.Normalize(fd.View{{Label: label, Number: 1}, {Label: ident.Tag{Hi: 9, Lo: 1}, Number: 5}})}
+			shift := 0
+			det := fd.Func{
+				ThetaFn: func() fd.View { return views[shift%2] },
+				StarFn:  func() fd.View { return star },
+			}
+			p := urb.NewQuiescent(det, ident.NewSource(xrand.New(12)), urb.Config{})
+			for k := 0; k < history; k++ {
+				id, _ := p.Broadcast([]byte(fmt.Sprintf("h%d", k)))
+				p.Receive(wire.NewLabeledAck(id, ident.Tag{Hi: 2, Lo: 1}, []ident.Tag{label}))
+				p.Tick()
+			}
+			if st := p.Stats(); st.Retired != history || st.MsgSet != 0 {
+				b.Fatalf("setup: retired %d/%d, |MSG_i| = %d", st.Retired, history, st.MsgSet)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shift++
+				tickSink = p.Tick()
+			}
+		})
+	}
+}
+
 func BenchmarkOracleViewExact(b *testing.B) {
 	correct := make([]bool, 16)
 	for i := range correct {

@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 }
 
 // TestGoldenDigests pins the delivery digest of five command lines,
-// recorded on the commit before the retirement index became a queue
+// four recorded on the commit before the retirement index became a queue
 // (37c30a0). The digest covers every process's ordered (time, message)
 // delivery sequence, so a change that claims "same behaviour" — an
 // optimisation, a refactor — proves it by leaving these untouched; a
@@ -50,11 +50,15 @@ func TestGoldenDigests(t *testing.T) {
 		{"-algo heartbeat -msgs 30 -seed 7 -join 3@900 -leave 1@1400", "5e25bbe55b85c4a3", 0},
 		// Long history under 30% loss: retirement at scale.
 		{"-algo quiescent -msgs 200 -n 7 -crashes 3 -noise benign -gst 900 -seed 11 -loss 0.3", "dd2aa73d1d3ee0a0", 0},
-		// A join whose first donor crashes mid-transfer (61440 of 83866
-		// bytes in) under 40% loss: stall, Reset, re-solicit, a second
-		// donor, then deliveries by the joiner. Recorded at 7536540, the
-		// commit before the host core was extracted.
-		{"-algo heartbeat -n 5 -msgs 400 -loss 0.4 -seed 13 -nemesis name=donorcrash;join@9100:5;crash@9105:1,2,3;deadline=8000", "b4cdb768ac5149ff", 0},
+		// A join whose first donor (p1) crashes mid-transfer (61440 of
+		// 65836 bytes in) under 40% loss: stall, Reset, re-solicit, a
+		// second donor (p4, 66412 bytes), then deliveries by the joiner.
+		// Re-recorded when retirement began freeing claim state: snapshots
+		// shrank about threefold, and the former join@9100 donor state
+		// (29352 bytes) fit one 61440-byte chunk, so the join moved to
+		// t=20300 of an 800-message run to keep the transfer two chunks
+		// long. Traffic 28115196 bytes.
+		{"-algo heartbeat -n 5 -msgs 800 -loss 0.4 -seed 13 -nemesis name=donorcrash;join@20300:5;crash@20305:1,2,3;deadline=8000", "7ba2f5f7a258e7c9", 0},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			t.Parallel()

@@ -47,7 +47,8 @@ type Explanation struct {
 	Gaps []EvidenceGap
 	// RetireGaps lists, per AP* pair, the shortfall against the
 	// retirement guard (Algorithm 2, line 55): retirement needs EVERY
-	// pair closed.
+	// pair closed. Empty unless the message is delivered and still
+	// retransmitted (and AP* names a pair).
 	RetireGaps []EvidenceGap
 	// StrayLabels are acker labels outside the AP* label set; any one
 	// of them also blocks retirement.
@@ -99,7 +100,7 @@ func (e Explanation) String() string {
 			fmt.Fprintf(&b, "\n    %s [%s]", g, state)
 		}
 	}
-	if e.Delivered && !e.Retired && e.Algo == "quiescent" {
+	if e.Delivered && !e.Retired && (len(e.RetireGaps) > 0 || len(e.StrayLabels) > 0) {
 		b.WriteString("\n  retirement guard (need every AP* pair satisfied):")
 		for _, g := range e.RetireGaps {
 			state := "SHORT"

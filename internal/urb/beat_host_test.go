@@ -184,8 +184,9 @@ func TestHeartbeatHostRefCollisionAcrossEpochsKeepsLiveness(t *testing.T) {
 
 // TestHeartbeatHostDeltaEndToEnd mirrors TestHeartbeatHostEndToEnd with
 // the delta beat encoding (and compaction) on: detectors converge
-// through snapshot+refresh streams, a broadcast delivers and retires
-// everywhere, and beats keep flowing after algorithm quiescence.
+// through snapshot+refresh streams, a broadcast delivers everywhere and
+// runs compacted until it retires, retirement frees its claims, and
+// beats keep flowing after algorithm quiescence.
 func TestHeartbeatHostDeltaEndToEnd(t *testing.T) {
 	now := int64(0)
 	clock := func() int64 { return now }
@@ -211,9 +212,18 @@ func TestHeartbeatHostDeltaEndToEnd(t *testing.T) {
 	}
 
 	pm.broadcast(0, "via-delta-beats")
+	compacted := make([]bool, n)
 	for r := 0; r < 6; r++ {
 		now += 10
 		pm.round()
+		for i, h := range hosts {
+			if st := h.Inner().Stats(); st.Delivered == 1 && st.MsgSet == 1 {
+				if st.CompactedMsgs != 1 {
+					t.Fatalf("host %d did not compact the delivered message: %+v", i, st)
+				}
+				compacted[i] = true
+			}
+		}
 	}
 	for i := range hosts {
 		if got := len(pm.deliveredIDs(i)); got != 1 {
@@ -223,8 +233,11 @@ func TestHeartbeatHostDeltaEndToEnd(t *testing.T) {
 		if st.MsgSet != 0 || st.Retired != 1 {
 			t.Fatalf("host %d algorithm not quiescent: %+v", i, st)
 		}
-		if st.CompactedMsgs != 1 {
-			t.Fatalf("host %d did not compact the delivered message: %+v", i, st)
+		if !compacted[i] {
+			t.Fatalf("host %d was never seen delivered and unretired", i)
+		}
+		if st.AckEntries != 0 || st.CompactedMsgs != 0 {
+			t.Fatalf("host %d kept claims after retirement: %+v", i, st)
 		}
 	}
 	before := hosts[0].BeatsSent()

@@ -44,12 +44,15 @@ func TestQuiescentCompactionSharesSets(t *testing.T) {
 }
 
 // TestQuiescentCompactionCopyOnWrite: a delta folding into one shared
-// view must not leak into the other ackers sharing the set.
+// view must not leak into the other ackers sharing the set. The message
+// is delivered but still in MSG_i (its MSG copy arrived and no Tick has
+// retired it), so its claims are live.
 func TestQuiescentCompactionCopyOnWrite(t *testing.T) {
 	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
 	det := fd.Static{Theta: view, Star: view}
 	p := NewQuiescent(det, ident.NewSource(xrand.New(2)), Config{CompactDelivered: true})
 	id := wire.MsgID{Tag: ident.Tag{Hi: 9, Lo: 9}, Body: "m"}
+	p.Receive(wire.NewMsg(id))
 	p.Receive(wire.NewAckSnapshot(id, lbl(100), 1, []ident.Tag{lbl(1)}))
 	p.Receive(wire.NewAckSnapshot(id, lbl(101), 1, []ident.Tag{lbl(1)})) // delivers, compacts
 	if !p.HasDelivered(id) {
@@ -271,6 +274,19 @@ func TestQuiescentCompactionEquivalence(t *testing.T) {
 				plain.settle(6)
 				compact.settle(6)
 				compareClusters(t, "fixpoint", plain, compact, msgs)
+				for i := range compact.procs {
+					// The compaction must actually be in effect, not just
+					// harmless: at the fixpoint every message is delivered
+					// and, with AP* still empty, none has retired, so every
+					// one runs compacted.
+					st := compact.procs[i].Stats()
+					if st.CompactedMsgs != msgs {
+						t.Fatalf("p%d: %d compacted messages, want %d delivered", i, st.CompactedMsgs, msgs)
+					}
+					if st.AckLabelStorage > st.AckLabels {
+						t.Fatalf("p%d: storage %d exceeds logical %d", i, st.AckLabelStorage, st.AckLabels)
+					}
+				}
 
 				plain.star = viewB.Clone()
 				compact.star = viewB.Clone()
@@ -281,14 +297,11 @@ func TestQuiescentCompactionEquivalence(t *testing.T) {
 					if got := compact.procs[i].RetiredCount(); got != msgs {
 						t.Fatalf("p%d retired %d/%d after AP* reveal", i, got, msgs)
 					}
-					// The compaction must actually be in effect, not just
-					// harmless: every delivered message runs compacted.
-					st := compact.procs[i].Stats()
-					if st.CompactedMsgs == 0 {
-						t.Fatalf("p%d: no compacted messages despite %d deliveries", i, st.Delivered)
-					}
-					if st.AckLabelStorage > st.AckLabels {
-						t.Fatalf("p%d: storage %d exceeds logical %d", i, st.AckLabelStorage, st.AckLabels)
+					// Retirement freed the claims on both sides.
+					for _, p := range []*Quiescent{plain.procs[i], compact.procs[i]} {
+						if st := p.Stats(); st.AckEntries != 0 || st.AckLabelStorage != 0 {
+							t.Fatalf("p%d: %+v after quiescence, want no claim state", i, st)
+						}
 					}
 				}
 			})

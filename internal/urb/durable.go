@@ -750,6 +750,16 @@ func (p *Quiescent) Snapshot() []byte {
 
 // Restore implements Snapshotter.
 func (p *Quiescent) Restore(data []byte) error {
+	if err := p.restoreState(data); err != nil {
+		return err
+	}
+	p.settleRestored()
+	return nil
+}
+
+// restoreState decodes a snapshot and checks its digest against the state
+// exactly as written, before settleRestored changes it.
+func (p *Quiescent) restoreState(data []byte) error {
 	r := &stateReader{b: data}
 	if v := r.u8(); r.err == nil && v != snapVersion {
 		return ErrSnapshotVersion
@@ -825,10 +835,6 @@ func (p *Quiescent) Restore(data []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		// Everything is dirty after a restore: the first Tick must run a
-		// full purge + retirement pass against whatever views the new
-		// incarnation's detector reports.
-		st.markDirty()
 		rec.st = st
 		ackOrder = append(ackOrder, rec)
 	}
@@ -866,6 +872,25 @@ func (p *Quiescent) Restore(data []byte) error {
 		return ErrSnapshotCorrupt
 	}
 	return nil
+}
+
+// settleRestored finishes a restore. It frees the claim state a snapshot
+// still lists for settled records: an older build kept it for every
+// retired message, and a snapshot taken between a fast delivery and the
+// next Tick holds it too (freeClaims). Everything left is then dirty: the
+// first Tick must run a full purge + retirement pass against whatever
+// views the new incarnation's detector reports. Decoding already queued
+// most states (every claim counted marks its state), so the queue is
+// rebuilt from the survivors.
+func (p *Quiescent) settleRestored() {
+	for _, st := range *p.dirtyQ {
+		st.dirty = false
+	}
+	*p.dirtyQ = (*p.dirtyQ)[:0]
+	p.freeClaims()
+	for _, rec := range p.ackOrder {
+		rec.st.markDirty()
+	}
 }
 
 // Rejoin implements Durable: start a new delta-ACK incarnation. The
@@ -984,7 +1009,9 @@ func (h *HeartbeatHost) Restore(data []byte) error {
 	if beatEpoch == 0 {
 		return fmt.Errorf("%w: zero beat epoch", ErrSnapshotMismatch)
 	}
-	if err := h.inner.Restore(inner); err != nil {
+	// The host's digest covers the inner state as written, so the inner
+	// process settles only after it has checked.
+	if err := h.inner.restoreState(inner); err != nil {
 		return err
 	}
 	h.hb.Relabel(label)
@@ -1000,6 +1027,7 @@ func (h *HeartbeatHost) Restore(data []byte) error {
 	if snapDigest(data[:len(data)-8], h) != digest {
 		return ErrSnapshotCorrupt
 	}
+	h.inner.settleRestored()
 	return nil
 }
 

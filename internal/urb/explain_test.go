@@ -172,3 +172,45 @@ func TestHeartbeatHostExplainForwards(t *testing.T) {
 		t.Fatalf("host explain: %+v", ex)
 	}
 }
+
+// TestQuiescentExplainSettled: a delivered message outside MSG_i waits on
+// no guard — its claims are freed at the next Tick — so Explain reports
+// no gap of either kind for it: neither once it has retired, nor when it
+// was delivered fast and so never entered MSG_i at all.
+func TestQuiescentExplainSettled(t *testing.T) {
+	v := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
+	p := newQui(t, fd.Static{Theta: v.Clone(), Star: v.Clone()}, Config{})
+	retired := wire.MsgID{Tag: ident.Tag{Hi: 3, Lo: 3}, Body: "retired"}
+	fast := wire.MsgID{Tag: ident.Tag{Hi: 4, Lo: 4}, Body: "fast"}
+	p.Receive(wire.NewMsg(retired))
+	for _, id := range []wire.MsgID{retired, fast} {
+		p.Receive(wire.NewLabeledAck(id, lbl(100), []ident.Tag{lbl(1)}))
+		p.Receive(wire.NewLabeledAck(id, lbl(101), []ident.Tag{lbl(1)}))
+		if !p.HasDelivered(id) {
+			t.Fatalf("setup: %v not delivered", id)
+		}
+	}
+	settled := func(id wire.MsgID, wantRetired bool, ackers int) {
+		t.Helper()
+		ex := p.Explain(id)
+		if !ex.Known || !ex.Delivered || ex.Retired != wantRetired || ex.Ackers != ackers {
+			t.Fatalf("%v: Known=%v Delivered=%v Retired=%v Ackers=%d, want known, delivered, retired %v, %d ackers",
+				id, ex.Known, ex.Delivered, ex.Retired, ex.Ackers, wantRetired, ackers)
+		}
+		if len(ex.Gaps) != 0 || len(ex.RetireGaps) != 0 || len(ex.StrayLabels) != 0 {
+			t.Fatalf("%v: gaps %v, retire gaps %v, stray %v; want none", id, ex.Gaps, ex.RetireGaps, ex.StrayLabels)
+		}
+		if rep := ex.String(); strings.Contains(rep, "guard") || strings.Contains(rep, "SHORT") {
+			t.Fatalf("%v: report names a guard:\n%s", id, rep)
+		}
+	}
+	// Delivered fast, never retransmitted: settled at once, its claims
+	// still held until the next Tick frees them.
+	settled(fast, false, 2)
+	p.Tick()
+	if p.KnowsMsg(retired) {
+		t.Fatal("setup: not retired")
+	}
+	settled(retired, true, 0)
+	settled(fast, false, 0)
+}

@@ -55,9 +55,14 @@ type Quiescent struct {
 	common
 	det fd.Detector
 	// ackOrder lists the records holding ACK bookkeeping (msgRec.st) in
-	// first-seen order, for determinism.
+	// first-seen order, for determinism. After every Tick and Restore it
+	// holds only live claim state: records that are undelivered or still
+	// in MSG_i (DESIGN.md §2, D3).
 	ackOrder []*msgRec
 	retired  int
+	// freeable reports that a settled record has held claim state since
+	// the last freeClaims pass, which the end of the next Tick then runs.
+	freeable bool
 	// ticks counts Task-1 passes; the delta-ACK path's per-tick rate
 	// limiters compare against it.
 	ticks uint64
@@ -674,6 +679,9 @@ func (p *Quiescent) receiveAck(out *Step, rec *msgRec, m *wire.Message) {
 	if p.tr != nil {
 		p.tr.Recv(rec.id, wire.KindAck)
 	}
+	if rec.settled() {
+		return // no guard reads these claims again (D3)
+	}
 	st := p.ackStateFor(rec)
 	st.replace(&p.sets, m.AckTag, m.Labels, 0, false) // lines 27-45 (D1)
 	p.checkDeliver(out, rec)                          // lines 46-51
@@ -687,6 +695,12 @@ func (p *Quiescent) receiveAck(out *Step, rec *msgRec, m *wire.Message) {
 func (p *Quiescent) receiveAckDelta(out *Step, rec *msgRec, m *wire.Message) {
 	if p.tr != nil {
 		p.tr.Recv(rec.id, wire.KindAckDelta)
+	}
+	// A settled message's claims are read by no guard again (D3), so they
+	// are neither reopened nor repaired: a gap here sends no ACKREQ. Every
+	// receiver still holding the message requests its own resyncs.
+	if rec.settled() {
+		return
 	}
 	// Delivered-message fast path: the steady state of a quiescent
 	// cluster is delivered messages absorbing unchanged re-ACKs (empty
@@ -783,8 +797,8 @@ func (p *Quiescent) ackStateFor(rec *msgRec) *ackState {
 		// Sized from the AΘ view as Tick last read it: its labels are the
 		// processes whose ACKs are about to arrive.
 		rec.st = newAckState(p.dirtyQ, len(p.ackOrder), len(p.lastTheta))
-		// Straggler ACKs for an already-delivered (possibly retired)
-		// message open their state directly in compacted form.
+		// ACKs for a delivered message still in MSG_i (one a WAL replay
+		// put back) open their state directly in compacted form.
 		rec.st.compacted = p.cfg.CompactDelivered && rec.delivered
 		p.ackOrder = append(p.ackOrder, rec)
 	}
@@ -806,6 +820,10 @@ func (p *Quiescent) checkDeliver(out *Step, rec *msgRec) {
 			// Tick must evaluate it even under unchanged views.
 			st.markDirty()
 			p.compactState(st)
+			// Delivered fast, before any MSG copy, the message never
+			// enters MSG_i: its claims are settled at once, and the next
+			// Tick frees them.
+			p.freeable = p.freeable || rec.slot < 0
 			return
 		}
 	}
@@ -960,16 +978,51 @@ func (p *Quiescent) Tick() Step {
 		st.dirty = false
 	}
 	*p.dirtyQ = (*p.dirtyQ)[:0]
+	if p.freeable {
+		p.freeClaims()
+	}
 	return out
 }
 
-// retire deletes rec from MSG_i (line 57); its record stays.
+// retire deletes rec from MSG_i (line 57). Its record stays; its claim
+// state goes at the end of the Tick (freeClaims).
 func (p *Quiescent) retire(rec *msgRec) {
 	p.msgs.remove(rec)
 	p.retired++
+	p.freeable = true
 	if p.tr != nil {
 		p.tr.Retire(rec.id)
 	}
+}
+
+// settled reports that rec is delivered and outside MSG_i: retired, or
+// delivered fast and never queued. Such a message never re-enters MSG_i,
+// and no guard reads its claims: the delivery guard skips a delivered
+// message, the retirement guard runs only over MSG_i (DESIGN.md §2, D3).
+func (r *msgRec) settled() bool { return r.delivered && r.slot < 0 }
+
+// freeClaims drops the claim state of every settled record, releasing its
+// interned sets, and compacts ackOrder in order, renumbering each
+// survivor's pos. The record itself, with its pin, flags and send ledger,
+// stays. A freed state must not stay queued, so this runs only while the
+// dirty queue is empty (or is rebuilt afterwards).
+func (p *Quiescent) freeClaims() {
+	live := p.ackOrder[:0]
+	for _, rec := range p.ackOrder {
+		st := rec.st
+		if rec.settled() {
+			for i := range st.ackers.Len() {
+				st.dropView(&p.sets, st.ackers.At(i))
+			}
+			rec.st = nil
+			continue
+		}
+		st.pos = int32(len(live))
+		live = append(live, rec)
+	}
+	clear(p.ackOrder[len(live):])
+	p.ackOrder = live
+	p.freeable = false
 }
 
 // Stats implements Process.
@@ -1038,7 +1091,15 @@ func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
 		// Retired: delivered and no longer retransmitted. A fast-delivered
 		// message whose MSG copy never arrived is also absent from MSG_i, so
 		// require the copy to have been seen before calling it retired.
-		ex.Retired = rec.delivered && rec.slot < 0 && rec.saw
+		ex.Retired = rec.settled() && rec.saw
+		if rec.settled() {
+			// Either way it waits on no guard: its claims are freed by the
+			// next Tick (D3), so there is no gap to report.
+			if st != nil {
+				ex.Ackers = st.ackers.Len()
+			}
+			return ex
+		}
 	}
 	for _, pair := range p.det.ATheta() {
 		have := 0

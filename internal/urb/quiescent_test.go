@@ -402,8 +402,12 @@ func TestQuiescentStatsShape(t *testing.T) {
 // hold afterwards.
 func TestQuiescentPurgeDropsDeadAckers(t *testing.T) {
 	// Live view: labels 1 and 2, each needing 2 claimants. Label 3's
-	// owner has crashed: it appears in no current view.
-	det := staticFD(fd.Pair{Label: lbl(1), Number: 2}, fd.Pair{Label: lbl(2), Number: 2})
+	// owner has crashed: it appears in no current view. AP* first asks
+	// for a third claimant of label 1, so the message stays delivered and
+	// in MSG_i across the purging Tick: a retired message's claims are
+	// freed, and the purge would have nothing left to show.
+	live := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}, {Label: lbl(2), Number: 2}})
+	det := &fd.Static{Theta: live, Star: fd.Normalize(fd.View{{Label: lbl(1), Number: 3}, {Label: lbl(2), Number: 2}})}
 	p := newQui(t, det, Config{})
 	id := wire.MsgID{Tag: ident.Tag{Hi: 9, Lo: 9}, Body: "m"}
 
@@ -423,20 +427,30 @@ func TestQuiescentPurgeDropsDeadAckers(t *testing.T) {
 	}
 
 	// Tick purges stale labels; the dead acker's set empties, so the
-	// entry itself must go, and retirement must still succeed (all AP*
-	// pairs covered, no remaining acker claims outside AP*).
+	// entry itself must go.
 	p.Tick()
 	if p.Ackers(id) != 2 {
 		t.Fatalf("ackers=%d after purge, want 2 (dead acker entry kept)", p.Ackers(id))
 	}
+	if !p.KnowsMsg(id) || p.RetiredCount() != 0 {
+		t.Fatal("setup: retired although AP* asks for a third claimant")
+	}
+	if st := p.Stats(); st.AckEntries != 2 {
+		t.Fatalf("AckEntries=%d, want 2 after dead-acker drop", st.AckEntries)
+	}
+	// Once AP* is satisfied, retirement must still succeed (all AP* pairs
+	// covered, no remaining acker claims outside AP*), and it frees the
+	// claims.
+	det.Star = live
+	p.Tick()
 	if p.KnowsMsg(id) {
 		t.Fatal("message not retired after purge")
 	}
 	if p.RetiredCount() != 1 {
 		t.Fatalf("retired=%d, want 1", p.RetiredCount())
 	}
-	if st := p.Stats(); st.AckEntries != 2 {
-		t.Fatalf("AckEntries=%d, want 2 after dead-acker drop", st.AckEntries)
+	if st := p.Stats(); st.AckEntries != 0 {
+		t.Fatalf("AckEntries=%d after retirement, want 0", st.AckEntries)
 	}
 }
 

@@ -16,13 +16,27 @@ import (
 // lets a Tick under unchanged views visit only the messages whose ACK
 // state changed.
 
+// indexAt names the point of a process's life checkDirtyIndex inspects.
+type indexAt int
+
+const (
+	// midStep: between any two inputs, where anything may be queued.
+	midStep indexAt = iota
+	// restored: right after Restore, which queues every state.
+	restored
+	// ticked: right after a Tick, which drains the queue.
+	ticked
+)
+
 // checkDirtyIndex verifies the index's structural invariant on p: every
 // tracked state sits at its recorded ackOrder position and points at
 // the process's queue, a state is dirty iff it is queued exactly once,
 // and the queue holds nothing else; every state's label tables are
-// consistent (checkTables). afterTick additionally requires the queue to
-// be empty (a Tick drains it).
-func checkDirtyIndex(t testing.TB, p *Quiescent, afterTick bool) {
+// consistent (checkTables), and every interned set's refcount is the
+// number of views sharing it (checkInterned). After a Restore every
+// state is queued; after a Tick none is. Both also free the claims of
+// every settled record (checkClaimsLive).
+func checkDirtyIndex(t testing.TB, p *Quiescent, at indexAt) {
 	t.Helper()
 	queued := make(map[*ackState]int, len(*p.dirtyQ))
 	for _, st := range *p.dirtyQ {
@@ -47,9 +61,61 @@ func checkDirtyIndex(t testing.TB, p *Quiescent, afterTick bool) {
 	if len(queued) != 0 {
 		t.Fatalf("index: %d queued states are not tracked", len(queued))
 	}
-	if afterTick && len(*p.dirtyQ) != 0 {
-		t.Fatalf("index: %d states still queued after Tick", len(*p.dirtyQ))
+	if err := p.checkInterned(); err != nil {
+		t.Fatalf("index: %v", err)
 	}
+	switch at {
+	case restored:
+		if len(*p.dirtyQ) != len(p.ackOrder) {
+			t.Fatalf("index: %d of %d states queued after Restore", len(*p.dirtyQ), len(p.ackOrder))
+		}
+	case ticked:
+		if len(*p.dirtyQ) != 0 {
+			t.Fatalf("index: %d states still queued after Tick", len(*p.dirtyQ))
+		}
+	}
+	if at != midStep {
+		if err := p.checkClaimsLive(); err != nil {
+			t.Fatalf("index: %v", err)
+		}
+	}
+}
+
+// checkClaimsLive verifies that only live messages hold claim state:
+// rec.st != nil ⇒ !rec.delivered || rec.slot >= 0. A delivered message
+// outside MSG_i is settled, and Tick and Restore free its claims.
+func (p *Quiescent) checkClaimsLive() error {
+	for rec := range p.recs.all {
+		if rec.st != nil && rec.settled() {
+			return fmt.Errorf("settled message %v still holds claim state (%d ackers)", rec.id, rec.st.ackers.Len())
+		}
+	}
+	return nil
+}
+
+// checkInterned verifies the intern table against the views: every
+// shared view's entry is the table's entry for its key, and every
+// entry's refcount equals the number of views pointing at it — so
+// neither a purge nor freed claim state leaks an interned set.
+func (p *Quiescent) checkInterned() error {
+	refs := make(map[*setEntry]int, len(p.sets.m))
+	for _, rec := range p.ackOrder {
+		st := rec.st
+		for i := range st.ackers.Len() {
+			if e := st.ackers.At(i).entry; e != nil {
+				if p.sets.m[e.key] != e {
+					return fmt.Errorf("%v: a view shares a set the intern table does not hold", rec.id)
+				}
+				refs[e]++
+			}
+		}
+	}
+	for key, e := range p.sets.m {
+		if e.key != key || e.refs != refs[e] {
+			return fmt.Errorf("interned set %v: refcount %d, %d views share it", e.labels.Slice(), e.refs, refs[e])
+		}
+	}
+	return nil
 }
 
 // TestQuiescentDirtyQueueEquivalence runs one randomized schedule — 20%
@@ -110,7 +176,7 @@ func TestQuiescentDirtyQueueEquivalence(t *testing.T) {
 					t.Helper()
 					ref.procs[i].viewsKnown = false
 					rs, is := ref.procs[i].Tick(), idx.procs[i].Tick()
-					checkDirtyIndex(t, idx.procs[i], true)
+					checkDirtyIndex(t, idx.procs[i], ticked)
 					same(fmt.Sprintf("p%d Tick", i), rs, is)
 					sameState(i)
 				}
@@ -125,7 +191,7 @@ func TestQuiescentDirtyQueueEquivalence(t *testing.T) {
 					}
 					ref.queues[i], idx.queues[i] = ref.queues[i][1:], idx.queues[i][1:]
 					rs, is := ref.procs[i].Receive(m), idx.procs[i].Receive(m)
-					checkDirtyIndex(t, idx.procs[i], false)
+					checkDirtyIndex(t, idx.procs[i], midStep)
 					same(fmt.Sprintf("p%d Receive(%v)", i, m.Kind), rs, is)
 				}
 				broadcast := func(i, k int) {
@@ -154,7 +220,7 @@ func TestQuiescentDirtyQueueEquivalence(t *testing.T) {
 					if step == crashAt {
 						ref.recoverProc(t, crashProc, seed, cfg)
 						idx.recoverProc(t, crashProc, seed, cfg)
-						checkDirtyIndex(t, idx.procs[crashProc], false)
+						checkDirtyIndex(t, idx.procs[crashProc], restored)
 					}
 					switch op := rng.Intn(20); {
 					case op < 12:
@@ -288,7 +354,7 @@ func TestQuiescentIdleTickVisitsNothing(t *testing.T) {
 	if got := p.visited - before; got != 0 {
 		t.Fatalf("idle Ticks visited %d ackStates over a history of %d, want 0", got, rounds)
 	}
-	checkDirtyIndex(t, p, true)
+	checkDirtyIndex(t, p, ticked)
 }
 
 // tickSink keeps the measured Tick's result alive.
@@ -310,10 +376,13 @@ func TestQuiescentIdleTickAllocatesNothing(t *testing.T) {
 // TestQuiescentReqTickDroppedNextTick is the regression test for the
 // resync limiter outliving its tick: an ACKREQ for an acker that never
 // answers, recorded on an otherwise clean, delivered message, must be
-// gone one Tick later (and so from every later snapshot).
+// gone one Tick later (and so from every later snapshot). AP* asks for a
+// third claimant, so the message stays in MSG_i and keeps its claims;
+// once it retires, a gap delta creates no state and asks for nothing.
 func TestQuiescentReqTickDroppedNextTick(t *testing.T) {
 	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}})
-	p := NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(7)), Config{})
+	det := &fd.Static{Theta: view, Star: fd.Normalize(fd.View{{Label: lbl(1), Number: 3}})}
+	p := NewQuiescent(det, ident.NewSource(xrand.New(7)), Config{})
 	id := wire.MsgID{Tag: ident.Tag{Hi: 9, Lo: 9}, Body: "m"}
 	p.Receive(wire.NewMsg(id))
 	p.Receive(wire.NewAckSnapshot(id, lbl(100), 1, []ident.Tag{lbl(1)}))
@@ -332,12 +401,25 @@ func TestQuiescentReqTickDroppedNextTick(t *testing.T) {
 	if len(st.reqTick) != 1 {
 		t.Fatalf("setup: reqTick = %v, want the one request recorded", st.reqTick)
 	}
-	checkDirtyIndex(t, p, false)
+	checkDirtyIndex(t, p, midStep)
 	p.Tick() // the acker crashed: nobody answers
 	if st.reqTick != nil {
 		t.Fatalf("reqTick outlived its tick: %v", st.reqTick)
 	}
-	checkDirtyIndex(t, p, true)
+	checkDirtyIndex(t, p, ticked)
+
+	det.Star = view
+	p.Tick()
+	if p.KnowsMsg(id) || p.ackState(id) != nil {
+		t.Fatalf("setup: in MSG_i %v, claims %v; want retired and freed", p.KnowsMsg(id), p.ackState(id))
+	}
+	if s := p.Receive(wire.NewAckDelta(id, lbl(200), 9, nil, nil)); len(s.Broadcasts) != 0 {
+		t.Fatalf("gap delta for a retired message sent %+v, want nothing", s.Broadcasts)
+	}
+	if p.ackState(id) != nil || p.Stats().AckEntries != 0 {
+		t.Fatal("gap delta for a retired message reopened its claims")
+	}
+	checkDirtyIndex(t, p, ticked)
 }
 
 // TestMsgSetRemoveKeepsInsertionOrder: tombstoned removal and in-place
@@ -382,4 +464,51 @@ func TestMsgSetRemoveKeepsInsertionOrder(t *testing.T) {
 			t.Fatalf("order diverged at %d: got %v want %v", i, got[i].id, want[i].id)
 		}
 	}
+}
+
+// TestQuiescentClaimStateFlat is run-length independence as state: a
+// three-process cluster (the golden runs' sans-IO shape, every deviation
+// on) broadcasts 50 and then 500 messages and runs to quiescence. Both
+// times no claim state is left anywhere, and every retired message costs
+// the snapshot the same bytes — its record, not its ACK tables.
+func TestQuiescentClaimStateFlat(t *testing.T) {
+	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 3}, {Label: lbl(2), Number: 3}, {Label: lbl(3), Number: 3}})
+	var empty []int
+	perMsg := make(map[int][]int)
+	for _, msgs := range []int{0, 50, 500} {
+		r := newGoldenRun(t, 3, mkGoldenQuiescent(goldenTuned))
+		r.theta, r.star = view, view
+		for k := 0; k < msgs; k++ {
+			r.broadcast(k%3, []byte(fmt.Sprintf("m%04d", k)))
+			r.round()
+		}
+		for k := 0; k < 20; k++ {
+			r.round()
+		}
+		for i, gp := range r.procs {
+			p := gp.(*Quiescent)
+			st := p.Stats()
+			if st.Delivered != msgs || st.Retired != msgs || st.MsgSet != 0 {
+				t.Fatalf("%d messages, p%d: %+v, want all delivered and retired", msgs, i, st)
+			}
+			if st.AckEntries != 0 || st.AckLabelStorage != 0 || len(p.ackOrder) != 0 || p.sets.distinct() != 0 {
+				t.Fatalf("%d messages, p%d: %+v, %d ALL_ACK entries, %d interned sets; want no claim state",
+					msgs, i, st, len(p.ackOrder), p.sets.distinct())
+			}
+			checkDirtyIndex(t, p, ticked)
+			size := len(p.Snapshot())
+			if msgs == 0 {
+				empty = append(empty, size)
+				continue
+			}
+			if (size-empty[i])%msgs != 0 {
+				t.Fatalf("%d messages, p%d: %d snapshot bytes over %d empty is no whole number per message", msgs, i, size, empty[i])
+			}
+			perMsg[msgs] = append(perMsg[msgs], (size-empty[i])/msgs)
+		}
+	}
+	if !reflect.DeepEqual(perMsg[50], perMsg[500]) {
+		t.Fatalf("snapshot bytes per retired message: %v at 50, %v at 500", perMsg[50], perMsg[500])
+	}
+	t.Logf("snapshot bytes per retired message: %v", perMsg[500])
 }

@@ -169,10 +169,10 @@ func vetRestoredQuiescent(t *testing.T, p, scratch *Quiescent) {
 	}
 	// Whatever state got in, the retirement index over it is well-formed:
 	// everything queued once after Restore, nothing queued after a Tick.
-	checkDirtyIndex(t, p, false)
+	checkDirtyIndex(t, p, restored)
 	checkProcRecords(t, p)
 	driveNoRedelivery(t, p, p.sortedRecs((*msgRec).isDelivered))
-	checkDirtyIndex(t, p, true)
+	checkDirtyIndex(t, p, ticked)
 	checkProcRecords(t, p)
 }
 
@@ -185,10 +185,10 @@ func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
 	if err := scratch.Restore(snap); err != nil {
 		t.Fatalf("accepted host state does not round-trip: %v", err)
 	}
-	checkDirtyIndex(t, h.inner, false)
+	checkDirtyIndex(t, h.inner, restored)
 	checkProcRecords(t, h)
 	driveNoRedelivery(t, h, h.inner.sortedRecs((*msgRec).isDelivered))
-	checkDirtyIndex(t, h.inner, true)
+	checkDirtyIndex(t, h.inner, ticked)
 	checkProcRecords(t, h)
 }
 

@@ -123,7 +123,9 @@ type Stats struct {
 	// MyAcks is |MY_ACK_i|: messages this process has acknowledged.
 	MyAcks int
 	// AckEntries is the total number of distinct (message, tagAck) pairs
-	// tracked (the paper's ALL_ACK_i).
+	// tracked (the paper's ALL_ACK_i). Algorithm 2 tracks them only for
+	// messages that are undelivered or still in MSG_i: retirement frees
+	// the rest (DESIGN.md §2, D3).
 	AckEntries int
 	// Delivered is |URB_DELIVERED_i|.
 	Delivered int
@@ -144,7 +146,8 @@ type Stats struct {
 	// acker). Equal to AckLabels when compaction is off.
 	AckLabelStorage int
 	// CompactedMsgs counts messages whose acker views run compacted
-	// (delivered messages under Config.CompactDelivered).
+	// (delivered messages under Config.CompactDelivered, until retirement
+	// frees their views).
 	CompactedMsgs int
 }
 
@@ -186,9 +189,9 @@ type Config struct {
 	// CompactDelivered, when true, compacts a message's per-acker label
 	// views once the message is URB-delivered (deviation D6, DESIGN.md
 	// §10): the views collapse onto refcount-interned shared sets
-	// (copy-on-write), so a
-	// quiescent steady state stores each distinct detector view roughly
-	// once instead of once per (message, acker). Compaction is applied
+	// (copy-on-write), so the delivered messages awaiting retirement
+	// store each distinct detector view roughly once instead of once per
+	// (message, acker); retirement then frees the views (D3). Compaction is applied
 	// only post-delivery, where uniformity is already secured locally;
 	// the claim counters and every guard decision are bit-identical to
 	// the uncompacted bookkeeping (TestQuiescentCompactionEquivalence).
@@ -281,8 +284,10 @@ type msgRec struct {
 	// received. nil until the first ACK arrives.
 	acks *ident.Set
 	// st is Algorithm 2's ALL_ACK / all_labels / label_counter bundle,
-	// nil until the first ACK arrives; send its entry in the acker-side
-	// delta ledger, nil until the first delta ACK goes out.
+	// nil until the first ACK arrives and again once the message is
+	// delivered and out of MSG_i (DESIGN.md §2, D3); send its entry in
+	// the acker-side delta ledger, nil until the first delta ACK goes
+	// out.
 	st   *ackState
 	send *ackSendState
 	// slot is the message's index in msgSet.order, -1 while it is not in
@@ -357,7 +362,8 @@ func (s *msgSet) appendLive(dst []*msgRec) []*msgRec {
 
 // msgTable is the message table (DESIGN.md §10, "Message records"):
 // one record per (m, tag) the process has ever heard of. Records are
-// never removed — retirement only takes a message out of MSG_i.
+// never removed — retirement takes a message out of MSG_i and frees its
+// claim state, not its record.
 //
 // The table is keyed by the tag alone. A tag is 128 random bits (the
 // collision bound in the ident package doc), so it is already the hash:
