@@ -416,6 +416,39 @@ func BenchmarkMeshBroadcastDelayed(b *testing.B) {
 	}
 }
 
+// BenchmarkUDPSend measures one Send on a 5-socket loopback UDPGroup
+// whose receivers drain their inboxes: a datagram to each of the four
+// remote peers and the sender's own copy offered to its inbox in-process.
+func BenchmarkUDPSend(b *testing.B) {
+	for _, size := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
+			group, err := transport.UDPGroup(5, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var received atomic.Int64
+			for _, u := range group {
+				go func(in <-chan []byte) {
+					for range in {
+						received.Add(1)
+					}
+				}(u.Receive())
+			}
+			frame := make([]byte, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				group[0].Send(frame)
+			}
+			b.StopTimer()
+			for _, u := range group {
+				u.Close()
+			}
+			hasSink += int(received.Load())
+		})
+	}
+}
+
 // tickSink keeps the benchmarked Tick's Step alive.
 var tickSink urb.Step
 

@@ -28,13 +28,21 @@ func (a *delayedFrame) before(b *delayedFrame) bool {
 	return a.seq < b.seq
 }
 
+// lineLinger is how long a drain goroutine outlives an empty heap: ten
+// of the benchmark's Task-1 ticks. A line whose frames come in bursts
+// with shorter gaps, such as a node's Chaos line under steady traffic,
+// keeps one goroutine instead of starting one per burst, each of which
+// grew its stack again inside the send path.
+const lineLinger = 100 * time.Millisecond
+
 // delayLine realises link delays in real time for a whole Mesh or Chaos:
 // frames wait in one min-heap ordered by (due time, arrival) and one
 // goroutine, asleep on one timer until the earliest is due, hands them to
 // their sinks in that order. The goroutine exists only while frames are
-// pending — it exits when the heap runs empty and the next add starts a
+// pending or have been within lineLinger — it exits when the heap has
+// stayed empty that long, or at once on close, and the next add starts a
 // new one — so a line nobody closes holds no goroutine once it has
-// drained. The zero value is ready to use.
+// drained and gone idle. The zero value is ready to use.
 type delayLine struct {
 	// outMu is held by the drain goroutine from taking frames off the
 	// heap until they are handed over, so that close, by passing through
@@ -51,6 +59,8 @@ type delayLine struct {
 	timer *time.Timer
 	// running reports that a drain goroutine exists; guarded by mu.
 	running bool
+	// starts counts the drain goroutines started; guarded by mu.
+	starts uint64
 	// closed makes add a no-op; guarded by mu.
 	closed bool
 }
@@ -77,31 +87,42 @@ func (l *delayLine) add(due time.Time, to delaySink, frame []byte) {
 	}
 	if !l.running {
 		l.running = true
+		l.starts++
 		go l.drain()
 	}
 }
 
-// drain hands over every frame as it falls due and returns once none is
-// pending.
+// drain hands over every frame as it falls due and returns once none has
+// been pending for lineLinger, or once the line is closed.
 //
 //urbvet:wallclock the line's timer realises the loss model's link delays in real time
 func (l *delayLine) drain() {
 	var due []delayedFrame
+	var idle time.Time // when the heap was found empty; zero while frames are pending
 	for {
 		l.outMu.Lock()
 		l.mu.Lock()
-		if len(l.heap) == 0 { // drained, or discarded by close
-			l.running = false
-			l.mu.Unlock()
-			l.outMu.Unlock()
-			return
-		}
 		now := time.Now()
-		for len(l.heap) > 0 && !l.heap[0].due.After(now) {
-			due = append(due, l.pop())
-		}
-		if len(due) == 0 {
-			l.timer.Reset(l.heap[0].due.Sub(now))
+		if len(l.heap) == 0 { // drained, or discarded by close
+			if idle.IsZero() {
+				idle = now
+			}
+			if l.closed || now.Sub(idle) >= lineLinger {
+				l.running = false
+				l.mu.Unlock()
+				l.outMu.Unlock()
+				return
+			}
+			// Linger; an add meanwhile resets the timer to its frame's due time.
+			l.timer.Reset(lineLinger - now.Sub(idle))
+		} else {
+			idle = time.Time{}
+			for len(l.heap) > 0 && !l.heap[0].due.After(now) {
+				due = append(due, l.pop())
+			}
+			if len(due) == 0 {
+				l.timer.Reset(l.heap[0].due.Sub(now))
+			}
 		}
 		timer := l.timer
 		l.mu.Unlock()

@@ -106,6 +106,49 @@ func TestDelayLineGoroutineLifetime(t *testing.T) {
 	}
 }
 
+// lineState reads how many drain goroutines the line has started and
+// whether one runs now.
+func lineState(l *delayLine) (starts uint64, running bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.starts, l.running
+}
+
+// TestDelayLineDrainerSurvivesShortGaps: frames spaced well inside
+// lineLinger are served by one drain goroutine, not one per frame; once
+// they stop, the goroutine exits after the linger without a close, and a
+// close ends it at once.
+func TestDelayLineDrainerSurvivesShortGaps(t *testing.T) {
+	var line delayLine
+	var sink recordSink
+	const frames = 10
+	for i := 0; i < frames; i++ {
+		line.add(time.Now().Add(time.Millisecond), &sink, []byte{byte(i)})
+		time.Sleep(lineLinger / 10)
+	}
+	waitFor(t, "the line to drain", func() bool { return sink.count() == frames })
+	idle := time.Now()
+	if starts, _ := lineState(&line); starts != 1 {
+		t.Fatalf("%d drain goroutines started for frames %v apart, want 1", starts, lineLinger/10)
+	}
+	waitFor(t, "the idle drain goroutine to exit", func() bool { _, running := lineState(&line); return !running })
+	if took := time.Since(idle); took > 2*lineLinger {
+		t.Fatalf("idle drain goroutine exited after %v, want within %v plus slack", took, lineLinger)
+	}
+
+	line.add(time.Now(), &sink, []byte("again"))
+	waitFor(t, "the next frame", func() bool { return sink.count() == frames+1 })
+	line.close()
+	closed := time.Now()
+	waitFor(t, "the closed line's drain goroutine to exit", func() bool { _, running := lineState(&line); return !running })
+	if took := time.Since(closed); took > lineLinger/2 {
+		t.Fatalf("drain goroutine outlived close by %v", took)
+	}
+	if starts, _ := lineState(&line); starts != 2 {
+		t.Fatalf("%d drain goroutines started, want 2", starts)
+	}
+}
+
 // TestDelayLineClose: close discards what is pending, and once it has
 // returned nothing is handed over — not even a frame that was due at that
 // very moment on another goroutine.

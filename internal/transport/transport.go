@@ -10,6 +10,9 @@
 //     what the live cluster runtime (internal/liverun) runs on.
 //   - UDP: real sockets. UDP datagrams are unreliable, unordered and
 //     unduplicated-by-assumption — a fair lossy channel out of the box.
+//     One datagram goes to each remote peer; the sender's own copy is
+//     offered to its inbox in-process, lost only when the inbox is
+//     full, as a datagram would be.
 //   - Chaos: a wrapper applying any channel.LinkModel (Bernoulli,
 //     Gilbert–Elliott, DropFirst, …) to another transport, so every
 //     simulator loss scenario can be replayed against real sockets.

@@ -30,14 +30,17 @@ const (
 )
 
 // UDP is a Transport over real UDP sockets. Each node owns one socket;
-// Send writes the frame as one datagram to every peer address (the node
-// itself included — the broadcast primitive is self-inclusive, so the
-// peer set must contain the local address).
+// Send writes the frame as one datagram to every remote peer address and
+// hands the sender's own copy straight to its inbox. The broadcast
+// primitive is self-inclusive, so the peer set must contain the local
+// address.
 //
 // UDP is fair lossy out of the box: datagrams may be dropped, reordered
 // or delayed by the network stack, and a datagram retransmitted forever
 // eventually gets through on any functioning path. Nothing in this
-// repository assumes more.
+// repository assumes more. The in-process self-link is such a channel
+// too: it loses a copy only when the inbox is full, exactly where the
+// reader would lose a datagram.
 type UDP struct {
 	conn *net.UDPConn
 	// readFrom is the socket read the loop polls; an indirection so the
@@ -45,8 +48,15 @@ type UDP struct {
 	readFrom func(p []byte) (int, error)
 
 	mu sync.Mutex
-	// peers is the fan-out set SetPeers swaps in; guarded by mu.
-	peers []*net.UDPAddr
+	// remote is the fan-out set SetPeers swaps in, the socket's own
+	// address taken out; guarded by mu.
+	remote []*net.UDPAddr
+	// self reports that the peer set named the socket's own address, so
+	// Send offers the frame to the inbox itself; guarded by mu.
+	self bool
+	// shut reports that the reader has closed the inbox, after which
+	// nothing may be offered to it; guarded by mu.
+	shut bool
 
 	inbox     chan []byte
 	closed    atomic.Bool
@@ -100,11 +110,24 @@ func newUDP(conn *net.UDPConn, depth int) *UDP {
 func (u *UDP) LocalAddr() *net.UDPAddr { return u.conn.LocalAddr().(*net.UDPAddr) }
 
 // SetPeers replaces the broadcast peer set. Include the local address:
-// the URB broadcast primitive delivers to the sender too.
+// the URB broadcast primitive delivers to the sender too. A peer equal to
+// the bound address is not written to: Send hands that copy to the
+// inbox in-process. A socket bound to a wildcard address cannot tell
+// which peer it is, so every peer, its own included, gets a datagram.
 func (u *UDP) SetPeers(peers ...*net.UDPAddr) {
-	cp := append([]*net.UDPAddr(nil), peers...)
+	local := u.LocalAddr()
+	wildcard := local.IP.IsUnspecified()
+	remote := make([]*net.UDPAddr, 0, len(peers))
+	self := false
+	for _, p := range peers {
+		if !wildcard && p.Port == local.Port && p.IP.Equal(local.IP) && p.Zone == local.Zone {
+			self = true
+			continue
+		}
+		remote = append(remote, p)
+	}
 	u.mu.Lock()
-	u.peers = cp
+	u.remote, u.self = remote, self
 	u.mu.Unlock()
 }
 
@@ -113,7 +136,7 @@ func (u *UDP) SetPeers(peers ...*net.UDPAddr) {
 //urbvet:wallclock the error backoff timer bounds a real socket's retry spin, nothing algorithmic
 func (u *UDP) readLoop() {
 	defer close(u.done)
-	defer close(u.inbox)
+	defer u.shutInbox()
 	buf := make([]byte, MaxUDPFrame)
 	var backoff time.Duration
 	for {
@@ -161,11 +184,24 @@ func (u *UDP) readLoop() {
 	}
 }
 
-// Send implements Transport: one datagram per peer. Write errors are
-// treated as channel loss. Frames over MaxUDPFrame cannot travel as one
-// datagram and are dropped (counted in Oversized); the wire codec's
-// MaxBody keeps protocol frames below that for any realistic label-set
-// size (labels are one per process), so this only fires for
+// shutInbox closes the inbox once the reader is done. Taking mu orders
+// it after every self copy Send is offering.
+func (u *UDP) shutInbox() {
+	u.mu.Lock()
+	u.shut = true
+	close(u.inbox)
+	u.mu.Unlock()
+}
+
+// Send implements Transport: the frame itself to the sender's own inbox,
+// when the peer set names the bound address, and one datagram per remote
+// peer. The own copy shares the frame, as the mesh's receivers do; a
+// full inbox drops it and counts it in Overflows, like a datagram the
+// reader could not offer. Write errors are treated as channel loss.
+// Frames over MaxUDPFrame cannot travel as one datagram and are dropped
+// for every peer, the sender included (counted in Oversized); the wire
+// codec's MaxBody keeps protocol frames below that for any realistic
+// label-set size (labels are one per process), so this only fires for
 // non-protocol traffic or pathological systems.
 func (u *UDP) Send(frame []byte) {
 	if u.closed.Load() {
@@ -176,9 +212,12 @@ func (u *UDP) Send(frame []byte) {
 		return
 	}
 	u.mu.Lock()
-	peers := u.peers
+	remote := u.remote
+	if u.self && !u.shut && !offer(u.inbox, frame) {
+		u.overflows.Add(1)
+	}
 	u.mu.Unlock()
-	for _, p := range peers {
+	for _, p := range remote {
 		_, _ = u.conn.WriteToUDP(frame, p)
 	}
 }
@@ -193,8 +232,9 @@ func (u *UDP) FrameBudget() int { return MaxUDPFrame }
 // MaxUDPFrame.
 func (u *UDP) Oversized() uint64 { return u.oversized.Load() }
 
-// Overflows implements OverflowCounter: datagrams read from the socket
-// but discarded because the inbox was full.
+// Overflows implements OverflowCounter: frames discarded because the
+// inbox was full, datagrams the reader read and own copies Send offered
+// alike.
 func (u *UDP) Overflows() uint64 { return u.overflows.Load() }
 
 // Close implements Transport: closes the socket and waits for the
@@ -212,14 +252,18 @@ func (u *UDP) Close() error {
 // String describes the transport.
 func (u *UDP) String() string {
 	u.mu.Lock()
-	peers := len(u.peers)
+	peers := len(u.remote)
+	if u.self {
+		peers++
+	}
 	u.mu.Unlock()
 	return fmt.Sprintf("udp(%s, %d peers)", u.conn.LocalAddr(), peers)
 }
 
 // UDPGroup binds n loopback sockets and wires each one's peer set to the
-// whole group (self included): a ready-to-use n-process cluster over
-// real sockets. Closing any member detaches it; close all when done.
+// whole group (self included, so each member's own copy stays in the
+// process): a ready-to-use n-process cluster over real sockets. Closing
+// any member detaches it; close all when done.
 func UDPGroup(n, depth int) ([]*UDP, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: UDPGroup n must be >= 1")

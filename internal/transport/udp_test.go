@@ -3,11 +3,14 @@ package transport
 // White-box tests for the UDP reader: a socket read allocates nothing,
 // a persistent non-Close read error must degrade to a bounded-rate poll
 // (backoff), never a busy spin, and Close must wake a sleeping reader
-// promptly.
+// promptly. And for the sender: its own copy stays in the process, and a
+// Send racing Close never offers to the closed inbox.
 
 import (
 	"errors"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,6 +170,123 @@ func TestUDPReadLoopClosedError(t *testing.T) {
 	}
 	if _, ok := <-u.inbox; ok {
 		t.Fatal("inbox must be closed after the reader exits")
+	}
+}
+
+// recvWithin waits up to five seconds for a frame on u.
+func recvWithin(t *testing.T, u *UDP) []byte {
+	t.Helper()
+	select {
+	case got := <-u.Receive():
+		return got
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%v received nothing", u)
+		return nil
+	}
+}
+
+// TestUDPSelfCopyInProcess: the sender's own copy never crosses the
+// kernel — it arrives as the very slice Send was given — while every
+// remote peer reads its own datagram. A peer set without the own
+// address delivers nothing to the sender, and a wildcard-bound socket,
+// which cannot recognise itself among its peers, gets its own copy back
+// through the kernel.
+func TestUDPSelfCopyInProcess(t *testing.T) {
+	group, err := UDPGroup(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, u := range group {
+			u.Close()
+		}
+	}()
+	frame := []byte("self-inclusive")
+	group[0].Send(frame)
+	select {
+	case got := <-group[0].Receive():
+		if &got[0] != &frame[0] || len(got) != len(frame) {
+			t.Fatalf("own copy %q is not the sent frame", got)
+		}
+	default:
+		t.Fatal("own copy was not in the inbox when Send returned")
+	}
+	seen := map[*byte]bool{&frame[0]: true}
+	for _, u := range group[1:] {
+		got := recvWithin(t, u)
+		if string(got) != string(frame) || seen[&got[0]] {
+			t.Fatalf("%v got %q, want a separate copy of %q", u, got, frame)
+		}
+		seen[&got[0]] = true
+	}
+
+	// The own address left out: only the peer hears the frame.
+	group[0].SetPeers(group[1].LocalAddr())
+	group[0].Send(frame)
+	recvWithin(t, group[1])
+	time.Sleep(10 * time.Millisecond) // a stray datagram would have landed by now
+	select {
+	case got := <-group[0].Receive():
+		t.Fatalf("sender outside its own peer set received %q", got)
+	default:
+	}
+
+	// Bound to 0.0.0.0, named by its loopback address: the kernel path.
+	wild, err := ListenUDP("0.0.0.0:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wild.Close()
+	loop := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: wild.LocalAddr().Port}
+	wild.SetPeers(loop)
+	wild.Send(frame)
+	if got := recvWithin(t, wild); string(got) != string(frame) || &got[0] == &frame[0] {
+		t.Fatalf("wildcard socket got %q, want a kernel copy of %q", got, frame)
+	}
+}
+
+// TestUDPSendCloseRace: Sends that offer the own copy while Close runs
+// never panic on the closed inbox, the receive channel closes, and once
+// Close has returned nothing more is offered — not even a copy shed on
+// the full inbox.
+func TestUDPSendCloseRace(t *testing.T) {
+	frame := []byte("race")
+	for round := 0; round < 200; round++ {
+		u, err := ListenUDP("127.0.0.1:0", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.SetPeers(u.LocalAddr())
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						u.Send(frame)
+						runtime.Gosched() // leave the closer and the reader a CPU
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
+		if err := u.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		atClose := u.Overflows()
+		time.Sleep(time.Millisecond) // the senders keep going meanwhile
+		close(stop)
+		wg.Wait()
+		if got := u.Overflows(); got != atClose {
+			t.Fatalf("round %d: %d own copies offered after Close returned", round, got-atClose)
+		}
+		for range u.Receive() { // must be closed, with at most the depth buffered
+		}
 	}
 }
 
