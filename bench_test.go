@@ -555,6 +555,41 @@ func BenchmarkOracleViewAdversarial(b *testing.B) {
 	}
 }
 
+// viewSink keeps the benchmarked detector views alive.
+var viewSink fd.View
+
+// BenchmarkHeartbeatView times what Algorithm 2 pays per detector read
+// on the heartbeat stack at n=7: one beat heard and one AΘ read per op,
+// the clock one unit further each op, beating labels round-robin. In
+// steady every label stays trusted, so the read returns the shared view;
+// in expiring the timeout lets exactly one label lapse and another
+// return on every op, so every read rebuilds.
+func BenchmarkHeartbeatView(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		timeout int64
+	}{{"steady", 1000}, {"expiring", 4}} {
+		b.Run(bc.name, func(b *testing.B) {
+			const n = 7
+			now := int64(0)
+			h := fd.NewHeartbeat(ident.Tag{Hi: 1, Lo: 1}, bc.timeout, func() int64 { return now })
+			peers := make([]ident.Tag, n-1)
+			for i := range peers {
+				peers[i] = ident.Tag{Hi: uint64(i) + 2, Lo: 1}
+				h.Hear(peers[i])
+				now++
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Hear(peers[i%len(peers)])
+				viewSink = h.ATheta()
+				now++
+			}
+		})
+	}
+}
+
 // snapshotState builds the Algorithm 2 state a durable_restart node
 // checkpoints: n=5, the tuned configuration, and history messages with
 // 256 B bodies, each received, acknowledged by all five ackers under one

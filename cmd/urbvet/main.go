@@ -1,8 +1,9 @@
 // Command urbvet runs the repo's static-analysis suite
 // (internal/analysis): exhaustive wire.Kind switches, determinism
 // hygiene, guarded-by conventions, zero-valued deviation knobs,
-// hot-path allocation discipline and no writes through a shared message
-// body. See DESIGN.md §12 for the invariant table.
+// hot-path allocation discipline, no writes through a shared message
+// body and none through a shared failure detector view. See DESIGN.md
+// §12 for the invariant table.
 //
 // It speaks two protocols:
 //

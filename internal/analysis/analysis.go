@@ -1,10 +1,11 @@
-// Package analysis is the repo's static-analysis suite: six analyzers
+// Package analysis is the repo's static-analysis suite: seven analyzers
 // that machine-check invariants which previously existed only as prose
 // in DESIGN.md (exhaustive wire.Kind handling, wall-clock and map-order
 // determinism, mutex guard conventions, zero-valued deviation knobs,
 // allocation discipline on //urb:hotpath functions, no writes through
-// the shared bytes of a wire.Message's Body — see DESIGN.md §12 for the
-// analyzer ↔ section map).
+// the shared bytes of a wire.Message's Body, no writes through a shared
+// failure detector view — see DESIGN.md §12 for the analyzer ↔ section
+// map).
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // vocabulary (Analyzer, Pass, Diagnostic) so the analyzers could move
@@ -77,6 +78,7 @@ func All() []*Analyzer {
 		ZeroConfig,
 		HotPath,
 		BodyWrite,
+		ViewWrite,
 	}
 }
 

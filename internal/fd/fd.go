@@ -25,6 +25,16 @@
 // algorithms in simulation), and validators that check a view stream
 // against the class axioms. A heartbeat-based realisation for partially
 // synchronous runs lives in heartbeat.go.
+//
+// Views are shared, not owned. A View a Detector returns is read-only:
+// the detector may hand the same slice to every later read, and the
+// caller must neither write into it nor sort or append onto it in place
+// (Clone first). In turn a detector never writes into a view it has
+// handed out, and returns the same slice for as long as the view is
+// unchanged. This package's detectors clip a view's capacity, so even an
+// append onto a whole view copies. urbvet's viewwrite analyzer rejects
+// writes through a view obtained from ATheta or APStar outside this
+// package.
 package fd
 
 import (
@@ -47,7 +57,11 @@ type View []Pair
 
 // Detector is the per-process handle Algorithm 2 consumes. Both methods
 // return the current view; implementations must be cheap to call, as the
-// algorithm reads them on every ACK receipt and every Task-1 tick.
+// algorithm reads them on every ACK receipt and every Task-1 tick. A
+// returned view is read-only and may be shared: an implementation never
+// writes into a view it has handed out and returns the same slice for as
+// long as the view is unchanged, and a caller that wants to keep or
+// modify a view copies it (see the package doc).
 type Detector interface {
 	// ATheta returns the current AΘ view.
 	ATheta() View

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"math"
 	"slices"
 
 	"anonurb/internal/ident"
@@ -40,6 +41,10 @@ import (
 // simulator experiments therefore use the grounded oracle; Heartbeat
 // exists for the live runtime and for the synchrony ablation test.
 //
+// ATheta and APStar return one shared, read-only view (the package
+// contract): it is rebuilt only when a label comes or goes, and a
+// rebuild that lists the same pairs hands the old slice out again.
+//
 // Heartbeat is not safe for concurrent use; the hosting runtime
 // serialises calls as it does for urb.Process.
 type Heartbeat struct {
@@ -51,6 +56,18 @@ type Heartbeat struct {
 	// pass with no sort and no map lookup. The own label is implicitly
 	// always fresh.
 	heard []HeardLabel
+	// cache is the view last handed out, built at clock reading built;
+	// until is the first reading at which one of its non-own labels
+	// expires. It answers every read in [built, until) while fresh:
+	// hearing a label it lists only extends that label's life, and any
+	// other change to the trusted set clears fresh. buf is the
+	// rebuild buffer, handed out (and dropped) only when a rebuild
+	// differs from cache. All of it is derived state, outside snapshots
+	// and fingerprints.
+	cache        View
+	built, until int64
+	fresh        bool
+	buf          View
 }
 
 // NewHeartbeat builds a heartbeat detector with the given permanent
@@ -75,7 +92,10 @@ func (h *Heartbeat) Timeout() int64 { return h.timeout }
 // towards its peers, so a process restored from a snapshot must adopt
 // the label it beat under before the crash rather than the fresh one its
 // reconstruction drew.
-func (h *Heartbeat) Relabel(label ident.Tag) { h.label = label }
+func (h *Heartbeat) Relabel(label ident.Tag) {
+	h.label = label
+	h.fresh = false
+}
 
 // HeardLabel is one entry of the detector's heard map: a label and the
 // clock time it was last heard (snapshot support for crash-recovery
@@ -101,29 +121,59 @@ func (h *Heartbeat) RestoreHeard(entries []HeardLabel) {
 	for _, e := range entries {
 		h.hearAt(e.Label, e.At)
 	}
+	h.fresh = false
 }
 
 // Hear records an ALIVE(label) reception.
 func (h *Heartbeat) Hear(label ident.Tag) { h.hearAt(label, h.clock()) }
 
 // hearAt records label as heard at time at, inserting a new label at its
-// sorted position.
+// sorted position. The cached view stays fresh only if it lists label
+// and at does not move label's time back (a clock stepped back), so
+// that until still bounds every listed label's expiry from below.
 func (h *Heartbeat) hearAt(label ident.Tag, at int64) {
 	i, known := slices.BinarySearchFunc(h.heard, label,
 		func(e HeardLabel, l ident.Tag) int { return e.Label.Compare(l) })
 	if !known {
 		h.heard = slices.Insert(h.heard, i, HeardLabel{Label: label})
 	}
+	if !known || at < h.heard[i].At || !h.cache.Has(label) {
+		h.fresh = false
+	}
 	h.heard[i].At = at
 }
 
-// view builds the (label, number) view from the currently trusted
+// view returns the (label, number) view of the currently trusted
 // labels: every label heard within the timeout plus, always, the own
-// label. heard is sorted, so merging the own label in at its position
-// yields a normalized view in one pass.
+// label. The cached view answers while it is fresh and now lies in
+// [built, until); otherwise the view is rebuilt, and a rebuild equal to
+// the cache keeps handing the cached slice out.
 func (h *Heartbeat) view() View {
 	now := h.clock()
-	v := make(View, 0, len(h.heard)+1)
+	if h.fresh && h.built <= now && now < h.until {
+		return h.cache
+	}
+	if h.buf == nil {
+		h.buf = make(View, 0, len(h.heard)+1)
+	}
+	v, until := h.build(h.buf[:0], now)
+	if v.Equal(h.cache) {
+		h.buf = v
+	} else {
+		// The rebuilt view is handed out, so it may never be written
+		// again: the next rebuild starts a new buffer.
+		h.cache, h.buf = slices.Clip(v), nil
+	}
+	h.built, h.until, h.fresh = now, until, true
+	return h.cache
+}
+
+// build appends the view at clock reading now to v and returns it with
+// the first reading at which one of its non-own labels expires
+// (math.MaxInt64 if it lists none). heard is sorted, so merging the own
+// label in at its position yields a normalized view in one pass.
+func (h *Heartbeat) build(v View, now int64) (View, int64) {
+	until := int64(math.MaxInt64)
 	own := false
 	for _, e := range h.heard {
 		if !own && !e.Label.Less(h.label) {
@@ -132,6 +182,7 @@ func (h *Heartbeat) view() View {
 		}
 		if e.Label != h.label && now-e.At <= h.timeout {
 			v = append(v, Pair{Label: e.Label})
+			until = min(until, e.At+h.timeout+1)
 		}
 	}
 	if !own {
@@ -140,7 +191,7 @@ func (h *Heartbeat) view() View {
 	for i := range v {
 		v[i].Number = len(v)
 	}
-	return v
+	return v, until
 }
 
 // ATheta implements Detector.

@@ -179,3 +179,155 @@ func TestHeartbeatViewNormalizedUnderAnyHearOrder(t *testing.T) {
 		}
 	}
 }
+
+// refView is the uncached view: the body Heartbeat.view had before it
+// cached, kept as the reference the cache is held to.
+func refView(h *Heartbeat, now int64) View {
+	v := make(View, 0, len(h.heard)+1)
+	own := false
+	for _, e := range h.heard {
+		if !own && !e.Label.Less(h.label) {
+			v = append(v, Pair{Label: h.label})
+			own = true
+		}
+		if e.Label != h.label && now-e.At <= h.timeout {
+			v = append(v, Pair{Label: e.Label})
+		}
+	}
+	if !own {
+		v = append(v, Pair{Label: h.label})
+	}
+	for i := range v {
+		v[i].Number = len(v)
+	}
+	return v
+}
+
+// sameSlice reports whether a and b are one slice: same length, same
+// backing array.
+func sameSlice(a, b View) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestHeartbeatViewShared: the view is handed out shared. Hearing a
+// label it already lists, or a change that leaves the trusted set as it
+// was, returns the cached slice; every change to the trusted set returns
+// a new one, its capacity clipped; and no slice handed out is ever
+// written afterwards.
+func TestHeartbeatViewShared(t *testing.T) {
+	var handed []View
+	var copies []View
+	for _, tc := range []struct {
+		name string
+		op   func(h *Heartbeat, now *int64)
+		same bool
+	}{
+		{"hear a trusted label", func(h *Heartbeat, now *int64) { *now = 102; h.Hear(lbl(3)) }, true},
+		{"hear the own label", func(h *Heartbeat, now *int64) { h.Hear(lbl(1)) }, true},
+		{"still trusted at At+timeout", func(h *Heartbeat, now *int64) { *now = 105 }, true},
+		{"restore the same entries", func(h *Heartbeat, now *int64) { h.RestoreHeard(h.Heard()) }, true},
+		{"relabel to the own label", func(h *Heartbeat, now *int64) { h.Relabel(lbl(1)) }, true},
+		{"hear a new label", func(h *Heartbeat, now *int64) { h.Hear(lbl(4)) }, false},
+		{"hear an expired label again", func(h *Heartbeat, now *int64) { h.Hear(lbl(5)) }, false},
+		{"earliest label gone at At+timeout+1", func(h *Heartbeat, now *int64) { *now = 106 }, false},
+		{"relabel", func(h *Heartbeat, now *int64) { h.Relabel(lbl(9)) }, false},
+		{"restore other entries", func(h *Heartbeat, now *int64) {
+			h.RestoreHeard([]HeardLabel{{Label: lbl(3), At: 100}})
+		}, false},
+		{"clock earlier than built", func(h *Heartbeat, now *int64) { *now = 50 }, false},
+	} {
+		// Own label 1; label 2 trusted until 105, label 3 until 110,
+		// label 5 expired since 61.
+		now := int64(100)
+		h := NewHeartbeat(lbl(1), 10, func() int64 { return now })
+		h.RestoreHeard([]HeardLabel{{Label: lbl(2), At: 95}, {Label: lbl(3), At: 100}, {Label: lbl(5), At: 50}})
+		before := h.ATheta()
+		if !sameSlice(h.APStar(), before) || !sameSlice(h.ATheta(), before) {
+			t.Fatalf("%s: an unchanged view was not handed out again", tc.name)
+		}
+		if a := testing.AllocsPerRun(100, func() { _ = h.ATheta() }); a != 0 {
+			t.Fatalf("%s: %.0f allocs per unchanged view, want 0", tc.name, a)
+		}
+		tc.op(h, &now)
+		after := h.ATheta()
+		if want := refView(h, now); !after.Equal(want) {
+			t.Fatalf("%s: view %v, want %v", tc.name, after, want)
+		}
+		if cap(after) != len(after) {
+			t.Fatalf("%s: view capacity %d, want it clipped to %d", tc.name, cap(after), len(after))
+		}
+		if sameSlice(after, before) != tc.same {
+			t.Fatalf("%s: same slice %v, want %v (before %v, after %v)", tc.name, !tc.same, tc.same, before, after)
+		}
+		handed = append(handed, before, after)
+		copies = append(copies, before.Clone(), after.Clone())
+		// More reads and hears after the fact must leave both alone.
+		h.Hear(lbl(6))
+		now += 7
+		_ = h.APStar()
+	}
+	for i, v := range handed {
+		if !v.Equal(copies[i]) {
+			t.Fatalf("a view handed out changed afterwards: %v, was %v", v, copies[i])
+		}
+	}
+}
+
+// FuzzHeartbeatView plays random operation sequences — hear a label at
+// some time, step the clock forward or back, relabel, restore a subset
+// of the heard list — and holds the cached view to the uncached
+// reference after every one: equal to it, the same slice whenever equal
+// to the previous read, and no slice handed out ever changed.
+func FuzzHeartbeatView(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 0, 1, 0, 3, 1, 0, 8, 1, 0, 8, 2, 2, 0, 3, 5, 0})
+	f.Add([]byte{1, 0, 2, 0, 1, 0, 1, 1, 0, 0xff, 0, 3, 2, 3, 0xff, 0xfe})
+	f.Add([]byte{20, 0, 0, 0, 0, 1, 5, 1, 0, 21, 1, 0, 0xea, 2, 1, 0, 0, 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		now := int64(1000)
+		h := NewHeartbeat(lbl(1), 1+int64(data[0]%20), func() int64 { return now })
+		var handed, copies []View
+		prev := h.ATheta()
+		handed, copies = append(handed, prev), append(copies, prev.Clone())
+		for ops := data[1:]; len(ops) >= 3; ops = ops[3:] {
+			a, b := ops[1], int64(int8(ops[2]))
+			switch ops[0] % 4 {
+			case 0:
+				h.hearAt(lbl(1+uint64(a%8)), now+b)
+			case 1:
+				now += b
+			case 2:
+				h.Relabel(lbl(1 + uint64(a%8)))
+			case 3:
+				var keep []HeardLabel
+				for i, e := range h.Heard() {
+					if a&(1<<(i%8)) != 0 {
+						keep = append(keep, HeardLabel{Label: e.Label, At: e.At + b})
+					}
+				}
+				h.RestoreHeard(keep)
+			}
+			got := h.ATheta()
+			if want := refView(h, now); !got.Equal(want) {
+				t.Fatalf("op %d at %d: view %v, want %v", ops[0]%4, now, got, want)
+			}
+			if !sameSlice(h.APStar(), got) {
+				t.Fatal("AP* and AΘ reads of one view are different slices")
+			}
+			if got.Equal(prev) != sameSlice(got, prev) {
+				t.Fatalf("view %v after %v: equal views must be the same slice, changed ones new", got, prev)
+			}
+			if !sameSlice(got, prev) {
+				handed, copies = append(handed, got), append(copies, got.Clone())
+			}
+			prev = got
+		}
+		for i, v := range handed {
+			if !v.Equal(copies[i]) {
+				t.Fatalf("a view handed out changed afterwards: %v, was %v", v, copies[i])
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"fmt"
+	"slices"
 
 	"anonurb/internal/ident"
 	"anonurb/internal/xrand"
@@ -86,6 +87,10 @@ type OracleConfig struct {
 //     quiescent.go.)
 //  4. Post-GST exactness: from GST on, views at correct processes are
 //     exactly {(ℓ_c, |Correct|) : c ∈ Correct}.
+//
+// Views follow the package contract: the post-GST view and a faulty
+// process's view are fixed for the run, so every call returns the same
+// shared slice; only a pre-GST noisy view is built fresh on each call.
 type Oracle struct {
 	cfg     OracleConfig
 	labels  []ident.Tag
@@ -96,8 +101,7 @@ type Oracle struct {
 	reveal []bool
 	// exact is the post-GST view at a correct process and faultySelf[i]
 	// the view at faulty process i (nil for correct i). Both are fixed
-	// for the run, so they are built once; ATheta/APStar hand out clones
-	// (a returned view is the caller's to keep or overwrite).
+	// for the run, so they are built once and handed out shared.
 	exact      View
 	faultySelf []View
 }
@@ -142,7 +146,7 @@ func NewOracle(cfg OracleConfig, correct []bool) *Oracle {
 			o.exact = append(o.exact, Pair{Label: o.labels[i], Number: o.nCor})
 		}
 	}
-	o.exact = Normalize(o.exact)
+	o.exact = slices.Clip(Normalize(o.exact))
 	o.faultySelf = make([]View, cfg.N)
 	for i, c := range o.correct {
 		if !c {
@@ -153,7 +157,7 @@ func NewOracle(cfg OracleConfig, correct []bool) *Oracle {
 			if o.reveal[i] {
 				v = append(v, o.exact...)
 			}
-			o.faultySelf[i] = Normalize(v)
+			o.faultySelf[i] = slices.Clip(Normalize(v))
 		}
 	}
 	return o
@@ -185,13 +189,23 @@ func (o *Oracle) noiseFor(proc int, now int64, which uint64) *xrand.Source {
 	return xrand.New(xrand.HashStream(o.cfg.Seed, uint64(proc), epoch, which))
 }
 
-// ATheta returns process i's AΘ view at virtual time now.
-func (o *Oracle) ATheta(i int, now int64) View {
+// fixed returns process i's view at virtual time now when it does not
+// depend on time: a faulty process's own view, and every correct
+// process's exact view from GST on (or always, without noise).
+func (o *Oracle) fixed(i int, now int64) (View, bool) {
 	if !o.correct[i] {
-		return o.faultySelf[i].Clone()
+		return o.faultySelf[i], true
 	}
 	if o.cfg.Noise == NoiseExact || now >= o.cfg.GST {
-		return o.exact.Clone()
+		return o.exact, true
+	}
+	return nil, false
+}
+
+// ATheta returns process i's AΘ view at virtual time now.
+func (o *Oracle) ATheta(i int, now int64) View {
+	if v, fixed := o.fixed(i, now); fixed {
+		return v
 	}
 	rng := o.noiseFor(i, now, 1)
 	v := make(View, 0, o.cfg.N)
@@ -222,11 +236,8 @@ func (o *Oracle) ATheta(i int, now int64) View {
 
 // APStar returns process i's AP* view at virtual time now.
 func (o *Oracle) APStar(i int, now int64) View {
-	if !o.correct[i] {
-		return o.faultySelf[i].Clone()
-	}
-	if o.cfg.Noise == NoiseExact || now >= o.cfg.GST {
-		return o.exact.Clone()
+	if v, fixed := o.fixed(i, now); fixed {
+		return v
 	}
 	rng := o.noiseFor(i, now, 2)
 	// Perpetual containment (invariant 3): every correct pair is always
@@ -248,8 +259,14 @@ func (o *Oracle) APStar(i int, now int64) View {
 }
 
 // Handle binds the oracle to one process with a clock, yielding the
-// Detector the algorithm consumes.
+// Detector the algorithm consumes. A process whose view never changes
+// (any faulty process, every process without noise) gets a Static
+// holding it, which reads no clock.
 func (o *Oracle) Handle(proc int, clock func() int64) Detector {
+	if !o.correct[proc] || o.cfg.Noise == NoiseExact {
+		v, _ := o.fixed(proc, 0)
+		return Static{Theta: v, Star: v}
+	}
 	return Func{
 		ThetaFn: func() View { return o.ATheta(proc, clock()) },
 		StarFn:  func() View { return o.APStar(proc, clock()) },

@@ -239,22 +239,55 @@ func TestNoiseModeString(t *testing.T) {
 	}
 }
 
-// TestOracleViewsAreCallerOwned: the exact and faulty-self views are
-// built once, but every call hands out its own slice — scribbling on one
-// result must not show in the next.
-func TestOracleViewsAreCallerOwned(t *testing.T) {
-	o, _ := mkOracle(t, OracleConfig{N: 4, Noise: NoiseExact, RevealToFaulty: 1, Seed: 5},
-		[]bool{true, false, true, true})
-	for proc := 0; proc < 4; proc++ {
-		for _, view := range []func(int, int64) View{o.ATheta, o.APStar} {
-			first := view(proc, 0)
-			want := first.Clone()
-			for i := range first {
-				first[i] = Pair{}
+// TestOracleViewsShared: the exact and faulty-self views are fixed for
+// the run, so every call at any time hands out the same slice and
+// allocates nothing, and a Handle whose view never changes reads no
+// clock. (This inverts the earlier contract, under which every call
+// returned a private clone.)
+func TestOracleViewsShared(t *testing.T) {
+	correct := []bool{true, false, true, true}
+	exact, _ := mkOracle(t, OracleConfig{Noise: NoiseExact, RevealToFaulty: 1, Seed: 5}, correct)
+	noisy, _ := mkOracle(t, OracleConfig{Noise: NoiseAdversarial, GST: 100, Seed: 6}, correct)
+	for _, tc := range []struct {
+		name  string
+		o     *Oracle
+		proc  int
+		times []int64
+	}{
+		{"exact/correct", exact, 0, []int64{0, 1, 99, 100, 1 << 40}},
+		{"exact/faulty", exact, 1, []int64{0, 1, 99, 100, 1 << 40}},
+		{"noisy/faulty", noisy, 1, []int64{0, 1, 99, 100, 1 << 40}},
+		{"noisy/correct-post-GST", noisy, 2, []int64{100, 101, 1 << 40}},
+	} {
+		for _, view := range []func(int, int64) View{tc.o.ATheta, tc.o.APStar} {
+			first := view(tc.proc, tc.times[0])
+			if len(first) == 0 || cap(first) != len(first) {
+				t.Fatalf("%s: view %v has capacity %d: want it non-empty and clipped", tc.name, first, cap(first))
 			}
-			if got := view(proc, 0); !got.Equal(want) {
-				t.Fatalf("proc %d: view changed after the caller overwrote an earlier result: %v, want %v", proc, got, want)
+			for _, now := range tc.times {
+				if got := view(tc.proc, now); len(got) != len(first) || &got[0] != &first[0] {
+					t.Fatalf("%s: view at %d is not the shared slice", tc.name, now)
+				}
 			}
+			if a := testing.AllocsPerRun(100, func() { _ = view(tc.proc, tc.times[0]) }); a != 0 {
+				t.Fatalf("%s: %.0f allocs per view, want 0", tc.name, a)
+			}
+		}
+	}
+	noClock := func() int64 {
+		t.Fatal("a fixed view read the clock")
+		return 0
+	}
+	for _, h := range []struct {
+		o    *Oracle
+		proc int
+	}{{exact, 0}, {exact, 1}, {noisy, 1}} {
+		d := h.o.Handle(h.proc, noClock)
+		if th, want := d.ATheta(), h.o.ATheta(h.proc, 1<<40); &th[0] != &want[0] {
+			t.Fatalf("proc %d: Handle's AΘ view is not the shared slice", h.proc)
+		}
+		if st, want := d.APStar(), h.o.APStar(h.proc, 1<<40); &st[0] != &want[0] {
+			t.Fatalf("proc %d: Handle's AP* view is not the shared slice", h.proc)
 		}
 	}
 }
