@@ -379,6 +379,68 @@ func BenchmarkSetHas(b *testing.B) {
 	}
 }
 
+// BenchmarkMsgTableLookup measures one message-table lookup
+// (HasDelivered) in a 4,096-record table, about what each stream_mesh
+// node holds at the end of a run (DESIGN.md §10, "Keyed by tag"): hit
+// finds a known message, miss probes a tag the table has never seen,
+// and clash finds one of 64 second bodies filed under a taken tag (an
+// index hit, a body mismatch, then the side map). No case allocates.
+func BenchmarkMsgTableLookup(b *testing.B) {
+	const records, clashes = 4096, 64
+	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
+	src := ident.NewSource(xrand.New(12))
+	hit := make([]wire.MsgID, records)
+	for k := range hit {
+		hit[k] = wire.MsgID{Tag: src.Next(), Body: fmt.Sprintf("payload-%04d", k)}
+		p.Receive(wire.NewMsg(hit[k]))
+	}
+	clash := make([]wire.MsgID, clashes)
+	for k := range clash {
+		clash[k] = wire.MsgID{Tag: hit[k*(records/clashes)].Tag, Body: fmt.Sprintf("second-%04d", k)}
+		p.Receive(wire.NewMsg(clash[k]))
+	}
+	miss := make([]wire.MsgID, records)
+	for k := range miss {
+		miss[k] = wire.MsgID{Tag: src.Next(), Body: hit[k].Body}
+	}
+	for _, c := range []struct {
+		name string
+		ids  []wire.MsgID
+		want bool
+	}{{"hit", hit, true}, {"miss", miss, false}, {"clash", clash, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p.KnowsMsg(c.ids[i%len(c.ids)]) != c.want {
+					b.Fatalf("lookup %d: KnowsMsg = %v, want %v", i, !c.want, c.want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeCacheHit measures one cached MSG encoding appended
+// into a reused buffer, round-robin over a 200-message working set:
+// what a Task-1 tick of majority_steady does per message.
+func BenchmarkEncodeCacheHit(b *testing.B) {
+	c := wire.NewEncodeCache(0)
+	msgs := make([]wire.Message, dupWorkingSet)
+	for k := range msgs {
+		msgs[k] = wire.NewMsg(dupID(k))
+		c.AppendEncoded(nil, msgs[k])
+	}
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = c.AppendEncoded(buf[:0], msgs[i%dupWorkingSet])
+	}
+	if hits, misses := c.Stats(); misses != dupWorkingSet || hits == 0 {
+		b.Fatalf("hits=%d misses=%d, want every timed append a hit", hits, misses)
+	}
+}
+
 // BenchmarkMeshBroadcastDelayed measures one Send on a mesh whose every
 // copy is delayed: n link verdicts and n entries on the mesh's delay
 // line, drained by its one goroutine — no allocation per copy. (One

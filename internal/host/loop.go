@@ -45,13 +45,15 @@ type Loop struct {
 // hands every decoded message to before the process sees it (nil =
 // none). A hook rather than a list in Out: a batch frame carries
 // hundreds of messages, and a list sized for the largest would stay
-// allocated for the loop's lifetime.
+// allocated for the loop's lifetime. The hook gets the loop's own decode
+// target, not a copy — the 160-byte Message is not copied per reception
+// for a hook that may ignore it — so *m is valid only during the call.
 type LoopConfig struct {
 	Budget          int
 	Batch           bool
 	CheckpointEvery int64
 	Tracer          *obs.Tracer
-	OnReceive       func(wire.Message)
+	OnReceive       func(*wire.Message)
 }
 
 // Span locates one sent message inside Out.Frames.
@@ -127,7 +129,7 @@ func (l *Loop) OnFrame(frame []byte) (*Out, error) {
 		}
 		l.out.Received++
 		if l.cfg.OnReceive != nil {
-			l.cfg.OnReceive(*m)
+			l.cfg.OnReceive(m)
 		}
 		if !m.Kind.IsSnap() {
 			l.receive(&l.step, m)

@@ -42,7 +42,7 @@ func TestLoopFrameIn(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []wire.Message
-			hook := func(m wire.Message) { got = append(got, m) }
+			hook := func(m *wire.Message) { got = append(got, *m) }
 			l := NewLoop(Core{Proc: solo(1)}, LoopConfig{OnReceive: hook}, 0)
 			out, err := l.OnFrame(tc.frame)
 			if err != nil {

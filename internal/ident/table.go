@@ -2,13 +2,13 @@ package ident
 
 import "slices"
 
-// tableIndexMin is the size above which a Table keeps a hash index. At or
+// tableIndexMin is the size above which a Table keeps an Index. At or
 // below it a lookup scans the keys: sixteen 16-byte tags are four cache
-// lines, cheaper to compare than one tag is to hash, and a table that
-// never grows past it (the label tables of a five-to-seven process
-// cluster) never allocates a map. A constant, not a knob: it only has to
-// sit between those cluster sizes and the n = 100 benchmark cells, which
-// keep hashed lookups.
+// lines, cheaper to compare than to probe, and a table that never grows
+// past it (the label tables of a five-to-seven process cluster) never
+// allocates slots. A constant, not a knob: it only has to sit between
+// those cluster sizes and the n = 100 benchmark cells, which keep
+// indexed lookups.
 const tableIndexMin = 16
 
 // Table is an insertion-ordered map from Tag to V. Keys and values live in
@@ -22,9 +22,13 @@ const tableIndexMin = 16
 type Table[V any] struct {
 	keys []Tag
 	vals []V
-	// index maps key → position; nil while len(keys) <= tableIndexMin.
-	index map[Tag]int
+	// index locates a key's position; empty (no slots) while
+	// len(keys) <= tableIndexMin.
+	index Index
 }
+
+// keyAt is the index's view of the keys.
+func (t *Table[V]) keyAt(i int) Tag { return t.keys[i] }
 
 // Len returns the number of entries.
 func (t *Table[V]) Len() int { return len(t.keys) }
@@ -44,11 +48,8 @@ func (t *Table[V]) Grow(n int) {
 
 // Find returns k's position, -1 if absent.
 func (t *Table[V]) Find(k Tag) int {
-	if t.index != nil {
-		if i, ok := t.index[k]; ok {
-			return i
-		}
-		return -1
+	if len(t.keys) > tableIndexMin {
+		return t.index.Find(k, t.keyAt)
 	}
 	for i := range t.keys {
 		if t.keys[i] == k {
@@ -87,38 +88,31 @@ func (t *Table[V]) Insert(k Tag, v V) (*V, bool) {
 	i := len(t.keys)
 	t.keys = append(t.keys, k)
 	t.vals = append(t.vals, v)
-	if t.index != nil {
-		t.index[k] = i
-	} else if len(t.keys) > tableIndexMin {
-		t.reindex()
+	switch {
+	case len(t.keys) == tableIndexMin+1:
+		t.index.Grow(len(t.keys), t.keyAt)
+		for j, key := range t.keys {
+			t.index.Insert(key, j, t.keyAt)
+		}
+	case len(t.keys) > tableIndexMin:
+		t.index.Insert(k, i, t.keyAt)
 	}
 	return &t.vals[i], true
-}
-
-// reindex builds the hash index over the current keys.
-func (t *Table[V]) reindex() {
-	t.index = make(map[Tag]int, len(t.keys))
-	for i, k := range t.keys {
-		t.index[k] = i
-	}
 }
 
 // RemoveAt deletes the entry at position i; later entries move down one
 // position.
 func (t *Table[V]) RemoveAt(i int) {
-	k := t.keys[i]
+	switch {
+	case len(t.keys) <= tableIndexMin:
+	case len(t.keys) == tableIndexMin+1:
+		t.index = Index{}
+	default:
+		t.index.Delete(t.keys[i], i, t.keyAt)
+		t.index.CloseGap(i)
+	}
 	t.keys = slices.Delete(t.keys, i, i+1)
 	t.vals = slices.Delete(t.vals, i, i+1)
-	switch {
-	case t.index == nil:
-	case len(t.keys) <= tableIndexMin:
-		t.index = nil
-	default:
-		delete(t.index, k)
-		for j := i; j < len(t.keys); j++ {
-			t.index[t.keys[j]] = j
-		}
-	}
 }
 
 // Remove deletes k; it reports whether k was present.
@@ -133,9 +127,5 @@ func (t *Table[V]) Remove(k Tag) bool {
 
 // Clone returns an independent copy (values are copied shallowly).
 func (t *Table[V]) Clone() Table[V] {
-	c := Table[V]{keys: slices.Clone(t.keys), vals: slices.Clone(t.vals)}
-	if len(c.keys) > tableIndexMin {
-		c.reindex()
-	}
-	return c
+	return Table[V]{keys: slices.Clone(t.keys), vals: slices.Clone(t.vals), index: t.index.Clone()}
 }

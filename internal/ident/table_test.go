@@ -94,12 +94,12 @@ func (m *model) check(t *testing.T, universe []Tag) {
 			t.Fatalf("Find(%v) = %d for a non-member", k, i)
 		}
 	}
-	for name, index := range map[string]map[Tag]int{"set": m.set.t.index, "table": m.tab.index} {
-		if (index != nil) != (len(m.ref.order) > tableIndexMin) {
-			t.Fatalf("%s with %d entries: index present = %v", name, len(m.ref.order), index != nil)
+	for name, index := range map[string]Index{"set": m.set.t.index, "table": m.tab.index} {
+		if (index.slots != nil) != (len(m.ref.order) > tableIndexMin) {
+			t.Fatalf("%s with %d entries: index present = %v", name, len(m.ref.order), index.slots != nil)
 		}
-		if index != nil && len(index) != len(m.ref.order) {
-			t.Fatalf("%s index holds %d keys for %d entries", name, len(index), len(m.ref.order))
+		if index.slots != nil && index.Len() != len(m.ref.order) {
+			t.Fatalf("%s index holds %d keys for %d entries", name, index.Len(), len(m.ref.order))
 		}
 	}
 }

@@ -358,8 +358,8 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 	// Loop time is nanoseconds since the loop goroutine started.
 	cfg := host.LoopConfig{Budget: tr.FrameBudget(), Batch: true,
 		CheckpointEvery: int64(o.checkpointEvery), Tracer: o.tracer}
-	if o.observer != nil {
-		cfg.OnReceive = o.observer.OnReceive
+	if ob := o.observer; ob != nil {
+		cfg.OnReceive = func(m *wire.Message) { ob.OnReceive(*m) }
 	}
 	return &Node{
 		loop:           host.NewLoop(host.Core{Proc: proc, Store: o.store}, cfg, 0),
@@ -445,11 +445,19 @@ func (n *Node) call(f func(p urb.Process) func() bool) error {
 	case <-n.done:
 		return ErrNotRunning
 	}
+	// An after-hook that stops the loop closes done right behind reply,
+	// and select picks at random among ready cases: reply, once closed,
+	// must win, or an accepted broadcast would read as never submitted.
 	select {
 	case <-reply:
 		return nil
 	case <-n.done:
-		return ErrNotRunning
+		select {
+		case <-reply:
+			return nil
+		default:
+			return ErrNotRunning
+		}
 	}
 }
 

@@ -292,6 +292,43 @@ func TestNodeStoreErrorStopsNode(t *testing.T) {
 	}
 }
 
+// TestNodeStoreErrorBroadcastAccepted: a Broadcast the process accepted
+// returns its identity even when absorbing it fails the store and stops
+// the node, so the loop closes done right behind the caller's reply.
+// The window is forced open: the action queue is full when Broadcast
+// queues its action, so on one P the caller waits there while the node
+// goroutine runs the queued actions, Broadcast's own and the shutdown it
+// causes. The caller reaches its select with reply and done both closed,
+// and a select that does not prefer reply picks done about half the
+// time.
+func TestNodeStoreErrorBroadcastAccepted(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 100; i++ {
+		mesh := transport.NewMesh(transport.MeshConfig{
+			N:    1,
+			Link: channel.Reliable{D: channel.FixedDelay(0)},
+			Unit: time.Millisecond,
+			Seed: uint64(i),
+		})
+		st := store.NewMem()
+		st.Close() // every write will fail
+		nd := New(urb.NewMajority(1, ident.NewSource(xrand.New(uint64(i))), urb.Config{}),
+			mesh.Endpoint(0), WithStore(st), WithTickEvery(time.Hour))
+		for len(nd.actions) < cap(nd.actions) {
+			nd.actions <- func(urb.Process) bool { return true }
+		}
+		if err := nd.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		_, err := nd.Broadcast([]byte("accepted"))
+		nd.Stop()
+		mesh.Close()
+		if err != nil {
+			t.Fatalf("run %d: Broadcast of an accepted message: %v", i, err)
+		}
+	}
+}
+
 // TestNewPanicsOnNonDurableStore: WithStore demands a urb.Durable
 // process at construction, not at the first failed checkpoint.
 func TestNewPanicsOnNonDurableStore(t *testing.T) {

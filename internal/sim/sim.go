@@ -460,7 +460,7 @@ func NewEngine(cfg Config) *Engine {
 		// keeps a channel verdict per message, which is what the golden
 		// digests pin. Budget 0: nothing to fit a frame into.
 		e.loops[i] = host.NewLoop(c, host.LoopConfig{CheckpointEvery: cfg.CheckpointEvery,
-			OnReceive: func(m wire.Message) { e.onReceive(i, m) }}, 0)
+			OnReceive: func(m *wire.Message) { e.onReceive(i, *m) }}, 0)
 	}
 	// Phase-shift the first tick of each process so the mesh does not
 	// operate in lockstep. Late joiners have no tick chain until their

@@ -513,7 +513,8 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	}
 	// The lists are sets: a repeated identity lands on its one record (a
 	// repeated pin keeps the last tag_ack, as a map assignment would).
-	fresh := common{recs: msgTable{byTag: make(map[ident.Tag]*msgRec, len(saw))}}
+	var fresh common
+	fresh.recs.grow(len(saw))
 	for _, id := range msgs {
 		fresh.msgs.add(fresh.recordID(id))
 	}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"anonurb/internal/fd"
@@ -18,26 +19,44 @@ import (
 )
 
 // checkRecords verifies the table's structural invariant: a record is
-// filed under its own tag, or — when an earlier record with another body
-// holds that tag — in the clash map under its own identity, and find
-// resolves every identity to its one record; every entry of an order
-// slice points at the table's record for its identity; a record has a
-// MSG_i slot iff it is listed exactly once in msgSet.order, at that
-// slot; it has ACK state (hasAcks) iff it is listed exactly once in
+// indexed under its own tag, once, or — when an earlier record with
+// another body holds that tag — in the clash map under its own identity,
+// and find resolves every identity to its one record; every entry of an
+// order slice points at the table's record for its identity; a record
+// has a MSG_i slot iff it is listed exactly once in msgSet.order, at
+// that slot; it has ACK state (hasAcks) iff it is listed exactly once in
 // ackOrder.
 func (c *common) checkRecords(ackOrder []*msgRec, hasAcks func(*msgRec) bool) error {
-	for tag, rec := range c.recs.byTag {
-		if rec.id.Tag != tag {
-			return fmt.Errorf("record %v filed under tag %v", rec.id, tag)
+	indexed := make([]bool, len(c.recs.recs))
+	for i := range c.recs.byTag.All {
+		switch {
+		case i >= len(indexed):
+			return fmt.Errorf("index holds position %d of %d records", i, len(indexed))
+		case indexed[i]:
+			return fmt.Errorf("index holds record %v twice", c.recs.recs[i].id)
+		case c.recs.byTag.Find(c.recs.recs[i].id.Tag, c.recs.tagAt) != i:
+			return fmt.Errorf("record %v is indexed where its tag does not lead", c.recs.recs[i].id)
+		}
+		indexed[i] = true
+	}
+	for i, rec := range c.recs.recs {
+		if indexed[i] {
+			continue
+		}
+		if c.recs.clash[rec.id] != rec {
+			return fmt.Errorf("record %v is neither indexed nor in the clash map", rec.id)
+		}
+		if j := c.recs.byTag.Find(rec.id.Tag, c.recs.tagAt); j < 0 || j > i || c.recs.recs[j].id.Body == rec.id.Body {
+			return fmt.Errorf("clash record %v, but its tag does not lead to an earlier body", rec.id)
 		}
 	}
 	for id, rec := range c.recs.clash {
 		if rec.id != id {
 			return fmt.Errorf("clash record %v filed under %v", rec.id, id)
 		}
-		if first := c.recs.byTag[id.Tag]; first == nil || first.id.Body == id.Body {
-			return fmt.Errorf("clash record %v, but its tag holds %v", id, first)
-		}
+	}
+	if n := c.recs.byTag.Len() + len(c.recs.clash); n != len(c.recs.recs) {
+		return fmt.Errorf("%d records, but %d indexed and %d clashing", len(c.recs.recs), c.recs.byTag.Len(), len(c.recs.clash))
 	}
 	inMsgs := make(map[*msgRec]int, len(c.msgs.order))
 	dead := 0
@@ -301,6 +320,47 @@ func deliveredMajority(t testing.TB, k int) (*Majority, []wire.Message, []wire.M
 
 // recvSink keeps the measured Steps alive.
 var recvSink Step
+
+// TestMsgTableLayout: the table's layout is a pure function of the
+// messages filed — two processes that hear the same messages in the same
+// order, under different tag_ack streams of their own, walk their tables
+// in the same order, first contact first, over the same index slots —
+// and its slot memory stays at most 16 bytes per record at every size.
+// Half the tags come from a flow source, which pins Hi.
+func TestMsgTableLayout(t *testing.T) {
+	flow := ident.NewFlowSource(0xf10, xrand.New(8))
+	random := ident.NewSource(xrand.New(9))
+	ids := make([]wire.MsgID, 3000)
+	for i := range ids {
+		src := random
+		if i%2 == 0 {
+			src = flow
+		}
+		ids[i] = wire.MsgID{Tag: src.Next(), Body: fmt.Sprint(i)}
+	}
+	var tables [2]*msgTable
+	for k := range tables {
+		p := NewMajority(3, ident.NewSource(xrand.New(uint64(k+1))), Config{})
+		for _, id := range ids {
+			p.Receive(wire.NewMsg(id))
+			if n, b := p.recs.len(), p.recs.byTag.Bytes(); b > 16*n {
+				t.Fatalf("%d records hold %d index bytes, %.1f per record; the bound is 16", n, b, float64(b)/float64(n))
+			}
+		}
+		checkProcRecords(t, p)
+		tables[k] = &p.recs
+	}
+	var order []wire.MsgID
+	for rec := range tables[0].all {
+		order = append(order, rec.id)
+	}
+	if !slices.Equal(order, ids) {
+		t.Fatal("the table does not walk its records in the order of first contact")
+	}
+	if a, b := slices.Collect(tables[0].byTag.All), slices.Collect(tables[1].byTag.All); !slices.Equal(a, b) {
+		t.Fatal("the same messages left two different index layouts")
+	}
+}
 
 // TestReceiveDuplicateAllocs pins the cost of the steady state on fair
 // lossy channels: a duplicate ACK for a delivered message resolves its

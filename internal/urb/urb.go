@@ -30,6 +30,8 @@
 package urb
 
 import (
+	"slices"
+
 	"anonurb/internal/ident"
 	"anonurb/internal/obs"
 	"anonurb/internal/wire"
@@ -361,26 +363,41 @@ func (s *msgSet) appendLive(dst []*msgRec) []*msgRec {
 }
 
 // msgTable is the message table (DESIGN.md §10, "Message records"):
-// one record per (m, tag) the process has ever heard of. Records are
-// never removed — retirement takes a message out of MSG_i and frees its
-// claim state, not its record.
+// one record per (m, tag) the process has ever heard of, in recs in the
+// order of first contact. Records are never removed — retirement takes
+// a message out of MSG_i and frees its claim state, not its record.
 //
 // The table is keyed by the tag alone. A tag is 128 random bits (the
 // collision bound in the ident package doc), so it is already the hash:
-// a duplicate costs one 16-byte probe plus one exact compare of the
-// body, where a MsgID key would hash the whole body as well. A second body under a taken tag — a corrupted copy or a real
-// collision — is still a message of its own: it goes to clash, keyed by
-// the full identity, which stays nil until the first such body arrives.
+// byTag, an ident.Index over recs, places it without hashing it again
+// and stores no key — a slot is a four-byte position, and a probe reads
+// the candidate's tag from its record, which a hit reads anyway for the
+// exact compare of the body. A second body under a taken tag — a
+// corrupted copy or a real collision — is still a message of its own: it
+// is in recs but not in byTag, and clash, keyed by the full identity,
+// finds it; clash stays nil until the first such body arrives.
 type msgTable struct {
-	byTag map[ident.Tag]*msgRec
+	recs  []*msgRec
+	byTag ident.Index
 	clash map[wire.MsgID]*msgRec
+}
+
+// tagAt is byTag's view of the records.
+func (t *msgTable) tagAt(i int) ident.Tag { return t.recs[i].id.Tag }
+
+// first returns the record holding tag's index entry, nil if none does.
+func (t *msgTable) first(tag ident.Tag) *msgRec {
+	if i := t.byTag.Find(tag, t.tagAt); i >= 0 {
+		return t.recs[i]
+	}
+	return nil
 }
 
 // lookup returns the record of (body, tag), nil if the process has never
 // heard of the message. Comparing string(body) in place, like indexing
 // with it, makes no string: a hit allocates nothing.
 func (t *msgTable) lookup(tag ident.Tag, body []byte) *msgRec {
-	if rec := t.byTag[tag]; rec == nil || rec.id.Body == string(body) {
+	if rec := t.first(tag); rec == nil || rec.id.Body == string(body) {
 		return rec
 	}
 	return t.clash[wire.MsgID{Tag: tag, Body: string(body)}]
@@ -388,7 +405,7 @@ func (t *msgTable) lookup(tag ident.Tag, body []byte) *msgRec {
 
 // find is lookup for an identity already in MsgID form.
 func (t *msgTable) find(id wire.MsgID) *msgRec {
-	if rec := t.byTag[id.Tag]; rec == nil || rec.id.Body == id.Body {
+	if rec := t.first(id.Tag); rec == nil || rec.id.Body == id.Body {
 		return rec
 	}
 	return t.clash[id]
@@ -396,8 +413,9 @@ func (t *msgTable) find(id wire.MsgID) *msgRec {
 
 // insert files a record whose identity the table does not hold yet.
 func (t *msgTable) insert(rec *msgRec) {
-	if t.byTag[rec.id.Tag] == nil {
-		t.byTag[rec.id.Tag] = rec
+	t.recs = append(t.recs, rec)
+	if t.first(rec.id.Tag) == nil {
+		t.byTag.Insert(rec.id.Tag, len(t.recs)-1, t.tagAt)
 		return
 	}
 	if t.clash == nil {
@@ -406,21 +424,22 @@ func (t *msgTable) insert(rec *msgRec) {
 	t.clash[rec.id] = rec
 }
 
-// all yields every record, in no particular order.
+// grow makes room for n more records: the presize of a restore.
+func (t *msgTable) grow(n int) {
+	t.recs = slices.Grow(t.recs, n)
+	t.byTag.Grow(n, t.tagAt)
+}
+
+// all yields every record, in the order of first contact.
 func (t *msgTable) all(yield func(*msgRec) bool) {
-	for _, rec := range t.byTag {
-		if !yield(rec) {
-			return
-		}
-	}
-	for _, rec := range t.clash {
+	for _, rec := range t.recs {
 		if !yield(rec) {
 			return
 		}
 	}
 }
 
-func (t *msgTable) len() int { return len(t.byTag) + len(t.clash) }
+func (t *msgTable) len() int { return len(t.recs) }
 
 // common holds the state shared by both algorithms.
 type common struct {
@@ -439,7 +458,7 @@ type common struct {
 }
 
 func newCommon(cfg Config, tags *ident.Source) common {
-	return common{cfg: cfg, tags: tags, recs: msgTable{byTag: make(map[ident.Tag]*msgRec)}}
+	return common{cfg: cfg, tags: tags}
 }
 
 // record returns the record of a wire message's (m, tag), creating it on

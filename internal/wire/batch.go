@@ -17,7 +17,8 @@ import (
 
 // DefaultEncodeCacheSize is the entry bound EncodeCache uses when built
 // with a non-positive capacity. Entries are one encoded MSG frame each
-// (tens of bytes for typical payloads), so the default is cheap.
+// (tens of bytes for typical payloads), and a cache only grows to it as
+// distinct messages are sent, so the default is cheap.
 const DefaultEncodeCacheSize = 1024
 
 // EncodeBatch packs the canonical encodings of msgs into as few
@@ -95,25 +96,29 @@ func DecodeBatch(frame []byte) ([]Message, error) {
 // afresh and not cached: each message gets its own bytes, never the
 // other's.
 //
-// The cache is bounded: once capacity entries are held, the oldest entry
-// is evicted first (retired messages age out on their own). It is not
-// safe for concurrent use — every node owns its own cache — except for
-// Stats, whose counters are atomic so monitors may poll them while the
-// owner encodes.
+// The entries are a FIFO ring of {tag, encoding} located through an
+// ident.Index (DESIGN.md §10, "Keyed by tag"). The ring grows with the
+// content, one entry per distinct message sent, up to capacity; from
+// then on a new entry takes the oldest one's place (retired messages age
+// out on their own). It is not safe for concurrent use — every node owns
+// its own cache — except for Stats, whose counters are atomic so
+// monitors may poll them while the owner encodes.
 type EncodeCache struct {
 	capacity int
-	// entries maps a tag to its MSG's encoding. The body is compared in
-	// place against the encoding's body bytes, so a cache hit — the
-	// per-tick steady-state path — allocates nothing.
-	entries map[ident.Tag][]byte
-	// order is a FIFO of cached tags; head indexes the oldest live entry
-	// (the slice is compacted when the dead prefix grows large). Every
-	// slot is live when popped: entries are unique and removed only by
-	// eviction, which consumes the slot.
-	order []ident.Tag
+	// ring holds the entries; once it is full, head is the oldest. The
+	// body is compared in place against the encoding's body bytes, so a
+	// cache hit — the per-tick steady-state path — allocates nothing.
+	ring  []cacheEntry
 	head  int
+	index ident.Index
 
 	hits, misses atomic.Uint64
+}
+
+// cacheEntry is one cached MSG encoding under its tag.
+type cacheEntry struct {
+	tag ident.Tag
+	enc []byte
 }
 
 // NewEncodeCache builds a cache bounded to capacity entries
@@ -122,11 +127,11 @@ func NewEncodeCache(capacity int) *EncodeCache {
 	if capacity <= 0 {
 		capacity = DefaultEncodeCacheSize
 	}
-	return &EncodeCache{
-		capacity: capacity,
-		entries:  make(map[ident.Tag][]byte, capacity),
-	}
+	return &EncodeCache{capacity: capacity}
 }
+
+// tagAt is the index's view of the ring.
+func (c *EncodeCache) tagAt(i int) ident.Tag { return c.ring[i].tag }
 
 // AppendEncoded appends m's canonical encoding to dst and returns the
 // extended slice, serving MSG encodings from the cache when possible.
@@ -136,44 +141,34 @@ func (c *EncodeCache) AppendEncoded(dst []byte, m Message) []byte {
 	if m.Kind != KindMsg {
 		return m.Encode(dst)
 	}
-	enc, ok := c.entries[m.Tag]
-	if ok && string(msgBody(enc)) == string(m.Body) {
+	i := c.index.Find(m.Tag, c.tagAt)
+	if i >= 0 && string(msgBody(c.ring[i].enc)) == string(m.Body) {
 		c.hits.Add(1)
-		return append(dst, enc...)
+		return append(dst, c.ring[i].enc...)
 	}
 	c.misses.Add(1)
-	if ok {
+	if i >= 0 {
 		return m.Encode(dst) // another body holds the tag's entry
 	}
-	enc = m.Encode(make([]byte, 0, m.EncodedSize()))
-	if len(c.entries) >= c.capacity {
-		c.evictOldest()
+	e := cacheEntry{tag: m.Tag, enc: m.Encode(make([]byte, 0, m.EncodedSize()))}
+	if len(c.ring) < c.capacity {
+		c.ring = append(c.ring, e)
+		c.index.Insert(e.tag, len(c.ring)-1, c.tagAt)
+	} else {
+		c.index.Delete(c.ring[c.head].tag, c.head, c.tagAt)
+		c.ring[c.head] = e
+		c.index.Insert(e.tag, c.head, c.tagAt)
+		c.head = (c.head + 1) % c.capacity
 	}
-	c.entries[m.Tag] = enc
-	c.order = append(c.order, m.Tag)
-	return append(dst, enc...)
+	return append(dst, e.enc...)
 }
 
 // msgBody returns the body bytes of a canonical MSG encoding: what
 // follows the header and the body length, up to the trailing tag.
 func msgBody(enc []byte) []byte { return enc[headerLen+4 : len(enc)-tagLen] }
 
-// evictOldest removes the oldest cached entry.
-func (c *EncodeCache) evictOldest() {
-	if c.head >= len(c.order) {
-		return
-	}
-	delete(c.entries, c.order[c.head])
-	c.head++
-	// Compact the consumed prefix once it dominates the slice.
-	if c.head > len(c.order)/2 && c.head > 64 {
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
-	}
-}
-
 // Len reports the number of cached encodings.
-func (c *EncodeCache) Len() int { return len(c.entries) }
+func (c *EncodeCache) Len() int { return len(c.ring) }
 
 // Stats reports (cache hits, cache misses) so far. Safe to call
 // concurrently with the owner's AppendEncoded.
