@@ -410,7 +410,7 @@ type (
 // the algorithm sees a message — behaviour a fair lossy channel was
 // always allowed — so D1–D5 are untouched (DESIGN.md §11). Inspect the
 // stage with Node.AdmitStats, per-flow deliveries with
-// Node.FlowDeliveries.
+// Node.FlowDeliveries: only a node built with admission counts them.
 func WithAdmission(cfg AdmitConfig) NodeOption { return node.WithAdmission(cfg) }
 
 // NewNodeMetrics returns an empty metrics-collecting Observer.

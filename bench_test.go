@@ -290,6 +290,58 @@ func BenchmarkLoopFrameDuplicates(b *testing.B) {
 	}
 }
 
+// BenchmarkLoopFrameBurst measures what a node saves by taking a burst
+// of queued frames in one host.Loop call: 16 one-message frames — the
+// size of a delay line's wake of copies — each a MSG duplicate from a
+// delivered 200-message Majority working set, fed as one OnFrames call
+// (burst) against one OnFrame call per frame (frames). One op is the 16
+// frames; the burst packs its 16 ACK replies into one frame, the frames
+// case into 16.
+func BenchmarkLoopFrameBurst(b *testing.B) {
+	const k = 16
+	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
+	frames := make([][]byte, dupWorkingSet)
+	for i := range frames {
+		id := dupID(i)
+		m := wire.NewMsg(id)
+		p.Receive(m)
+		for a := uint64(100); a < 103; a++ {
+			p.Receive(wire.NewAck(id, ident.Tag{Hi: a, Lo: 1}))
+		}
+		frames[i] = m.Encode(nil)
+	}
+	if st := p.Stats(); st.Delivered != dupWorkingSet {
+		b.Fatalf("setup: delivered %d/%d", st.Delivered, dupWorkingSet)
+	}
+	cfg := host.LoopConfig{Budget: transport.MaxUDPFrame, Batch: true}
+	b.Run("burst", func(b *testing.B) {
+		l := host.NewLoop(host.Core{Proc: p}, cfg, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := i % (dupWorkingSet / k) * k
+			out, err := l.OnFrames(frames[at : at+k])
+			if err != nil || out.Received != k || len(out.Frames) != 1 {
+				b.Fatalf("burst %d: err %v, received %d, %d reply frames", i, err, out.Received, len(out.Frames))
+			}
+		}
+	})
+	b.Run("frames", func(b *testing.B) {
+		l := host.NewLoop(host.Core{Proc: p}, cfg, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := i % (dupWorkingSet / k) * k
+			for _, f := range frames[at : at+k] {
+				out, err := l.OnFrame(f)
+				if err != nil || out.Received != 1 || len(out.Frames) != 1 {
+					b.Fatalf("frame %d: err %v, received %d, %d reply frames", i, err, out.Received, len(out.Frames))
+				}
+			}
+		}
+	})
+}
+
 // decorated wraps a process the way a decorator does, exposing only the
 // urb.Process methods.
 type decorated struct{ urb.Process }

@@ -106,9 +106,12 @@ func F2LatencyVsLoss(p Params) *Table {
 
 // F3MessagesVsN is figure F3: message complexity as a function of system
 // size. Both algorithms broadcast O(n) wire messages per reception (one
-// ACK per MSG copy received), so link copies grow quadratically; the
-// difference is the horizon — Algorithm 2's total is bounded (it stops at
-// quiescence), Algorithm 1's grows with the measurement window.
+// ACK per MSG copy received), and every one of the n processes keeps
+// re-sending MSG each tick until it may stop, so link copies grow faster
+// than n²: on the paper configuration about 1.5 n³ per broadcast, which
+// is why the alg2 copies/n^2 column rises with n. The difference is the
+// horizon — Algorithm 2's total is bounded (it stops at quiescence),
+// Algorithm 1's grows with the measurement window.
 func F3MessagesVsN(p Params) *Table {
 	ns := pick(p, []int{3, 7}, []int{3, 5, 7, 9, 13, 17, 21})
 	t := &Table{

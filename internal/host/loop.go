@@ -10,9 +10,11 @@ import (
 
 // Loop is the body of a host's event loop (DESIGN.md §6), written once
 // for both drivers: node.Node calls it under the wall clock, sim.Engine
-// under virtual time. A received frame (OnFrame), a Task-1 tick (OnTick)
-// and a local broadcast (Absorb) all end in one absorb: Core.Commit,
-// then the Step's broadcasts packed into frames. The driver exposes
+// under virtual time. A burst of received frames (OnFrames), a Task-1
+// tick (OnTick) and a local broadcast (Absorb) all end in one absorb:
+// Core.Commit, then the Step's broadcasts packed into frames. The node
+// hands over the frames already waiting in its inbox as a burst; sim
+// hands over one frame per receive event (OnFrame). The driver exposes
 // Out.Deliveries and sends Out.Frames. A Loop is not safe for
 // concurrent use.
 type Loop struct {
@@ -23,10 +25,12 @@ type Loop struct {
 	// decided by NewLoop and again by SetProc, the one way to replace
 	// Proc afterwards.
 	receive func(*urb.Step, *wire.Message)
-	// msg is OnFrame's decode target. A field rather than a local, so
-	// the pointer handed to receive makes nothing escape; OnFrame zeroes
+	// msg is OnFrames' decode target. A field rather than a local, so
+	// the pointer handed to receive makes nothing escape; OnFrames zeroes
 	// it before returning, because its Body borrows the frame.
 	msg wire.Message
+	// burst is the buffer Gather collects frames in for OnFrames.
+	burst [][]byte
 	// step and out live until Free: a batch frame fills one Step with a
 	// hundred receptions' outputs, and re-growing fresh slices for every
 	// frame was a measurable share of a busy node's CPU.
@@ -41,7 +45,7 @@ type Loop struct {
 // bytes (0 = unbudgeted) that SNAPCHUNKs and batches are sized under,
 // whether a Step's messages share frames (else one message per frame),
 // the checkpoint cadence in the driver's time unit (0 = never), the
-// tracer for snapshot-transfer events (nil = off), and the hook OnFrame
+// tracer for snapshot-transfer events (nil = off), and the hook OnFrames
 // hands every decoded message to before the process sees it (nil =
 // none). A hook rather than a list in Out: a batch frame carries
 // hundreds of messages, and a list sized for the largest would stay
@@ -62,10 +66,10 @@ type Span struct{ Frame, Start, End int }
 // Out is what one Loop call hands its driver. It is the loop's own
 // buffer, valid until the next call.
 type Out struct {
-	// Received counts the messages decoded from the frame (OnFrame
-	// only); Bad reports a frame nothing decoded from.
-	Received int
-	Bad      bool
+	// Received counts the messages decoded from the frames (OnFrames
+	// only); Good counts the frames something decoded from, Bad those
+	// nothing did. Together they are the frames the call took.
+	Received, Good, Bad int
 	// WALRecords and WALBytes count the records this call appended;
 	// Checkpoint is the size of the snapshot it saved (0 for none).
 	WALRecords, WALBytes, Checkpoint int
@@ -108,40 +112,81 @@ func Messages(frame []byte) iter.Seq[wire.Message] {
 	}
 }
 
-// OnFrame feeds a received frame to the process message by message,
-// every reception appending its outputs to the one Step, so the replies
-// (e.g. the ACKs to a batch of MSGs) leave as one batch in turn. Join
-// traffic is host-level and never shown to the algorithm: a SNAPREQ is
-// served (Core.ServeSnap), a SNAPCHUNK addresses a bootstrapping joiner,
-// not us. The frame is split as Messages splits it, but each message is
-// decoded in place into the loop's one Message (wire.DecodeInto) and
-// handed on by pointer rather than copied out of an iterator: on a frame
-// of duplicates, those copies were a tenth of the node's CPU.
+// Gather appends frame to the burst the loop collects for OnFrames and
+// returns the burst so far. The buffer lives with the loop, so gathering
+// allocates nothing once it has grown; the OnFrames call that takes the
+// last of a burst empties it, so it pins no frame, and Free drops it.
+func (l *Loop) Gather(frame []byte) [][]byte {
+	l.burst = append(l.burst, frame)
+	return l.burst
+}
+
+// OnFrame is OnFrames over one frame.
+func (l *Loop) OnFrame(frame []byte) (*Out, error) {
+	return l.OnFrames(l.Gather(frame))
+}
+
+// OnFrames feeds a burst of received frames to the process, frame by
+// frame and message by message, every reception appending its outputs
+// to the one Step; one absorb then commits and packs them all, so the
+// replies (e.g. the ACKs to a batch of MSGs, or to a delay line's wake of
+// copies) leave as one batch in turn, in the order one-frame calls would
+// have sent them.
+//
+// With a store, the call ends after the first frame that produced
+// anything — a message to send, a durable event or a delivery — and
+// Out.Good+Out.Bad tells the driver how many frames it took; the driver
+// hands the rest to the next call. Merged further, a frame's reply or
+// delivery would wait for a later frame's synced write-ahead, which one
+// call per frame sends or exposes first. Without a store nothing waits
+// on a sync, and the call takes every frame.
+//
+// Join traffic is host-level and never shown to the algorithm: a
+// SNAPREQ is served (Core.ServeSnap), a SNAPCHUNK addresses a
+// bootstrapping joiner, not us. Each frame is split as Messages splits
+// it, but each message is decoded in place into the loop's one Message
+// (wire.DecodeInto) and handed on by pointer rather than copied out of an
+// iterator: on a frame of duplicates, those copies were a tenth of the
+// node's CPU.
 //
 //urb:hotpath
-func (l *Loop) OnFrame(frame []byte) (*Out, error) {
+func (l *Loop) OnFrames(frames [][]byte) (*Out, error) {
 	l.Release()
 	m := &l.msg
-	for rest := frame; len(rest) > 0; {
-		var err error
-		if rest, err = wire.DecodeInto(m, rest); err != nil {
-			break
-		}
-		l.out.Received++
-		if l.cfg.OnReceive != nil {
-			l.cfg.OnReceive(m)
-		}
-		if !m.Kind.IsSnap() {
-			l.receive(&l.step, m)
-		} else if m.Kind == wire.KindSnapReq {
-			l.cfg.Tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
-			if served := l.ServeSnap(*m, l.cfg.Budget, &l.step); served > 0 {
-				l.cfg.Tracer.Snap(obs.EvSnapChunk, int(m.Off), served)
+	for _, frame := range frames {
+		before := l.out.Received
+		for rest := frame; len(rest) > 0; {
+			var err error
+			if rest, err = wire.DecodeInto(m, rest); err != nil {
+				break
 			}
+			l.out.Received++
+			if l.cfg.OnReceive != nil {
+				l.cfg.OnReceive(m)
+			}
+			if !m.Kind.IsSnap() {
+				l.receive(&l.step, m)
+			} else if m.Kind == wire.KindSnapReq {
+				l.cfg.Tracer.Snap(obs.EvSnapReq, int(m.Off), 0)
+				if served := l.ServeSnap(*m, l.cfg.Budget, &l.step); served > 0 {
+					l.cfg.Tracer.Snap(obs.EvSnapChunk, int(m.Off), served)
+				}
+			}
+		}
+		if l.out.Received == before {
+			l.out.Bad++
+		} else {
+			l.out.Good++
+		}
+		if l.Store != nil && len(l.step.Broadcasts)+len(l.step.Durable)+len(l.step.Deliveries) > 0 {
+			break
 		}
 	}
 	*m = wire.Message{}
-	l.out.Bad = l.out.Received == 0
+	if l.out.Good+l.out.Bad == len(frames) {
+		clear(l.burst)
+		l.burst = l.burst[:0]
+	}
 	return l.absorb(l.step)
 }
 
@@ -183,7 +228,7 @@ func (l *Loop) Release() {
 // Free drops the loop's reusable buffers too. A driver calls it once the
 // process has stopped, so a stopped process pins only its state; a loop
 // used again regrows them.
-func (l *Loop) Free() { l.step, l.out = urb.Step{}, Out{} }
+func (l *Loop) Free() { l.step, l.out, l.burst = urb.Step{}, Out{}, nil }
 
 // absorb writes s ahead and packs its broadcasts. On a store error it
 // returns the error with nothing to expose or send, and the driver stops

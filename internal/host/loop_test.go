@@ -56,8 +56,8 @@ func TestLoopFrameIn(t *testing.T) {
 					t.Fatalf("message %d is %v, want %v", i, m.ID(), tc.want[i].ID())
 				}
 			}
-			if out.Bad != (len(tc.want) == 0) {
-				t.Fatalf("bad = %v with %d messages decoded", out.Bad, len(tc.want))
+			if (out.Bad == 1) != (len(tc.want) == 0) || out.Good+out.Bad != 1 {
+				t.Fatalf("good %d, bad %d with %d messages decoded", out.Good, out.Bad, len(tc.want))
 			}
 			// Each MSG received reached the algorithm: a solo Majority
 			// answers it with an ACK.

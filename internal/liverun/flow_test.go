@@ -10,6 +10,7 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/replay"
 	"anonurb/internal/sim"
+	"anonurb/internal/wire"
 	"anonurb/internal/workload"
 	"anonurb/internal/xrand"
 )
@@ -237,15 +238,25 @@ func runAdmission(t *testing.T, n int, sched []sim.ScheduledBroadcast, hot int, 
 }
 
 // TestClusterWithoutFlows: nil Flows keeps full anonymity — every
-// delivery lands under a distinct per-message flow key.
+// delivered message carries its own flow key (the Hi half of its tag) —
+// and a node without admission keeps no per-flow counts.
 func TestClusterWithoutFlows(t *testing.T) {
 	const n = 3
+	var mu sync.Mutex
+	flows := map[uint64]bool{}
 	c := Start(Config{
 		N:       n,
 		Factory: majorityFactory(n),
 		Link:    channel.Reliable{D: channel.FixedDelay(0)},
 		Unit:    time.Millisecond,
 		Seed:    18,
+		OnDeliver: func(d Delivery) {
+			if d.Proc == 1 {
+				mu.Lock()
+				flows[wire.FlowOf(d.ID.Tag)] = true
+				mu.Unlock()
+			}
+		},
 	})
 	defer c.Stop()
 	for i := 0; i < 3; i++ {
@@ -254,9 +265,16 @@ func TestClusterWithoutFlows(t *testing.T) {
 		}
 	}
 	if !waitFor(t, 5*time.Second, func() bool {
-		return len(c.Node(1).FlowDeliveries()) == 3
+		mu.Lock()
+		defer mu.Unlock()
+		return len(flows) == 3
 	}) {
-		t.Fatalf("per-message flows collapsed: %v", c.Node(1).FlowDeliveries())
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("per-message flows collapsed: %v", flows)
+	}
+	if fd := c.Node(1).FlowDeliveries(); len(fd) != 0 {
+		t.Fatalf("a node without admission counts flows: %v", fd)
 	}
 	if _, present := c.Node(0).AdmitStats(); present {
 		t.Fatal("admission stage present without configuration")

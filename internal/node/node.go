@@ -211,7 +211,8 @@ type BroadcastObserver interface {
 
 // Node hosts one urb.Process on a Transport. It runs host.Loop batched:
 // each Step's messages share as few frames as the transport's
-// FrameBudget allows, at zero byte overhead (DESIGN.md §7).
+// FrameBudget allows, at zero byte overhead (DESIGN.md §7), and the
+// frames already waiting in its inbox are taken as one burst (§6).
 type Node struct {
 	// loop is the hosted process and its store inside host.Loop. Loop
 	// goroutine only once started.
@@ -229,8 +230,11 @@ type Node struct {
 
 	flowMu sync.Mutex
 	// flowDeliveries holds per-broadcaster-flow delivery counts, keyed
-	// by wire.FlowOf of the delivered tag. Written on the node
-	// goroutine, read by FlowDeliveries; guarded by flowMu.
+	// by wire.FlowOf of the delivered tag, on a node built
+	// WithAdmission, and is nil on any other: a tag from an unpinned
+	// source is its own flow, so the map would hold one entry per
+	// message for ever. Written on the node goroutine, read by
+	// FlowDeliveries; guarded by flowMu.
 	flowDeliveries map[uint64]uint64
 
 	deliveries chan Delivery
@@ -361,17 +365,20 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 	if ob := o.observer; ob != nil {
 		cfg.OnReceive = func(m *wire.Message) { ob.OnReceive(*m) }
 	}
-	return &Node{
-		loop:           host.NewLoop(host.Core{Proc: proc, Store: o.store}, cfg, 0),
-		tr:             tr,
-		opt:            o,
-		admission:      stage,
-		bcastObs:       bo,
-		flowDeliveries: make(map[uint64]uint64),
-		deliveries:     make(chan Delivery, o.inboxDepth),
-		actions:        make(chan func(urb.Process) bool, 64),
-		done:           make(chan struct{}),
+	n := &Node{
+		loop:       host.NewLoop(host.Core{Proc: proc, Store: o.store}, cfg, 0),
+		tr:         tr,
+		opt:        o,
+		admission:  stage,
+		bcastObs:   bo,
+		deliveries: make(chan Delivery, o.inboxDepth),
+		actions:    make(chan func(urb.Process) bool, 64),
+		done:       make(chan struct{}),
 	}
+	if stage != nil {
+		n.flowDeliveries = make(map[uint64]uint64)
+	}
+	return n
 }
 
 // Start launches the node goroutine. The node runs until Stop is called
@@ -620,10 +627,12 @@ func (n *Node) InboxOverflows() (uint64, bool) {
 }
 
 // FlowDeliveries returns this node's URB-delivery counts per
-// broadcaster flow (wire.FlowOf of the delivered tag). For nodes whose
-// peers pin flow tags (ident.NewFlowSource) the map has one entry per
-// broadcaster; unpinned peers contribute one entry per delivered
-// message. The returned map is a copy; safe to call while running.
+// broadcaster flow (wire.FlowOf of the delivered tag) on a node built
+// WithAdmission, the stage that classifies by flow, and an empty map on
+// any other. For nodes whose peers pin flow tags (ident.NewFlowSource)
+// the map has one entry per broadcaster; unpinned peers contribute one
+// entry per delivered message. The returned map is a copy; safe to call
+// while running.
 func (n *Node) FlowDeliveries() map[uint64]uint64 {
 	n.flowMu.Lock()
 	defer n.flowMu.Unlock()
@@ -676,12 +685,17 @@ func (n *Node) run(ctx context.Context) {
 	tick := time.NewTimer(phase)
 	defer tick.Stop()
 	start := time.Now()
+	recv := n.tr.Receive()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case frame, ok := <-n.tr.Receive():
-			if !ok || !n.expose(n.loop.OnFrame(frame)) {
+		case frame, ok := <-recv:
+			if !ok {
+				return
+			}
+			burst, open := n.gather(recv, frame)
+			if !n.absorb(burst) || !open {
 				return
 			}
 		case <-tick.C:
@@ -696,6 +710,47 @@ func (n *Node) run(ctx context.Context) {
 			}
 		}
 	}
+}
+
+// maxBurst bounds the frames run takes from the inbox at once: enough
+// for a delay line's wake (about 15 copies on a five-node mesh), few
+// enough that a tick or a Node.call action waits behind at most one
+// burst.
+const maxBurst = 64
+
+// gather collects the burst that starts with frame: every frame already
+// waiting on recv, up to maxBurst, without blocking. open is false when
+// recv turned out closed; the burst is still whole.
+func (n *Node) gather(recv <-chan []byte, frame []byte) (burst [][]byte, open bool) {
+	burst = n.loop.Gather(frame)
+	for len(burst) < maxBurst {
+		select {
+		case f, ok := <-recv:
+			if !ok {
+				return burst, false
+			}
+			burst = n.loop.Gather(f)
+		default:
+			return burst, true
+		}
+	}
+	return burst, true
+}
+
+// absorb hands burst to the loop until it has taken every frame: a
+// durable node's loop takes a burst in several calls, one per frame that
+// writes ahead or replies (host.Loop.OnFrames). It reports false when
+// the node must stop (expose's store failure).
+func (n *Node) absorb(burst [][]byte) bool {
+	for len(burst) > 0 {
+		out, err := n.loop.OnFrames(burst)
+		taken := out.Good + out.Bad // read before expose releases out
+		if !n.expose(out, err) {
+			return false
+		}
+		burst = burst[taken:]
+	}
+	return true
 }
 
 // noteTick fires OnQuiescence when a Task-1 tick sent nothing and
@@ -718,10 +773,11 @@ func (n *Node) noteTick() {
 //urb:hotpath
 func (n *Node) expose(out *host.Out, err error) bool {
 	defer n.loop.Release()
-	if out.Bad {
-		n.badFrames.Add(1)
-	} else if out.Received > 0 {
-		n.recvFrames.Add(1)
+	if out.Bad > 0 {
+		n.badFrames.Add(uint64(out.Bad))
+	}
+	if out.Good > 0 {
+		n.recvFrames.Add(uint64(out.Good))
 		n.recvMsgs.Add(uint64(out.Received))
 	}
 	n.walAppends.Add(uint64(out.WALRecords))
@@ -738,11 +794,13 @@ func (n *Node) expose(out *host.Out, err error) bool {
 	var now time.Time
 	if len(out.Deliveries) > 0 {
 		now = time.Now()
-		n.flowMu.Lock()
-		for _, d := range out.Deliveries {
-			n.flowDeliveries[wire.FlowOf(d.ID.Tag)]++
+		if n.flowDeliveries != nil {
+			n.flowMu.Lock()
+			for _, d := range out.Deliveries {
+				n.flowDeliveries[wire.FlowOf(d.ID.Tag)]++
+			}
+			n.flowMu.Unlock()
 		}
-		n.flowMu.Unlock()
 	}
 	for _, d := range out.Deliveries {
 		del := Delivery{Delivery: d, At: now}

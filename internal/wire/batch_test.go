@@ -170,7 +170,8 @@ func TestEncodeCacheTagClash(t *testing.T) {
 }
 
 // TestEncodeCacheChurn: sustained churn far beyond capacity keeps the
-// entry count bounded (the FIFO compaction path is exercised).
+// entry count bounded (once the ring is full, each new entry takes the
+// oldest one's place).
 func TestEncodeCacheChurn(t *testing.T) {
 	c := NewEncodeCache(8)
 	for i := 0; i < 10_000; i++ {
