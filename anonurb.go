@@ -292,15 +292,13 @@ type (
 	// NodeDelivery is one URB-delivery observed on a Node.
 	NodeDelivery = node.Delivery
 	// NodeOption configures a Node (WithTickEvery, WithSeed,
-	// WithObserver, WithInboxDepth).
+	// WithObserver, WithInboxDepth, WithTracer, WithAdmission,
+	// WithStore, WithCheckpointEvery, WithJoinFloor, WithJoinTimeout).
 	NodeOption = node.Option
-	// Observer receives node events (send/receive/deliver/quiescence).
+	// Observer receives a node's URB-deliveries (OnDeliver) on the node
+	// goroutine. What a node sends and receives is in its accessors and
+	// Node.Gauges.
 	Observer = node.Observer
-	// NodeMetrics is an Observer aggregating node events with the
-	// internal metrics toolkit.
-	NodeMetrics = node.Metrics
-	// NodeMetricsSnapshot is a point-in-time copy of NodeMetrics.
-	NodeMetricsSnapshot = node.Snapshot
 )
 
 // Node lifecycle errors.
@@ -331,7 +329,7 @@ func WithTickEvery(d time.Duration) NodeOption { return node.WithTickEvery(d) }
 // WithSeed seeds a node's local randomness (tick phase).
 func WithSeed(seed uint64) NodeOption { return node.WithSeed(seed) }
 
-// WithObserver installs a node event observer.
+// WithObserver installs a node delivery observer.
 func WithObserver(obs Observer) NodeOption { return node.WithObserver(obs) }
 
 // WithInboxDepth sets the capacity of a node's delivery queue.
@@ -379,15 +377,15 @@ func WriteChromeTrace(w io.Writer, evs []TraceEvent, nanos bool) error {
 
 // ServeDebug starts the live introspection endpoint on addr
 // ("127.0.0.1:0" picks a free port): /debug/vars, /debug/pprof,
-// /metrics (Prometheus text over m's aggregates, when m is non-nil),
-// /trace.json, /report and /explain. Close the returned server when
-// done.
-func ServeDebug(addr string, tracers []*Tracer, m *NodeMetrics) (*DebugServer, error) {
-	opts := obs.ServeOptions{Tracers: tracers, Nanos: true}
-	if m != nil {
-		opts.Gauges = m.Gauges
-	}
-	return obs.Serve(addr, opts)
+// /metrics, /trace.json, /report and /explain. /metrics serves every
+// node's Node.Gauges under a {node="i"} label, i its index in nodes,
+// and, when tracers are given, the broadcast→deliver latency their
+// merged trace shows (urb_deliver_latency_ms_mean/p50/p99/max). Close
+// the returned server when done.
+func ServeDebug(addr string, nodes []*Node, tracers []*Tracer) (*DebugServer, error) {
+	nodes = append([]*Node(nil), nodes...)
+	return obs.Serve(addr, obs.ServeOptions{Tracers: tracers, Nanos: true,
+		Gauges: func() map[string]float64 { return node.LabeledGauges(nodes) }})
 }
 
 // Flow-fairness admission (internal/admit, DESIGN.md §11).
@@ -412,9 +410,6 @@ type (
 // stage with Node.AdmitStats, per-flow deliveries with
 // Node.FlowDeliveries: only a node built with admission counts them.
 func WithAdmission(cfg AdmitConfig) NodeOption { return node.WithAdmission(cfg) }
-
-// NewNodeMetrics returns an empty metrics-collecting Observer.
-func NewNodeMetrics() *NodeMetrics { return node.NewMetrics() }
 
 // Durable state (internal/store + the node recovery path, DESIGN.md §9).
 type (

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -50,7 +51,6 @@ func run(name string, transports []anonurb.Transport) error {
 	defer cancel()
 
 	st := anonurb.NewMemStore()
-	metrics := anonurb.NewNodeMetrics()
 	nodes := make([]*anonurb.Node, n)
 	inboxes := make([]<-chan anonurb.NodeDelivery, n)
 	tracers := make([]*anonurb.Tracer, n)
@@ -60,13 +60,12 @@ func run(name string, transports []anonurb.Transport) error {
 		proc := anonurb.NewMajority(n, anonurb.NewTagSource(uint64(1000+i)), anonurb.Config{})
 		// Every node records its message lifecycle (broadcast, first
 		// send, receptions, evidence progress, delivery) into a bounded
-		// trace ring, and feeds one shared metrics collector.
+		// trace ring.
 		tracers[i] = anonurb.NewTracer(i, 0)
 		opts := []anonurb.NodeOption{
 			anonurb.WithTickEvery(5 * time.Millisecond),
 			anonurb.WithSeed(uint64(i)),
 			anonurb.WithTracer(tracers[i]),
-			anonurb.WithObserver(metrics),
 		}
 		if i == 0 {
 			opts = append(opts, anonurb.WithStore(st),
@@ -108,11 +107,12 @@ func run(name string, transports []anonurb.Transport) error {
 	fmt.Printf("[%s] node 0 persisted its state along the way: %d WAL records (%dB), %d checkpoint(s)\n",
 		name, ss.WALAppends, ss.WALBytes, ss.Checkpoints)
 
-	// Live introspection: the same trace and metrics every long-running
+	// Live introspection: the same counters and trace every long-running
 	// deployment would watch, served over HTTP for the duration of a few
-	// requests — /metrics (Prometheus text), /trace.json (load it in
-	// ui.perfetto.dev), /debug/pprof, /explain.
-	srv, err := anonurb.ServeDebug("127.0.0.1:0", tracers, metrics)
+	// requests — /metrics (Prometheus text: each node's counters and set
+	// sizes, plus the traced broadcast→deliver latency), /trace.json
+	// (load it in ui.perfetto.dev), /debug/pprof, /explain.
+	srv, err := anonurb.ServeDebug("127.0.0.1:0", nodes, tracers)
 	if err != nil {
 		return fmt.Errorf("[%s] debug endpoint: %w", name, err)
 	}
@@ -121,10 +121,17 @@ func run(name string, transports []anonurb.Transport) error {
 	if err != nil {
 		return fmt.Errorf("[%s] debug endpoint: %w", name, err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(promText), "\n") {
-		if strings.HasPrefix(line, "urb_deliveries_total") ||
-			strings.HasPrefix(line, "urb_deliver_latency_ms_p99") {
-			fmt.Printf("[%s] /metrics: %s\n", name, line)
+	lines := strings.Split(strings.TrimSpace(promText), "\n")
+	for _, want := range []string{"urb_deliveries_total", "urb_deliver_latency_ms_p99"} {
+		found := false
+		for _, line := range lines {
+			if strings.HasPrefix(line, want) {
+				fmt.Printf("[%s] /metrics: %s\n", name, line)
+				found = true
+			}
+		}
+		if !found {
+			return fmt.Errorf("[%s] /metrics has no %s line", name, want)
 		}
 	}
 	merged := anonurb.MergeTraces(tracers...)
@@ -164,7 +171,7 @@ func main() {
 	}
 	if err := run("mesh", meshTransports); err != nil {
 		fmt.Println("mesh run failed:", err)
-		return
+		os.Exit(1)
 	}
 
 	// Round 2: the SAME node code over real UDP sockets on loopback,
@@ -173,7 +180,7 @@ func main() {
 	udp, err := anonurb.UDPGroup(n, 0)
 	if err != nil {
 		fmt.Println("udp setup failed:", err)
-		return
+		os.Exit(1)
 	}
 	udpTransports := make([]anonurb.Transport, n)
 	for i := range udpTransports {
@@ -181,7 +188,7 @@ func main() {
 	}
 	if err := run("udp", udpTransports); err != nil {
 		fmt.Println("udp run failed:", err)
-		return
+		os.Exit(1)
 	}
 
 	fmt.Printf("\nsame node code, two networks, %d%% loss on both: URB held.\n",

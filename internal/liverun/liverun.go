@@ -132,9 +132,6 @@ type observer struct {
 	proc int
 }
 
-func (o observer) OnSend(wire.Message, []byte) {}
-func (o observer) OnReceive(wire.Message)      {}
-func (o observer) OnQuiescence(time.Duration)  {}
 func (o observer) OnDeliver(d node.Delivery) {
 	if o.c.cfg.OnDeliver != nil {
 		o.c.cfg.OnDeliver(Delivery{
@@ -315,16 +312,16 @@ func (c *Cluster) Explain(proc int, id wire.MsgID) (obs.Explanation, error) {
 
 // ServeDebug starts the live introspection endpoint on addr ("127.0.0.1:0"
 // picks a free port; see Server.Addr): /debug/vars, /debug/pprof,
-// /metrics in Prometheus text format over m's aggregates (m may be nil),
-// /trace.json (the merged Chrome trace when tracing is on), /report and
-// /explain?msg=<id>. The explain route searches every live process and
-// returns the first report that knows the message. Close the returned
-// server before Stop.
-func (c *Cluster) ServeDebug(addr string, m *node.Metrics) (*obs.Server, error) {
-	opts := obs.ServeOptions{Tracers: c.Tracers(), Nanos: true}
-	if m != nil {
-		opts.Gauges = m.Gauges
-	}
+// /metrics in Prometheus text format (every process's node.Gauges under
+// a {node="i"} label, plus broadcast→deliver latency when tracing is
+// on), /trace.json (the merged Chrome trace when tracing is on), /report
+// and /explain?msg=<id>. The explain route searches every live process
+// and returns the first report that knows the message. The routes read
+// the cluster's current nodes, so Recover and Join must not run while
+// the server is open; close it before Stop.
+func (c *Cluster) ServeDebug(addr string) (*obs.Server, error) {
+	opts := obs.ServeOptions{Tracers: c.Tracers(), Nanos: true,
+		Gauges: func() map[string]float64 { return node.LabeledGauges(c.nodes) }}
 	opts.Explain = func(msg string) (obs.Explanation, bool) {
 		var fallback obs.Explanation
 		found := false

@@ -3,11 +3,11 @@ package liverun
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"anonurb/internal/node"
 	"anonurb/internal/obs"
 )
 
@@ -83,7 +83,7 @@ func TestLiveClusterTracing(t *testing.T) {
 		t.Fatalf("explain after convergence: %+v", ex)
 	}
 
-	srv, err := c.ServeDebug("127.0.0.1:0", node.NewMetrics())
+	srv, err := c.ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,11 @@ func TestLiveClusterTracing(t *testing.T) {
 	}
 
 	metrics := httpGet(t, base+"/metrics")
-	if !strings.Contains(metrics, "urb_deliveries_total") {
-		t.Fatalf("/metrics output:\n%s", metrics)
+	checkNodeLabels(t, metrics, n)
+	for _, q := range []string{"mean", "p50", "p99", "max"} {
+		if !strings.Contains(metrics, "\nurb_deliver_latency_ms_"+q+" ") {
+			t.Fatalf("traced /metrics lacks the %s latency:\n%s", q, metrics)
+		}
 	}
 
 	report := httpGet(t, base+"/report")
@@ -138,7 +141,8 @@ func TestLiveClusterTracing(t *testing.T) {
 }
 
 // TestLiveClusterTracingOff checks the zero-valued knob: no tracers, and
-// the debug endpoint still serves (with an empty trace).
+// the debug endpoint still serves every node's gauges, with no latency
+// lines and an empty trace.
 func TestLiveClusterTracingOff(t *testing.T) {
 	const n = 2
 	col := newCollector()
@@ -149,6 +153,46 @@ func TestLiveClusterTracingOff(t *testing.T) {
 	}
 	if c.Node(0).Tracer() != nil {
 		t.Fatal("tracing off but node has a tracer")
+	}
+	if _, err := c.Node(0).Broadcast([]byte("untraced")); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return col.deliveredBy("untraced") == n }) {
+		t.Fatalf("cluster did not converge: %d/%d", col.deliveredBy("untraced"), n)
+	}
+	srv, err := c.ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	metrics := httpGet(t, "http://"+srv.Addr()+"/metrics")
+	checkNodeLabels(t, metrics, n)
+	if strings.Contains(metrics, "latency") {
+		t.Fatalf("untraced /metrics has latency lines:\n%s", metrics)
+	}
+	tr, err := obs.ReadChromeTrace(strings.NewReader(httpGet(t, "http://"+srv.Addr()+"/trace.json")))
+	if err != nil {
+		t.Fatalf("trace.json does not parse: %v", err)
+	}
+	if len(tr.TraceEvents) != 0 {
+		t.Fatalf("untraced /trace.json holds %d events", len(tr.TraceEvents))
+	}
+}
+
+// checkNodeLabels checks that a /metrics text carries every node's
+// counters under its {node="i"} label, each having delivered once.
+func checkNodeLabels(t *testing.T, metrics string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		label := `{node="` + strconv.Itoa(i) + `"} `
+		for _, name := range []string{"urb_sent_msgs_total", "urb_recv_msgs_total", "urb_sent_bytes_total"} {
+			if !strings.Contains(metrics, "\n"+name+label) {
+				t.Fatalf("/metrics lacks %s for node %d:\n%s", name, i, metrics)
+			}
+		}
+		if !strings.Contains(metrics, "\nurb_deliveries_total"+label+"1\n") {
+			t.Fatalf("/metrics does not show node %d's one delivery:\n%s", i, metrics)
+		}
 	}
 }
 

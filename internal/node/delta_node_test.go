@@ -8,6 +8,7 @@ package node_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,9 +22,47 @@ import (
 	"anonurb/internal/xrand"
 )
 
+// sendAudit decodes every frame the transports it wraps send, with
+// wire.DecodePrefix, independently of the node's own byte counters.
+type sendAudit struct {
+	mu    sync.Mutex
+	msgs  map[wire.Kind]uint64
+	bytes map[wire.Kind]uint64
+	total uint64
+	bad   int
+}
+
+func newSendAudit() *sendAudit {
+	return &sendAudit{msgs: make(map[wire.Kind]uint64), bytes: make(map[wire.Kind]uint64)}
+}
+
+// auditedTransport feeds every frame it sends to its audit first.
+type auditedTransport struct {
+	transport.Transport
+	a *sendAudit
+}
+
+func (t auditedTransport) Send(frame []byte) {
+	t.a.mu.Lock()
+	t.a.total += uint64(len(frame))
+	for rest := frame; len(rest) > 0; {
+		m, next, err := wire.DecodePrefix(rest)
+		if err != nil {
+			t.a.bad++
+			break
+		}
+		t.a.msgs[m.Kind]++
+		t.a.bytes[m.Kind] += uint64(len(rest) - len(next))
+		rest = next
+	}
+	t.a.mu.Unlock()
+	t.Transport.Send(frame)
+}
+
 // startQuiescentCluster launches n quiescent-URB nodes (delta ACKs per
-// cfg) on a mesh with the given link model.
-func startQuiescentCluster(t *testing.T, ctx context.Context, n int, cfg urb.Config, link channel.LinkModel, obs node.Observer) ([]*node.Node, []<-chan node.Delivery, *transport.Mesh) {
+// cfg) on a mesh with the given link model. With a non-nil audit every
+// node's sends pass through it.
+func startQuiescentCluster(t *testing.T, ctx context.Context, n int, cfg urb.Config, link channel.LinkModel, audit *sendAudit) ([]*node.Node, []<-chan node.Delivery, *transport.Mesh) {
 	t.Helper()
 	mesh := transport.NewMesh(transport.MeshConfig{
 		N:    n,
@@ -43,11 +82,11 @@ func startQuiescentCluster(t *testing.T, ctx context.Context, n int, cfg urb.Con
 	inboxes := make([]<-chan node.Delivery, n)
 	for i := range nodes {
 		proc := urb.NewQuiescent(oracle.Handle(i, clock), ident.NewSource(tagRoot.Split()), cfg)
-		opts := []node.Option{node.WithTickEvery(2 * time.Millisecond), node.WithSeed(uint64(i))}
-		if obs != nil {
-			opts = append(opts, node.WithObserver(obs))
+		var tr transport.Transport = mesh.Endpoint(i)
+		if audit != nil {
+			tr = auditedTransport{Transport: tr, a: audit}
 		}
-		nodes[i] = node.New(proc, mesh.Endpoint(i), opts...)
+		nodes[i] = node.New(proc, tr, node.WithTickEvery(2*time.Millisecond), node.WithSeed(uint64(i)))
 		inboxes[i] = nodes[i].Deliveries()
 	}
 	for _, nd := range nodes {
@@ -68,11 +107,11 @@ func TestNodeDeltaAcksDeliverAndQuiesce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	const n, msgs = 4, 3
-	metrics := node.NewMetrics()
+	audit := newSendAudit()
 	nodes, inboxes, _ := startQuiescentCluster(t, ctx, n,
 		urb.Config{DeltaAcks: true},
 		channel.Bernoulli{P: 0.1, D: channel.UniformDelay{Min: 0, Max: 2}},
-		metrics)
+		audit)
 
 	for i := 0; i < msgs; i++ {
 		if _, err := nodes[i%n].Broadcast([]byte{byte('a' + i)}); err != nil {
@@ -107,8 +146,9 @@ func TestNodeDeltaAcksDeliverAndQuiesce(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Byte accounting: the per-node class split must cover every byte the
-	// shared observer saw, and the ACK slice must be delta frames.
+	// Byte accounting: the per-node class split must cover every byte
+	// the audit decoded from the wire, and the ACK slice must be delta
+	// frames. The cluster is quiet, so the counters no longer move.
 	var msgB, ackB, beatB, otherB uint64
 	for _, nd := range nodes {
 		m, a, b, s, o := nd.ByteStats()
@@ -117,24 +157,41 @@ func TestNodeDeltaAcksDeliverAndQuiesce(t *testing.T) {
 		beatB += b
 		otherB += s + o
 	}
-	snap := metrics.Snapshot()
-	if msgB+ackB+beatB+otherB != snap.SentBytes {
-		t.Fatalf("byte split %d+%d+%d+%d != observer total %d", msgB, ackB, beatB, otherB, snap.SentBytes)
+	audit.mu.Lock()
+	defer audit.mu.Unlock()
+	if audit.bad != 0 {
+		t.Fatalf("%d sent frames failed to decode", audit.bad)
 	}
-	if ackB != snap.SentAckBytes {
-		t.Fatalf("node ack bytes %d != observer ack bytes %d", ackB, snap.SentAckBytes)
+	var decoded, decodedAck uint64
+	for k, b := range audit.bytes {
+		decoded += b
+		if k.IsAck() {
+			decodedAck += b
+		}
+	}
+	if decoded != audit.total {
+		t.Fatalf("decoded messages cover %d of %d sent bytes", decoded, audit.total)
+	}
+	if msgB+ackB+beatB+otherB != decoded {
+		t.Fatalf("byte split %d+%d+%d+%d != decoded total %d", msgB, ackB, beatB, otherB, decoded)
+	}
+	if ackB != decodedAck {
+		t.Fatalf("node ack bytes %d != decoded ack bytes %d", ackB, decodedAck)
+	}
+	if msgB != audit.bytes[wire.KindMsg] {
+		t.Fatalf("node msg bytes %d != decoded msg bytes %d", msgB, audit.bytes[wire.KindMsg])
 	}
 	if msgB == 0 || ackB == 0 {
 		t.Fatalf("degenerate run: msgBytes=%d ackBytes=%d", msgB, ackB)
 	}
-	if snap.SentByKind[wire.KindAck] != 0 {
-		t.Fatalf("delta-mode cluster sent %d full-set ACKs", snap.SentByKind[wire.KindAck])
+	if audit.msgs[wire.KindAck] != 0 {
+		t.Fatalf("delta-mode cluster sent %d full-set ACKs", audit.msgs[wire.KindAck])
 	}
-	if snap.SentByKind[wire.KindAckDelta] == 0 {
+	if audit.msgs[wire.KindAckDelta] == 0 {
 		t.Fatal("delta-mode cluster sent no delta ACKs")
 	}
-	if got := snap.SentBytesByKind[wire.KindAckDelta] + snap.SentBytesByKind[wire.KindAckReq]; got != snap.SentAckBytes {
-		t.Fatalf("bytes-by-kind ack slices %d != ack total %d", got, snap.SentAckBytes)
+	if got := audit.bytes[wire.KindAckDelta] + audit.bytes[wire.KindAckReq]; got != decodedAck {
+		t.Fatalf("bytes-by-kind ack slices %d != ack total %d", got, decodedAck)
 	}
 }
 

@@ -53,32 +53,14 @@ type Delivery struct {
 	At time.Time
 }
 
-// Observer receives node events. Callbacks fire synchronously on the
-// node's goroutine: keep them fast, and synchronise externally if one
-// Observer is shared between nodes.
+// Observer receives the node's URB-deliveries. OnDeliver fires
+// synchronously on the node's goroutine, before the delivery is queued
+// on Deliveries: keep it fast, and synchronise externally if one
+// Observer is shared between nodes. What the node sends and receives is
+// counted by its accessors (FrameStats, MessageStats, ByteStats) and
+// rendered by Gauges.
 type Observer interface {
-	// OnSend fires once per wire message handed to the transport, with
-	// that message's encoded bytes. Several messages may travel in one
-	// transport frame (the node batches); encoded is then the message's
-	// own sub-slice of the batch frame, so summing len(encoded) over
-	// OnSend calls still equals bytes on the wire exactly (batch framing
-	// adds zero overhead). The slice is only valid during the callback.
-	OnSend(m wire.Message, encoded []byte)
-	// OnReceive fires once per inbound wire message, before anything the
-	// algorithm did with it is delivered or sent — a batch frame fires
-	// it once per message it carries. Frames nothing decoded from fire
-	// nothing (they count in FrameStats' bad column instead). m.Body
-	// borrows the received frame: read it, and copy it (m.ID()) to keep
-	// it.
-	OnReceive(m wire.Message)
-	// OnDeliver fires on each URB-delivery.
 	OnDeliver(d Delivery)
-	// OnQuiescence fires when the node transitions into quiescence: a
-	// Task-1 tick produced no retransmissions and nothing else was sent
-	// since the previous tick (having sent before). idle is the time
-	// since the node's last send. The event re-arms after the next send,
-	// so a quiescent algorithm (Algorithm 2) fires it once per silence.
-	OnQuiescence(idle time.Duration)
 }
 
 // node run states.
@@ -125,7 +107,7 @@ func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
 }
 
-// WithObserver installs an event observer.
+// WithObserver installs a delivery observer.
 func WithObserver(obs Observer) Option {
 	return func(o *options) { o.observer = obs }
 }
@@ -200,15 +182,6 @@ func WithTracer(t *obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
 
-// BroadcastObserver is an optional extension of Observer: when the
-// installed observer implements it, OnBroadcast fires on the node
-// goroutine for every local URB_broadcast with the identity the
-// algorithm assigned and the submission time — the per-message
-// timestamp Metrics uses to measure true broadcast→deliver latency.
-type BroadcastObserver interface {
-	OnBroadcast(id wire.MsgID, at time.Time)
-}
-
 // Node hosts one urb.Process on a Transport. It runs host.Loop batched:
 // each Step's messages share as few frames as the transport's
 // FrameBudget allows, at zero byte overhead (DESIGN.md §7), and the
@@ -223,10 +196,6 @@ type Node struct {
 	// admission is the admit stage wrapped around the raw transport
 	// (nil without WithAdmission); tr is then the stage itself.
 	admission *admit.Transport
-
-	// bcastObs is the observer's optional OnBroadcast extension, cached
-	// at construction (nil when the observer does not implement it).
-	bcastObs BroadcastObserver
 
 	flowMu sync.Mutex
 	// flowDeliveries holds per-broadcaster-flow delivery counts, keyed
@@ -258,11 +227,6 @@ type Node struct {
 	recvMsgs   atomic.Uint64
 	badFrames  atomic.Uint64
 	lastSend   atomic.Int64 // unix nanos; 0 = never sent
-
-	// sentAtLastTick and quiet track quiescence between ticks (loop
-	// goroutine only).
-	sentAtLastTick uint64
-	quiet          bool
 
 	// Per-class byte counters: MSG dissemination vs the ACK family
 	// (full, delta, resync) vs BEAT heartbeats vs the join protocol's
@@ -358,19 +322,14 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 	if _, ok := proc.(urb.Durable); o.store != nil && !ok {
 		panic("node: WithStore requires a urb.Durable process")
 	}
-	bo, _ := o.observer.(BroadcastObserver)
 	// Loop time is nanoseconds since the loop goroutine started.
 	cfg := host.LoopConfig{Budget: tr.FrameBudget(), Batch: true,
 		CheckpointEvery: int64(o.checkpointEvery), Tracer: o.tracer}
-	if ob := o.observer; ob != nil {
-		cfg.OnReceive = func(m *wire.Message) { ob.OnReceive(*m) }
-	}
 	n := &Node{
 		loop:       host.NewLoop(host.Core{Proc: proc, Store: o.store}, cfg, 0),
 		tr:         tr,
 		opt:        o,
 		admission:  stage,
-		bcastObs:   bo,
 		deliveries: make(chan Delivery, o.inboxDepth),
 		actions:    make(chan func(urb.Process) bool, 64),
 		done:       make(chan struct{}),
@@ -423,9 +382,6 @@ func (n *Node) Broadcast(body []byte) (wire.MsgID, error) {
 	if err := n.call(func(p urb.Process) func() bool {
 		var s urb.Step
 		id, s = p.Broadcast(body)
-		if n.bcastObs != nil {
-			n.bcastObs.OnBroadcast(id, time.Now())
-		}
 		return func() bool { return n.expose(n.loop.Absorb(s)) }
 	}); err != nil {
 		return wire.MsgID{}, err
@@ -703,7 +659,6 @@ func (n *Node) run(ctx context.Context) {
 				return
 			}
 			tick.Reset(n.opt.tickEvery)
-			n.noteTick()
 		case f := <-n.actions:
 			if !f(n.loop.Proc) {
 				return
@@ -753,20 +708,8 @@ func (n *Node) absorb(burst [][]byte) bool {
 	return true
 }
 
-// noteTick fires OnQuiescence when a Task-1 tick sent nothing and
-// nothing else was sent since the previous tick (having sent before).
-// The event re-arms after the next send.
-func (n *Node) noteTick() {
-	sent := n.sentFrames.Load()
-	quiet := sent == n.sentAtLastTick && sent > 0
-	if quiet && !n.quiet && n.opt.observer != nil {
-		n.opt.observer.OnQuiescence(time.Since(time.Unix(0, n.lastSend.Load())))
-	}
-	n.quiet, n.sentAtLastTick = quiet, sent
-}
-
-// expose carries out one host.Loop call on the node goroutine: count and
-// observe, then hand the deliveries to the application and the frames
+// expose carries out one host.Loop call on the node goroutine: count,
+// then hand the deliveries to the application and the frames
 // to the transport. It reports false on a store error: the node stops,
 // and nothing of the failed Step was exposed or sent (fail-stop).
 //
@@ -833,9 +776,6 @@ func (n *Node) expose(out *host.Out, err error) bool {
 			n.sentSnapBytes.Add(size)
 		default:
 			n.sentOtherBytes.Add(size)
-		}
-		if n.opt.observer != nil {
-			n.opt.observer.OnSend(m, out.Frames[sp.Frame][sp.Start:sp.End])
 		}
 	}
 	for _, frame := range out.Frames {

@@ -168,29 +168,24 @@ func TestNodeContextCancelStops(t *testing.T) {
 	}
 }
 
-// recorder is a test Observer counting events.
+// recorder is a test Observer counting deliveries.
 type recorder struct {
-	mu          sync.Mutex
-	sends       int
-	receives    int
-	delivers    int
-	quiescences int
+	mu       sync.Mutex
+	delivers int
 }
 
-func (r *recorder) OnSend(wire.Message, []byte) { r.mu.Lock(); r.sends++; r.mu.Unlock() }
-func (r *recorder) OnReceive(wire.Message)      { r.mu.Lock(); r.receives++; r.mu.Unlock() }
-func (r *recorder) OnDeliver(node.Delivery)     { r.mu.Lock(); r.delivers++; r.mu.Unlock() }
-func (r *recorder) OnQuiescence(time.Duration)  { r.mu.Lock(); r.quiescences++; r.mu.Unlock() }
+func (r *recorder) OnDeliver(node.Delivery) { r.mu.Lock(); r.delivers++; r.mu.Unlock() }
 
-func (r *recorder) snapshot() (int, int, int, int) {
+func (r *recorder) delivered() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.sends, r.receives, r.delivers, r.quiescences
+	return r.delivers
 }
 
 // TestNodeObserverAndQuiescence runs the quiescent algorithm (with an
-// exact oracle) on nodes and checks that the observer sees sends,
-// receives, delivers, and finally the quiescence transition.
+// exact oracle) on nodes and checks that the observer sees every
+// delivery, that the node counts sends and receptions, MSG and ACK
+// bytes, and that every node finally falls silent.
 func TestNodeObserverAndQuiescence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -207,7 +202,6 @@ func TestNodeObserverAndQuiescence(t *testing.T) {
 	defer mesh.Close()
 
 	recs := make([]*recorder, n)
-	metrics := node.NewMetrics()
 	nodes := make([]*node.Node, n)
 	tagRoot := xrand.SplitLabeled(44, "obs-tags")
 	for i := range nodes {
@@ -217,7 +211,7 @@ func TestNodeObserverAndQuiescence(t *testing.T) {
 		nodes[i] = node.New(proc, mesh.Endpoint(i),
 			node.WithTickEvery(time.Millisecond),
 			node.WithSeed(uint64(i)),
-			node.WithObserver(multiObserver{recs[i], metrics}),
+			node.WithObserver(recs[i]),
 		)
 		if err := nodes[i].Start(ctx); err != nil {
 			t.Fatalf("start: %v", err)
@@ -229,13 +223,12 @@ func TestNodeObserverAndQuiescence(t *testing.T) {
 		t.Fatalf("broadcast: %v", err)
 	}
 
-	// Eventually: everyone delivered and every node fired quiescence.
+	// Eventually: everyone delivered and every node fell silent.
 	deadline := time.Now().Add(25 * time.Second)
 	for {
 		done := 0
-		for _, r := range recs {
-			_, _, delivers, quiescences := r.snapshot()
-			if delivers >= 1 && quiescences >= 1 {
+		for i, r := range recs {
+			if r.delivered() >= 1 && nodes[i].QuietFor(20*time.Millisecond) {
 				done++
 			}
 		}
@@ -247,43 +240,23 @@ func TestNodeObserverAndQuiescence(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	for i, r := range recs {
-		sends, receives, _, _ := r.snapshot()
+	for i, nd := range nodes {
+		if got := recs[i].delivered(); got != 1 {
+			t.Fatalf("node %d observer saw %d deliveries, want 1", i, got)
+		}
+		sends, receives := nd.MessageStats()
 		if sends == 0 || receives == 0 {
-			t.Fatalf("node %d observer missed traffic: sends=%d receives=%d", i, sends, receives)
+			t.Fatalf("node %d counted no traffic: sends=%d receives=%d", i, sends, receives)
 		}
 	}
-	snap := metrics.Snapshot()
-	if snap.SentMsgs == 0 || snap.RecvMsgs == 0 || snap.Deliveries != uint64(n) ||
-		snap.Quiescences == 0 || snap.SentBytes == 0 {
-		t.Fatalf("metrics snapshot incomplete: %s", snap)
+	var msgB, ackB uint64
+	for _, nd := range nodes {
+		m, a, _, _, _ := nd.ByteStats()
+		msgB += m
+		ackB += a
 	}
-	if snap.SentByKind[wire.KindMsg] == 0 || snap.SentByKind[wire.KindAck] == 0 {
-		t.Fatalf("metrics missed a wire kind: %v", snap.SentByKind)
-	}
-}
-
-// multiObserver fans events out to several observers.
-type multiObserver []node.Observer
-
-func (m multiObserver) OnSend(msg wire.Message, frame []byte) {
-	for _, o := range m {
-		o.OnSend(msg, frame)
-	}
-}
-func (m multiObserver) OnReceive(msg wire.Message) {
-	for _, o := range m {
-		o.OnReceive(msg)
-	}
-}
-func (m multiObserver) OnDeliver(d node.Delivery) {
-	for _, o := range m {
-		o.OnDeliver(d)
-	}
-}
-func (m multiObserver) OnQuiescence(idle time.Duration) {
-	for _, o := range m {
-		o.OnQuiescence(idle)
+	if msgB == 0 || ackB == 0 {
+		t.Fatalf("nodes missed a wire class: msg=%dB ack=%dB", msgB, ackB)
 	}
 }
 
