@@ -19,8 +19,7 @@ import (
 // concurrent use.
 type Loop struct {
 	Core
-	cfg   LoopConfig
-	Cache *wire.EncodeCache // its counters are safe from any goroutine
+	cfg LoopConfig
 	// receive lands one reception in step: urb.ReceiveFunc of Proc,
 	// decided by NewLoop and again by SetProc, the one way to replace
 	// Proc afterwards.
@@ -86,8 +85,7 @@ type Out struct {
 // NewLoop builds the loop around c at time now, the origin of the
 // checkpoint cadence.
 func NewLoop(c Core, cfg LoopConfig, now int64) *Loop {
-	return &Loop{Core: c, cfg: cfg, Cache: wire.NewEncodeCache(wire.DefaultEncodeCacheSize),
-		receive: urb.ReceiveFunc(c.Proc), lastCheckpoint: now}
+	return &Loop{Core: c, cfg: cfg, receive: urb.ReceiveFunc(c.Proc), lastCheckpoint: now}
 }
 
 // SetProc replaces the loop's process, as a recovery does.
@@ -232,9 +230,8 @@ func (l *Loop) Free() { l.step, l.out, l.burst = urb.Step{}, Out{}, nil }
 
 // absorb writes s ahead and packs its broadcasts. On a store error it
 // returns the error with nothing to expose or send, and the driver stops
-// (fail-stop), so everything it ever exposed is durable. Message bytes
-// come from the per-MsgID encode cache, so a steady-state Task-1 tick
-// copies cached MSG frames instead of re-encoding each body.
+// (fail-stop), so everything it ever exposed is durable. Each message is
+// encoded straight into the frame pack sized; nothing is cached.
 //
 //urb:hotpath
 func (l *Loop) absorb(s urb.Step) (*Out, error) {
@@ -251,7 +248,7 @@ func (l *Loop) absorb(s urb.Step) (*Out, error) {
 		frame := make([]byte, 0, size)
 		for i := range ms[:k] {
 			start := len(frame)
-			frame = l.Cache.AppendEncoded(frame, ms[i])
+			frame = ms[i].Encode(frame)
 			l.out.Spans = append(l.out.Spans, Span{Frame: len(l.out.Frames), Start: start, End: len(frame)})
 		}
 		l.out.Frames = append(l.out.Frames, frame)

@@ -3,6 +3,7 @@ package host
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"anonurb/internal/ident"
@@ -261,5 +262,46 @@ func TestLoopCheckpointRule(t *testing.T) {
 	}
 	if snaps != 3 {
 		t.Fatalf("%d snapshots saved, want 3 (ops %v)", snaps, st.ops)
+	}
+}
+
+// TestLoopTickAllocs: a warm Task-1 tick over a 200-message MSG_i
+// allocates what Proc.Tick allocates plus one buffer per frame, and no
+// more; the frames are the ones wire.EncodeBatch packs from the same
+// messages, byte for byte.
+func TestLoopTickAllocs(t *testing.T) {
+	const budget = 1024
+	p := urb.NewMajority(5, ident.NewSource(xrand.New(5)), urb.Config{})
+	for i := uint64(0); i < 200; i++ {
+		p.Receive(msg(i+1, fmt.Sprintf("payload-%04d-%048d", i, i)))
+	}
+	l := NewLoop(Core{Proc: p}, LoopConfig{Batch: true, Budget: budget}, 0)
+	for range 3 {
+		if _, err := l.OnTick(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick := testing.AllocsPerRun(20, func() { _ = p.Tick() })
+	var out *Out
+	got := testing.AllocsPerRun(20, func() {
+		var err error
+		if out, err = l.OnTick(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(out.Msgs) != 200 || len(out.Frames) < 2 {
+		t.Fatalf("tick sent %d messages in %d frames, want 200 in several", len(out.Msgs), len(out.Frames))
+	}
+	if want := tick + float64(len(out.Frames)); got != want {
+		t.Errorf("OnTick allocates %v, want %v (Tick's %v and one per frame)", got, want, tick)
+	}
+	want := wire.EncodeBatch(out.Msgs, budget)
+	if len(out.Frames) != len(want) {
+		t.Fatalf("%d frames, EncodeBatch packs %d", len(out.Frames), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(out.Frames[i], want[i]) {
+			t.Fatalf("frame %d differs from EncodeBatch's", i)
+		}
 	}
 }

@@ -12,11 +12,11 @@ const indexMinSlots = 4
 
 // Index is an open-addressed hash index from a Tag to a position in a
 // slice its owner keeps: the one tag-keyed lookup structure behind
-// Table, the urb message table and the wire encode cache (DESIGN.md §10,
-// "Keyed by tag"). A slot holds a position plus one, 0 marking it
-// empty, so a slot is four bytes and no key is stored twice: a probe
-// asks the owner for the tag at a candidate position (keyAt), which the
-// owner's own hit reads anyway. Positions must stay below 2^32-1.
+// Table and the urb message table (DESIGN.md §10, "Keyed by tag"). A
+// slot holds a position plus one, 0 marking it empty, so a slot is four
+// bytes and no key is stored twice: a probe asks the owner for the tag
+// at a candidate position (keyAt), which the owner's hit reads anyway.
+// Positions must stay below 2^32-1.
 //
 // A tag is 128 random bits, so it is its own hash: the home slot is a
 // fixed multiply-fold of both halves (slotHash), with no per-process

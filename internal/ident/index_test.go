@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// indexOwner is what an Index indexes: a dense key slice, as Table,
-// the urb message table and the encode cache ring keep one.
+// indexOwner is what an Index indexes: a dense key slice, as Table and
+// the urb message table keep one.
 type indexOwner struct {
 	keys []Tag
 	x    Index

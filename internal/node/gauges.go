@@ -4,43 +4,39 @@ import "strconv"
 
 // Gauges renders what the node's accessors return in the name→value
 // form obs.WritePrometheus serves: frame, message and per-class byte
-// counters, store, encode-cache, recovery and join figures, inbox
-// overflows and admission counters where the node has them, and the
-// algorithm's set sizes (urb.Stats). It reads the same counters the
-// accessors read, so it costs the hot path nothing. The set sizes come
-// from Stats: they are left out before Start, read from the final
-// snapshot once the node has stopped, and fetched through the node
-// goroutine while it runs, so a call waits while the node is held up by
-// a full Deliveries queue.
+// counters, store, recovery and join figures, inbox overflows and
+// admission counters where the node has them, and the algorithm's set
+// sizes (urb.Stats). It reads the same counters the accessors read, so
+// it costs the hot path nothing. The set sizes come from Stats: they are
+// left out before Start, read from the final snapshot once the node has
+// stopped, and fetched through the node goroutine while it runs, so a
+// call waits while the node is held up by a full Deliveries queue.
 func (n *Node) Gauges() map[string]float64 {
 	sf, rf, bad := n.FrameStats()
 	sm, rm := n.MessageStats()
 	msg, ack, beat, snap, other := n.ByteStats()
-	hits, misses := n.EncodeCacheStats()
 	st := n.StoreStats()
 	recSnap, recWAL := n.RecoveryStats()
 	g := map[string]float64{
-		"urb_sent_frames_total":         float64(sf),
-		"urb_recv_frames_total":         float64(rf),
-		"urb_bad_frames_total":          float64(bad),
-		"urb_sent_msgs_total":           float64(sm),
-		"urb_recv_msgs_total":           float64(rm),
-		"urb_sent_bytes_total":          float64(msg + ack + beat + snap + other),
-		"urb_sent_msg_bytes_total":      float64(msg),
-		"urb_sent_ack_bytes_total":      float64(ack),
-		"urb_sent_beat_bytes_total":     float64(beat),
-		"urb_sent_snap_bytes_total":     float64(snap),
-		"urb_sent_other_bytes_total":    float64(other),
-		"urb_encode_cache_hits_total":   float64(hits),
-		"urb_encode_cache_misses_total": float64(misses),
-		"urb_checkpoints_total":         float64(st.Checkpoints),
-		"urb_checkpoint_bytes_total":    float64(st.CheckpointBytes),
-		"urb_wal_appends_total":         float64(st.WALAppends),
-		"urb_wal_bytes_total":           float64(st.WALBytes),
-		"urb_store_failed":              0,
-		"urb_recovered_snapshot_bytes":  float64(recSnap),
-		"urb_recovered_wal_records":     float64(recWAL),
-		"urb_joined_bytes":              float64(n.JoinedBytes()),
+		"urb_sent_frames_total":        float64(sf),
+		"urb_recv_frames_total":        float64(rf),
+		"urb_bad_frames_total":         float64(bad),
+		"urb_sent_msgs_total":          float64(sm),
+		"urb_recv_msgs_total":          float64(rm),
+		"urb_sent_bytes_total":         float64(msg + ack + beat + snap + other),
+		"urb_sent_msg_bytes_total":     float64(msg),
+		"urb_sent_ack_bytes_total":     float64(ack),
+		"urb_sent_beat_bytes_total":    float64(beat),
+		"urb_sent_snap_bytes_total":    float64(snap),
+		"urb_sent_other_bytes_total":   float64(other),
+		"urb_checkpoints_total":        float64(st.Checkpoints),
+		"urb_checkpoint_bytes_total":   float64(st.CheckpointBytes),
+		"urb_wal_appends_total":        float64(st.WALAppends),
+		"urb_wal_bytes_total":          float64(st.WALBytes),
+		"urb_store_failed":             0,
+		"urb_recovered_snapshot_bytes": float64(recSnap),
+		"urb_recovered_wal_records":    float64(recWAL),
+		"urb_joined_bytes":             float64(n.JoinedBytes()),
 	}
 	if st.Err != nil {
 		g["urb_store_failed"] = 1

@@ -608,11 +608,12 @@ func (n *Node) AdmitStats() (admit.Stats, bool) {
 	return n.admission.Stats(), true
 }
 
-// EncodeCacheStats returns the node's encode cache (hits, misses). Safe
-// to call while the node runs.
-func (n *Node) EncodeCacheStats() (hits, misses uint64) {
-	return n.loop.Cache.Stats()
-}
+// EncodeCacheStats returns (0, 0): the node encodes every message
+// afresh and keeps no encode cache.
+//
+// Deprecated: only benchmark/driver.go still calls it. The benchmark
+// change that drops wire.encode_cache_hit_share deletes it (ROADMAP.md).
+func (n *Node) EncodeCacheStats() (hits, misses uint64) { return 0, 0 }
 
 // run is the node goroutine: the single thread that touches proc.
 //

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
+	"anonurb/internal/host"
 	"anonurb/internal/ident"
 	"anonurb/internal/node"
 	"anonurb/internal/transport"
@@ -306,11 +308,32 @@ func (g *garblingTransport) Send(frame []byte) {
 	g.Transport.Send(bad)
 }
 
+// canonicalTransport checks every frame it sends: the frame must be,
+// byte for byte, the concatenated Encode of the messages
+// wire.DecodePrefix splits from it (host.Messages).
+type canonicalTransport struct {
+	transport.Transport
+	frames, bad atomic.Int64
+}
+
+func (c *canonicalTransport) Send(frame []byte) {
+	c.frames.Add(1)
+	var again []byte
+	for m := range host.Messages(frame) {
+		again = m.Encode(again)
+	}
+	if !bytes.Equal(again, frame) {
+		c.bad.Add(1)
+	}
+	c.Transport.Send(frame)
+}
+
 // TestNodeBatchingCoalescesFrames: with several messages in MSG_i, a
-// node's Task-1 tick sends fewer frames than messages and the receiving
-// side splits batches back into individual messages. (One frame per
-// message when unbatched is host.TestLoopPacking's; every sim run packs
-// that way.)
+// node's Task-1 tick sends fewer frames than messages, every frame is
+// the canonical encodings of its messages back to back, and the
+// receiving side splits batches back into individual messages. (One
+// frame per message when unbatched is host.TestLoopPacking's; every sim
+// run packs that way.)
 func TestNodeBatchingCoalescesFrames(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -318,8 +341,9 @@ func TestNodeBatchingCoalescesFrames(t *testing.T) {
 		N: 1, Link: channel.Reliable{D: channel.FixedDelay(0)},
 		Unit: 100 * time.Microsecond, Seed: 3,
 	})
+	tr := &canonicalTransport{Transport: mesh.Endpoint(0)}
 	nd := node.New(urb.NewMajority(1, ident.NewSource(xrand.New(4)), urb.Config{}),
-		mesh.Endpoint(0), node.WithTickEvery(time.Millisecond))
+		tr, node.WithTickEvery(time.Millisecond))
 	inbox := nd.Deliveries()
 	if err := nd.Start(ctx); err != nil {
 		t.Fatalf("start: %v", err)
@@ -356,8 +380,8 @@ func TestNodeBatchingCoalescesFrames(t *testing.T) {
 	if recvMsgs <= recvFrames {
 		t.Fatalf("receive side never split a batch: %d msgs from %d frames", recvMsgs, recvFrames)
 	}
-	if hits, _ := nd.EncodeCacheStats(); hits == 0 {
-		t.Fatal("encode cache never hit across steady-state ticks")
+	if bad, frames := tr.bad.Load(), tr.frames.Load(); bad != 0 || frames != int64(sentFrames) {
+		t.Fatalf("%d of %d sent frames are not their messages' encodings (the node counted %d)", bad, frames, sentFrames)
 	}
 }
 

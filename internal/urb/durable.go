@@ -940,7 +940,7 @@ func (p *Quiescent) ApplyWAL(ev DurableEvent) error {
 // conservative reading (a recovering process re-learns who is alive).
 // The delta-beat receiver tables are deliberately absent: they are soft
 // wire-level caches the BEATREQ path rebuilds (one exchange per
-// stream), mirroring how the node's encode cache survives nothing.
+// stream), so a restart loses nothing it cannot get back.
 func (h *HeartbeatHost) Snapshot() []byte {
 	var w stateWriter
 	w.u8(snapVersion)

@@ -5,9 +5,8 @@ package wire
 // prefix or checksum, so batching adds exactly zero bytes of overhead to
 // the wire and any batch frame decodes with DecodePrefix one message at
 // a time. EncodeBatch/DecodeBatch are the packing helpers the node
-// runtime and the benchmarks use; EncodeCache removes the per-tick
-// re-encoding cost of Task-1 retransmission (the same MSG frames are
-// encoded again on every tick, forever, in steady state).
+// runtime and the benchmarks use; a host encodes every message afresh,
+// a Task-1 retransmission included (see EncodeCache).
 
 import (
 	"sync/atomic"
@@ -79,12 +78,12 @@ func DecodeBatch(frame []byte) ([]Message, error) {
 	return msgs, nil
 }
 
-// EncodeCache memoises canonical MSG encodings by tag. MSG frames are
-// a pure function of the message identity and Task 1 retransmits the
-// same identities tick after tick, so a steady-state tick can append
-// cached bytes instead of re-encoding every body. ACK frames carry the
-// acker's current label view (they change between sends) and BEAT
-// frames are two tags — neither is cached.
+// EncodeCache memoises canonical MSG encodings by tag. No host uses it
+// (DESIGN.md §3): a hit copies the bytes Message.Encode writes, after an
+// index probe and a body compare, so it saves nothing. Its one caller is
+// the benchmark's wire replay (benchmark/layers.go). ACK frames carry
+// the acker's current label view and BEAT frames are two tags — neither
+// is cached.
 //
 // Delta ACKs (KindAckDelta) are position-dependent — the same identity
 // encodes differently at every epoch — so, like full labeled ACKs, they
