@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the benchmark
-// harness uses: latency histograms with quantiles, time series for the
-// quiescence/memory curves, and streaming mean/stddev.
+// harness uses: latency histograms with quantiles and streaming
+// mean/stddev.
 //
 // Everything is plain int64/float64 arithmetic with deterministic results;
 // no wall-clock time is involved anywhere (the simulator's virtual time is
@@ -94,83 +94,6 @@ func (h *Histogram) Min() int64 {
 // Summary renders "mean/p50/p99/max" for tables.
 func (h *Histogram) Summary() string {
 	return fmt.Sprintf("%.1f/%d/%d/%d", h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-}
-
-// Clone returns an independent copy of the histogram. Quantile, Summary
-// and Max sort in place — O(n log n) on first call after an Observe — so
-// a collector that guards Observe with a lock should Clone under the
-// lock (a plain O(n) copy) and summarize the clone outside it.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{vals: append([]int64(nil), h.vals...), sorted: h.sorted}
-}
-
-// Point is one (time, value) sample.
-type Point struct {
-	T int64
-	V float64
-}
-
-// Series is an append-only time series (cumulative sends, set sizes).
-type Series struct {
-	Name   string
-	points []Point
-}
-
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
-// Add appends a sample; times must be non-decreasing.
-func (s *Series) Add(t int64, v float64) {
-	if n := len(s.points); n > 0 && s.points[n-1].T > t {
-		panic(fmt.Sprintf("metrics: series %q time went backwards (%d after %d)",
-			s.Name, t, s.points[n-1].T))
-	}
-	s.points = append(s.points, Point{T: t, V: v})
-}
-
-// Points returns the samples in order.
-func (s *Series) Points() []Point { return s.points }
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.points) }
-
-// Last returns the final sample, or a zero Point if empty.
-func (s *Series) Last() Point {
-	if len(s.points) == 0 {
-		return Point{}
-	}
-	return s.points[len(s.points)-1]
-}
-
-// At returns the value at time t (the latest sample with T ≤ t), or 0 if
-// t precedes the first sample.
-func (s *Series) At(t int64) float64 {
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t })
-	if i == 0 {
-		return 0
-	}
-	return s.points[i-1].V
-}
-
-// PlateauTime returns the earliest sample time after which the series
-// never changes value again, or the first sample's time if it is
-// constant, or -1 if it is empty or still changing at the end cannot be
-// told apart (a series that ends on a fresh change plateaus at that
-// change). It is how the harness finds the quiescence knee of a
-// cumulative-sends curve.
-func (s *Series) PlateauTime() int64 {
-	if len(s.points) == 0 {
-		return -1
-	}
-	last := s.points[len(s.points)-1].V
-	t := s.points[len(s.points)-1].T
-	for i := len(s.points) - 1; i >= 0; i-- {
-		if s.points[i].V != last {
-			return t
-		}
-		t = s.points[i].T
-	}
-	return t
 }
 
 // Welford is a streaming mean/variance accumulator.

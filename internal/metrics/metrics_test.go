@@ -84,61 +84,6 @@ func TestHistogramSummaryFormat(t *testing.T) {
 	}
 }
 
-func TestSeriesBasics(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(0, 1)
-	s.Add(10, 2)
-	s.Add(20, 2)
-	if s.Len() != 3 || s.Last().V != 2 {
-		t.Fatal("series basics")
-	}
-	if s.At(-1) != 0 {
-		t.Fatal("At before first sample")
-	}
-	if s.At(0) != 1 || s.At(9) != 1 || s.At(10) != 2 || s.At(100) != 2 {
-		t.Fatal("At lookup")
-	}
-}
-
-func TestSeriesTimeMonotonePanic(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on time regression")
-		}
-	}()
-	s.Add(5, 2)
-}
-
-func TestSeriesPlateauTime(t *testing.T) {
-	s := NewSeries("sends")
-	s.Add(0, 0)
-	s.Add(10, 5)
-	s.Add(20, 9)
-	s.Add(30, 9)
-	s.Add(40, 9)
-	if got := s.PlateauTime(); got != 20 {
-		t.Fatalf("plateau at %d, want 20", got)
-	}
-	flat := NewSeries("flat")
-	flat.Add(0, 3)
-	flat.Add(10, 3)
-	if got := flat.PlateauTime(); got != 0 {
-		t.Fatalf("constant series plateau %d, want 0", got)
-	}
-	empty := NewSeries("e")
-	if empty.PlateauTime() != -1 {
-		t.Fatal("empty plateau should be -1")
-	}
-	rising := NewSeries("r")
-	rising.Add(0, 1)
-	rising.Add(10, 2)
-	if got := rising.PlateauTime(); got != 10 {
-		t.Fatalf("rising-series plateau %d, want 10 (last change)", got)
-	}
-}
-
 func TestWelford(t *testing.T) {
 	var w Welford
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {

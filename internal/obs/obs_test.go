@@ -17,7 +17,6 @@ func mid(n uint64, body string) wire.MsgID {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Broadcast(mid(1, "a"))
-	tr.FirstSend(mid(1, "a"))
 	tr.FirstSendMsg(wire.NewMsg(mid(1, "a")))
 	tr.Recv(mid(1, "a"), wire.KindMsg)
 	tr.AckProgress(mid(1, "a"), ident.Tag{}, 1, 3)
@@ -87,18 +86,15 @@ func TestBodyInternRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFirstSendDedup checks both dedup paths: by MsgID and — the
-// send-path form that never materialises a MsgID for retransmissions —
-// by broadcast tag.
+// TestFirstSendDedup checks the dedup by broadcast tag, which never
+// materialises a MsgID for retransmissions: one FIRST_SEND per message
+// however often its MSG frame is sent.
 func TestFirstSendDedup(t *testing.T) {
 	tr := New(0, 0, nil)
-	id := mid(1, "payload")
-	for i := 0; i < 5; i++ {
-		tr.FirstSend(id)
-	}
-	m := wire.NewMsg(mid(2, "other"))
-	for i := 0; i < 5; i++ {
-		tr.FirstSendMsg(m)
+	for _, m := range []wire.Message{wire.NewMsg(mid(1, "payload")), wire.NewMsg(mid(2, "other"))} {
+		for i := 0; i < 5; i++ {
+			tr.FirstSendMsg(m)
+		}
 	}
 	evs := tr.Events()
 	if len(evs) != 2 {

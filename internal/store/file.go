@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"anonurb/internal/codec"
 )
 
 // File layout. The snapshot file is
@@ -44,13 +45,15 @@ const (
 	maxWALRecord = 1 << 20
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrSnapshotFile is wrapped by snapshot-file integrity failures. A
 // corrupt snapshot is NOT silently dropped (unlike a torn WAL tail, it
 // is not an expected crash artefact): recovery must fail loudly rather
 // than restart amnesiac.
 var ErrSnapshotFile = errors.New("store: snapshot file corrupt")
+
+// errTorn ends a WAL scan at a record that is cut short or claims more
+// than maxWALRecord bytes: a tear, not an error (see scanWAL).
+var errTorn = errors.New("store: torn wal record")
 
 // File is the file-backed Store: one directory per process, holding
 // snapshot.bin and wal.log.
@@ -132,36 +135,30 @@ func (s *File) primeWALStats() error {
 }
 
 // scanWAL reads every whole, checksummed record from the start of f and
-// returns them with the byte offset where the valid prefix ends.
+// returns them with the byte offset where the valid prefix ends. The
+// records share one buffer.
 func scanWAL(f *os.File) ([][]byte, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, fmt.Errorf("store: %w", err)
 	}
-	var (
-		recs  [][]byte
-		valid int64
-		head  [walFrameLen]byte
-	)
-	for {
-		if _, err := io.ReadFull(f, head[:]); err != nil {
-			// EOF or a frame header cut short: end of the valid prefix.
-			return recs, valid, nil
-		}
-		n := binary.BigEndian.Uint32(head[0:4])
-		crc := binary.BigEndian.Uint32(head[4:8])
-		if n > maxWALRecord {
-			return recs, valid, nil // corrupt length: treat as a tear
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return recs, valid, nil // record body cut short: tear
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return recs, valid, nil // half-written or rotted: tear
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: %w", err)
+	}
+	var recs [][]byte
+	valid := 0
+	r := codec.NewReader(data, &errTorn)
+	for r.Len() > 0 {
+		n := r.Count(1, maxWALRecord, &errTorn)
+		crc := r.U32()
+		payload := r.Bytes(n)
+		if r.Err() != nil || codec.Checksum(payload) != crc {
+			break // cut short, an absurd length, or half-written or rotted: a tear
 		}
 		recs = append(recs, payload)
-		valid += walFrameLen + int64(n)
+		valid = len(data) - r.Len()
 	}
+	return recs, int64(valid), nil
 }
 
 // SaveSnapshot implements Store: write-temp + fsync + rename, then reset
@@ -229,10 +226,10 @@ func (s *File) AppendWAL(rec []byte) error {
 	if len(rec) > maxWALRecord {
 		return fmt.Errorf("store: wal record %d bytes exceeds bound %d", len(rec), maxWALRecord)
 	}
-	frame := make([]byte, walFrameLen+len(rec))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(rec)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(rec, crcTable))
-	copy(frame[walFrameLen:], rec)
+	frame := make([]byte, 0, walFrameLen+len(rec))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(rec)))
+	frame = binary.BigEndian.AppendUint32(frame, codec.Checksum(rec))
+	frame = append(frame, rec...)
 	if _, err := s.wal.Write(frame); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -301,14 +298,10 @@ func (s *File) loadSnapshot() ([]byte, error) {
 // off disk.
 func EncodeSnapshotFile(snap []byte) []byte {
 	buf := make([]byte, 0, len(snapMagic)+1+4+len(snap)+4)
-	buf = append(buf, snapMagic...)
-	buf = append(buf, snapFileVer)
-	var scratch [4]byte
-	binary.BigEndian.PutUint32(scratch[:], uint32(len(snap)))
-	buf = append(buf, scratch[:]...)
+	buf = append(append(buf, snapMagic...), snapFileVer)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(snap)))
 	buf = append(buf, snap...)
-	binary.BigEndian.PutUint32(scratch[:], crc32.Checksum(snap, crcTable))
-	return append(buf, scratch[:]...)
+	return binary.BigEndian.AppendUint32(buf, codec.Checksum(snap))
 }
 
 // IsSnapshotFile reports whether data begins with the snapshot
@@ -326,20 +319,19 @@ func ParseSnapshotFile(data []byte) ([]byte, error) {
 	if len(data) < len(snapMagic)+1+4+4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrSnapshotFile, len(data))
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
+	r := codec.NewReader(data, &ErrSnapshotFile)
+	if string(r.Bytes(len(snapMagic))) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotFile)
 	}
-	if data[len(snapMagic)] != snapFileVer {
-		return nil, fmt.Errorf("%w: unknown container version %d", ErrSnapshotFile, data[len(snapMagic)])
+	if v := r.U8(); v != snapFileVer {
+		return nil, fmt.Errorf("%w: unknown container version %d", ErrSnapshotFile, v)
 	}
-	body := data[len(snapMagic)+1:]
-	n := binary.BigEndian.Uint32(body[:4])
-	if uint64(n)+8 != uint64(len(body)) {
+	n := r.U32()
+	if uint64(n)+4 != uint64(r.Len()) {
 		return nil, fmt.Errorf("%w: length %d in a %d-byte file", ErrSnapshotFile, n, len(data))
 	}
-	payload := body[4 : 4+n]
-	crc := binary.BigEndian.Uint32(body[4+n:])
-	if crc32.Checksum(payload, crcTable) != crc {
+	payload := r.Bytes(int(n))
+	if codec.Checksum(payload) != r.U32() {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotFile)
 	}
 	return append([]byte(nil), payload...), nil

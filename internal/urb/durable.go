@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
+	"anonurb/internal/codec"
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
 	"anonurb/internal/wire"
@@ -167,108 +169,51 @@ var (
 
 // --- binary helpers -------------------------------------------------------
 
-// stateWriter accumulates the canonical big-endian encoding.
-type stateWriter struct{ b []byte }
+// noMax leaves a state count bounded only by the bytes left to read.
+const noMax = math.MaxUint32
 
 // room makes space for n more bytes, doubling the buffer when it is full:
 // append grows a large slice by a quarter, which for a snapshot of a
 // large state reallocates dozens of times and leaves about four times its
-// size behind as garbage.
-func (w *stateWriter) room(n int) {
-	if cap(w.b)-len(w.b) < n {
-		w.b = slices.Grow(w.b, max(n, len(w.b)))
+// size behind as garbage. The encoders call it before each write, or once
+// for a row of fixed-size fields.
+func room(b []byte, n int) []byte {
+	if cap(b)-len(b) < n {
+		b = slices.Grow(b, max(n, len(b)))
 	}
+	return b
 }
 
-func (w *stateWriter) u8(v uint8) {
-	w.room(1)
-	w.b = append(w.b, v)
-}
-func (w *stateWriter) u32(v uint32) {
-	w.room(4)
-	w.b = append(w.b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func (w *stateWriter) u64(v uint64) {
-	w.u32(uint32(v >> 32))
-	w.u32(uint32(v))
-}
-func (w *stateWriter) boolean(v bool) {
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		return append(room(b, 1), 1)
 	}
+	return append(room(b, 1), 0)
 }
-func (w *stateWriter) tag(t ident.Tag) {
-	w.u64(t.Hi)
-	w.u64(t.Lo)
+
+func appendMsgID(b []byte, id wire.MsgID) []byte {
+	b = codec.AppendTag(room(b, codec.TagLen+4+len(id.Body)), id.Tag)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(id.Body)))
+	return append(b, id.Body...)
 }
-func (w *stateWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.room(len(b))
-	w.b = append(w.b, b...)
+
+func appendTagList(b []byte, ts []ident.Tag) []byte {
+	return codec.AppendTags(room(b, 4+codec.TagLen*len(ts)), ts)
 }
-func (w *stateWriter) msgID(id wire.MsgID) {
-	w.tag(id.Tag)
-	w.u32(uint32(len(id.Body)))
-	w.room(len(id.Body))
-	w.b = append(w.b, id.Body...)
-}
-func (w *stateWriter) tags(ts []ident.Tag) {
-	w.u32(uint32(len(ts)))
-	for _, t := range ts {
-		w.tag(t)
-	}
-}
-func (w *stateWriter) ids(recs []*msgRec) {
-	w.u32(uint32(len(recs)))
+
+func appendIDs(b []byte, recs []*msgRec) []byte {
+	b = binary.BigEndian.AppendUint32(room(b, 4), uint32(len(recs)))
 	for _, rec := range recs {
-		w.msgID(rec.id)
+		b = appendMsgID(b, rec.id)
 	}
+	return b
 }
 
-// stateReader consumes the encoding with sticky errors and alloc bounds.
-type stateReader struct {
-	b   []byte
-	err error
-}
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(room(b, 4), v) }
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(room(b, 8), v) }
 
-func (r *stateReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-func (r *stateReader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail(ErrSnapshotShort)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-func (r *stateReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.fail(ErrSnapshotShort)
-		return 0
-	}
-	v := uint32(r.b[0])<<24 | uint32(r.b[1])<<16 | uint32(r.b[2])<<8 | uint32(r.b[3])
-	r.b = r.b[4:]
-	return v
-}
-func (r *stateReader) u64() uint64 {
-	hi := r.u32()
-	lo := r.u32()
-	return uint64(hi)<<32 | uint64(lo)
-}
-func (r *stateReader) boolean() bool {
-	switch v := r.u8(); v {
+func readBool(r *codec.Reader) bool {
+	switch r.U8() {
 	case 0:
 		return false
 	case 1:
@@ -276,75 +221,23 @@ func (r *stateReader) boolean() bool {
 	default:
 		// Strict: the encoder only ever writes 0 or 1, and accepting
 		// other values would make decode∘encode non-canonical.
-		r.fail(errNonCanonical)
+		r.Fail(&errNonCanonical)
 		return false
 	}
 }
-func (r *stateReader) tag() ident.Tag {
-	return ident.Tag{Hi: r.u64(), Lo: r.u64()}
+
+func readMsgID(r *codec.Reader) wire.MsgID {
+	t := r.Tag()
+	return wire.MsgID{Tag: t, Body: string(r.Bytes(r.Count(1, noMax, nil)))}
 }
 
-// count reads a collection length and bounds it by the bytes remaining:
-// each element occupies at least min bytes, so a count the buffer cannot
-// possibly hold is corruption, rejected before any allocation.
-func (r *stateReader) count(min int) int {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if int64(n)*int64(min) > int64(len(r.b)) {
-		r.fail(ErrSnapshotShort)
-		return 0
-	}
-	return int(n)
-}
-func (r *stateReader) bytes() []byte {
-	n := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	out := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return out
-}
-func (r *stateReader) msgID() wire.MsgID {
-	t := r.tag()
-	body := r.bytes()
-	return wire.MsgID{Tag: t, Body: string(body)}
-}
-func (r *stateReader) tagList() []ident.Tag {
-	n := r.count(16)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]ident.Tag, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.tag())
-	}
-	return out
-}
-func (r *stateReader) idList() []wire.MsgID {
-	n := r.count(20)
-	if r.err != nil {
-		return nil
-	}
+func readIDs(r *codec.Reader) []wire.MsgID {
+	n := r.Count(codec.TagLen+4, noMax, nil)
 	out := make([]wire.MsgID, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, r.msgID())
+		out = append(out, readMsgID(r))
 	}
 	return out
-}
-func (r *stateReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return ErrSnapshotTrailing
-	}
-	return nil
 }
 
 // sortedRecs returns the records keep selects — one of the paper's sets,
@@ -475,41 +368,39 @@ func cfgFromFlags(f uint8) Config {
 // encodeCommon writes the state shared by both algorithms. It returns the
 // whole table in canonical order, from which the caller reads its own
 // sets.
-func (c *common) encodeCommon(w *stateWriter) []*msgRec {
-	w.u8(cfgFlags(c.cfg))
-	w.u64(c.tags.Draws())
-	w.u64(c.wireSent)
-	w.ids(c.msgs.appendLive(nil)) // insertion order: Task-1 iteration order is state
+func (c *common) encodeCommon(b []byte) ([]byte, []*msgRec) {
+	b = append(room(b, 1), cfgFlags(c.cfg))
+	b = appendU64(b, c.tags.Draws())
+	b = appendU64(b, c.wireSent)
+	b = appendIDs(b, c.msgs.appendLive(nil)) // insertion order: Task-1 iteration order is state
 	table := c.sortedRecs((*msgRec).inTable)
 	set := make([]*msgRec, 0, len(table))
-	w.ids(recsWhere(set, table, (*msgRec).isSaw))
-	w.ids(recsWhere(set, table, (*msgRec).isDelivered))
+	b = appendIDs(b, recsWhere(set, table, (*msgRec).isSaw))
+	b = appendIDs(b, recsWhere(set, table, (*msgRec).isDelivered))
 	mine := recsWhere(set, table, (*msgRec).isPinned)
-	w.u32(uint32(len(mine)))
+	b = appendU32(b, uint32(len(mine)))
 	for _, rec := range mine {
-		w.msgID(rec.id)
-		w.tag(rec.ack)
+		b = codec.AppendTag(room(appendMsgID(b, rec.id), codec.TagLen), rec.ack)
 	}
-	return table
+	return b, table
 }
 
 // decodeCommon rebuilds the shared state into a fresh table. The tag
 // source is fast-forwarded to the recorded stream position.
-func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
-	flags := r.u8()
-	if r.err == nil && flags != cfgFlags(wantCfg) {
-		r.fail(fmt.Errorf("%w: snapshot config flags %#x, process has %#x",
-			ErrSnapshotMismatch, flags, cfgFlags(wantCfg)))
-		return
+func (c *common) decodeCommon(r *codec.Reader, wantCfg Config) error {
+	flags := r.U8()
+	if r.Err() == nil && flags != cfgFlags(wantCfg) {
+		return fmt.Errorf("%w: snapshot config flags %#x, process has %#x",
+			ErrSnapshotMismatch, flags, cfgFlags(wantCfg))
 	}
-	draws := r.u64()
-	wireSent := r.u64()
-	msgs := r.idList()
-	saw := r.idList()
-	del := r.idList()
-	n := r.count(20 + 16)
-	if r.err != nil {
-		return
+	draws := r.U64()
+	wireSent := r.U64()
+	msgs := readIDs(r)
+	saw := readIDs(r)
+	del := readIDs(r)
+	n := r.Count(codec.TagLen+4+codec.TagLen, noMax, nil)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	// The lists are sets: a repeated identity lands on its one record (a
 	// repeated pin keeps the last tag_ack, as a map assignment would).
@@ -526,14 +417,14 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	}
 	pinned := 0
 	for i := 0; i < n; i++ {
-		rec := fresh.recordID(r.msgID())
+		rec := fresh.recordID(readMsgID(r))
 		if !rec.pinned {
 			pinned++
 		}
-		rec.ack, rec.pinned = r.tag(), true
+		rec.ack, rec.pinned = r.Tag(), true
 	}
-	if r.err != nil {
-		return
+	if err := r.Err(); err != nil {
+		return err
 	}
 	// Plausibility bound before fast-forwarding the stream: every draw is
 	// either a tag_ack pin (MY_ACK_i, which never shrinks) or a local
@@ -541,15 +432,14 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	// detector label for a wrapping host. A corrupted draw counter beyond
 	// that would otherwise spin SkipTo for billions of throwaway draws.
 	if draws > uint64(pinned)+uint64(len(saw))+1 {
-		r.fail(fmt.Errorf("%w: draw counter %d exceeds state plausibility bound", ErrSnapshotMismatch, draws))
-		return
+		return fmt.Errorf("%w: draw counter %d exceeds state plausibility bound", ErrSnapshotMismatch, draws)
 	}
 	if err := c.tags.SkipTo(draws); err != nil {
-		r.fail(fmt.Errorf("%w: %v", ErrSnapshotMismatch, err))
-		return
+		return fmt.Errorf("%w: %v", ErrSnapshotMismatch, err)
 	}
 	c.wireSent = wireSent
 	c.recs, c.msgs = fresh.recs, fresh.msgs
+	return nil
 }
 
 // applyCommonWAL realises the kind-independent part of WAL replay and
@@ -596,47 +486,45 @@ func (c *common) applyCommonWAL(ev DurableEvent, guardDelivered bool) (*msgRec, 
 
 // Snapshot implements Snapshotter.
 func (p *Majority) Snapshot() []byte {
-	var w stateWriter
-	w.u8(snapVersion)
-	w.u8(snapKindMajority)
-	w.u32(uint32(p.n))
-	w.u32(uint32(p.threshold))
-	p.encodeCommon(&w)
-	w.u32(uint32(len(p.ackOrder)))
+	b := []byte{snapVersion, snapKindMajority}
+	b = appendU32(b, uint32(p.n))
+	b = appendU32(b, uint32(p.threshold))
+	b, _ = p.encodeCommon(b)
+	b = appendU32(b, uint32(len(p.ackOrder)))
 	for _, rec := range p.ackOrder {
-		w.msgID(rec.id)
-		w.tags(rec.acks.Slice())
+		b = appendTagList(appendMsgID(b, rec.id), rec.acks.Slice())
 	}
-	w.u64(snapDigest(w.b, p))
-	return w.b
+	return appendU64(b, snapDigest(b, p))
 }
 
 // Restore implements Snapshotter.
 func (p *Majority) Restore(data []byte) error {
-	r := &stateReader{b: data}
-	if v := r.u8(); r.err == nil && v != snapVersion {
+	r := codec.NewReader(data, &ErrSnapshotShort)
+	if v := r.U8(); r.Err() == nil && v != snapVersion {
 		return ErrSnapshotVersion
 	}
-	if k := r.u8(); r.err == nil && k != snapKindMajority {
+	if k := r.U8(); r.Err() == nil && k != snapKindMajority {
 		return ErrSnapshotKind
 	}
-	n := int(r.u32())
-	threshold := int(r.u32())
-	if r.err == nil && (n != p.n || threshold != p.threshold) {
+	n := int(r.U32())
+	threshold := int(r.U32())
+	if r.Err() == nil && (n != p.n || threshold != p.threshold) {
 		return fmt.Errorf("%w: snapshot n=%d/threshold=%d, process has n=%d/threshold=%d",
 			ErrSnapshotMismatch, n, threshold, p.n, p.threshold)
 	}
-	p.decodeCommon(r, p.cfg)
-	cnt := r.count(20 + 4)
-	if r.err != nil {
-		return r.err
+	if err := p.decodeCommon(&r, p.cfg); err != nil {
+		return err
+	}
+	cnt := r.Count(codec.TagLen+4+4, noMax, nil)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	p.ackOrder = make([]*msgRec, 0, cnt)
 	for i := 0; i < cnt; i++ {
-		id := r.msgID()
-		labels := r.tagList()
-		if r.err != nil {
-			return r.err
+		id := readMsgID(&r)
+		labels := r.Tags(noMax, nil)
+		if err := r.Err(); err != nil {
+			return err
 		}
 		rec := p.recordID(id)
 		if rec.acks != nil {
@@ -647,8 +535,8 @@ func (p *Majority) Restore(data []byte) error {
 		rec.acks = ident.NewSet(labels...)
 		p.ackOrder = append(p.ackOrder, rec)
 	}
-	digest := r.u64()
-	if err := r.done(); err != nil {
+	digest := r.U64()
+	if err := r.Done(ErrSnapshotTrailing); err != nil {
 		return err
 	}
 	if snapDigest(data[:len(data)-8], p) != digest {
@@ -679,13 +567,10 @@ func (p *Majority) Rejoin() {}
 // the sets' values, so compacted and uncompacted processes with equal
 // state produce snapshots of equal shape.
 func (p *Quiescent) Snapshot() []byte {
-	var w stateWriter
-	w.u8(snapVersion)
-	w.u8(snapKindQuiescent)
-	table := p.encodeCommon(&w)
-	w.u64(uint64(p.retired))
-	w.u64(p.ticks)
-	w.u64(p.epochFloor)
+	b, table := p.encodeCommon([]byte{snapVersion, snapKindQuiescent})
+	b = appendU64(b, uint64(p.retired))
+	b = appendU64(b, p.ticks)
+	b = appendU64(b, p.epochFloor)
 	// First pass: assign set-table indices in deterministic first-use
 	// order over the (ackOrder, acker table) walk.
 	tableIdx := make(map[string]uint32)
@@ -707,21 +592,19 @@ func (p *Quiescent) Snapshot() []byte {
 			refs = append(refs, refOf(rec.st.ackers.At(j).labels))
 		}
 	}
-	w.u32(uint32(len(tableSets)))
+	b = appendU32(b, uint32(len(tableSets)))
 	for _, s := range tableSets {
-		w.tags(s.Slice())
+		b = appendTagList(b, s.Slice())
 	}
-	w.u32(uint32(len(p.ackOrder)))
+	b = appendU32(b, uint32(len(p.ackOrder)))
 	for _, rec := range p.ackOrder {
-		w.msgID(rec.id)
 		st := rec.st
-		w.u32(uint32(st.ackers.Len()))
+		b = appendU32(appendMsgID(b, rec.id), uint32(st.ackers.Len()))
 		for j, acker := range st.ackers.Keys() {
 			v := st.ackers.At(j)
-			w.tag(acker)
-			w.u64(v.epoch)
-			w.boolean(v.synced)
-			w.u32(refs[0])
+			b = codec.AppendTag(room(b, codec.TagLen), acker)
+			b = appendBool(appendU64(b, v.epoch), v.synced)
+			b = appendU32(b, refs[0])
 			refs = refs[1:]
 		}
 		reqs := make([]ident.Tag, 0, len(st.reqTick))
@@ -729,24 +612,21 @@ func (p *Quiescent) Snapshot() []byte {
 			reqs = append(reqs, acker)
 		}
 		slices.SortFunc(reqs, ident.Tag.Compare)
-		w.u32(uint32(len(reqs)))
+		b = appendU32(b, uint32(len(reqs)))
 		for _, acker := range reqs {
-			w.tag(acker)
-			w.u64(st.reqTick[acker])
+			b = codec.AppendTag(room(b, codec.TagLen), acker)
+			b = appendU64(b, st.reqTick[acker])
 		}
 	}
 	ledger := recsWhere(table[:0], table, (*msgRec).hasLedger) // filtered in place
-	w.u32(uint32(len(ledger)))
+	b = appendU32(b, uint32(len(ledger)))
 	for _, rec := range ledger {
 		st := rec.send
-		w.msgID(rec.id)
-		w.u64(st.epoch)
-		w.u64(st.reAckTick)
-		w.u64(st.snapTick)
-		w.tags(st.sent.Slice())
+		b = appendMsgID(b, rec.id)
+		b = appendU64(appendU64(appendU64(b, st.epoch), st.reAckTick), st.snapTick)
+		b = appendTagList(b, st.sent.Slice())
 	}
-	w.u64(snapDigest(w.b, p))
-	return w.b
+	return appendU64(b, snapDigest(b, p))
 }
 
 // Restore implements Snapshotter.
@@ -761,53 +641,55 @@ func (p *Quiescent) Restore(data []byte) error {
 // restoreState decodes a snapshot and checks its digest against the state
 // exactly as written, before settleRestored changes it.
 func (p *Quiescent) restoreState(data []byte) error {
-	r := &stateReader{b: data}
-	if v := r.u8(); r.err == nil && v != snapVersion {
+	r := codec.NewReader(data, &ErrSnapshotShort)
+	if v := r.U8(); r.Err() == nil && v != snapVersion {
 		return ErrSnapshotVersion
 	}
-	if k := r.u8(); r.err == nil && k != snapKindQuiescent {
+	if k := r.U8(); r.Err() == nil && k != snapKindQuiescent {
 		return ErrSnapshotKind
 	}
-	p.decodeCommon(r, p.cfg)
-	retired := r.u64()
-	ticks := r.u64()
-	epochFloor := r.u64()
+	if err := p.decodeCommon(&r, p.cfg); err != nil {
+		return err
+	}
+	retired := r.U64()
+	ticks := r.U64()
+	epochFloor := r.U64()
 	// Set table: the distinct label sets the acker views reference.
-	tableCnt := r.count(4)
-	if r.err != nil {
-		return r.err
+	tableCnt := r.Count(4, noMax, nil)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	table := make([][]ident.Tag, 0, tableCnt)
 	for i := 0; i < tableCnt; i++ {
-		table = append(table, r.tagList())
-		if r.err != nil {
-			return r.err
+		table = append(table, r.Tags(noMax, nil))
+		if err := r.Err(); err != nil {
+			return err
 		}
 	}
-	cnt := r.count(20 + 8)
-	if r.err != nil {
-		return r.err
+	cnt := r.Count(codec.TagLen+4+8, noMax, nil)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	sets := setIntern{}
 	ackOrder := make([]*msgRec, 0, cnt)
 	dirtyQ := new(dirtyQueue)
 	for i := 0; i < cnt; i++ {
-		rec := p.recordID(r.msgID())
+		rec := p.recordID(readMsgID(&r))
 		if rec.st != nil {
 			// Two ackOrder slots for one message would orphan a queued
 			// state (the index's position ↔ state mapping is one-to-one).
 			return fmt.Errorf("%w: duplicate message in snapshot", ErrSnapshotMismatch)
 		}
-		ackers := r.count(16 + 8 + 1 + 4)
+		ackers := r.Count(codec.TagLen+8+1+4, noMax, nil)
 		st := newAckState(dirtyQ, i, ackers)
 		st.compacted = p.cfg.CompactDelivered && rec.delivered
 		for j := 0; j < ackers; j++ {
-			acker := r.tag()
-			epoch := r.u64()
-			synced := r.boolean()
-			ref := r.u32()
-			if r.err != nil {
-				return r.err
+			acker := r.Tag()
+			epoch := r.U64()
+			synced := readBool(&r)
+			ref := r.U32()
+			if err := r.Err(); err != nil {
+				return err
 			}
 			if int(ref) >= len(table) {
 				return fmt.Errorf("%w: acker set ref %d beyond table of %d", ErrSnapshotMismatch, ref, len(table))
@@ -821,45 +703,45 @@ func (p *Quiescent) restoreState(data []byte) error {
 			}
 			st.internView(&sets, v)
 		}
-		reqs := r.count(16 + 8)
+		reqs := r.Count(codec.TagLen+8, noMax, nil)
 		for j := 0; j < reqs; j++ {
-			acker := r.tag()
-			tick := r.u64()
-			if r.err != nil {
-				return r.err
+			acker := r.Tag()
+			tick := r.U64()
+			if err := r.Err(); err != nil {
+				return err
 			}
 			if st.reqTick == nil {
 				st.reqTick = make(map[ident.Tag]uint64, reqs)
 			}
 			st.reqTick[acker] = tick
 		}
-		if r.err != nil {
-			return r.err
+		if err := r.Err(); err != nil {
+			return err
 		}
 		rec.st = st
 		ackOrder = append(ackOrder, rec)
 	}
-	sendCnt := r.count(20 + 8*3 + 4)
-	if r.err != nil {
-		return r.err
+	sendCnt := r.Count(codec.TagLen+4+8*3+4, noMax, nil)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	// Ledger entries written under one AΘ view carry the same label list:
 	// they share one set here as they do live (sent sets are immutable).
 	var sent *ident.Set
 	for i := 0; i < sendCnt; i++ {
-		id := r.msgID()
-		st := &ackSendState{epoch: r.u64(), reAckTick: r.u64(), snapTick: r.u64()}
-		if tags := r.tagList(); sent == nil || !slices.Equal(tags, sent.Slice()) {
+		id := readMsgID(&r)
+		st := &ackSendState{epoch: r.U64(), reAckTick: r.U64(), snapTick: r.U64()}
+		if tags := r.Tags(noMax, nil); sent == nil || !slices.Equal(tags, sent.Slice()) {
 			sent = ident.NewSet(tags...)
 		}
 		st.sent = sent
-		if r.err != nil {
-			return r.err
+		if err := r.Err(); err != nil {
+			return err
 		}
 		p.recordID(id).send = st // a repeated entry keeps the last, as a map would
 	}
-	digest := r.u64()
-	if err := r.done(); err != nil {
+	digest := r.U64()
+	if err := r.Done(ErrSnapshotTrailing); err != nil {
 		return err
 	}
 	p.retired = int(retired)
@@ -942,26 +824,21 @@ func (p *Quiescent) ApplyWAL(ev DurableEvent) error {
 // wire-level caches the BEATREQ path rebuilds (one exchange per
 // stream), so a restart loses nothing it cannot get back.
 func (h *HeartbeatHost) Snapshot() []byte {
-	var w stateWriter
-	w.u8(snapVersion)
-	w.u8(snapKindHeartbeat)
-	w.tag(h.hb.Label())
-	w.u32(uint32(h.beatEvery))
-	w.u64(uint64(h.hb.Timeout()))
-	w.u64(uint64(h.tickCount))
-	w.u64(h.beatsSent)
-	w.u64(h.beatReqsSent)
-	w.u32(h.beatEpoch)
-	w.boolean(h.beatSnapSent)
+	b := codec.AppendTag([]byte{snapVersion, snapKindHeartbeat}, h.hb.Label())
+	b = appendU32(b, uint32(h.beatEvery))
+	b = appendU64(b, uint64(h.hb.Timeout()))
+	b = appendU64(b, uint64(h.tickCount))
+	b = appendU64(b, h.beatsSent)
+	b = appendU64(b, h.beatReqsSent)
+	b = appendBool(appendU32(b, h.beatEpoch), h.beatSnapSent)
 	heard := h.hb.Heard()
-	w.u32(uint32(len(heard)))
+	b = appendU32(b, uint32(len(heard)))
 	for _, e := range heard {
-		w.tag(e.Label)
-		w.u64(uint64(e.At))
+		b = appendU64(codec.AppendTag(room(b, codec.TagLen), e.Label), uint64(e.At))
 	}
-	w.bytes(h.inner.Snapshot())
-	w.u64(snapDigest(w.b, h))
-	return w.b
+	inner := h.inner.Snapshot()
+	b = append(appendU32(b, uint32(len(inner))), inner...)
+	return appendU64(b, snapDigest(b, h))
 }
 
 // Restore implements Snapshotter. The host adopts the snapshot's
@@ -970,34 +847,34 @@ func (h *HeartbeatHost) Snapshot() []byte {
 // would make peers treat the recovered process as a fresh arrival (and
 // eventually declare the old label crashed).
 func (h *HeartbeatHost) Restore(data []byte) error {
-	r := &stateReader{b: data}
-	if v := r.u8(); r.err == nil && v != snapVersion {
+	r := codec.NewReader(data, &ErrSnapshotShort)
+	if v := r.U8(); r.Err() == nil && v != snapVersion {
 		return ErrSnapshotVersion
 	}
-	if k := r.u8(); r.err == nil && k != snapKindHeartbeat {
+	if k := r.U8(); r.Err() == nil && k != snapKindHeartbeat {
 		return ErrSnapshotKind
 	}
-	label := r.tag()
-	beatEvery := int(r.u32())
-	timeout := int64(r.u64())
-	tickCount := r.u64()
-	beatsSent := r.u64()
-	beatReqsSent := r.u64()
-	beatEpoch := r.u32()
-	beatSnapSent := r.boolean()
-	n := r.count(16 + 8)
-	if r.err != nil {
-		return r.err
+	label := r.Tag()
+	beatEvery := int(r.U32())
+	timeout := int64(r.U64())
+	tickCount := r.U64()
+	beatsSent := r.U64()
+	beatReqsSent := r.U64()
+	beatEpoch := r.U32()
+	beatSnapSent := readBool(&r)
+	n := r.Count(codec.TagLen+8, noMax, nil)
+	if err := r.Err(); err != nil {
+		return err
 	}
 	heard := make([]HeardLabel, 0, n)
 	for i := 0; i < n; i++ {
-		e := HeardLabel{Label: r.tag()}
-		e.At = int64(r.u64())
+		e := HeardLabel{Label: r.Tag()}
+		e.At = int64(r.U64())
 		heard = append(heard, e)
 	}
-	inner := r.bytes()
-	digest := r.u64()
-	if err := r.done(); err != nil {
+	inner := r.Bytes(r.Count(1, noMax, nil))
+	digest := r.U64()
+	if err := r.Done(ErrSnapshotTrailing); err != nil {
 		return err
 	}
 	if label.Zero() {
@@ -1075,48 +952,42 @@ type HeardLabel = fd.HeardLabel
 
 // EncodeWAL returns the canonical binary form of one write-ahead record.
 func (r DurableEvent) EncodeWAL() []byte {
-	var w stateWriter
-	w.u8(walVersion)
-	w.u8(uint8(r.Kind))
-	w.msgID(r.ID)
+	b := make([]byte, 0, 2+codec.TagLen+4+len(r.ID.Body)+codec.TagLen+8)
+	b = appendMsgID(append(b, walVersion, uint8(r.Kind)), r.ID)
 	switch r.Kind {
 	case WALDeliver:
-		w.boolean(r.Fast)
+		b = appendBool(b, r.Fast)
 	case WALPin:
-		w.tag(r.Ack)
-		w.u64(r.Draws)
+		b = appendU64(codec.AppendTag(b, r.Ack), r.Draws)
 	case WALBroadcast:
-		w.u64(r.Draws)
+		b = appendU64(b, r.Draws)
 	}
-	return w.b
+	return b
 }
 
 // DecodeWALRecord parses one write-ahead record, rejecting unknown
 // versions and kinds, structural corruption and trailing bytes.
 func DecodeWALRecord(b []byte) (DurableEvent, error) {
-	r := &stateReader{b: b}
-	if v := r.u8(); r.err == nil && v != walVersion {
+	r := codec.NewReader(b, &ErrSnapshotShort)
+	if v := r.U8(); r.Err() == nil && v != walVersion {
 		return DurableEvent{}, fmt.Errorf("%w: version %d", ErrWALRecord, v)
 	}
-	rec := DurableEvent{Kind: WALKind(r.u8())}
-	rec.ID = r.msgID()
+	rec := DurableEvent{Kind: WALKind(r.U8())}
+	rec.ID = readMsgID(&r)
 	switch rec.Kind {
 	case WALDeliver:
-		rec.Fast = r.boolean()
+		rec.Fast = readBool(&r)
 	case WALPin:
-		rec.Ack = r.tag()
-		rec.Draws = r.u64()
+		rec.Ack = r.Tag()
+		rec.Draws = r.U64()
 	case WALBroadcast:
-		rec.Draws = r.u64()
+		rec.Draws = r.U64()
 	default:
-		if r.err == nil {
+		if r.Err() == nil {
 			return DurableEvent{}, fmt.Errorf("%w: unknown kind %d", ErrWALRecord, rec.Kind)
 		}
 	}
-	if r.err != nil {
-		return DurableEvent{}, fmt.Errorf("%w: %v", ErrWALRecord, r.err)
-	}
-	if err := r.done(); err != nil {
+	if err := r.Done(ErrSnapshotTrailing); err != nil {
 		return DurableEvent{}, fmt.Errorf("%w: %v", ErrWALRecord, err)
 	}
 	if rec.ID.Tag.Zero() {
@@ -1165,10 +1036,10 @@ type SnapshotInfo struct {
 // the embedded digest. It is the full corruption check: structural
 // validity plus semantic round-trip.
 func VerifySnapshot(data []byte) (SnapshotInfo, error) {
-	r := &stateReader{b: data}
-	version := int(r.u8())
-	kind := r.u8()
-	if r.err != nil {
+	r := codec.NewReader(data, &ErrSnapshotShort)
+	version := int(r.U8())
+	kind := r.U8()
+	if r.Err() != nil {
 		return SnapshotInfo{}, ErrSnapshotShort
 	}
 	if version != snapVersion {
@@ -1179,11 +1050,11 @@ func VerifySnapshot(data []byte) (SnapshotInfo, error) {
 	switch kind {
 	case snapKindMajority:
 		info.Kind = "majority"
-		info.N = int(r.u32())
-		info.Threshold = int(r.u32())
-		info.Config = cfgFromFlags(r.u8())
-		if r.err != nil {
-			return info, r.err
+		info.N = int(r.U32())
+		info.Threshold = int(r.U32())
+		info.Config = cfgFromFlags(r.U8())
+		if err := r.Err(); err != nil {
+			return info, err
 		}
 		if info.N < 1 || info.Threshold < 1 || info.Threshold > info.N {
 			return info, fmt.Errorf("%w: invalid n=%d/threshold=%d", ErrSnapshotMismatch, info.N, info.Threshold)
@@ -1191,9 +1062,9 @@ func VerifySnapshot(data []byte) (SnapshotInfo, error) {
 		proc = NewMajorityThreshold(info.N, info.Threshold, verifyTagSource(), info.Config)
 	case snapKindQuiescent:
 		info.Kind = "quiescent"
-		info.Config = cfgFromFlags(r.u8())
-		if r.err != nil {
-			return info, r.err
+		info.Config = cfgFromFlags(r.U8())
+		if err := r.Err(); err != nil {
+			return info, err
 		}
 		proc = NewQuiescent(verifyDetector{}, verifyTagSource(), info.Config)
 	case snapKindHeartbeat:
@@ -1203,23 +1074,14 @@ func VerifySnapshot(data []byte) (SnapshotInfo, error) {
 		// Layout: label(16) beatEvery(4) timeout(8) tick(8) beats(8)
 		// beatReqs(8) beatEpoch(4) beatSnapSent(1)
 		// heardCount(4) + heard entries(24 each) | innerLen(4) | inner...
-		peek := &stateReader{b: r.b}
-		peek.tag()
-		beatEvery := int(peek.u32())
-		timeout := int64(peek.u64())
-		peek.u64()
-		peek.u64()
-		peek.u64()
-		peek.u32()
-		peek.u8()
-		hn := peek.count(16 + 8)
-		for i := 0; i < hn; i++ {
-			peek.tag()
-			peek.u64()
-		}
-		inner := peek.bytes()
-		if peek.err != nil {
-			return info, peek.err
+		r.Skip(codec.TagLen)
+		beatEvery := int(r.U32())
+		timeout := int64(r.U64())
+		r.Skip(8 + 8 + 8 + 4 + 1)
+		r.Skip(r.Count(codec.TagLen+8, noMax, nil) * (codec.TagLen + 8))
+		inner := r.Bytes(r.Count(1, noMax, nil))
+		if err := r.Err(); err != nil {
+			return info, err
 		}
 		if len(inner) < 3 {
 			return info, ErrSnapshotShort

@@ -3,6 +3,7 @@ package urb
 import (
 	"slices"
 
+	"anonurb/internal/codec"
 	"anonurb/internal/ident"
 )
 
@@ -17,16 +18,6 @@ import (
 // copy-on-write through the ackState methods in quiescent.go — so
 // sharing is invisible to the algorithm: claims, guards and fingerprints
 // read the exact same label values either way.
-
-// appendTagBytes appends a tag's canonical 16 big-endian bytes, the
-// serialization appendSetKey builds on.
-func appendTagBytes(b []byte, t ident.Tag) []byte {
-	return append(b,
-		byte(t.Hi>>56), byte(t.Hi>>48), byte(t.Hi>>40), byte(t.Hi>>32),
-		byte(t.Hi>>24), byte(t.Hi>>16), byte(t.Hi>>8), byte(t.Hi),
-		byte(t.Lo>>56), byte(t.Lo>>48), byte(t.Lo>>40), byte(t.Lo>>32),
-		byte(t.Lo>>24), byte(t.Lo>>16), byte(t.Lo>>8), byte(t.Lo))
-}
 
 // setKeyStack is the set size up to which a canonical key is built
 // without allocating: the sort scratch and the key bytes both fit on the
@@ -43,7 +34,7 @@ func appendSetKey(b []byte, s *ident.Set) []byte {
 	tags := append(scratch[:0], s.Slice()...)
 	slices.SortFunc(tags, ident.Tag.Compare)
 	for _, t := range tags {
-		b = appendTagBytes(b, t)
+		b = codec.AppendTag(b, t)
 	}
 	return b
 }

@@ -441,23 +441,20 @@ func TestMajorityRestoreRejectsDuplicateMessage(t *testing.T) {
 	snap := p.Snapshot()
 
 	// The ALL_ACK section closes the payload: count, then the entries.
-	var entry stateWriter
-	entry.msgID(id)
-	entry.tags([]ident.Tag{lbl(100)})
+	entry := appendTagList(appendMsgID(nil, id), []ident.Tag{lbl(100)})
 	payload := snap[:len(snap)-8]
-	if !bytes.HasSuffix(payload, entry.b) {
+	if !bytes.HasSuffix(payload, entry) {
 		t.Fatal("setup: snapshot does not end in the ALL_ACK entry")
 	}
-	var w stateWriter
-	w.b = append(w.b, payload[:len(payload)-len(entry.b)-4]...)
-	w.u32(2)
-	w.b = append(w.b, entry.b...)
-	w.b = append(w.b, entry.b...)
-	w.u64(0)
+	w := append([]byte(nil), payload[:len(payload)-len(entry)-4]...)
+	w = appendU32(w, 2)
+	w = append(w, entry...)
+	w = append(w, entry...)
+	w = appendU64(w, 0)
 	// The doubled entry decodes to the same logical state, so the
 	// original fingerprint makes the digest valid: only the semantic gate
 	// stands between this snapshot and a running process.
-	doubled := restamp(w.b, p.Fingerprint())
+	doubled := restamp(w, p.Fingerprint())
 
 	fresh := NewMajority(3, ident.NewSource(xrand.New(5)), Config{})
 	if err := fresh.Restore(doubled); !errors.Is(err, ErrSnapshotMismatch) {

@@ -1,8 +1,7 @@
 package wire
 
 import (
-	"encoding/binary"
-
+	"anonurb/internal/codec"
 	"anonurb/internal/ident"
 )
 
@@ -28,138 +27,70 @@ func FlowOf(t ident.Tag) uint64 { return t.Hi }
 //
 // PeekFlow validates only what it needs to walk the frame: version,
 // kind, and the declared lengths against len(b) and the codec bounds.
+// It steps over the fields with the same codec.Reader DecodeInto reads
+// them with, so the two agree on every length and bound.
 // A frame it accepts can still fail full DecodePrefix validation (zero
 // tags, bad flags); that is the consumer's check. Errors are the codec's
-// (ErrShort, ErrVersion, ErrKind, ErrOversize).
+// (ErrShort, ErrVersion, ErrKind, &ErrOversize).
 //
 //urb:hotpath
 func PeekFlow(b []byte) (kind Kind, flow uint64, size int, err error) {
-	if len(b) < headerLen {
-		return 0, 0, 0, ErrShort
+	r := codec.NewReader(b, &ErrShort)
+	version, kind := r.U8(), Kind(r.U8())
+	if err := r.Err(); err != nil {
+		return 0, 0, 0, err
 	}
-	if b[0] != codecVersion {
+	if version != codecVersion {
 		return 0, 0, 0, ErrVersion
 	}
-	kind = Kind(b[1])
-	o := headerLen
-	// need reports whether n more bytes exist past offset o.
-	need := func(n int) bool { return uint64(len(b)) >= uint64(o)+uint64(n) }
-	// skipTags walks one count-prefixed tag list.
-	skipTags := func() error {
-		if !need(4) {
-			return ErrShort
-		}
-		count := binary.BigEndian.Uint32(b[o:])
-		if count > MaxLabels {
-			return ErrOversize
-		}
-		o += 4
-		if !need(int(count) * tagLen) {
-			return ErrShort
-		}
-		o += int(count) * tagLen
-		return nil
-	}
+	// skipTags steps over one count-prefixed tag list.
+	skipTags := func() { r.Skip(r.Count(tagLen, MaxLabels, &ErrOversize) * tagLen) }
 	switch kind {
 	case KindBeatReq:
-		if !need(8) {
-			return 0, 0, 0, ErrShort
-		}
-		return kind, 0, o + 8, nil
+		r.Skip(8) // ref
 	case KindSnapReq:
-		if !need(16) {
-			return 0, 0, 0, ErrShort
-		}
-		return kind, 0, o + 16, nil
+		r.Skip(8 + 8) // ref, off
 	case KindSnapChunk:
-		// ref u64 | total u64 | off u64 | sum u32 | chunkLen u32 | chunk.
 		// Snapshot transfers are membership traffic, not attributable to
 		// any broadcaster: flow 0, which admission always admits.
-		if !need(8 + 8 + 8 + 4 + 4) {
-			return 0, 0, 0, ErrShort
-		}
-		chunkLen := binary.BigEndian.Uint32(b[o+28:])
-		if chunkLen > MaxBody {
-			return 0, 0, 0, ErrOversize
-		}
-		o += 8 + 8 + 8 + 4 + 4
-		if !need(int(chunkLen)) {
-			return 0, 0, 0, ErrShort
-		}
-		return kind, 0, o + int(chunkLen), nil
+		r.Skip(8 + 8 + 8 + 4) // ref, total, off, sum
+		r.Skip(r.Count(1, MaxBody, &ErrOversize))
 	case KindBeatDelta:
-		if !need(1 + 4 + 8) {
-			return 0, 0, 0, ErrShort
-		}
-		flags := b[o]
-		o += 1 + 4 + 8
+		flags := r.U8()
+		r.Skip(4 + 8) // epoch, ref
 		if flags&BeatFlagSnapshot != 0 {
-			if err := skipTags(); err != nil {
-				return 0, 0, 0, err
-			}
+			skipTags()
 		}
 		if flags&BeatFlagDelta != 0 {
-			if err := skipTags(); err != nil {
-				return 0, 0, 0, err
-			}
-			if err := skipTags(); err != nil {
-				return 0, 0, 0, err
-			}
+			skipTags()
+			skipTags()
 		}
-		return kind, 0, o, nil
 	case KindMsg, KindAck, KindBeat, KindAckDelta, KindAckReq:
+		r.Skip(r.Count(1, MaxBody, &ErrOversize))
+		if hi := r.U64(); kind != KindBeat {
+			// KindBeat's Tag is a detector label, not a broadcast tag;
+			// its Hi half is no broadcaster's flow key.
+			flow = hi
+		}
+		r.Skip(8)
+		switch kind {
+		case KindAck:
+			r.Skip(tagLen) // ack tag
+			skipTags()
+		case KindAckDelta:
+			r.Skip(tagLen + 8 + 1) // ack tag, epoch, flags
+			skipTags()
+			skipTags()
+		case KindAckReq:
+			r.Skip(tagLen) // ack tag
+		case KindMsg, KindBeat, KindBeatDelta, KindBeatReq, KindSnapReq, KindSnapChunk:
+			// Prefix-only frames, or not tag-bearing (handled above).
+		}
 	default:
 		return 0, 0, 0, ErrKind
 	}
-	if !need(4) {
-		return 0, 0, 0, ErrShort
+	if err := r.Err(); err != nil {
+		return 0, 0, 0, err
 	}
-	bodyLen := binary.BigEndian.Uint32(b[o:])
-	if bodyLen > MaxBody {
-		return 0, 0, 0, ErrOversize
-	}
-	o += 4
-	if !need(int(bodyLen) + tagLen) {
-		return 0, 0, 0, ErrShort
-	}
-	o += int(bodyLen)
-	hi := binary.BigEndian.Uint64(b[o:])
-	o += tagLen
-	if kind != KindBeat {
-		// KindBeat's Tag is a detector label, not a broadcast tag; its
-		// Hi half is no broadcaster's flow key.
-		flow = hi
-	}
-	//urbvet:partial beat-family kinds returned from the first switch; only tag-prefixed kinds reach here
-	switch kind {
-	case KindMsg, KindBeat:
-		return kind, flow, o, nil
-	}
-	// ACK family: acker tag next.
-	if !need(tagLen) {
-		return 0, 0, 0, ErrShort
-	}
-	o += tagLen
-	//urbvet:partial only the three ACK-family kinds fall through to here
-	switch kind {
-	case KindAckReq:
-		return kind, flow, o, nil
-	case KindAckDelta:
-		if !need(8 + 1) {
-			return 0, 0, 0, ErrShort
-		}
-		o += 8 + 1
-		if err := skipTags(); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := skipTags(); err != nil {
-			return 0, 0, 0, err
-		}
-		return kind, flow, o, nil
-	default: // KindAck
-		if err := skipTags(); err != nil {
-			return 0, 0, 0, err
-		}
-		return kind, flow, o, nil
-	}
+	return kind, flow, len(b) - r.Len(), nil
 }

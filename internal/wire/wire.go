@@ -42,17 +42,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"unsafe"
 
+	"anonurb/internal/codec"
 	"anonurb/internal/ident"
 )
-
-// crcTable is the CRC-32C (Castagnoli) table used for per-chunk snapshot
-// transfer checksums — the same polynomial the internal/store container
-// format uses, so the whole durability path speaks one checksum.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Kind discriminates the two protocol messages.
 type Kind uint8
@@ -466,7 +461,7 @@ func NewSnapChunk(ref uint64, total, off uint64, chunk []byte) Message {
 		Ref:   ref,
 		Off:   off,
 		Total: total,
-		Sum:   crc32.Checksum(chunk, crcTable),
+		Sum:   codec.Checksum(chunk),
 		Body:  append([]byte(nil), chunk...),
 	}
 }
@@ -517,7 +512,7 @@ func (m Message) String() string {
 const (
 	codecVersion = 1
 	headerLen    = 2 // version, kind
-	tagLen       = 16
+	tagLen       = codec.TagLen
 	// MaxBody bounds payload size accepted by the codec. It is sized so
 	// that worst-case MSG frames — and labeled ACK frames for systems up
 	// to ~250 processes — fit in one UDP datagram (the transport with
@@ -547,18 +542,6 @@ var (
 	ErrChecksum   = errors.New("wire: snapshot chunk checksum mismatch")
 	ErrSnapBounds = errors.New("wire: snapshot chunk outside declared bounds")
 )
-
-func putTag(b []byte, t ident.Tag) {
-	binary.BigEndian.PutUint64(b[0:8], t.Hi)
-	binary.BigEndian.PutUint64(b[8:16], t.Lo)
-}
-
-func getTag(b []byte) ident.Tag {
-	return ident.Tag{
-		Hi: binary.BigEndian.Uint64(b[0:8]),
-		Lo: binary.BigEndian.Uint64(b[8:16]),
-	}
-}
 
 // EncodedSize returns the exact byte length Encode will produce. It is the
 // quantity the metrics layer charges as "bytes on the wire".
@@ -626,79 +609,53 @@ func (m Message) EncodedSize() int {
 //
 //urb:hotpath
 func (m Message) Encode(dst []byte) []byte {
-	var scratch [8]byte
 	dst = append(dst, codecVersion, byte(m.Kind))
-	var tb [tagLen]byte
-	appendTags := func(tags []ident.Tag) {
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(tags)))
-		dst = append(dst, scratch[:4]...)
-		for _, l := range tags {
-			putTag(tb[:], l)
-			dst = append(dst, tb[:]...)
-		}
-	}
 	switch m.Kind {
 	case KindBeatDelta:
 		dst = append(dst, m.Flags)
-		binary.BigEndian.PutUint32(scratch[:4], uint32(m.Epoch))
-		dst = append(dst, scratch[:4]...)
-		binary.BigEndian.PutUint64(scratch[:8], m.Ref)
-		dst = append(dst, scratch[:8]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Epoch))
+		dst = binary.BigEndian.AppendUint64(dst, m.Ref)
 		if m.Flags&BeatFlagSnapshot != 0 {
-			appendTags(m.Labels)
+			dst = codec.AppendTags(dst, m.Labels)
 		}
 		if m.Flags&BeatFlagDelta != 0 {
-			appendTags(m.Labels)
-			appendTags(m.DelLabels)
+			dst = codec.AppendTags(dst, m.Labels)
+			dst = codec.AppendTags(dst, m.DelLabels)
 		}
 		return dst
 	case KindBeatReq:
-		binary.BigEndian.PutUint64(scratch[:8], m.Ref)
-		return append(dst, scratch[:8]...)
+		return binary.BigEndian.AppendUint64(dst, m.Ref)
 	case KindSnapReq:
-		binary.BigEndian.PutUint64(scratch[:8], m.Ref)
-		dst = append(dst, scratch[:8]...)
-		binary.BigEndian.PutUint64(scratch[:8], m.Off)
-		return append(dst, scratch[:8]...)
+		dst = binary.BigEndian.AppendUint64(dst, m.Ref)
+		return binary.BigEndian.AppendUint64(dst, m.Off)
 	case KindSnapChunk:
-		binary.BigEndian.PutUint64(scratch[:8], m.Ref)
-		dst = append(dst, scratch[:8]...)
-		binary.BigEndian.PutUint64(scratch[:8], m.Total)
-		dst = append(dst, scratch[:8]...)
-		binary.BigEndian.PutUint64(scratch[:8], m.Off)
-		dst = append(dst, scratch[:8]...)
-		binary.BigEndian.PutUint32(scratch[:4], m.Sum)
-		dst = append(dst, scratch[:4]...)
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(m.Body)))
-		dst = append(dst, scratch[:4]...)
+		dst = binary.BigEndian.AppendUint64(dst, m.Ref)
+		dst = binary.BigEndian.AppendUint64(dst, m.Total)
+		dst = binary.BigEndian.AppendUint64(dst, m.Off)
+		dst = binary.BigEndian.AppendUint32(dst, m.Sum)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Body)))
 		return append(dst, m.Body...)
 	case KindMsg, KindAck, KindBeat, KindAckDelta, KindAckReq:
 		// Tag-bearing kinds share the bodyLen|body|tag prefix appended
 		// below, then diverge in the second switch.
 	}
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(m.Body)))
-	dst = append(dst, scratch[:4]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Body)))
 	dst = append(dst, m.Body...)
-	putTag(tb[:], m.Tag)
-	dst = append(dst, tb[:]...)
+	dst = codec.AppendTag(dst, m.Tag)
 	switch m.Kind {
 	case KindMsg, KindBeat:
 		// Prefix-only frames: nothing after the tag.
 	case KindAck:
-		putTag(tb[:], m.AckTag)
-		dst = append(dst, tb[:]...)
-		appendTags(m.Labels)
+		dst = codec.AppendTag(dst, m.AckTag)
+		dst = codec.AppendTags(dst, m.Labels)
 	case KindAckDelta:
-		putTag(tb[:], m.AckTag)
-		dst = append(dst, tb[:]...)
-		binary.BigEndian.PutUint64(scratch[:8], m.Epoch)
-		dst = append(dst, scratch[:8]...)
+		dst = codec.AppendTag(dst, m.AckTag)
+		dst = binary.BigEndian.AppendUint64(dst, m.Epoch)
 		dst = append(dst, m.Flags)
-		appendTags(m.Labels)
-		appendTags(m.DelLabels)
+		dst = codec.AppendTags(dst, m.Labels)
+		dst = codec.AppendTags(dst, m.DelLabels)
 	case KindAckReq:
-		putTag(tb[:], m.AckTag)
-		dst = append(dst, tb[:]...)
+		dst = codec.AppendTag(dst, m.AckTag)
 	case KindBeatDelta, KindBeatReq, KindSnapReq, KindSnapChunk:
 		// Encoded and returned by the first switch; unreachable here.
 	}
@@ -741,136 +698,92 @@ func DecodePrefix(b []byte) (m Message, rest []byte, err error) {
 //urb:hotpath
 func DecodeInto(m *Message, b []byte) ([]byte, error) {
 	*m = Message{}
-	if len(b) < headerLen {
-		return nil, ErrShort
+	r := codec.NewReader(b, &ErrShort)
+	version, kind := r.U8(), Kind(r.U8())
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if b[0] != codecVersion {
+	if version != codecVersion {
 		return nil, ErrVersion
 	}
-	kind := Kind(b[1])
+	m.Kind = kind
 	switch kind {
 	case KindMsg, KindAck, KindBeat, KindAckDelta, KindAckReq:
 	case KindBeatDelta, KindBeatReq:
-		return decodeBeatPrefix(m, kind, b[headerLen:])
+		return decodeBeat(m, r.Rest())
 	case KindSnapReq, KindSnapChunk:
-		return decodeSnapPrefix(m, kind, b[headerLen:])
+		return decodeSnap(m, r.Rest())
 	default:
 		return nil, ErrKind
 	}
-	if len(b) < headerLen+4 {
-		return nil, ErrShort
+	m.Body = r.Bytes(r.Count(1, MaxBody, &ErrOversize))
+	m.Tag = r.Tag()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	bodyLen := binary.BigEndian.Uint32(b[2:6])
-	if bodyLen > MaxBody {
-		return nil, ErrOversize
-	}
-	b = b[6:]
-	if uint32(len(b)) < bodyLen {
-		return nil, ErrShort
-	}
-	var body []byte
-	if bodyLen > 0 {
-		body = b[:bodyLen:bodyLen]
-	}
-	b = b[bodyLen:]
-	if len(b) < tagLen {
-		return nil, ErrShort
-	}
-	m.Kind, m.Body, m.Tag = kind, body, getTag(b)
-	b = b[tagLen:]
 	if m.Tag.Zero() {
 		return nil, ErrZeroTag
 	}
 	if kind == KindMsg || kind == KindBeat {
-		return b, nil
+		return r.Rest(), nil
 	}
 	// All ACK forms carry the acker tag next.
-	if len(b) < tagLen {
-		return nil, ErrShort
+	m.AckTag = r.Tag()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	m.AckTag = getTag(b)
 	if m.AckTag.Zero() {
 		return nil, ErrZeroAckTag
 	}
-	b = b[tagLen:]
 	if kind == KindAckReq {
-		return b, nil
+		return r.Rest(), nil
 	}
 	if kind == KindAckDelta {
-		if len(b) < 8+1 {
-			return nil, ErrShort
+		m.Epoch, m.Flags = r.U64(), r.U8()
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		m.Epoch = binary.BigEndian.Uint64(b[:8])
 		if m.Epoch == 0 {
 			return nil, ErrZeroEpoch
 		}
-		m.Flags = b[8]
 		if m.Flags&^AckFlagSnapshot != 0 {
 			return nil, ErrBadFlags
 		}
-		b = b[9:]
 	}
-	readTags := func() ([]ident.Tag, error) {
-		if len(b) < 4 {
-			return nil, ErrShort
-		}
-		count := binary.BigEndian.Uint32(b[:4])
-		if count > MaxLabels {
-			return nil, ErrOversize
-		}
-		b = b[4:]
-		if uint64(len(b)) < uint64(count)*tagLen {
-			return nil, ErrShort
-		}
-		var tags []ident.Tag
-		if count > 0 {
-			tags = make([]ident.Tag, count)
-			for i := uint32(0); i < count; i++ {
-				tags[i] = getTag(b[i*tagLen:])
-			}
-		}
-		b = b[count*tagLen:]
-		return tags, nil
+	m.Labels = r.Tags(MaxLabels, &ErrOversize)
+	if kind == KindAckDelta {
+		m.DelLabels = r.Tags(MaxLabels, &ErrOversize)
 	}
-	var err error
-	if m.Labels, err = readTags(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if kind == KindAckDelta {
-		if m.DelLabels, err = readTags(); err != nil {
-			return nil, err
-		}
-		// A snapshot is a complete set, not a difference: removals are
-		// structurally meaningless there and canonical encoders never
-		// emit them, so the decoder rejects the combination.
-		if m.Flags&AckFlagSnapshot != 0 && len(m.DelLabels) != 0 {
-			return nil, ErrBadFlags
-		}
+	// A snapshot is a complete set, not a difference: removals are
+	// structurally meaningless there and canonical encoders never emit
+	// them, so the decoder rejects the combination.
+	if m.Flags&AckFlagSnapshot != 0 && len(m.DelLabels) != 0 {
+		return nil, ErrBadFlags
 	}
-	return b, nil
+	return r.Rest(), nil
 }
 
-// decodeBeatPrefix parses the compact beat-family layouts; b starts
-// right after the two header bytes.
-func decodeBeatPrefix(m *Message, kind Kind, b []byte) ([]byte, error) {
-	m.Kind = kind
-	if kind == KindBeatReq {
-		if len(b) < 8 {
-			return nil, ErrShort
+// decodeBeat parses the compact beat-family layouts; b starts right
+// after the two header bytes.
+func decodeBeat(m *Message, b []byte) ([]byte, error) {
+	r := codec.NewReader(b, &ErrShort)
+	if m.Kind == KindBeatReq {
+		m.Ref = r.U64()
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		m.Ref = binary.BigEndian.Uint64(b[:8])
 		if m.Ref == 0 {
 			return nil, ErrZeroRef
 		}
-		return b[8:], nil
+		return r.Rest(), nil
 	}
-	if len(b) < 1+4+8 {
-		return nil, ErrShort
+	m.Flags, m.Epoch, m.Ref = r.U8(), uint64(r.U32()), r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	m.Flags = b[0]
-	m.Epoch = uint64(binary.BigEndian.Uint32(b[1:5]))
-	m.Ref = binary.BigEndian.Uint64(b[5:13])
-	b = b[13:]
 	if m.Flags&^(BeatFlagSnapshot|BeatFlagDelta) != 0 ||
 		m.Flags == BeatFlagSnapshot|BeatFlagDelta {
 		return nil, ErrBadFlags
@@ -881,71 +794,39 @@ func decodeBeatPrefix(m *Message, kind Kind, b []byte) ([]byte, error) {
 	if m.Ref == 0 {
 		return nil, ErrZeroRef
 	}
-	readTags := func() ([]ident.Tag, error) {
-		if len(b) < 4 {
-			return nil, ErrShort
-		}
-		count := binary.BigEndian.Uint32(b[:4])
-		if count > MaxLabels {
-			return nil, ErrOversize
-		}
-		b = b[4:]
-		if uint64(len(b)) < uint64(count)*tagLen {
-			return nil, ErrShort
-		}
-		var tags []ident.Tag
-		if count > 0 {
-			tags = make([]ident.Tag, count)
-			for i := uint32(0); i < count; i++ {
-				tags[i] = getTag(b[i*tagLen:])
-			}
-		}
-		b = b[count*tagLen:]
-		return tags, nil
-	}
-	var err error
-	if m.Flags&BeatFlagSnapshot != 0 {
-		if m.Labels, err = readTags(); err != nil {
-			return nil, err
-		}
+	if m.Flags != 0 {
+		m.Labels = r.Tags(MaxLabels, &ErrOversize)
 	}
 	if m.Flags&BeatFlagDelta != 0 {
-		if m.Labels, err = readTags(); err != nil {
-			return nil, err
-		}
-		if m.DelLabels, err = readTags(); err != nil {
-			return nil, err
-		}
+		m.DelLabels = r.Tags(MaxLabels, &ErrOversize)
 	}
-	return b, nil
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return r.Rest(), nil
 }
 
-// decodeSnapPrefix parses the compact snapshot-transfer layouts; b
-// starts right after the two header bytes.
-func decodeSnapPrefix(m *Message, kind Kind, b []byte) ([]byte, error) {
-	m.Kind = kind
-	if kind == KindSnapReq {
-		if len(b) < 16 {
-			return nil, ErrShort
+// decodeSnap parses the compact snapshot-transfer layouts; b starts
+// right after the two header bytes.
+func decodeSnap(m *Message, b []byte) ([]byte, error) {
+	r := codec.NewReader(b, &ErrShort)
+	if m.Kind == KindSnapReq {
+		m.Ref, m.Off = r.U64(), r.U64()
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		m.Ref = binary.BigEndian.Uint64(b[:8])
-		m.Off = binary.BigEndian.Uint64(b[8:16])
 		// A fresh request (ref zero) names no transfer, so a nonzero
 		// resume offset is structurally meaningless.
 		if m.Ref == 0 && m.Off != 0 {
 			return nil, ErrSnapBounds
 		}
-		return b[16:], nil
+		return r.Rest(), nil
 	}
-	if len(b) < 8+8+8+4+4 {
-		return nil, ErrShort
+	m.Ref, m.Total, m.Off, m.Sum = r.U64(), r.U64(), r.U64(), r.U32()
+	chunkLen := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	m.Ref = binary.BigEndian.Uint64(b[:8])
-	m.Total = binary.BigEndian.Uint64(b[8:16])
-	m.Off = binary.BigEndian.Uint64(b[16:24])
-	m.Sum = binary.BigEndian.Uint32(b[24:28])
-	chunkLen := binary.BigEndian.Uint32(b[28:32])
-	b = b[32:]
 	if m.Ref == 0 {
 		return nil, ErrZeroRef
 	}
@@ -955,14 +836,14 @@ func decodeSnapPrefix(m *Message, kind Kind, b []byte) ([]byte, error) {
 	if chunkLen == 0 || uint64(chunkLen) > m.Total || m.Off > m.Total-uint64(chunkLen) {
 		return nil, ErrSnapBounds
 	}
-	if uint32(len(b)) < chunkLen {
-		return nil, ErrShort
+	m.Body = r.Bytes(int(chunkLen))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	m.Body = b[:chunkLen:chunkLen]
-	if crc32.Checksum(m.Body, crcTable) != m.Sum {
+	if codec.Checksum(m.Body) != m.Sum {
 		return nil, ErrChecksum
 	}
-	return b[chunkLen:], nil
+	return r.Rest(), nil
 }
 
 // Equal reports deep equality of two messages, including label multiset
