@@ -175,8 +175,8 @@ const noMax = math.MaxUint32
 // room makes space for n more bytes, doubling the buffer when it is full:
 // append grows a large slice by a quarter, which for a snapshot of a
 // large state reallocates dozens of times and leaves about four times its
-// size behind as garbage. The encoders call it before each write, or once
-// for a row of fixed-size fields.
+// size behind as garbage. Every write of the state encoders goes through
+// it.
 func room(b []byte, n int) []byte {
 	if cap(b)-len(b) < n {
 		b = slices.Grow(b, max(n, len(b)))
@@ -209,8 +209,9 @@ func appendIDs(b []byte, recs []*msgRec) []byte {
 	return b
 }
 
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(room(b, 4), v) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(room(b, 8), v) }
+func appendU32(b []byte, v uint32) []byte    { return binary.BigEndian.AppendUint32(room(b, 4), v) }
+func appendU64(b []byte, v uint64) []byte    { return binary.BigEndian.AppendUint64(room(b, 8), v) }
+func appendTag(b []byte, t ident.Tag) []byte { return codec.AppendTag(room(b, codec.TagLen), t) }
 
 func readBool(r *codec.Reader) bool {
 	switch r.U8() {
@@ -380,7 +381,7 @@ func (c *common) encodeCommon(b []byte) ([]byte, []*msgRec) {
 	mine := recsWhere(set, table, (*msgRec).isPinned)
 	b = appendU32(b, uint32(len(mine)))
 	for _, rec := range mine {
-		b = codec.AppendTag(room(appendMsgID(b, rec.id), codec.TagLen), rec.ack)
+		b = appendTag(appendMsgID(b, rec.id), rec.ack)
 	}
 	return b, table
 }
@@ -602,7 +603,7 @@ func (p *Quiescent) Snapshot() []byte {
 		b = appendU32(appendMsgID(b, rec.id), uint32(st.ackers.Len()))
 		for j, acker := range st.ackers.Keys() {
 			v := st.ackers.At(j)
-			b = codec.AppendTag(room(b, codec.TagLen), acker)
+			b = appendTag(b, acker)
 			b = appendBool(appendU64(b, v.epoch), v.synced)
 			b = appendU32(b, refs[0])
 			refs = refs[1:]
@@ -614,7 +615,7 @@ func (p *Quiescent) Snapshot() []byte {
 		slices.SortFunc(reqs, ident.Tag.Compare)
 		b = appendU32(b, uint32(len(reqs)))
 		for _, acker := range reqs {
-			b = codec.AppendTag(room(b, codec.TagLen), acker)
+			b = appendTag(b, acker)
 			b = appendU64(b, st.reqTick[acker])
 		}
 	}
@@ -824,7 +825,7 @@ func (p *Quiescent) ApplyWAL(ev DurableEvent) error {
 // wire-level caches the BEATREQ path rebuilds (one exchange per
 // stream), so a restart loses nothing it cannot get back.
 func (h *HeartbeatHost) Snapshot() []byte {
-	b := codec.AppendTag([]byte{snapVersion, snapKindHeartbeat}, h.hb.Label())
+	b := appendTag([]byte{snapVersion, snapKindHeartbeat}, h.hb.Label())
 	b = appendU32(b, uint32(h.beatEvery))
 	b = appendU64(b, uint64(h.hb.Timeout()))
 	b = appendU64(b, uint64(h.tickCount))
@@ -834,10 +835,10 @@ func (h *HeartbeatHost) Snapshot() []byte {
 	heard := h.hb.Heard()
 	b = appendU32(b, uint32(len(heard)))
 	for _, e := range heard {
-		b = appendU64(codec.AppendTag(room(b, codec.TagLen), e.Label), uint64(e.At))
+		b = appendU64(appendTag(b, e.Label), uint64(e.At))
 	}
 	inner := h.inner.Snapshot()
-	b = append(appendU32(b, uint32(len(inner))), inner...)
+	b = append(room(appendU32(b, uint32(len(inner))), len(inner)), inner...)
 	return appendU64(b, snapDigest(b, h))
 }
 
@@ -958,7 +959,7 @@ func (r DurableEvent) EncodeWAL() []byte {
 	case WALDeliver:
 		b = appendBool(b, r.Fast)
 	case WALPin:
-		b = appendU64(codec.AppendTag(b, r.Ack), r.Draws)
+		b = appendU64(appendTag(b, r.Ack), r.Draws)
 	case WALBroadcast:
 		b = appendU64(b, r.Draws)
 	}

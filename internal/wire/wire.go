@@ -750,9 +750,10 @@ func DecodeInto(m *Message, b []byte) ([]byte, error) {
 			return nil, ErrBadFlags
 		}
 	}
-	m.Labels = r.Tags(MaxLabels, &ErrOversize)
+	// r.Tags, spelled out so that it inlines.
+	m.Labels = codec.TagsOf(r.Bytes(r.Count(tagLen, MaxLabels, &ErrOversize) * tagLen))
 	if kind == KindAckDelta {
-		m.DelLabels = r.Tags(MaxLabels, &ErrOversize)
+		m.DelLabels = codec.TagsOf(r.Bytes(r.Count(tagLen, MaxLabels, &ErrOversize) * tagLen))
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
