@@ -28,7 +28,7 @@ func FlowOf(t ident.Tag) uint64 { return t.Hi }
 // PeekFlow validates only what it needs to walk the frame: version,
 // kind, and the declared lengths against len(b) and the codec bounds.
 // It steps over the fields with the same codec.Reader DecodeInto reads
-// them with, so the two agree on every length and bound.
+// them with, so the two apply the same length checks and bounds.
 // A frame it accepts can still fail full DecodePrefix validation (zero
 // tags, bad flags); that is the consumer's check. Errors are the codec's
 // (ErrShort, ErrVersion, ErrKind, &ErrOversize).
