@@ -206,8 +206,7 @@ func runExplainDemo() (ex obs.Explanation, ok bool) {
 // trace file.
 func selftestTrace() io.Reader {
 	const n = 5
-	lifecycle := sim.NewTraceObserver(n, 0)
-	sim.NewEngine(sim.Config{
+	res := sim.NewEngine(sim.Config{
 		N: n,
 		Factory: func(env sim.Env) urb.Process {
 			return urb.NewMajority(n, env.Tags, urb.Config{})
@@ -220,11 +219,11 @@ func selftestTrace() io.Reader {
 			{At: 5, Proc: 0, Body: []byte("selftest-a")},
 			{At: 9, Proc: 1, Body: []byte("selftest-b")},
 		},
-		Observers:         []sim.Observer{lifecycle},
 		ExpectDeliveries:  2,
 		NoEarlyStopBefore: 100,
+		TraceRing:         obs.DefaultCapacity,
 	}).Run()
 	var buf bytes.Buffer
-	obs.WriteChromeTrace(&buf, lifecycle.Run(), false)
+	obs.WriteChromeTrace(&buf, res.Trace, false)
 	return &buf
 }

@@ -78,7 +78,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	lossy := channel.Bernoulli{P: 0.3, D: channel.UniformDelay{Min: 1, Max: 6}}
 	never := sim.Never
 	for _, tc := range []struct {
-		name     string
+		name string
+		// capacity is each process's ring size (0: obs default).
 		capacity int
 		cfg      sim.Config
 		// scenario, when set, builds cfg through the harness.
@@ -129,7 +130,7 @@ func TestTraceRoundTrip(t *testing.T) {
 				t.Fatalf("bodies after the round trip: %v", bodies)
 			}
 		}, output: "all URB properties hold"},
-		{name: "wrapped ring", capacity: 16, cfg: sim.Config{
+		{name: "wrapped ring", capacity: 4, cfg: sim.Config{
 			N: 3, Factory: majority(3), Link: lossy, Seed: 5, MaxTime: 20_000,
 			Broadcasts:       []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("x")}, {At: 9, Proc: 1, Body: []byte("y")}},
 			ExpectDeliveries: 2,
@@ -145,11 +146,13 @@ func TestTraceRoundTrip(t *testing.T) {
 			if tc.scenario != nil {
 				cfg, _ = tc.scenario.Build()
 			}
-			lifecycle := sim.NewTraceObserver(cfg.N, tc.capacity)
-			cfg.Observers = append(cfg.Observers, lifecycle)
+			cfg.TraceRing = obs.DefaultCapacity
+			if tc.capacity > 0 {
+				cfg.TraceRing = tc.capacity
+			}
 			res := sim.NewEngine(cfg).Run()
 
-			mem := lifecycle.Run()
+			mem := res.Trace
 			var buf bytes.Buffer
 			if err := obs.WriteChromeTrace(&buf, mem, false); err != nil {
 				t.Fatal(err)

@@ -142,16 +142,9 @@ func main() {
 		wl = replay.Replayer{Schedule: sched, Speed: *speed}
 	}
 
-	var observers []sim.Observer
-	var schedRec *replay.Recorder
-	if *record != "" {
-		schedRec = replay.NewRecorder()
-		observers = append(observers, schedRec)
-	}
-	var lifecycle *sim.TraceObserver
+	traceRing := 0
 	if *traceOut != "" || *timeline {
-		lifecycle = sim.NewTraceObserver(*n, 0)
-		observers = append(observers, lifecycle)
+		traceRing = obs.DefaultCapacity
 	}
 
 	// Churn schedules parse after -replay may have pinned n, so the
@@ -173,7 +166,7 @@ func main() {
 
 	scen := harness.Scenario{
 		Name:          "urbsim",
-		Observers:     observers,
+		TraceRing:     traceRing,
 		N:             *n,
 		Algo:          a,
 		Link:          channel.Bernoulli{P: *loss, D: channel.UniformDelay{Min: 1, Max: *delayMax}},
@@ -246,11 +239,11 @@ func main() {
 
 	if *timeline {
 		fmt.Println()
-		obs.WriteReport(os.Stdout, lifecycle.Events())
+		obs.WriteReport(os.Stdout, out.Result.Trace.Events)
 	}
 
 	if *traceOut != "" {
-		run := lifecycle.Run()
+		run := out.Result.Trace
 		f, err := os.Create(*traceOut)
 		if err == nil {
 			// Virtual time, not wall nanos: Chrome ts stays in raw units.
@@ -266,12 +259,13 @@ func main() {
 		fmt.Printf("trace    : %d events written to %s\n", len(run.Events), *traceOut)
 	}
 
-	if schedRec != nil {
-		if err := schedRec.Schedule(*n).WriteFile(*record); err != nil {
+	if *record != "" {
+		sched := replay.Record(*n, out.Result.Broadcasts)
+		if err := sched.WriteFile(*record); err != nil {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("schedule : %d broadcasts written to %s\n", schedRec.Len(), *record)
+		fmt.Printf("schedule : %d broadcasts written to %s\n", len(sched.Entries), *record)
 	}
 
 	if *verbose {

@@ -116,8 +116,9 @@ type Scenario struct {
 	// FullHorizon disables the early stop on all-delivered, so the run
 	// covers exactly MaxTime (time-series figures need aligned horizons).
 	FullHorizon bool
-	// Observers receive the run's events (trace recording).
-	Observers []sim.Observer
+	// TraceRing > 0 traces the run into Outcome.Result.Trace
+	// (sim.Config.TraceRing).
+	TraceRing int
 }
 
 // Outcome is a checked, measured run.
@@ -258,7 +259,7 @@ func (s Scenario) Build() (sim.Config, *fd.Oracle) {
 		StopWhenQuiet:        s.StopWhenQuiet,
 		ExpectDeliveries:     expect,
 		SampleEvery:          s.SampleEvery,
-		Observers:            s.Observers,
+		TraceRing:            s.TraceRing,
 	}, oracle
 }
 

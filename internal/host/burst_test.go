@@ -8,6 +8,7 @@ import (
 
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
+	"anonurb/internal/obs"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 	"anonurb/internal/xrand"
@@ -249,7 +250,9 @@ func TestLoopBurstStoreErrorExposesNothing(t *testing.T) {
 	for fail := 1; fail <= 2; fail++ {
 		st := newRecStore()
 		st.failWAL = fail
-		l := NewLoop(Core{Proc: burstProc(), Store: st}, LoopConfig{Batch: true}, 0)
+		proc, tr := burstProc(), obs.New(0, 64, nil)
+		proc.SetTracer(tr)
+		l := NewLoop(Core{Proc: proc, Store: st}, LoopConfig{Batch: true, Tracer: tr}, 0)
 		out, err := l.OnFrames(frames)
 		if !errors.Is(err, errBoom) {
 			t.Fatalf("record %d: err = %v, want the store's", fail, err)
@@ -261,6 +264,12 @@ func TestLoopBurstStoreErrorExposesNothing(t *testing.T) {
 		if out.WALRecords != fail-1 || out.Good != 1 || out.Bad != 1 {
 			t.Fatalf("record %d: %d records written before the error, %d good and %d bad frames taken",
 				fail, out.WALRecords, out.Good, out.Bad)
+		}
+		// The trace holds what was exposed: nothing delivered.
+		for _, e := range tr.Events() {
+			if e.Kind == obs.EvDeliver {
+				t.Fatalf("record %d: failed burst traced a DELIVER of %v", fail, e.Msg)
+			}
 		}
 	}
 }

@@ -43,20 +43,14 @@ type Loop struct {
 // LoopConfig is what a driver fixes about its loop: the frame budget in
 // bytes (0 = unbudgeted) that SNAPCHUNKs and batches are sized under,
 // whether a Step's messages share frames (else one message per frame),
-// the checkpoint cadence in the driver's time unit (0 = never), the
-// tracer for snapshot-transfer events (nil = off), and the hook OnFrames
-// hands every decoded message to before the process sees it (nil =
-// none). A hook rather than a list in Out: a batch frame carries
-// hundreds of messages, and a list sized for the largest would stay
-// allocated for the loop's lifetime. The hook gets the loop's own decode
-// target, not a copy — the 160-byte Message is not copied per reception
-// for a hook that may ignore it — so *m is valid only during the call.
+// the checkpoint cadence in the driver's time unit (0 = never), and the
+// tracer (nil = off) for snapshot-transfer events and for the deliveries
+// the loop hands its driver to expose.
 type LoopConfig struct {
 	Budget          int
 	Batch           bool
 	CheckpointEvery int64
 	Tracer          *obs.Tracer
-	OnReceive       func(*wire.Message)
 }
 
 // Span locates one sent message inside Out.Frames.
@@ -159,9 +153,6 @@ func (l *Loop) OnFrames(frames [][]byte) (*Out, error) {
 				break
 			}
 			l.out.Received++
-			if l.cfg.OnReceive != nil {
-				l.cfg.OnReceive(m)
-			}
 			if !m.Kind.IsSnap() {
 				l.receive(&l.step, m)
 			} else if m.Kind == wire.KindSnapReq {
@@ -230,8 +221,10 @@ func (l *Loop) Free() { l.step, l.out, l.burst = urb.Step{}, Out{}, nil }
 
 // absorb writes s ahead and packs its broadcasts. On a store error it
 // returns the error with nothing to expose or send, and the driver stops
-// (fail-stop), so everything it ever exposed is durable. Each message is
-// encoded straight into the frame pack sized; nothing is cached.
+// (fail-stop), so everything it ever exposed is durable. DELIVER is
+// traced here, after the commit, so a trace holds exactly the deliveries
+// a driver exposes. Each message is encoded straight into the frame pack
+// sized; nothing is cached.
 //
 //urb:hotpath
 func (l *Loop) absorb(s urb.Step) (*Out, error) {
@@ -240,6 +233,9 @@ func (l *Loop) absorb(s urb.Step) (*Out, error) {
 	l.walGrew = l.walGrew || records > 0
 	if err != nil {
 		return &l.out, err
+	}
+	for _, d := range s.Deliveries {
+		l.cfg.Tracer.Deliver(d.ID, d.Fast)
 	}
 	l.out.Deliveries = s.Deliveries
 	l.out.Msgs = s.Broadcasts

@@ -42,28 +42,26 @@ func TestLoopFrameIn(t *testing.T) {
 		{"empty", nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var got []wire.Message
-			hook := func(m *wire.Message) { got = append(got, *m) }
-			l := NewLoop(Core{Proc: solo(1)}, LoopConfig{OnReceive: hook}, 0)
+			l := NewLoop(Core{Proc: solo(1)}, LoopConfig{}, 0)
 			out, err := l.OnFrame(tc.frame)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.Received != len(tc.want) || len(got) != len(tc.want) {
-				t.Fatalf("received %d messages (hook saw %d), want %d", out.Received, len(got), len(tc.want))
-			}
-			for i, m := range got {
-				if m.ID() != tc.want[i].ID() {
-					t.Fatalf("message %d is %v, want %v", i, m.ID(), tc.want[i].ID())
-				}
+			if out.Received != len(tc.want) {
+				t.Fatalf("received %d messages, want %d", out.Received, len(tc.want))
 			}
 			if (out.Bad == 1) != (len(tc.want) == 0) || out.Good+out.Bad != 1 {
 				t.Fatalf("good %d, bad %d with %d messages decoded", out.Good, out.Bad, len(tc.want))
 			}
-			// Each MSG received reached the algorithm: a solo Majority
-			// answers it with an ACK.
+			// Each MSG received reached the algorithm, in order: a solo
+			// Majority answers it with an ACK naming it.
 			if len(out.Msgs) != len(tc.want) {
 				t.Fatalf("%d replies to %d messages", len(out.Msgs), len(tc.want))
+			}
+			for i, m := range out.Msgs {
+				if m.ID() != tc.want[i].ID() {
+					t.Fatalf("reply %d names %v, want %v", i, m.ID(), tc.want[i].ID())
+				}
 			}
 		})
 	}

@@ -91,13 +91,11 @@ type Config struct {
 	// counters. The Seed/Src/Dst fields of the template are overridden
 	// per node; Unit defaults to the cluster Unit.
 	Chaos *transport.ChaosConfig
-	// Trace enables per-node lifecycle tracing (DESIGN.md §14): every
-	// node gets an obs.Tracer sized TraceCapacity (0: obs default) and
-	// Cluster.Tracers/ServeDebug expose the merged trace. The zero value
-	// is off — no tracers, no emit overhead.
-	Trace bool
-	// TraceCapacity is each node's trace ring size in events.
-	TraceCapacity int
+	// TraceRing, when > 0, enables per-node lifecycle tracing (DESIGN.md
+	// §14): every node gets an obs.Tracer of this many slots, and
+	// Cluster.Tracers/ServeDebug expose the merged trace. 0 is off — no
+	// tracers, no emit overhead.
+	TraceRing int
 }
 
 // Cluster is a running set of live processes: N nodes on one mesh.
@@ -114,7 +112,7 @@ type Cluster struct {
 	// tagRoot keeps splitting the seed tag stream past the founding N,
 	// so processes added by Join draw fresh, non-colliding tags.
 	tagRoot *xrand.Source
-	// tracers[i] is process i's lifecycle tracer (nil unless cfg.Trace).
+	// tracers[i] is process i's lifecycle tracer (nil unless cfg.TraceRing > 0).
 	// A recovered process keeps its predecessor's tracer: the ring then
 	// shows the crash-spanning lifecycle.
 	tracers []*obs.Tracer
@@ -288,12 +286,12 @@ func (c *Cluster) nodeOptions(proc int) []node.Option {
 // when tracing is off. Tracer timestamps are wall-clock nanos, so the
 // Chrome export uses nanos=true.
 func (c *Cluster) tracer(proc int) *obs.Tracer {
-	if !c.cfg.Trace {
+	if c.cfg.TraceRing <= 0 {
 		return nil
 	}
 	for len(c.tracers) <= proc {
 		c.tracers = append(c.tracers,
-			obs.New(len(c.tracers), c.cfg.TraceCapacity, func() int64 { return time.Now().UnixNano() }))
+			obs.New(len(c.tracers), c.cfg.TraceRing, func() int64 { return time.Now().UnixNano() }))
 	}
 	return c.tracers[proc]
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"anonurb/internal/ident"
 	"anonurb/internal/obs"
+	"anonurb/internal/urb"
 )
 
 // TestLiveClusterTracing runs a traced cluster to convergence and checks
@@ -18,7 +20,7 @@ func TestLiveClusterTracing(t *testing.T) {
 	const n = 3
 	col := newCollector()
 	cfg := fastCfg(n, majorityFactory(n), 0.05, col.onDeliver)
-	cfg.Trace = true
+	cfg.TraceRing = obs.DefaultCapacity
 	c := Start(cfg)
 	defer c.Stop()
 
@@ -137,6 +139,54 @@ func TestLiveClusterTracing(t *testing.T) {
 	}
 	if s := sent(); events > s {
 		t.Fatalf("%d lifecycle events for %d wire messages sent: emits leak per frame", events, s)
+	}
+}
+
+// TestLiveJoinTraceChecks: the merged trace of a traced cluster that
+// grew by a joiner passes the URB checker. The joiner's ring holds an
+// ADOPT for each message of the history it took from its donor, which is
+// what credits it with that history.
+func TestLiveJoinTraceChecks(t *testing.T) {
+	const n = 3
+	col := newCollector()
+	factory := func(_ int, tags *ident.Source, clock func() int64) urb.Process {
+		return urb.NewHeartbeatHost(tags, 200, 1, clock, urb.Config{})
+	}
+	cfg := fastCfg(n, factory, 0.1, col.onDeliver)
+	cfg.TraceRing = obs.DefaultCapacity
+	c := Start(cfg)
+	defer c.Stop()
+
+	bodies := []string{"pre-0", "pre-1"}
+	for i, b := range bodies {
+		c.Broadcast(i, []byte(b))
+	}
+	if !waitFor(t, 15*time.Second, func() bool { return col.deliveredBy("pre-0") == n && col.deliveredBy("pre-1") == n }) {
+		t.Fatal("pre-join history never delivered everywhere")
+	}
+	joiner, err := c.Join(nil)
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	c.Broadcast(joiner, []byte("post-0"))
+	c.Broadcast(0, []byte("post-1"))
+	if !waitFor(t, 15*time.Second, func() bool { return col.deliveredBy("post-0") == n+1 && col.deliveredBy("post-1") == n+1 }) {
+		t.Fatalf("post-join convergence stuck: %d, %d", col.deliveredBy("post-0"), col.deliveredBy("post-1"))
+	}
+
+	run := obs.Run{N: c.N(), Events: obs.Merge(c.Tracers()...)}
+	adopted := 0
+	for _, e := range run.Events {
+		if e.Kind == obs.EvAdopt && int(e.Node) == joiner {
+			adopted++
+		}
+	}
+	if adopted != len(bodies) {
+		t.Fatalf("joiner traced %d ADOPT events, want %d", adopted, len(bodies))
+	}
+	rep, err := run.Check(false)
+	if err != nil || !rep.OK() || rep.Broadcast != 4 {
+		t.Fatalf("merged trace check: %v %+v", err, rep)
 	}
 }
 

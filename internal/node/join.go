@@ -111,6 +111,8 @@ func Join(ctx context.Context, proc urb.Process, st store.Store, tr transport.Tr
 	} else if err := host.Vet(container, o.joinFloor); err != nil {
 		return nil, fmt.Errorf("node: join: %w", err)
 	}
+	// The tracer goes in before the adoption, which traces ADOPT.
+	o.install(proc)
 	baseline, err := host.Adopt(proc, st, container)
 	if err != nil {
 		return nil, err

@@ -172,12 +172,13 @@ func WithAdmission(cfg admit.Config) Option {
 }
 
 // WithTracer installs a lifecycle tracer (DESIGN.md §14): the node
-// emits host-level events (snapshot transfer, admission demotions) and
-// installs the tracer into the algorithm's emit sites when the process
-// implements obs.Traceable (both paper algorithms and the heartbeat
-// host do). The zero value — no tracer — is off and costs one nil check
-// per emit site; with a tracer installed, steady-state emits are
-// allocation-free writes into the tracer's bounded ring.
+// emits host-level events (snapshot transfer, admission demotions, the
+// deliveries it exposes) and installs the tracer into the algorithm's
+// emit sites when the process implements obs.Traceable (both paper
+// algorithms and the heartbeat host do). The zero value — no tracer —
+// is off and costs one nil check per emit site; with a tracer
+// installed, steady-state emits are allocation-free writes into the
+// tracer's bounded ring.
 func WithTracer(t *obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
@@ -281,6 +282,14 @@ func New(proc urb.Process, tr transport.Transport, opts ...Option) *Node {
 	return build(proc, tr, o)
 }
 
+// install puts the configured tracer into proc's emit sites (a no-op
+// without one, or for a process that is not obs.Traceable).
+func (o options) install(proc urb.Process) {
+	if tp, ok := proc.(obs.Traceable); ok && o.tracer != nil {
+		tp.SetTracer(o.tracer)
+	}
+}
+
 // parse applies opts over the defaults.
 func parse(opts []Option) options {
 	o := options{tickEvery: 10 * time.Millisecond, inboxDepth: 256,
@@ -297,11 +306,7 @@ func build(proc urb.Process, tr transport.Transport, o options) *Node {
 	if proc == nil || tr == nil {
 		panic("node: process and transport are required")
 	}
-	if o.tracer != nil {
-		if tp, ok := proc.(obs.Traceable); ok {
-			tp.SetTracer(o.tracer)
-		}
-	}
+	o.install(proc)
 	var stage *admit.Transport
 	if o.admission != nil {
 		acfg := *o.admission

@@ -25,9 +25,11 @@
 // holds this line: a traced cluster records no more events than it
 // sends wire messages.
 //
-// A simulator run recorded this way (sim.TraceObserver) is also what
-// the URB checker reads (check.go), in memory or from the Chrome trace
-// file cmd/urbsim writes and cmd/urbcheck checks.
+// A simulator run is traced the same way: with sim.Config.TraceRing set,
+// every process emits into its own tracer on the virtual clock, and the
+// merged rings (sim.Result.Trace) are what the URB checker reads
+// (check.go), in memory or from the Chrome trace file cmd/urbsim writes
+// and cmd/urbcheck checks.
 //
 // Determinism: tracers never feed back into algorithm state — a traced
 // run produces bit-identical Steps, digests and snapshots to an
@@ -50,8 +52,9 @@ type EventKind uint8
 // The lifecycle alphabet. One URB-broadcast's life, in order: BROADCAST
 // at its origin, FIRST_SEND when its MSG frame first hits the wire,
 // RECV when the first MSG copy reaches each receiver, a run of
-// ACK_PROGRESS as delivery evidence accumulates, DELIVER when the guard
-// passes, and — Algorithm 2 only —
+// ACK_PROGRESS as delivery evidence accumulates, DELIVER when the host
+// exposes the delivery (after its write-ahead commit), and — Algorithm 2
+// only —
 // RETIRE when the quiescence rule deletes it from MSG_i. The remaining
 // kinds trace the host machinery around the algorithm: admission
 // demotions, snapshot-transfer joins and the history a joiner adopts,
@@ -226,19 +229,22 @@ func (t *Tracer) Node() int {
 	return int(t.node)
 }
 
-// emit writes one event into the ring as this tracer's node. Zero-alloc
-// in the steady state: the slot is fixed-size and the body intern hits
-// its table for every event after a message's first.
+// emit writes one event into the ring as this tracer's node, at the
+// clock's time. Zero-alloc in the steady state: the slot is fixed-size
+// and the body intern hits its table for every event after a message's
+// first.
 func (t *Tracer) emit(e Event) {
 	e.Node = t.node
-	t.emitRaw(e)
-}
-
-// emitRaw writes one event into the ring, trusting e.Node.
-func (t *Tracer) emitRaw(e Event) {
-	if e.At == 0 && t.clock != nil {
+	if t.clock != nil {
 		e.At = t.clock()
 	}
+	t.emitRaw(e, t.clock != nil)
+}
+
+// emitRaw writes one event into the ring, trusting e.Node, and e.At when
+// timed; an untimed event is stamped with its sequence number. A time of
+// 0 is a time like any other (a sim run starts at 0).
+func (t *Tracer) emitRaw(e Event, timed bool) {
 	s := slot{
 		at: e.At, node: e.Node, kind: e.Kind, tag: e.Msg.Tag,
 		have: e.Have, need: e.Need, flow: e.Flow, aux: e.Aux,
@@ -249,7 +255,7 @@ func (t *Tracer) emitRaw(e Event) {
 	}
 	t.total++
 	s.seq = t.total
-	if s.at == 0 {
+	if !timed {
 		s.at = int64(t.total)
 	}
 	t.buf[(t.total-1)%uint64(len(t.buf))] = s
@@ -367,6 +373,15 @@ func (t *Tracer) Retire(id wire.MsgID) {
 	t.emit(Event{Kind: EvRetire, Msg: id})
 }
 
+// Adopt records that a joiner took id as already delivered (DESIGN.md
+// §13): it will never deliver it itself.
+func (t *Tracer) Adopt(id wire.MsgID) {
+	if t == nil {
+		return
+	}
+	t.emit(Event{Kind: EvAdopt, Msg: id})
+}
+
 // AdmitDemote records the admission stage demoting a flow (DESIGN.md
 // §11). Called from the admission stage's ingest goroutine.
 func (t *Tracer) AdmitDemote(flow uint64) {
@@ -385,15 +400,16 @@ func (t *Tracer) Snap(kind EventKind, off, total int) {
 	t.emit(Event{Kind: kind, Have: int64(off), Need: int64(total)})
 }
 
-// EmitAt appends an arbitrary event with an explicit timestamp and node
-// (the simulator adapter's raw entry point).
+// EmitAt appends an arbitrary event with an explicit timestamp and node:
+// the entry point for events a host emits itself (the simulator's
+// CRASH).
 func (t *Tracer) EmitAt(at int64, node int, e Event) {
 	if t == nil {
 		return
 	}
 	e.At = at
 	e.Node = int32(node)
-	t.emitRaw(e)
+	t.emitRaw(e, true)
 }
 
 // Total reports how many events were ever emitted (including ones the

@@ -22,11 +22,26 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.AckProgress(mid(1, "a"), ident.Tag{}, 1, 3)
 	tr.Deliver(mid(1, "a"), false)
 	tr.Retire(mid(1, "a"))
+	tr.Adopt(mid(1, "a"))
 	tr.AdmitDemote(7)
 	tr.Snap(EvSnapDone, 0, 0)
 	tr.EmitAt(5, 0, Event{Kind: EvRecv})
 	if tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Node() != -1 {
 		t.Fatal("nil tracer reported state")
+	}
+}
+
+// TestTimeZeroKept: a clock that reads 0 and an explicit EmitAt at 0
+// both record time 0. Only an untimed tracer stamps sequence numbers.
+func TestTimeZeroKept(t *testing.T) {
+	tr := New(0, 8, func() int64 { return 0 })
+	tr.Broadcast(mid(1, "a"))
+	tr.Deliver(mid(1, "a"), false)
+	tr.EmitAt(0, 0, Event{Kind: EvCrash})
+	for i, e := range tr.Events() {
+		if e.At != 0 {
+			t.Fatalf("event %d (%v): at %d, want 0", i, e.Kind, e.At)
+		}
 	}
 }
 

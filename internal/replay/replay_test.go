@@ -14,16 +14,10 @@ import (
 	"anonurb/internal/xrand"
 )
 
-// runScenario executes one simulator scenario, recording its broadcast
-// schedule when rec is non-nil.
-func runScenario(wl workload.Broadcasts, rec *Recorder, seed uint64) harness.Outcome {
-	var obs []sim.Observer
-	if rec != nil {
-		obs = append(obs, rec)
-	}
+// runScenario executes one simulator scenario.
+func runScenario(wl workload.Broadcasts, seed uint64) harness.Outcome {
 	return harness.Run(harness.Scenario{
 		Name:          "replay-test",
-		Observers:     obs,
 		N:             5,
 		Algo:          harness.AlgoMajority,
 		Link:          channel.Bernoulli{P: 0.15, D: channel.UniformDelay{Min: 1, Max: 3}},
@@ -40,19 +34,19 @@ func runScenario(wl workload.Broadcasts, rec *Recorder, seed uint64) harness.Out
 // and serialising the trace through the file format must not change
 // that.
 func TestRecordReplayDeterminism(t *testing.T) {
-	rec := NewRecorder()
-	orig := runScenario(workload.PoissonWriters{Count: 8, MeanGap: 15, Start: 5, BodyStamp: "r"}, rec, 11)
+	orig := runScenario(workload.PoissonWriters{Count: 8, MeanGap: 15, Start: 5, BodyStamp: "r"}, 11)
 	if !orig.DeliveredAll {
 		t.Fatal("recorded run did not deliver everything")
 	}
-	if rec.Len() != 8 {
-		t.Fatalf("recorded %d broadcasts, want 8", rec.Len())
+	rec := Record(5, orig.Result.Broadcasts)
+	if len(rec.Entries) != 8 {
+		t.Fatalf("recorded %d broadcasts, want 8", len(rec.Entries))
 	}
 
 	// Serialise through the trace format, as a real record/replay pair
 	// would.
 	var buf bytes.Buffer
-	if err := rec.Schedule(5).Write(&buf); err != nil {
+	if err := rec.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	sched, err := Read(bytes.NewReader(buf.Bytes()))
@@ -60,8 +54,8 @@ func TestRecordReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := runScenario(Replayer{Schedule: sched}, nil, 42)
-	b := runScenario(Replayer{Schedule: sched}, nil, 42)
+	a := runScenario(Replayer{Schedule: sched}, 42)
+	b := runScenario(Replayer{Schedule: sched}, 42)
 	if !a.DeliveredAll || !b.DeliveredAll {
 		t.Fatal("replayed runs did not deliver everything")
 	}
@@ -72,12 +66,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 	// count, per-process attribution, sizes. (Digests differ by design:
 	// replayed bodies are regenerated from the recorded digest, and the
 	// regenerated bytes hash to a new one.)
-	rerec := NewRecorder()
-	c := runScenario(Replayer{Schedule: sched}, rerec, 42)
-	if !reflect.DeepEqual(a.Result.Deliveries, c.Result.Deliveries) {
-		t.Fatal("third replay diverged")
-	}
-	got, want := rerec.Schedule(5), sched
+	got, want := Record(5, a.Result.Broadcasts), sched
 	if len(got.Entries) != len(want.Entries) {
 		t.Fatalf("re-recorded %d entries, want %d", len(got.Entries), len(want.Entries))
 	}

@@ -78,6 +78,22 @@ type Schedule struct {
 	Entries []Entry
 }
 
+// Record returns the broadcast schedule of a simulator run of n
+// processes: every URB_broadcast the run executed
+// (sim.Result.Broadcasts), in order.
+func Record(n int, broadcasts []sim.BroadcastAt) *Schedule {
+	s := &Schedule{N: n, Entries: make([]Entry, 0, len(broadcasts))}
+	for _, b := range broadcasts {
+		s.Entries = append(s.Entries, Entry{
+			At:     b.At,
+			Proc:   b.Proc,
+			Size:   len(b.ID.Body),
+			Digest: BodyDigest([]byte(b.ID.Body)),
+		})
+	}
+	return s
+}
+
 // BodyDigest returns the 64-bit FNV-1a digest of a payload — the
 // identity a schedule stores in place of the bytes.
 func BodyDigest(body []byte) uint64 {

@@ -6,9 +6,11 @@ import (
 
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
+	"anonurb/internal/obs"
 	"anonurb/internal/store"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
+	"anonurb/internal/xrand"
 )
 
 // assertNoDuplicateDeliveries fails if any process delivered an ID twice
@@ -161,14 +163,13 @@ func testSimCrashRecoverQuiescent(t *testing.T, cfg urb.Config) {
 	}
 }
 
-// TestSimRecoverObserver: the optional observer extension fires exactly
-// once per recovery, at the scheduled time.
-func TestSimRecoverObserver(t *testing.T) {
+// TestSimRecoverTraced: a recovery is traced once, at its scheduled
+// time, as a CRASH with Need=1 after the crash it ends.
+func TestSimRecoverTraced(t *testing.T) {
 	const n = 3
 	stores := make([]store.Store, n)
 	stores[1] = store.NewMem()
-	obs := &recObserver{}
-	NewEngine(Config{
+	res := NewEngine(Config{
 		N: n,
 		Factory: func(env Env) urb.Process {
 			return urb.NewMajority(n, env.Tags, urb.Config{})
@@ -182,30 +183,18 @@ func TestSimRecoverObserver(t *testing.T) {
 		Broadcasts: []ScheduledBroadcast{
 			{At: 5, Proc: 0, Body: []byte("x")},
 		},
-		Observers: []Observer{obs},
+		TraceRing: obs.DefaultCapacity,
 	}).Run()
-	if len(obs.recovered) != 1 || obs.recovered[0] != 1 {
-		t.Fatalf("OnRecover fired for %v, want [1]", obs.recovered)
+	var crashes []obs.Event
+	for _, e := range res.Trace.Events {
+		if e.Kind == obs.EvCrash {
+			crashes = append(crashes, e)
+		}
 	}
-	if obs.at[0] != 200 {
-		t.Fatalf("OnRecover at t=%d, want 200", obs.at[0])
+	if len(crashes) != 2 || crashes[0].Node != 1 || crashes[0].At != 40 || crashes[0].Need != 0 ||
+		crashes[1].Node != 1 || crashes[1].At != 200 || crashes[1].Need != 1 {
+		t.Fatalf("traced crashes %+v, want p1 down at 40 and back at 200", crashes)
 	}
-}
-
-// recObserver records recovery events (and ignores everything else).
-type recObserver struct {
-	recovered []int
-	at        []Time
-}
-
-func (o *recObserver) OnBroadcast(Time, int, wire.MsgID)               {}
-func (o *recObserver) OnSend(Time, int, int, wire.Message, bool, Time) {}
-func (o *recObserver) OnReceive(Time, int, wire.Message)               {}
-func (o *recObserver) OnDeliver(Time, int, urb.Delivery)               {}
-func (o *recObserver) OnCrash(Time, int)                               {}
-func (o *recObserver) OnRecover(t Time, proc int) {
-	o.recovered = append(o.recovered, proc)
-	o.at = append(o.at, t)
 }
 
 var errDiskDied = errors.New("disk died")
@@ -224,26 +213,24 @@ func (s *dyingStore) AppendWAL(rec []byte) error {
 	return s.Mem.AppendWAL(rec)
 }
 
-// afterCrash counts what a process does once it has crashed, in event
-// order rather than by virtual time.
-type afterCrash struct {
-	proc         int
-	down         bool
-	exposedAfter int
+// died reports whether the store has failed an append.
+func (s *dyingStore) died() bool { return s.appends >= s.k }
+
+// sendWatch is a test link model that counts the copies process proc
+// offers once its store has died, in event order rather than by virtual
+// time.
+type sendWatch struct {
+	channel.LinkModel
+	proc  int
+	st    *dyingStore
+	after int
 }
 
-func (a *afterCrash) OnBroadcast(Time, int, wire.MsgID) {}
-func (a *afterCrash) OnReceive(Time, int, wire.Message) {}
-func (a *afterCrash) OnCrash(_ Time, proc int)          { a.down = a.down || proc == a.proc }
-func (a *afterCrash) OnSend(_ Time, src, _ int, _ wire.Message, _ bool, _ Time) {
-	if src == a.proc && a.down {
-		a.exposedAfter++
+func (l *sendWatch) Judge(now int64, src, dst int, attempt uint64, rng *xrand.Source) channel.Verdict {
+	if src == l.proc && l.st.died() {
+		l.after++
 	}
-}
-func (a *afterCrash) OnDeliver(_ Time, proc int, _ urb.Delivery) {
-	if proc == a.proc && a.down {
-		a.exposedAfter++
-	}
+	return l.LinkModel.Judge(now, src, dst, attempt, rng)
 }
 
 // TestSimStoreErrorFailStops: a process whose store fails stops, as a
@@ -256,11 +243,11 @@ func TestSimStoreErrorFailStops(t *testing.T) {
 		st := &dyingStore{Mem: store.NewMem(), k: k}
 		stores := make([]store.Store, n)
 		stores[0] = st
-		watch := &afterCrash{proc: 0}
+		watch := &sendWatch{LinkModel: channel.Bernoulli{P: 0.2, D: channel.UniformDelay{Min: 1, Max: 4}}, proc: 0, st: st}
 		res := NewEngine(Config{
 			N:       n,
 			Factory: majorityFactory(n, urb.Config{}),
-			Link:    channel.Bernoulli{P: 0.2, D: channel.UniformDelay{Min: 1, Max: 4}},
+			Link:    watch,
 			Seed:    2015,
 			MaxTime: 100_000,
 			Stores:  stores,
@@ -270,15 +257,32 @@ func TestSimStoreErrorFailStops(t *testing.T) {
 				{At: 40, Proc: 0, Body: []byte("c")},
 				{At: 60, Proc: 2, Body: []byte("d")},
 			},
-			Observers:         []Observer{watch},
 			ExpectDeliveries:  3,
 			NoEarlyStopBefore: 200,
+			TraceRing:         obs.DefaultCapacity,
 		}).Run()
-		if !res.Crashed[0] || !watch.down {
+		if !res.Crashed[0] || !st.died() {
 			t.Fatalf("k=%d: proc 0 kept running after its store failed", k)
 		}
-		if watch.exposedAfter > 0 {
-			t.Fatalf("k=%d: proc 0 exposed or sent %d things after its store failed", k, watch.exposedAfter)
+		if watch.after > 0 {
+			t.Fatalf("k=%d: proc 0 sent %d copies after its store failed", k, watch.after)
+		}
+		// In proc 0's ring order: nothing delivered after the CRASH the
+		// store error caused, and the trace delivers what the run does.
+		down, traced := false, 0
+		for _, e := range res.Trace.Events {
+			switch {
+			case e.Node != 0:
+			case e.Kind == obs.EvCrash:
+				down = true
+			case e.Kind == obs.EvDeliver && down:
+				t.Fatalf("k=%d: proc 0 delivered %v after its store failed", k, e.Msg)
+			case e.Kind == obs.EvDeliver:
+				traced++
+			}
+		}
+		if !down || traced != len(res.Deliveries[0]) {
+			t.Fatalf("k=%d: trace shows crash %v and %d deliveries; the run %d", k, down, traced, len(res.Deliveries[0]))
 		}
 		if rep := res.Check(); !rep.OK() {
 			t.Fatalf("k=%d: %v", k, rep.Err())

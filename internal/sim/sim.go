@@ -72,41 +72,6 @@ type ScheduledBroadcast struct {
 	Body []byte
 }
 
-// Observer receives run events; the trace recorder and metrics collectors
-// implement it. All callbacks fire synchronously inside the event loop.
-type Observer interface {
-	// OnBroadcast fires when a process executes URB_broadcast.
-	OnBroadcast(t Time, proc int, id wire.MsgID)
-	// OnSend fires once per copy offered to a link. arriveAt is
-	// meaningful only when dropped is false.
-	OnSend(t Time, src, dst int, m wire.Message, dropped bool, arriveAt Time)
-	// OnReceive fires when a copy is handed to a live process.
-	OnReceive(t Time, dst int, m wire.Message)
-	// OnDeliver fires on each URB-delivery.
-	OnDeliver(t Time, proc int, d urb.Delivery)
-	// OnCrash fires when a process crashes.
-	OnCrash(t Time, proc int)
-}
-
-// RecoverObserver is the optional extension observers implement to see
-// crash-recovery events (kept separate so existing Observer
-// implementations stay source-compatible).
-type RecoverObserver interface {
-	// OnRecover fires when a crashed process restarts from its store.
-	OnRecover(t Time, proc int)
-}
-
-// JoinObserver is the optional extension observers implement to see
-// membership-churn events.
-type JoinObserver interface {
-	// OnJoin fires when a joining process completes its snapshot
-	// transfer and goes live; bytes is the container size it pulled and
-	// adopted the ids it took as already delivered, in broadcast order.
-	OnJoin(t Time, proc int, bytes int, adopted []wire.MsgID)
-	// OnLeave fires when a process leaves the cluster for good.
-	OnLeave(t Time, proc int)
-}
-
 // Config fully describes a run.
 type Config struct {
 	// N is the number of processes.
@@ -181,8 +146,12 @@ type Config struct {
 	// partitions — are still ahead of it, even if the cluster is
 	// momentarily consistent.
 	NoEarlyStopBefore Time
-	// Observers receive run events.
-	Observers []Observer
+	// TraceRing, when > 0, traces the run (DESIGN.md §14): every process
+	// emits its lifecycle events into its own obs.Tracer of this many
+	// slots, on the virtual clock, as a node's process does, and
+	// Result.Trace merges them. The factory must then build
+	// obs.Traceable processes. 0 means untraced.
+	TraceRing int
 	// SampleEvery, when > 0, snapshots per-process stats periodically
 	// into Result.Samples (experiments F1/F5).
 	SampleEvery Time
@@ -303,6 +272,9 @@ type Result struct {
 	ProcStats []urb.Stats
 	// Samples is the periodic time series (empty unless SampleEvery>0).
 	Samples []Sample
+	// Trace is the merged lifecycle trace of every process (empty unless
+	// Config.TraceRing > 0).
+	Trace obs.Run
 }
 
 // Engine executes one run.
@@ -313,9 +285,12 @@ type Engine struct {
 	heap eventHeap
 	net  *channel.Network
 	// loops[i] hosts process i and its store (Config.Stores[i], if any).
-	loops  []*host.Loop
-	crash  []bool
-	result Result
+	loops []*host.Loop
+	// tracers[i] is process i's tracer, nil when untraced. A recovered
+	// process keeps it, so its ring spans the crash.
+	tracers []*obs.Tracer
+	crash   []bool
+	result  Result
 	// pendingWire counts queued evReceive events; quiescence detection
 	// needs to know whether non-tick events remain.
 	pendingWire int
@@ -414,6 +389,7 @@ func NewEngine(cfg Config) *Engine {
 		cfg:                 cfg,
 		net:                 channel.NewNetwork(cfg.N, cfg.Link, xrand.SplitLabeled(cfg.Seed, "net")),
 		loops:               make([]*host.Loop, cfg.N),
+		tracers:             make([]*obs.Tracer, cfg.N),
 		crash:               make([]bool, cfg.N),
 		delivered:           make([]int, cfg.N),
 		remainingBroadcasts: len(cfg.Broadcasts),
@@ -452,7 +428,10 @@ func NewEngine(cfg Config) *Engine {
 			Tags:  ident.NewSource(src),
 			Now:   func() Time { return e.now },
 		}
-		c := host.Core{Proc: cfg.Factory(env)}
+		if cfg.TraceRing > 0 {
+			e.tracers[i] = obs.New(i, cfg.TraceRing, e.Now)
+		}
+		c := host.Core{Proc: e.build(i, env)}
 		if cfg.Stores != nil {
 			c.Store = cfg.Stores[i]
 		}
@@ -460,7 +439,7 @@ func NewEngine(cfg Config) *Engine {
 		// keeps a channel verdict per message, which is what the golden
 		// digests pin. Budget 0: nothing to fit a frame into.
 		e.loops[i] = host.NewLoop(c, host.LoopConfig{CheckpointEvery: cfg.CheckpointEvery,
-			OnReceive: func(m *wire.Message) { e.onReceive(i, *m) }}, 0)
+			Tracer: e.tracers[i]}, 0)
 	}
 	// Phase-shift the first tick of each process so the mesh does not
 	// operate in lockstep. Late joiners have no tick chain until their
@@ -507,6 +486,21 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
+// build has the factory build process i's instance and installs its
+// tracer. A traced run of a process that cannot host one is a config
+// error: its trace would be silently empty.
+func (e *Engine) build(i int, env Env) urb.Process {
+	p := e.cfg.Factory(env)
+	if tr := e.tracers[i]; tr != nil {
+		tp, ok := p.(obs.Traceable)
+		if !ok {
+			panic(fmt.Sprintf("sim: TraceRing set, but %T is not obs.Traceable", p))
+		}
+		tp.SetTracer(tr)
+	}
+	return p
+}
+
 // carriesMsg reports whether a wire message references an application
 // message and can advance its fate at the receiver: MSG copies and the
 // whole ACK family (full-set, delta and resync frames all carry the
@@ -544,38 +538,13 @@ func (e *Engine) Network() *channel.Network { return e.net }
 // truncation): it is dropped here, as the loss it is.
 func (e *Engine) send(src int, frame []byte, m wire.Message) {
 	for dst := 0; dst < e.cfg.N; dst++ {
-		copies := e.net.SendFrame(e.now, src, dst, frame)
-		delivered := false
-		arrive := Time(0)
-		for _, c := range copies {
-			if !c.SameFrame(frame) {
-				continue
+		for _, c := range e.net.SendFrame(e.now, src, dst, frame) {
+			if c.SameFrame(frame) {
+				e.push(&event{at: e.now + max(c.Delay, 1), kind: evReceive, proc: dst, frame: frame, msg: m})
 			}
-			at := e.now + max(c.Delay, 1)
-			if !delivered || at < arrive {
-				arrive = at
-			}
-			delivered = true
-			e.push(&event{at: at, kind: evReceive, proc: dst, frame: frame, msg: m})
-		}
-		for _, o := range e.cfg.Observers {
-			o.OnSend(e.now, src, dst, m, !delivered, arrive)
 		}
 	}
 	e.result.LastSend = e.now
-}
-
-// onReceive is proc's host.Loop receive hook.
-func (e *Engine) onReceive(proc int, m wire.Message) {
-	if m.Kind.IsSnap() {
-		return // join traffic is host-level: observers never see it
-	}
-	if carriesMsg(m) {
-		e.aliveTouched[m.ID()] = true
-	}
-	for _, o := range e.cfg.Observers {
-		o.OnReceive(e.now, proc, m)
-	}
 }
 
 // expose carries out one host.Loop call of proc. A store error stops the
@@ -592,9 +561,6 @@ func (e *Engine) expose(proc int, out *host.Out, err error) {
 		e.delivered[proc]++
 		e.deliveredSomewhere[d.ID] = true
 		e.deliveredAt[proc][d.ID] = true
-		for _, o := range e.cfg.Observers {
-			o.OnDeliver(e.now, proc, d)
-		}
 	}
 	// Crash-after-delivery adversary: the crash lands between the
 	// delivery and any further protocol action, which is exactly the
@@ -616,9 +582,7 @@ func (e *Engine) doCrash(proc int) {
 	}
 	e.crash[proc] = true
 	e.result.Crashed[proc] = true
-	for _, o := range e.cfg.Observers {
-		o.OnCrash(e.now, proc)
-	}
+	e.tracers[proc].EmitAt(e.now, proc, obs.Event{Kind: obs.EvCrash})
 }
 
 // allCorrectDelivered reports whether every live process has delivered at
@@ -702,6 +666,9 @@ func (e *Engine) Run() Result {
 			case e.joining[ev.proc] != nil:
 				e.offerChunk(ev.proc, ev.frame)
 			case e.present[ev.proc]: // else not yet joined: no inbox
+				if carriesMsg(ev.msg) {
+					e.aliveTouched[ev.msg.ID()] = true
+				}
 				out, err := e.loops[ev.proc].OnFrame(ev.frame)
 				e.expose(ev.proc, out, err)
 			}
@@ -732,9 +699,6 @@ func (e *Engine) Run() Result {
 			e.result.Broadcasts = append(e.result.Broadcasts,
 				BroadcastAt{ID: id, Proc: ev.proc, At: e.now})
 			e.msgOrigin[id] = ev.proc
-			for _, o := range e.cfg.Observers {
-				o.OnBroadcast(e.now, ev.proc, id)
-			}
 			out, err := l.Absorb(s)
 			e.expose(ev.proc, out, err)
 		case evSample:
@@ -772,6 +736,12 @@ func (e *Engine) Run() Result {
 	for i, l := range e.loops {
 		e.result.ProcStats[i] = l.Proc.Stats()
 	}
+	if e.cfg.TraceRing > 0 {
+		e.result.Trace = obs.Run{N: e.cfg.N, Events: obs.Merge(e.tracers...)}
+		for _, tr := range e.tracers {
+			e.result.Trace.Dropped += tr.Dropped()
+		}
+	}
 	return e.result
 }
 
@@ -790,7 +760,7 @@ func (e *Engine) doRecover(proc int) {
 		Tags:  ident.NewSource(e.tagClones[proc].Clone()),
 		Now:   func() Time { return e.now },
 	}
-	p := e.cfg.Factory(env)
+	p := e.build(proc, env)
 	if _, err := host.Recover(p, e.loops[proc].Store); err != nil {
 		panic(fmt.Sprintf("sim: proc %d: %v", proc, err))
 	}
@@ -824,11 +794,7 @@ func (e *Engine) doRecover(proc int) {
 	e.crash[proc] = false
 	e.result.Crashed[proc] = false
 	e.result.Recovered[proc] = true
-	for _, o := range e.cfg.Observers {
-		if ro, ok := o.(RecoverObserver); ok {
-			ro.OnRecover(e.now, proc)
-		}
-	}
+	e.tracers[proc].EmitAt(e.now, proc, obs.Event{Kind: obs.EvCrash, Need: 1})
 	// Resume the tick chain the crash cut (next period, not immediately:
 	// a restart takes at least a beat).
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: proc})
@@ -913,23 +879,17 @@ func (e *Engine) finishJoin(proc int, container []byte) {
 	e.present[proc] = true
 	e.result.JoinedAt[proc] = e.now
 	e.result.JoinBytes[proc] = len(container)
+	e.tracers[proc].Snap(obs.EvSnapDone, len(container), len(container))
 	// History the joiner adopted as already delivered satisfies its
 	// delivery obligations — uniformity forbids re-delivering it — so
 	// the convergence ledger credits it up front.
-	var adopted []wire.MsgID
 	if hd, ok := h.Proc.(interface{ HasDelivered(wire.MsgID) bool }); ok {
 		e.result.Adopted[proc] = make(map[wire.MsgID]bool)
 		for _, b := range e.result.Broadcasts {
 			if hd.HasDelivered(b.ID) {
 				e.deliveredAt[proc][b.ID] = true
 				e.result.Adopted[proc][b.ID] = true
-				adopted = append(adopted, b.ID)
 			}
-		}
-	}
-	for _, o := range e.cfg.Observers {
-		if jo, ok := o.(JoinObserver); ok {
-			jo.OnJoin(e.now, proc, len(container), adopted)
 		}
 	}
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: proc})
@@ -944,11 +904,6 @@ func (e *Engine) doLeave(proc int) {
 	}
 	e.doCrash(proc)
 	e.result.Left[proc] = true
-	for _, o := range e.cfg.Observers {
-		if jo, ok := o.(JoinObserver); ok {
-			jo.OnLeave(e.now, proc)
-		}
-	}
 }
 
 func (e *Engine) takeSample() {

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"anonurb/internal/channel"
+	"anonurb/internal/obs"
 	"anonurb/internal/urb"
-	"anonurb/internal/wire"
 )
 
 func TestEngineBroadcastFromCrashedProcSkipped(t *testing.T) {
@@ -78,50 +78,37 @@ func TestEngineObligationSurvivesSenderCrashWhenReceived(t *testing.T) {
 	}
 }
 
-// firstSendObserver records when each process first offers a copy.
-type firstSendObserver struct {
-	firstSend map[int]Time
-}
-
-func (o *firstSendObserver) OnBroadcast(Time, int, wire.MsgID) {}
-func (o *firstSendObserver) OnReceive(Time, int, wire.Message) {}
-func (o *firstSendObserver) OnDeliver(Time, int, urb.Delivery) {}
-func (o *firstSendObserver) OnCrash(Time, int)                 {}
-func (o *firstSendObserver) OnSend(t Time, src, _ int, m wire.Message, _ bool, _ Time) {
-	// Only MSG sends mark a Task-1 tick; ACK sends are reactive and
-	// cluster around message arrivals.
-	if m.Kind != wire.KindMsg {
-		return
-	}
-	if _, ok := o.firstSend[src]; !ok {
-		o.firstSend[src] = t
-	}
-}
-
 func TestEngineTickPhasesDiffer(t *testing.T) {
 	// Processes must not tick in lockstep: with n=8 the initial tick
 	// phases (≡ first sends, given an immediate broadcast each) should
 	// spread over several distinct times.
-	obs := &firstSendObserver{firstSend: map[int]Time{}}
 	bcasts := make([]ScheduledBroadcast, 8)
 	for i := range bcasts {
 		bcasts[i] = ScheduledBroadcast{At: 0, Proc: i, Body: []byte(string(rune('a' + i)))}
 	}
-	NewEngine(Config{
+	res := NewEngine(Config{
 		N:          8,
 		Factory:    majorityFactory(8, urb.Config{}),
 		Link:       channel.Reliable{D: channel.FixedDelay(1)},
 		Seed:       24,
 		MaxTime:    100,
 		Broadcasts: bcasts,
-		Observers:  []Observer{obs},
+		TraceRing:  obs.DefaultCapacity,
 	}).Run()
+	// Each process's first FIRST_SEND is its first tick: Task 1 sends
+	// MSG, and the merged trace is in time order.
+	firstSend := map[int32]Time{}
+	for _, e := range res.Trace.Events {
+		if _, seen := firstSend[e.Node]; e.Kind == obs.EvFirstSend && !seen {
+			firstSend[e.Node] = e.At
+		}
+	}
 	distinct := map[Time]bool{}
-	for _, at := range obs.firstSend {
+	for _, at := range firstSend {
 		distinct[at] = true
 	}
-	if len(distinct) < 3 {
-		t.Fatalf("tick phases look lockstep: %v", obs.firstSend)
+	if len(firstSend) != 8 || len(distinct) < 3 {
+		t.Fatalf("tick phases look lockstep: %v", firstSend)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
+	"anonurb/internal/rb"
 	"anonurb/internal/urb"
-	"anonurb/internal/wire"
 )
 
 // majorityFactory builds Algorithm 1 processes.
@@ -300,53 +300,6 @@ func TestEngineSingleProcess(t *testing.T) {
 	}
 }
 
-// countingObserver checks the Observer plumbing.
-type countingObserver struct {
-	broadcasts, sends, drops, receives, delivers, crashes int
-}
-
-func (c *countingObserver) OnBroadcast(Time, int, wire.MsgID) { c.broadcasts++ }
-func (c *countingObserver) OnSend(_ Time, _, _ int, _ wire.Message, dropped bool, _ Time) {
-	c.sends++
-	if dropped {
-		c.drops++
-	}
-}
-func (c *countingObserver) OnReceive(Time, int, wire.Message) { c.receives++ }
-func (c *countingObserver) OnDeliver(Time, int, urb.Delivery) { c.delivers++ }
-func (c *countingObserver) OnCrash(Time, int)                 { c.crashes++ }
-
-func TestEngineObserverPlumbing(t *testing.T) {
-	const n = 3
-	obs := &countingObserver{}
-	res := NewEngine(Config{
-		N:                n,
-		Factory:          majorityFactory(n, urb.Config{}),
-		Link:             lossy(0.2),
-		Seed:             8,
-		MaxTime:          5000,
-		CrashAt:          []Time{Never, Never, 100},
-		Broadcasts:       []ScheduledBroadcast{{At: 2, Proc: 0, Body: []byte("watch")}},
-		Observers:        []Observer{obs},
-		ExpectDeliveries: 1,
-	}).Run()
-	if obs.broadcasts != 1 {
-		t.Fatalf("broadcasts observed: %d", obs.broadcasts)
-	}
-	if obs.sends == 0 || obs.receives == 0 || obs.delivers == 0 {
-		t.Fatalf("observer missed events: %+v", obs)
-	}
-	if uint64(obs.sends) != res.Net.Sent {
-		t.Fatalf("observer sends %d != net %d", obs.sends, res.Net.Sent)
-	}
-	if uint64(obs.drops) != res.Net.Dropped {
-		t.Fatalf("observer drops %d != net %d", obs.drops, res.Net.Dropped)
-	}
-	if res.EndTime >= 100 && obs.crashes != 1 {
-		t.Fatalf("crashes observed: %d", obs.crashes)
-	}
-}
-
 func TestEngineConfigValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -368,6 +321,12 @@ func TestEngineConfigValidation(t *testing.T) {
 	mustPanic("BroadcastProc", func() {
 		NewEngine(Config{N: 1, Factory: okFactory, Link: link,
 			Broadcasts: []ScheduledBroadcast{{At: 1, Proc: 9, Body: []byte("x")}}})
+	})
+	// A traced run of a process that cannot host a tracer would trace
+	// nothing: refused up front.
+	mustPanic("TraceRing", func() {
+		NewEngine(Config{N: 1, Link: link, TraceRing: 16,
+			Factory: func(env Env) urb.Process { return rb.NewBestEffort(env.Tags) }})
 	})
 }
 

@@ -8,14 +8,15 @@ import (
 	"anonurb/internal/obs"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
+	"anonurb/internal/xrand"
 )
 
 // TestTracingInvisibleOnWire runs each configuration twice: untraced,
-// then with every process emitting into its own obs.Tracer and the
-// run-wide TraceObserver attached. Tracers observe steps and never feed
-// back, so both runs must deliver the same messages at the same virtual
-// times in the same order, and the channel must count the same copies
-// sent, dropped and mutated.
+// then with every process emitting into its own obs.Tracer
+// (Config.TraceRing). Tracers observe steps and never feed back, so both
+// runs must deliver the same messages at the same virtual times in the
+// same order, and the channel must count the same copies sent, dropped
+// and mutated.
 func TestTracingInvisibleOnWire(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -29,8 +30,8 @@ func TestTracingInvisibleOnWire(t *testing.T) {
 		}, []Time{Never, Never, Never, 25, Never}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(traced bool) (Result, uint64) {
-				cfg := Config{
+			run := func(ring int) Result {
+				return NewEngine(Config{
 					N:       5,
 					Factory: tc.factory,
 					Link:    lossy(0.2),
@@ -43,32 +44,10 @@ func TestTracingInvisibleOnWire(t *testing.T) {
 						{At: 40, Proc: 0, Body: []byte("c")},
 					},
 					ExpectDeliveries: 3,
-				}
-				var tracers []*obs.Tracer
-				var lifecycle *TraceObserver
-				if traced {
-					lifecycle = NewTraceObserver(5, 0)
-					cfg.Observers = []Observer{lifecycle}
-					cfg.Factory = func(env Env) urb.Process {
-						p := tc.factory(env)
-						tr := obs.New(env.Index, 0, env.Now)
-						p.(obs.Traceable).SetTracer(tr)
-						tracers = append(tracers, tr)
-						return p
-					}
-				}
-				res := NewEngine(cfg).Run()
-				var events uint64
-				if lifecycle != nil {
-					events = uint64(len(lifecycle.Events()))
-				}
-				for _, tr := range tracers {
-					events += tr.Total()
-				}
-				return res, events
+					TraceRing:        ring,
+				}).Run()
 			}
-			plain, _ := run(false)
-			traced, events := run(true)
+			plain, traced := run(0), run(obs.DefaultCapacity)
 			for p, ds := range plain.Deliveries {
 				if tc.crashAt != nil && tc.crashAt[p] != Never && !plain.Crashed[p] {
 					t.Fatalf("p%d never crashed (end=%d)", p, plain.EndTime)
@@ -77,8 +56,9 @@ func TestTracingInvisibleOnWire(t *testing.T) {
 					t.Fatalf("p%d delivered %d of 3 (end=%d)", p, len(ds), plain.EndTime)
 				}
 			}
-			if events == 0 {
-				t.Fatal("the traced run recorded no lifecycle events")
+			if len(plain.Trace.Events) != 0 || len(traced.Trace.Events) == 0 {
+				t.Fatalf("untraced run recorded %d events, traced run %d",
+					len(plain.Trace.Events), len(traced.Trace.Events))
 			}
 			if !reflect.DeepEqual(plain.Deliveries, traced.Deliveries) {
 				t.Fatalf("tracing changed the deliveries:\n plain  %v\n traced %v", plain.Deliveries, traced.Deliveries)
@@ -90,83 +70,178 @@ func TestTracingInvisibleOnWire(t *testing.T) {
 	}
 }
 
-// wireAuditor is a test-only Observer holding the two wire-level
-// properties of the model: channels neither create nor duplicate copies
-// (receives never exceed surviving sends per destination and encoded
-// message), and a crashed process sends nothing.
-type wireAuditor struct {
-	offered, received map[wireKey]int
-	crashedAt         map[int]Time
-	lateSends         int
+// TestTraceMatchesResult: the merged trace of a run holds the run's
+// ground truth. It has one BROADCAST per broadcast and one DELIVER per
+// exposed delivery, at the same times, and one CRASH per crash.
+func TestTraceMatchesResult(t *testing.T) {
+	const n = 3
+	res := NewEngine(Config{
+		N:                 n,
+		Factory:           majorityFactory(n, urb.Config{}),
+		Link:              lossy(0.2),
+		Seed:              8,
+		MaxTime:           5000,
+		CrashAt:           []Time{Never, Never, 100},
+		Broadcasts:        []ScheduledBroadcast{{At: 2, Proc: 0, Body: []byte("watch")}},
+		ExpectDeliveries:  1,
+		NoEarlyStopBefore: 150,
+		TraceRing:         obs.DefaultCapacity,
+	}).Run()
+	var broadcasts []BroadcastAt
+	delivers := make([][]DeliveryAt, n)
+	var crashes []obs.Event
+	for _, e := range res.Trace.Events {
+		switch e.Kind {
+		case obs.EvBroadcast:
+			broadcasts = append(broadcasts, BroadcastAt{ID: e.Msg, Proc: int(e.Node), At: e.At})
+		case obs.EvDeliver:
+			delivers[e.Node] = append(delivers[e.Node],
+				DeliveryAt{Delivery: urb.Delivery{ID: e.Msg, Fast: e.Have == 1}, At: e.At})
+		case obs.EvCrash:
+			crashes = append(crashes, e)
+		}
+	}
+	if !reflect.DeepEqual(broadcasts, res.Broadcasts) {
+		t.Fatalf("traced broadcasts %v, run %v", broadcasts, res.Broadcasts)
+	}
+	if !reflect.DeepEqual(delivers, res.Deliveries) {
+		t.Fatalf("traced deliveries %v, run %v", delivers, res.Deliveries)
+	}
+	if len(crashes) != 1 || crashes[0].Node != 2 || crashes[0].At != 100 || crashes[0].Need != 0 {
+		t.Fatalf("traced crashes %+v, want p2 at 100", crashes)
+	}
+	if rep, err := res.Trace.Check(false); err != nil || !reflect.DeepEqual(rep, res.Check()) {
+		t.Fatalf("trace check %+v (%v), result check %+v", rep, err, res.Check())
+	}
 }
 
+// TestTraceKeepsTimeZero: events at virtual time 0 are traced at 0, not
+// at their sequence numbers, so the merged trace stays in time order.
+func TestTraceKeepsTimeZero(t *testing.T) {
+	res := NewEngine(Config{
+		N:       3,
+		Factory: majorityFactory(3, urb.Config{}),
+		Link:    channel.Reliable{D: channel.FixedDelay(1)},
+		Seed:    3,
+		MaxTime: 1000,
+		Broadcasts: []ScheduledBroadcast{
+			{At: 0, Proc: 0, Body: []byte("a")},
+			{At: 0, Proc: 1, Body: []byte("b")},
+			{At: 0, Proc: 2, Body: []byte("c")},
+		},
+		ExpectDeliveries: 3,
+		TraceRing:        obs.DefaultCapacity,
+	}).Run()
+	broadcasts := 0
+	for _, e := range res.Trace.Events {
+		if e.Kind == obs.EvBroadcast {
+			broadcasts++
+			if e.At != 0 {
+				t.Fatalf("p%d's broadcast at 0 traced at %d", e.Node, e.At)
+			}
+		}
+	}
+	if broadcasts != 3 {
+		t.Fatalf("%d BROADCAST events, want 3", broadcasts)
+	}
+}
+
+// wireKey names one encoded message arriving at one destination.
 type wireKey struct {
 	dst int
 	enc string
 }
 
-func (a *wireAuditor) OnBroadcast(Time, int, wire.MsgID) {}
-func (a *wireAuditor) OnDeliver(Time, int, urb.Delivery) {}
-func (a *wireAuditor) OnCrash(t Time, proc int)          { a.crashedAt[proc] = t }
-func (a *wireAuditor) OnReceive(_ Time, dst int, m wire.Message) {
-	a.received[wireKey{dst, string(m.Encode(nil))}]++
+// recordingLink is a test link model that counts, per destination and
+// encoded message, the copies its inner model lets through, and counts
+// the copies processes offer after their crash time.
+type recordingLink struct {
+	channel.LinkModel
+	crashAt   []Time
+	offered   map[wireKey]int
+	lateSends int
 }
-func (a *wireAuditor) OnSend(t Time, src, dst int, m wire.Message, dropped bool, _ Time) {
-	if at, down := a.crashedAt[src]; down && t > at {
-		a.lateSends++
+
+func (l *recordingLink) JudgeFrame(now int64, src, dst int, attempt uint64, frame []byte, rng *xrand.Source) []channel.Copy {
+	if at := l.crashAt[src]; at != Never && now > at {
+		l.lateSends++
 	}
-	if !dropped {
-		a.offered[wireKey{dst, string(m.Encode(nil))}]++
+	copies := channel.JudgeCopies(l.LinkModel, now, src, dst, attempt, frame, rng)
+	for _, c := range copies {
+		if c.SameFrame(frame) {
+			l.offered[wireKey{dst, string(frame)}]++
+		}
 	}
+	return copies
+}
+
+// recordingProc is a test process wrapper that counts, per encoded
+// message, the copies its process receives.
+type recordingProc struct {
+	*urb.Majority
+	dst      int
+	received map[wireKey]int
+}
+
+func (p *recordingProc) Receive(m wire.Message) urb.Step {
+	p.received[wireKey{p.dst, string(m.Encode(nil))}]++
+	return p.Majority.Receive(m)
 }
 
 // TestWireIntegrityAndCrashSilence audits a lossy run in which two of
-// five processes crash mid-dissemination, and checks that the lifecycle
-// trace of the same run keeps the per-message volume rule and passes
-// the URB checker.
+// five processes crash mid-dissemination for the two wire-level
+// properties of the model: channels neither create nor duplicate copies
+// (receives never exceed surviving sends per destination and encoded
+// message), and a crashed process sends nothing. It also checks that the
+// lifecycle trace of the same run keeps the per-message volume rule and
+// passes the URB checker.
 func TestWireIntegrityAndCrashSilence(t *testing.T) {
-	audit := &wireAuditor{offered: map[wireKey]int{}, received: map[wireKey]int{}, crashedAt: map[int]Time{}}
-	lifecycle := NewTraceObserver(5, 0)
+	const n = 5
+	crashAt := []Time{Never, Never, Never, 60, 80}
+	link := &recordingLink{LinkModel: channel.Bernoulli{P: 0.25, D: channel.UniformDelay{Min: 1, Max: 5}},
+		crashAt: crashAt, offered: map[wireKey]int{}}
+	received := map[wireKey]int{}
 	res := NewEngine(Config{
-		N:       5,
-		Factory: majorityFactory(5, urb.Config{}),
-		Link:    channel.Bernoulli{P: 0.25, D: channel.UniformDelay{Min: 1, Max: 5}},
+		N: n,
+		Factory: func(env Env) urb.Process {
+			return &recordingProc{Majority: urb.NewMajority(n, env.Tags, urb.Config{}), dst: env.Index, received: received}
+		},
+		Link:    link,
 		Seed:    2015,
 		MaxTime: 100_000,
-		CrashAt: []Time{Never, Never, Never, 60, 80},
+		CrashAt: crashAt,
 		Broadcasts: []ScheduledBroadcast{
 			{At: 5, Proc: 0, Body: []byte("selftest-a")},
 			{At: 9, Proc: 1, Body: []byte("selftest-b")},
 		},
-		Observers:         []Observer{audit, lifecycle},
 		ExpectDeliveries:  2,
 		NoEarlyStopBefore: 100,
+		TraceRing:         obs.DefaultCapacity,
 	}).Run()
-	if len(audit.crashedAt) != 2 || res.Net.Dropped == 0 || len(audit.received) == 0 {
-		t.Fatalf("run too tame to audit: crashes %v, net %+v", audit.crashedAt, res.Net)
+	if !res.Crashed[3] || !res.Crashed[4] || res.Net.Dropped == 0 || len(received) == 0 {
+		t.Fatalf("run too tame to audit: crashed %v, net %+v", res.Crashed, res.Net)
 	}
-	for k, got := range audit.received {
-		if sent := audit.offered[k]; got > sent {
+	for k, got := range received {
+		if sent := link.offered[k]; got > sent {
 			t.Errorf("p%d received %d copies of a message but only %d survived the link", k.dst, got, sent)
 		}
 	}
-	if audit.lateSends > 0 {
-		t.Errorf("crashed processes sent %d copies", audit.lateSends)
+	if link.lateSends > 0 {
+		t.Errorf("crashed processes sent %d copies", link.lateSends)
 	}
-	run := lifecycle.Run()
-	rep, err := run.Check(false)
+	rep, err := res.Trace.Check(false)
 	if err != nil || !rep.OK() || rep.Broadcast != 2 || rep.TotalDeliveries < 6 {
 		t.Fatalf("lifecycle trace check: %v %+v", err, rep)
 	}
 	// Per message, never per copy: at most one RECV per process and
 	// message, however many retransmissions arrived.
 	recvs := 0
-	for _, e := range run.Events {
+	for _, e := range res.Trace.Events {
 		if e.Kind == obs.EvRecv {
 			recvs++
 		}
 	}
-	if recvs > 5*2 {
-		t.Fatalf("%d RECV events for 2 messages at 5 processes", recvs)
+	if recvs > n*2 {
+		t.Fatalf("%d RECV events for 2 messages at %d processes", recvs, n)
 	}
 }

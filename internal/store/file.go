@@ -64,6 +64,9 @@ type File struct {
 	sync   bool
 	stats  Stats
 	closed bool
+	// opened holds the WAL records the open read, for the first Load to
+	// return, until an append or a snapshot makes them stale.
+	opened [][]byte
 }
 
 var _ Store = (*File)(nil)
@@ -104,34 +107,38 @@ func openFile(dir string, sync bool) (*File, error) {
 		// Approximate (includes framing); Load refines it to the payload.
 		s.stats.SnapshotBytes = uint64(info.Size())
 	}
-	if err := s.primeWALStats(); err != nil {
+	recs, err := s.readWAL()
+	if err != nil {
 		wal.Close()
 		return nil, err
 	}
+	s.opened = recs
 	return s, nil
 }
 
 func (s *File) snapPath() string { return filepath.Join(s.dir, snapFileName) }
 
-// primeWALStats scans the existing WAL once so counters are meaningful
-// before the first Load, and positions the append offset at the end of
-// the valid prefix (truncating any torn tail left by a crash).
-func (s *File) primeWALStats() error {
+// readWAL reads the WAL's valid prefix, truncates any torn tail left by
+// a crash, positions the append offset at the end of the prefix and sets
+// the WAL counters from it. The open runs it, so counters are meaningful
+// before the first Load, and so does a Load with nothing left from the
+// open.
+func (s *File) readWAL() ([][]byte, error) {
 	recs, valid, err := scanWAL(s.wal)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.wal.Truncate(valid); err != nil {
-		return fmt.Errorf("store: truncate torn wal tail: %w", err)
+		return nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
 	}
 	if _, err := s.wal.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
+	s.stats.WALRecords, s.stats.WALBytes = uint64(len(recs)), 0
 	for _, r := range recs {
-		s.stats.WALRecords++
 		s.stats.WALBytes += uint64(len(r))
 	}
-	return nil
+	return recs, nil
 }
 
 // scanWAL reads every whole, checksummed record from the start of f and
@@ -201,6 +208,7 @@ func (s *File) SaveSnapshot(snap []byte) error {
 	}
 	// Compact: the WAL restarts after the snapshot. Truncate-in-place
 	// keeps the already-open append handle valid.
+	s.opened = nil
 	if err := s.wal.Truncate(0); err != nil {
 		return fmt.Errorf("store: compact wal: %w", err)
 	}
@@ -230,6 +238,7 @@ func (s *File) AppendWAL(rec []byte) error {
 	frame = binary.BigEndian.AppendUint32(frame, uint32(len(rec)))
 	frame = binary.BigEndian.AppendUint32(frame, codec.Checksum(rec))
 	frame = append(frame, rec...)
+	s.opened = nil
 	if _, err := s.wal.Write(frame); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -245,7 +254,10 @@ func (s *File) AppendWAL(rec []byte) error {
 
 // Load implements Store. The WAL's valid prefix is returned and any torn
 // tail truncated; a corrupt snapshot file is an error (recovery must not
-// silently restart from nothing when durable state existed).
+// silently restart from nothing when durable state existed). The first
+// Load after the open returns the records the open read, unless an
+// append or a snapshot came in between: the WAL is read once per
+// restart.
 func (s *File) Load() ([]byte, [][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -256,20 +268,12 @@ func (s *File) Load() ([]byte, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	recs, valid, err := scanWAL(s.wal)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := s.wal.Truncate(valid); err != nil {
-		return nil, nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
-	}
-	if _, err := s.wal.Seek(valid, io.SeekStart); err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	s.stats.WALRecords = uint64(len(recs))
-	s.stats.WALBytes = 0
-	for _, r := range recs {
-		s.stats.WALBytes += uint64(len(r))
+	recs := s.opened
+	s.opened = nil
+	if recs == nil {
+		if recs, err = s.readWAL(); err != nil {
+			return nil, nil, err
+		}
 	}
 	if snap != nil {
 		s.stats.SnapshotBytes = uint64(len(snap))

@@ -152,6 +152,52 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestFileLoadAfterOpen: the first Load returns what the open read, plus
+// anything appended since, and nothing a snapshot compacted away; a
+// later Load reads the log again.
+func TestFileLoadAfterOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AppendWAL([]byte("r1"))
+	s.AppendWAL([]byte("r2"))
+	s.Close()
+
+	s, err = OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendWAL([]byte("r3")); err != nil {
+		t.Fatal(err)
+	}
+	_, wal, err := s.Load()
+	if err != nil || fmt.Sprintf("%q", wal) != `["r1" "r2" "r3"]` {
+		t.Fatalf("first Load after an append: wal=%q err=%v", wal, err)
+	}
+	if st := s.Stats(); st.WALRecords != 3 || st.WALBytes != 6 {
+		t.Fatalf("stats after Load: %+v", st)
+	}
+	if _, wal, _ = s.Load(); len(wal) != 3 {
+		t.Fatalf("second Load: wal=%q", wal)
+	}
+	s.Close()
+
+	s, err = OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.SaveSnapshot([]byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	snap, wal, err := s.Load()
+	if err != nil || string(snap) != "snap" || len(wal) != 0 {
+		t.Fatalf("first Load after a snapshot: snap=%q wal=%q err=%v", snap, wal, err)
+	}
+}
+
 // tornCase truncates or corrupts the WAL file in a specific way and says
 // how many records must survive replay.
 type tornCase struct {

@@ -44,10 +44,15 @@ var (
 	_ Joiner = (*HeartbeatHost)(nil)
 )
 
-// dropPins forgets every pinned tag_ack (the donor's MY_ACK_i).
-func (c *common) dropPins() {
+// adopt is the part of Adopt both algorithms share: it forgets every
+// pinned tag_ack (the donor's MY_ACK_i) and traces ADOPT for every
+// message the joiner takes as already delivered.
+func (c *common) adopt() {
 	for rec := range c.recs.all {
 		rec.ack, rec.pinned = ident.Tag{}, false
+		if rec.delivered && c.tr != nil {
+			c.tr.Adopt(rec.id)
+		}
 	}
 }
 
@@ -56,13 +61,13 @@ func (c *common) dropPins() {
 // everything still circulating under its own fresh tags, and receivers
 // count it as the new process it is.
 func (p *Majority) Adopt() {
-	p.dropPins()
+	p.adopt()
 }
 
 // Adopt implements Joiner: keep the donor's delivered set and received
 // ACK evidence, drop its acker identity, rebase the delta-ACK streams.
 func (p *Quiescent) Adopt() {
-	p.dropPins()
+	p.adopt()
 	// Rejoin drops the donor's send ledger and lifts the epoch floor
 	// above anything the donor's incarnation has sent — the joiner's
 	// first ACK per message opens a fresh stream under a fresh tag_ack.

@@ -529,11 +529,7 @@ func (c *common) deliverOnce(out *Step, rec *msgRec) bool {
 		return false
 	}
 	rec.delivered = true
-	fast := !rec.saw
-	if c.tr != nil {
-		c.tr.Deliver(rec.id, fast)
-	}
-	out.Deliveries = append(out.Deliveries, Delivery{ID: rec.id, Fast: fast})
+	out.Deliveries = append(out.Deliveries, Delivery{ID: rec.id, Fast: !rec.saw})
 	return true
 }
 

@@ -29,9 +29,11 @@ func FlowOf(t ident.Tag) uint64 { return t.Hi }
 // kind, and the declared lengths against len(b) and the codec bounds.
 // It steps over the fields with the same codec.Reader DecodeInto reads
 // them with, so the two apply the same length checks and bounds.
-// A frame it accepts can still fail full DecodePrefix validation (zero
-// tags, bad flags); that is the consumer's check. Errors are the codec's
-// (ErrShort, ErrVersion, ErrKind, &ErrOversize).
+// It rejects the BEATΔ flags DecodeInto rejects (ErrBadFlags), since
+// they decide which tag lists follow. A frame it accepts can still fail
+// full DecodePrefix validation (zero tags, an ACKΔ's bad flags); that is
+// the consumer's check. Other errors are the codec's (ErrShort,
+// ErrVersion, ErrKind, &ErrOversize).
 //
 //urb:hotpath
 func PeekFlow(b []byte) (kind Kind, flow uint64, size int, err error) {
@@ -58,6 +60,11 @@ func PeekFlow(b []byte) (kind Kind, flow uint64, size int, err error) {
 	case KindBeatDelta:
 		flags := r.U8()
 		r.Skip(4 + 8) // epoch, ref
+		if r.Err() == nil && badBeatFlags(flags) {
+			// The tag lists to skip depend on the flags: walking bad ones
+			// would hand the caller a wrong split boundary.
+			return 0, 0, 0, ErrBadFlags
+		}
 		if flags&BeatFlagSnapshot != 0 {
 			skipTags()
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
 	"anonurb/internal/ident"
@@ -111,6 +112,21 @@ func TestPeekFlowErrors(t *testing.T) {
 	bad[2], bad[3], bad[4], bad[5] = 0xff, 0xff, 0xff, 0x7f
 	if _, _, _, err := PeekFlow(bad); err == nil {
 		t.Error("oversized body accepted")
+	}
+}
+
+// TestPeekFlowBeatFlags: PeekFlow refuses the BEATΔ flag bytes
+// DecodeInto refuses, since the flags decide which tag lists it walks.
+func TestPeekFlowBeatFlags(t *testing.T) {
+	for _, flags := range []uint8{BeatFlagSnapshot | BeatFlagDelta, 1 << 2, 0x80} {
+		enc := NewBeatChange(77, 5, []ident.Tag{tag(7, 7)}, nil).Encode(nil)
+		enc[2] = flags
+		if _, _, _, err := PeekFlow(enc); !errors.Is(err, ErrBadFlags) {
+			t.Errorf("flags %#x: PeekFlow error %v, want ErrBadFlags", flags, err)
+		}
+		if _, _, err := DecodePrefix(enc); !errors.Is(err, ErrBadFlags) {
+			t.Errorf("flags %#x: DecodePrefix error %v, want ErrBadFlags", flags, err)
+		}
 	}
 }
 

@@ -785,8 +785,7 @@ func decodeBeat(m *Message, b []byte) ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if m.Flags&^(BeatFlagSnapshot|BeatFlagDelta) != 0 ||
-		m.Flags == BeatFlagSnapshot|BeatFlagDelta {
+	if badBeatFlags(m.Flags) {
 		return nil, ErrBadFlags
 	}
 	if m.Epoch == 0 {
@@ -805,6 +804,12 @@ func decodeBeat(m *Message, b []byte) ([]byte, error) {
 		return nil, err
 	}
 	return r.Rest(), nil
+}
+
+// badBeatFlags reports a BEATΔ flag byte no encoder writes: an unknown
+// bit, or both forms at once.
+func badBeatFlags(f uint8) bool {
+	return f&^(BeatFlagSnapshot|BeatFlagDelta) != 0 || f == BeatFlagSnapshot|BeatFlagDelta
 }
 
 // decodeSnap parses the compact snapshot-transfer layouts; b starts
